@@ -17,7 +17,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .lattice import Grid, ScalarField, TorusFunction, spectral_dy, _FD_STENCILS
+from .lattice import (CHAIN_DEPTH, Grid, ScalarField, TorusFunction, chain_mul,
+                      spectral_dy, _FD_STENCILS)
 
 Chain = List[np.ndarray]
 
@@ -42,17 +43,6 @@ def bracket(w1: str, w2: str):
 
 class FlavorError(ValueError):
     pass
-
-
-def _chain_mul(a: Chain, b: Chain) -> Chain:
-    depth = min(len(a), len(b)) - 1
-    out = []
-    for n in range(depth + 1):
-        acc = np.zeros_like(a[0])
-        for j in range(n + 1):
-            acc += math.comb(n, j) * a[j] * b[n - j]
-        out.append(acc)
-    return out
 
 
 class AlgebraElement:
@@ -111,10 +101,6 @@ class AlgebraElement:
             return 0.0
         return max(float(np.max(np.abs(c[0]))) for c in self.comps.values())
 
-    def without_chain(self) -> "AlgebraElement":
-        return AlgebraElement(self.flavor, self.grid,
-                              {p: [c[0]] for p, c in self.comps.items()})
-
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -122,14 +108,14 @@ class AlgebraElement:
         return cls(flavor, grid, {})
 
     @classmethod
-    def identity(cls, flavor: str, grid: Grid, depth: int = 4) -> "AlgebraElement":
+    def identity(cls, flavor: str, grid: Grid, depth: int = CHAIN_DEPTH) -> "AlgebraElement":
         nxd = cls.domain_steps(flavor, grid)
         one = np.ones((nxd, grid.ny), complex)
         zero = np.zeros_like(one)
         return cls(flavor, grid, {0: [one] + [zero.copy() for _ in range(depth)]})
 
     @classmethod
-    def from_torus(cls, g: TorusFunction, depth: int = 4) -> "AlgebraElement":
+    def from_torus(cls, g: TorusFunction, depth: int = CHAIN_DEPTH) -> "AlgebraElement":
         """Multiplication-type E-element G*delta_0 from a skew-torus function."""
         return cls(E_FLAVOR, g.grid, {0: g.derivative_chain(depth)})
 
@@ -238,7 +224,7 @@ def star(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 bw = b.eval_window(r, 0, a.nxd, dxs=-q * g.su_steps, dys=-q * g.sv_steps)
             else:
                 bw = b.eval_window(r, 0, a.nxd, dxs=q * g.nx_unit, dys=0)
-            term = _chain_mul(aq, bw)
+            term = chain_mul(aq, bw)
             if p in comps:
                 dmin = min(len(comps[p]), len(term))
                 comps[p] = [x + y for x, y in zip(comps[p][:dmin], term[:dmin])]

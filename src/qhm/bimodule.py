@@ -22,8 +22,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from .algebra import AlgebraElement, D_FLAVOR, E_FLAVOR, _chain_mul
-from .lattice import Grid, ScalarField
+from .algebra import AlgebraElement, D_FLAVOR, E_FLAVOR
+from .lattice import Grid, ScalarField, chain_mul
 
 ModuleVector = ScalarField
 
@@ -58,7 +58,7 @@ def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
                 p * grid.sv_steps, axis=1)) for n in range(d + 1)]
             if not np.any(b[0]):
                 continue
-            term = _chain_mul(a, b)
+            term = chain_mul(a, b)
             ph = _phase(grid.params.c, k, p, ys, sv, -1)[None, :]
             term = [t * ph for t in term]
             acc = term if acc is None else [x + y for x, y in zip(acc, term)]
@@ -94,7 +94,7 @@ def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
                  for n in range(d + 1)]
             if not np.any(b[0]):
                 continue
-            term = _chain_mul(a, b)
+            term = chain_mul(a, b)
             ph = _phase(grid.params.c, p, k, ys, sv, +1)[None, :]
             term = [t * ph for t in term]
             acc = term if acc is None else [x + y for x, y in zip(acc, term)]

@@ -19,11 +19,10 @@ import numpy as np
 
 from .algebra import (AlgebraElement, E_FLAVOR, bracket, derivation, star)
 from .bimodule import ModuleVector, act_left, act_right, inner_D, inner_E
-from .lattice import ScalarField, TorusFunction
+from .lattice import CHAIN_DEPTH, TorusFunction
 from .projection import grassmann_apply
 
 SKEW_TOL = 1e-12
-DEFAULT_DEPTH = 4
 
 
 class StructureError(ValueError):
@@ -78,7 +77,7 @@ class Connection:
         return self.R.grid
 
 
-def mult_element(g: TorusFunction, depth: int = DEFAULT_DEPTH) -> AlgebraElement:
+def mult_element(g: TorusFunction, depth: int = CHAIN_DEPTH) -> AlgebraElement:
     return AlgebraElement.from_torus(g, depth)
 
 
@@ -141,7 +140,7 @@ def curvature_closed(R: ModuleVector) -> Curvature2Form:
 
 
 def curvature_perturbed(theta0: Curvature2Form, pert: Perturbation,
-                        c: int, depth: int = DEFAULT_DEPTH) -> Curvature2Form:
+                        c: int) -> Curvature2Form:
     """Assemble the curvature of nabla0 + G from the Grassmannian one.
 
     The multiplication-operator commutators contribute, as E-elements,
@@ -162,20 +161,19 @@ def curvature_perturbed(theta0: Curvature2Form, pert: Perturbation,
     """
     g1, g2, g3 = pert.g1, pert.g2, pert.g3
     f1, f2 = extract_f1_f2(theta0)
-    xy = mult_element(f1 + g1.d_dx() - g2.d_dy() - float(c) * g3, depth)
-    xz = theta0.xz + mult_element(-g3.d_dy(), depth)
-    yz = mult_element(f2 - g3.d_dx(), depth)
+    xy = mult_element(f1 + g1.d_dx() - g2.d_dy() - float(c) * g3)
+    xz = theta0.xz + mult_element(-g3.d_dy())
+    yz = mult_element(f2 - g3.d_dx())
     return Curvature2Form(xy, xz, yz)
 
 
-def curvature_of(nabla: Connection, theta0: Optional[Curvature2Form] = None,
-                 depth: int = DEFAULT_DEPTH) -> Curvature2Form:
+def curvature_of(nabla: Connection,
+                 theta0: Optional[Curvature2Form] = None) -> Curvature2Form:
     if theta0 is None:
         theta0 = curvature_closed(nabla.R)
     if nabla.perturbation is None:
         return theta0
-    return curvature_perturbed(theta0, nabla.perturbation,
-                               nabla.grid.params.c, depth)
+    return curvature_perturbed(theta0, nabla.perturbation, nabla.grid.params.c)
 
 
 def extract_f1_f2(theta: Curvature2Form) -> Tuple[TorusFunction, TorusFunction]:

@@ -11,13 +11,22 @@ identities exact as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# Depth of the x-derivative chains that sampled fields and algebra elements
+# carry.  Y-derivations consume one order each, and the deepest consumer,
+# nabla_Y applied to Theta . f in the criticality residuals, starts from the
+# curvature Theta, which is built from R and so already has one order less
+# than R.  Depth 2 is therefore the least that never falls back to finite
+# differences; depth 1 does, and shifts the Grassmannian residuals.
+CHAIN_DEPTH = 2
 
 # order-6 central difference stencil, denominator 60*h
 _FD6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
@@ -74,11 +83,11 @@ class Params:
         if not (0 < self.su < Fraction(1, 2)):
             raise ValueError(f"need 0 < 2*hbar*mu < 1/2, got su={self.su}")
 
-    @property
+    @cached_property
     def su(self) -> Fraction:
         return 2 * self.hbar * self.mu
 
-    @property
+    @cached_property
     def sv(self) -> Fraction:
         return 2 * self.hbar * self.nu
 
@@ -106,33 +115,33 @@ class Grid:
             if unit != 0 and (unit / step).denominator != 1:
                 raise CommensurabilityError(f"{step} does not divide {unit}")
 
-    @property
+    @cached_property
     def nx_unit(self) -> int:
         """Grid points per unit x-interval."""
         return int(1 / self.hx)
 
-    @property
+    @cached_property
     def ny(self) -> int:
         """Grid points per y-period."""
         return int(1 / self.hy)
 
-    @property
+    @cached_property
     def su_steps(self) -> int:
         return int(self.params.su / self.hx)
 
-    @property
+    @cached_property
     def sv_steps(self) -> int:
         return int(self.params.sv / self.hy)
 
-    @property
+    @cached_property
     def hx_f(self) -> float:
         return float(self.hx)
 
-    @property
+    @cached_property
     def hy_f(self) -> float:
         return float(self.hy)
 
-    @property
+    @cached_property
     def i_bound(self) -> int:
         return self.x_halfwidth * self.nx_unit
 
@@ -177,8 +186,16 @@ def make_grid(params: Params, refinement: int, x_halfwidth: int = 6,
     return grid
 
 
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
+def chain_mul(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Leibniz rule: the derivative chain of a product of two chains."""
+    depth = min(len(a), len(b)) - 1
+    out = []
+    for n in range(depth + 1):
+        acc = np.zeros_like(a[0])
+        for j in range(n + 1):
+            acc += math.comb(n, j) * a[j] * b[n - j]
+        out.append(acc)
+    return out
 
 
 class ScalarField:
@@ -318,13 +335,7 @@ class ScalarField:
             return ScalarField.zeros(self.grid, depth)
         a = [self.window(lo, hi, n) for n in range(depth + 1)]
         b = [other.window(lo, hi, n) for n in range(depth + 1)]
-        chain = []
-        for n in range(depth + 1):
-            acc = np.zeros_like(a[0])
-            for j in range(n + 1):
-                acc += _binom(n, j) * a[j] * b[n - j]
-            chain.append(acc)
-        return ScalarField(self.grid, lo, chain).trimmed()
+        return ScalarField(self.grid, lo, chain_mul(a, b)).trimmed()
 
     def conj(self) -> "ScalarField":
         return ScalarField(self.grid, self.i0, [np.conj(a) for a in self.chain])
@@ -341,18 +352,6 @@ class ScalarField:
         ys = np.arange(self.grid.ny) * self.grid.hy_f
         ph = np.exp(2j * math.pi * (cycles * ys + const))[None, :]
         return ScalarField(self.grid, self.i0, [a * ph for a in self.chain])
-
-    def x_affine(self, a: complex, b: complex) -> "ScalarField":
-        """Multiply by (a + b*x), propagating the derivative chain."""
-        xs = self.xs()[:, None]
-        fac = a + b * xs
-        chain = []
-        for n, arr in enumerate(self.chain):
-            new = fac * arr
-            if n >= 1:
-                new = new + n * b * self.chain[n - 1]
-            chain.append(new)
-        return ScalarField(self.grid, self.i0, chain)
 
     # -- calculus --------------------------------------------------------
 
@@ -383,9 +382,6 @@ class ScalarField:
         # rolled-in wrap rows are zero because the pad is >= stencil halo
         return ScalarField(self.grid, self.i0 - halo,
                            [out / self.grid.hx_f]).trimmed()
-
-    def without_chain(self) -> "ScalarField":
-        return ScalarField(self.grid, self.i0, [self.data])
 
 
 def spectral_dy(a: np.ndarray, ny: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import sympy as sp
 
 from .algebra import AlgebraElement, D_FLAVOR, derivation
 from .bimodule import ModuleVector, act_right, inner_D
-from .lattice import Grid, Params, ScalarField
+from .lattice import CHAIN_DEPTH, Grid, Params, ScalarField
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class BumpSpec:
     avoiding 0/0 in the symbolic derivatives.
     """
 
-    depth: int = 4
+    depth: int = CHAIN_DEPTH
     t_min: float = 0.005
 
     def __post_init__(self):
@@ -53,20 +53,15 @@ def _ramp_lambdas(depth: int):
     t = sp.symbols("t", positive=True)
     phi = sp.exp(-1 / t)
     h = phi / (phi + phi.subs(t, 1 - t))
-    up = sp.sqrt(h)
-    down = sp.sqrt(1 - h)
-    ups, downs = [], []
-    for expr in (up, down):
-        d = expr
-        fns = []
-        for _ in range(depth + 1):
-            fns.append(sp.lambdify(t, d, "numpy"))
-            d = sp.together(sp.diff(d, t))
-        if expr is up:
-            ups = fns
-        else:
-            downs = fns
-    return ups, downs
+
+    def chain(expr):
+        fns = [sp.lambdify(t, expr, "numpy")]
+        for _ in range(depth):
+            expr = sp.together(sp.diff(expr, t))
+            fns.append(sp.lambdify(t, expr, "numpy"))
+        return fns
+
+    return chain(sp.sqrt(h)), chain(sp.sqrt(1 - h))
 
 
 def _ramp_values(t: np.ndarray, n: int, spec: BumpSpec, rising: bool) -> np.ndarray:

@@ -15,7 +15,7 @@ vectors, normalized by the unperturbed curvature scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -47,33 +47,35 @@ def ym_value(nabla: Connection, theta0: Optional[Curvature2Form] = None) -> floa
     return ym_of_curvature(curvature_of(nabla, theta0))
 
 
-def _commutator(nabla: Connection, w: str, t: AlgebraElement,
-                f: ModuleVector) -> ModuleVector:
-    """[nabla_W, T] f for an E-element T acting on the left."""
-    return connect(nabla, w, act_left(t, f)) - act_left(t, connect(nabla, w, f))
-
-
-def euler_lagrange_apply(nabla: Connection, theta: Curvature2Form, i: str,
-                         f: ModuleVector) -> ModuleVector:
-    """Left side of the critical-point equation attached to basis element i,
-    assembled generically from the bracket table:
+def euler_lagrange_apply(nabla: Connection, theta: Curvature2Form,
+                         f: ModuleVector) -> Dict[str, ModuleVector]:
+    """Left sides of the critical-point equations on f, keyed by basis
+    element i and assembled generically from the bracket table:
 
     sum_j [nabla_{Z_j}, Theta(Z_i ^ Z_j)] f - sum_{j<k} c^i_{jk} Theta(Z_j ^ Z_k) f
+
+    Each nabla_{Z_j} f enters the commutators of two equations; it is
+    computed once.
     """
     c = nabla.grid.params.c
-    out = None
-    for j in BASIS:
-        if j == i:
-            continue
-        term = _commutator(nabla, j, theta.component(i, j), f)
-        out = term if out is None else out + term
-    for jj in range(3):
-        for kk in range(jj + 1, 3):
-            sign, lbl = bracket(BASIS[jj], BASIS[kk])
-            if lbl == i and sign:
-                out = out - act_left(theta.component(BASIS[jj], BASIS[kk]),
-                                     f).scaled(sign * c)
-    return out
+    nabla_f = {j: connect(nabla, j, f) for j in BASIS}
+    eqs = {}
+    for i in BASIS:
+        out = None
+        for j in BASIS:
+            if j == i:
+                continue
+            t = theta.component(i, j)
+            term = connect(nabla, j, act_left(t, f)) - act_left(t, nabla_f[j])
+            out = term if out is None else out + term
+        for jj in range(3):
+            for kk in range(jj + 1, 3):
+                sign, lbl = bracket(BASIS[jj], BASIS[kk])
+                if lbl == i and sign:
+                    out = out - act_left(theta.component(BASIS[jj], BASIS[kk]),
+                                         f).scaled(sign * c)
+        eqs[i] = out
+    return eqs
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,9 @@ def critical_residuals(nabla: Connection, battery: Sequence[ModuleVector],
     worst = [0.0, 0.0, 0.0, 0.0]
     for f in battery:
         fs = max(f.norm_inf(), 1e-30)
+        eqs = euler_lagrange_apply(nabla, theta, f)
         for idx, i in enumerate(BASIS):
-            r = euler_lagrange_apply(nabla, theta, i, f)
+            r = eqs[i]
             worst[idx] = max(worst[idx], r.norm_inf() / (fs * cscale))
             if i == "Z":
                 if const_el is not None:

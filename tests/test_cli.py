@@ -5,7 +5,10 @@ import os
 
 import pytest
 
-from qhm.cli import ConfigError, _parse_kv, load_config, main
+from qhm import algebra
+from qhm.cli import (ConfigError, RunConfig, _parse_kv, load_config, main,
+                     run_solve, run_verify)
+from qhm.lattice import ScalarField
 
 
 def run(tmp_path, *argv):
@@ -140,3 +143,30 @@ class TestMorita:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "morita grid" in capsys.readouterr().err
+
+
+class TestChainDepth:
+    def test_default_depth_needs_no_finite_differences(self, params, tmp_path,
+                                                       monkeypatch):
+        # The default chain depth is the floor: no x-derivative taken by
+        # solve or verify runs out of its exact chain and falls back to
+        # finite differences.
+        fallbacks = []
+        dx_fd = ScalarField.dx_fd
+        component_dx = algebra._component_dx
+
+        def counting_dx_fd(self, *args, **kwargs):
+            fallbacks.append("ScalarField.dx_fd")
+            return dx_fd(self, *args, **kwargs)
+
+        def counting_component_dx(a, p, *args, **kwargs):
+            if len(a.comps[p]) < 2:
+                fallbacks.append("algebra._component_dx")
+            return component_dx(a, p, *args, **kwargs)
+
+        monkeypatch.setattr(ScalarField, "dx_fd", counting_dx_fd)
+        monkeypatch.setattr(algebra, "_component_dx", counting_component_dx)
+        cfg = RunConfig(params=params, refinement=9, seed=0, out=str(tmp_path))
+        run_solve(cfg)
+        run_verify(cfg)
+        assert fallbacks == []
