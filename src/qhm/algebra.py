@@ -17,15 +17,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .lattice import (CHAIN_DEPTH, Grid, ScalarField, TorusFunction, chain_mul,
-                      spectral_dy, _FD_STENCILS)
+from . import jets
+from .lattice import (CHAIN_DEPTH, FD_HALO, Grid, ScalarField, TorusFunction,
+                      fd_dx, spectral_dy)
 
 Chain = List[np.ndarray]
 
 D_FLAVOR = "D"
 E_FLAVOR = "E"
-
-LIE_LABELS = ("X", "Y", "Z")
 
 
 def bracket(w1: str, w2: str):
@@ -224,7 +223,7 @@ def star(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 bw = b.eval_window(r, 0, a.nxd, dxs=-q * g.su_steps, dys=-q * g.sv_steps)
             else:
                 bw = b.eval_window(r, 0, a.nxd, dxs=q * g.nx_unit, dys=0)
-            term = chain_mul(aq, bw)
+            term = jets.mul(aq, bw)
             if p in comps:
                 dmin = min(len(comps[p]), len(term))
                 comps[p] = [x + y for x, y in zip(comps[p][:dmin], term[:dmin])]
@@ -269,23 +268,17 @@ def invariance_action(a: AlgebraElement, k: int) -> AlgebraElement:
     return AlgebraElement(a.flavor, g, comps)
 
 
-def _component_dx(a: AlgebraElement, p: int, fd_order: int = 6) -> Chain:
+def _component_dx(a: AlgebraElement, p: int) -> Chain:
     """x-derivative of one component: analytic chain when present, else
     finite differences with twisted-periodic halo."""
     chain = a.comps[p]
     if len(chain) >= 2:
         return chain[1:]
-    st = _FD_STENCILS[fd_order]
-    halo = len(st) // 2
-    ext = a.eval_window(p, -halo, a.nxd + halo, depth=0)[0]
-    out = np.zeros_like(ext)
-    for k, w in enumerate(st):
-        if w:
-            out += w * np.roll(ext, halo - k, axis=0)
-    return [out[halo:halo + a.nxd] / a.grid.hx_f]
+    ext = a.eval_window(p, -FD_HALO, a.nxd + FD_HALO, depth=0)[0]
+    return [fd_dx(ext, a.grid.hx_f)[FD_HALO:FD_HALO + a.nxd]]
 
 
-def derivation(w: str, a: AlgebraElement, fd_order: int = 6) -> AlgebraElement:
+def derivation(w: str, a: AlgebraElement) -> AlgebraElement:
     """Infinitesimal Heisenberg actions on flavor D, componentwise in p:
 
     delta_X Phi = 2 pi i c p (x - p su/2) Phi - dPhi/dy
@@ -302,7 +295,7 @@ def derivation(w: str, a: AlgebraElement, fd_order: int = 6) -> AlgebraElement:
             z = 2j * math.pi * p * c
             comps[p] = [z * arr for arr in chain]
         elif w == "Y":
-            comps[p] = [-arr for arr in _component_dx(a, p, fd_order)]
+            comps[p] = [-arr for arr in _component_dx(a, p)]
         elif w == "X":
             z = 2j * math.pi * c * p
             xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[:, None]
@@ -318,10 +311,10 @@ def derivation(w: str, a: AlgebraElement, fd_order: int = 6) -> AlgebraElement:
     return AlgebraElement(D_FLAVOR, g, comps)
 
 
-def laplacian(a: AlgebraElement, fd_order: int = 6) -> AlgebraElement:
+def laplacian(a: AlgebraElement) -> AlgebraElement:
     """delta_X^2 + delta_Y^2 on flavor D."""
-    return (derivation("X", derivation("X", a, fd_order), fd_order)
-            + derivation("Y", derivation("Y", a, fd_order), fd_order))
+    return (derivation("X", derivation("X", a))
+            + derivation("Y", derivation("Y", a)))
 
 
 def trace_D(a: AlgebraElement) -> complex:

@@ -22,8 +22,9 @@ from typing import Dict, List
 
 import numpy as np
 
+from . import jets
 from .algebra import AlgebraElement, D_FLAVOR, E_FLAVOR
-from .lattice import Grid, ScalarField, chain_mul
+from .lattice import ScalarField
 
 ModuleVector = ScalarField
 
@@ -58,7 +59,7 @@ def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
                 p * grid.sv_steps, axis=1)) for n in range(d + 1)]
             if not np.any(b[0]):
                 continue
-            term = chain_mul(a, b)
+            term = jets.mul(a, b)
             ph = _phase(grid.params.c, k, p, ys, sv, -1)[None, :]
             term = [t * ph for t in term]
             acc = term if acc is None else [x + y for x, y in zip(acc, term)]
@@ -94,7 +95,7 @@ def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
                  for n in range(d + 1)]
             if not np.any(b[0]):
                 continue
-            term = chain_mul(a, b)
+            term = jets.mul(a, b)
             ph = _phase(grid.params.c, p, k, ys, sv, +1)[None, :]
             term = [t * ph for t in term]
             acc = term if acc is None else [x + y for x, y in zip(acc, term)]

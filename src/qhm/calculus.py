@@ -13,7 +13,7 @@ with Q = <R,R>_D, and the two are compared as operators in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -21,11 +21,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, adjoint, derivation, star, trace_D
-from .bimodule import act_left, inner_D, inner_E
+from .bimodule import act_left, act_right, inner_D, inner_E
 from .calculus import (Connection, StructureError, commutator_mult, connect,
                        curvature_closed, extract_f1_f2, mult_element)
-from .lattice import (CommensurabilityError, Grid, Params, ScalarField,
-                      TorusFunction, make_grid)
+from .lattice import CommensurabilityError, Params, TorusFunction, make_grid
 from .laplace import laplace_form_residuals, laplace_eigenvalues, verify_critical
 from .morita import MoritaGridError, verify_bimodule_preservation
 from .projection import build_R, verify_R_conditions
@@ -296,9 +295,8 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
                          dev / max(abs(lam), 1.0), tol["poisson"]))
 
     phi = inner_D(R, f)
-    lhs = connect(nabla0, "Y", _act_right_field(f, phi))
+    lhs = connect(nabla0, "Y", act_right(f, phi))
     # Leibniz along Y: nabla(f Phi) = (nabla f) Phi + f delta(Phi)
-    from .bimodule import act_right
     rhs = act_right(connect(nabla0, "Y", f), phi) \
         + act_right(f, derivation("Y", phi))
     lscale = max(lhs.norm_inf(), rhs.norm_inf(), 1e-30)
@@ -322,11 +320,6 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
     }
-
-
-def _act_right_field(f: ScalarField, phi: AlgebraElement) -> ScalarField:
-    from .bimodule import act_right
-    return act_right(f, phi)
 
 
 def _config_summary(cfg: RunConfig) -> Dict[str, object]:

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from . import jets
 
 # Depth of the x-derivative chains that sampled fields and algebra elements
 # carry.  Y-derivations consume one order each, and the deepest consumer,
@@ -30,11 +30,7 @@ CHAIN_DEPTH = 2
 
 # order-6 central difference stencil, denominator 60*h
 _FD6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_FD_STENCILS = {
-    2: np.array([-0.5, 0.0, 0.5]),
-    4: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
-    6: _FD6,
-}
+FD_HALO = len(_FD6) // 2
 
 
 class CommensurabilityError(ValueError):
@@ -148,9 +144,6 @@ class Grid:
     def x_of(self, i) -> np.ndarray:
         return np.asarray(i, dtype=float) * self.hx_f
 
-    def y_of(self, j) -> np.ndarray:
-        return np.asarray(j, dtype=float) * self.hy_f
-
     def steps_of(self, dx: Fraction) -> int:
         """Exact number of x-steps in a shift, or raise."""
         q = _as_fraction(dx) / self.hx
@@ -186,25 +179,13 @@ def make_grid(params: Params, refinement: int, x_halfwidth: int = 6,
     return grid
 
 
-def chain_mul(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Leibniz rule: the derivative chain of a product of two chains."""
-    depth = min(len(a), len(b)) - 1
-    out = []
-    for n in range(depth + 1):
-        acc = np.zeros_like(a[0])
-        for j in range(n + 1):
-            acc += math.comb(n, j) * a[j] * b[n - j]
-        out.append(acc)
-    return out
-
-
 class ScalarField:
     """Complex sampled function on R x T with compact x-support.
 
     data[i, j] is the value at (x, y) = ((i0 + i)*hx, j*hy); y is periodic.
     `chain` holds [f, f', f'', ...] -- samples of exact x-derivatives when
     the field was built from a closed form.  Arithmetic propagates the chain
-    (Leibniz rule), so differentiate() stays exact through the calculus.
+    (Leibniz rule), so dx() stays exact through the calculus.
     """
 
     __slots__ = ("grid", "i0", "chain")
@@ -231,16 +212,14 @@ class ScalarField:
         return cls(grid, 0, [np.zeros((0, grid.ny), complex) for _ in range(depth + 1)])
 
     @classmethod
-    def from_function(cls, grid: Grid, i_lo: int, i_hi: int, funcs,
-                      y_mode: int = 0) -> "ScalarField":
-        """Sample closed-form x-profiles times one y-character e(y_mode*y).
+    def from_function(cls, grid: Grid, i_lo: int, i_hi: int, chain_of) -> "ScalarField":
+        """Sample a closed-form x-profile, constant in y.
 
-        `funcs` is a list [f, f', f'', ...] of vectorized x-functions.
+        `chain_of` maps x-samples to the chain [f, f', f'', ...] there.
         """
         xs = grid.x_of(np.arange(i_lo, i_hi))
-        ys = np.arange(grid.ny) * grid.hy_f
-        ych = np.exp(2j * math.pi * y_mode * ys)[None, :]
-        chain = [np.asarray(f(xs), complex)[:, None] * ych for f in funcs]
+        ones = np.ones((1, grid.ny), complex)
+        chain = [np.asarray(f, complex)[:, None] * ones for f in chain_of(xs)]
         return cls(grid, i_lo, chain).trimmed()
 
     # -- basic queries ---------------------------------------------------
@@ -260,9 +239,6 @@ class ScalarField:
     @property
     def i1(self) -> int:
         return self.i0 + self.nx
-
-    def is_zero(self) -> bool:
-        return self.nx == 0 or not np.any(self.data)
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.data))) if self.nx else 0.0
@@ -335,7 +311,7 @@ class ScalarField:
             return ScalarField.zeros(self.grid, depth)
         a = [self.window(lo, hi, n) for n in range(depth + 1)]
         b = [other.window(lo, hi, n) for n in range(depth + 1)]
-        return ScalarField(self.grid, lo, chain_mul(a, b)).trimmed()
+        return ScalarField(self.grid, lo, jets.mul(a, b)).trimmed()
 
     def conj(self) -> "ScalarField":
         return ScalarField(self.grid, self.i0, [np.conj(a) for a in self.chain])
@@ -360,28 +336,32 @@ class ScalarField:
         return ScalarField(self.grid, self.i0,
                            [spectral_dy(a, self.grid.ny) for a in self.chain])
 
-    def dx(self, fd_order: int = 6) -> "ScalarField":
+    def dx(self) -> "ScalarField":
         """x-derivative: the attached analytic chain when present, else
-        central finite differences of the given order."""
+        order-6 central finite differences."""
         if self.depth >= 1:
             return ScalarField(self.grid, self.i0, self.chain[1:])
-        return self.dx_fd(fd_order)
+        return self.dx_fd()
 
-    def dx_fd(self, fd_order: int = 6) -> "ScalarField":
+    def dx_fd(self) -> "ScalarField":
         """Finite-difference x-derivative (always; ignores the chain)."""
-        st = _FD_STENCILS[fd_order]
-        halo = len(st) // 2
         if self.nx == 0:
             return ScalarField.zeros(self.grid)
-        padded = np.zeros((self.nx + 2 * halo, self.grid.ny), complex)
-        padded[halo:halo + self.nx] = self.data
-        out = np.zeros_like(padded)
-        for k, w in enumerate(st):
-            if w:
-                out += w * np.roll(padded, halo - k, axis=0)
-        # rolled-in wrap rows are zero because the pad is >= stencil halo
-        return ScalarField(self.grid, self.i0 - halo,
-                           [out / self.grid.hx_f]).trimmed()
+        padded = np.zeros((self.nx + 2 * FD_HALO, self.grid.ny), complex)
+        padded[FD_HALO:FD_HALO + self.nx] = self.data
+        # the zero pad is as wide as the stencil halo, so nothing wraps
+        return ScalarField(self.grid, self.i0 - FD_HALO,
+                           [fd_dx(padded, self.grid.hx_f)]).trimmed()
+
+
+def fd_dx(a: np.ndarray, hx: float) -> np.ndarray:
+    """Order-6 central x-differences of the rows of a, taken periodically;
+    callers pad a by FD_HALO rows at each end."""
+    out = np.zeros_like(a)
+    for k, w in enumerate(_FD6):
+        if w:
+            out += w * np.roll(a, FD_HALO - k, axis=0)
+    return out / hx
 
 
 def spectral_dy(a: np.ndarray, ny: int) -> np.ndarray:
@@ -397,14 +377,6 @@ def spectral_dy(a: np.ndarray, ny: int) -> np.ndarray:
 def shift(f: ScalarField, dx, dy) -> ScalarField:
     """Exact shift by (dx, dy); raises on non-commensurate amounts."""
     return f.shift_steps(f.grid.steps_of(dx), f.grid.ysteps_of(dy))
-
-
-def differentiate(f: ScalarField, axis: str, fd_order: int = 6) -> ScalarField:
-    if axis == "x":
-        return f.dx(fd_order)
-    if axis == "y":
-        return f.dy()
-    raise ValueError("axis must be 'x' or 'y'")
 
 
 def integrate(f: ScalarField, x_range: Optional[tuple] = None) -> complex:
@@ -448,14 +420,6 @@ class TorusFunction:
     def zeros(cls, grid: Grid) -> "TorusFunction":
         return cls(grid, np.zeros((grid.su_steps, grid.ny), complex))
 
-    @classmethod
-    def from_x_profile(cls, grid: Grid, values: np.ndarray) -> "TorusFunction":
-        """su-periodic function of x alone, constant in the skew direction."""
-        values = np.asarray(values, complex)
-        if values.shape != (grid.su_steps,):
-            raise ValueError("profile length must be su_steps")
-        return cls(grid, np.repeat(values[:, None], grid.ny, axis=1))
-
     def eval_idx(self, i, j):
         """Value at global grid point (i*hx, j*hy); exact L-reduction."""
         S = self.grid.su_steps
@@ -494,10 +458,6 @@ class TorusFunction:
 
     def mean(self) -> complex:
         return complex(np.mean(self.samples))
-
-    def integral(self) -> complex:
-        """Integral over the fundamental domain."""
-        return complex(np.sum(self.samples)) * self.grid.hx_f * self.grid.hy_f
 
     # spectral machinery ---------------------------------------------------
 
@@ -607,11 +567,3 @@ class TorusFunction:
         """Purely imaginary values: conj G = -G."""
         scale = max(self.norm_inf(), 1.0)
         return float(np.max(np.abs(self.samples.real))) <= tol * scale
-
-
-def torus_fft(g: TorusFunction) -> np.ndarray:
-    return g.fft()
-
-
-def torus_ifft(grid: Grid, coeffs: np.ndarray) -> TorusFunction:
-    return TorusFunction.from_fft(grid, coeffs)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -132,9 +132,6 @@ class SpectralVector:
         for _ in range(-k):
             row = self._twist_down(row)
         return row
-
-    def eval_block(self, i0: int, n: int) -> np.ndarray:
-        return np.stack([self.eval_row(i) for i in range(i0, i0 + n)])
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.samples))) if self.samples.size else 0.0

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
-import sympy as sp
 
+from . import jets
 from .algebra import AlgebraElement, D_FLAVOR, derivation
 from .bimodule import ModuleVector, act_right, inner_D
 from .lattice import CHAIN_DEPTH, Grid, Params, ScalarField
@@ -33,8 +31,8 @@ class BumpSpec:
 
     t_min clips the doubly-exponential tails of the ramp: below t_min the
     profile (and its whole derivative chain) is below 1e-20, so clamping to
-    the flat value keeps every pointwise identity at machine precision while
-    avoiding 0/0 in the symbolic derivatives.
+    the flat value keeps every pointwise identity at machine precision, and
+    on the unclipped part |s| < 500, so e^(+-s) stays finite.
     """
 
     depth: int = CHAIN_DEPTH
@@ -47,63 +45,49 @@ class BumpSpec:
             raise ValueError("need at least the first derivative")
 
 
-@lru_cache(maxsize=None)
-def _ramp_lambdas(depth: int):
-    """Callables for d^n/dt^n of sqrt(h) and sqrt(1-h) on (0,1)."""
-    t = sp.symbols("t", positive=True)
-    phi = sp.exp(-1 / t)
-    h = phi / (phi + phi.subs(t, 1 - t))
+def ramp_chain(t: np.ndarray, spec: BumpSpec, rising: bool) -> jets.Chain:
+    """Chain in t of the rising ramp sqrt(h) or the falling sqrt(1 - h).
 
-    def chain(expr):
-        fns = [sp.lambdify(t, expr, "numpy")]
-        for _ in range(depth):
-            expr = sp.together(sp.diff(expr, t))
-            fns.append(sp.lambdify(t, expr, "numpy"))
-        return fns
-
-    return chain(sp.sqrt(h)), chain(sp.sqrt(1 - h))
-
-
-def _ramp_values(t: np.ndarray, n: int, spec: BumpSpec, rising: bool) -> np.ndarray:
-    """n-th t-derivative of the ramp piece, with flat-tail clamping."""
-    ups, downs = _ramp_lambdas(spec.depth)
-    fns = ups if rising else downs
-    out = np.zeros_like(t, dtype=float)
-    lo_flat = 0.0 if rising else 1.0
-    hi_flat = 1.0 if rising else 0.0
-    if n == 0:
-        out[t <= spec.t_min] = lo_flat
-        out[t >= 1 - spec.t_min] = hi_flat
+    With s = 1/t - 1/(1-t), h = 1/(1 + e^s); the ramps are evaluated as
+    (1 + e^s)^(-1/2) and (1 + e^-s)^(-1/2), so 1 - h never cancels.  Where
+    t or 1 - t is at most t_min the chain takes the flat values.
+    """
+    out = [np.zeros_like(t, dtype=float) for _ in range(spec.depth + 1)]
+    out[0][(t >= 1 - spec.t_min) if rising else (t <= spec.t_min)] = 1.0
     mid = (t > spec.t_min) & (t < 1 - spec.t_min)
-    if np.any(mid):
-        out[mid] = fns[n](t[mid])
+    tm = t[mid]
+    sign = 1.0 if rising else -1.0
+    # d^n/dt^n (1/t - 1/(1-t)), in closed form
+    s = [sign * math.factorial(n)
+         * ((-1) ** n / tm ** (n + 1) - 1 / (1 - tm) ** (n + 1))
+         for n in range(spec.depth + 1)]
+    e = jets.exp(s)
+    for n, r in enumerate(jets.power([1 + e[0]] + e[1:], -0.5)):
+        out[n][mid] = r
+    return out
+
+
+def bump_chain(x: np.ndarray, start: float, width: float, top: float,
+               spec: BumpSpec) -> jets.Chain:
+    """Chain in x of the C-infinity bump that rises on (start, start + width),
+    is one on [start + width, top] and falls on (top, top + width)."""
+    x = np.asarray(x, dtype=float)
+    out = [np.zeros_like(x) for _ in range(spec.depth + 1)]
+    out[0][(x >= start + width) & (x <= top)] = 1.0
+    for lo, rising in ((start, True), (top, False)):
+        sel = (x > lo) & (x < lo + width)
+        for n, r in enumerate(ramp_chain((x[sel] - lo) / width, spec, rising)):
+            out[n][sel] = r / width ** n
     return out
 
 
 def build_R(params: Params, grid: Grid, spec: BumpSpec = BumpSpec()) -> ModuleVector:
     """The bump vector with its analytic derivative chain attached."""
     su = float(params.su)
-    funcs = []
-    for n in range(spec.depth + 1):
-        def fn(x, n=n):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            scale = (4.0 / su) ** n
-            up = (x > -su / 2) & (x < -su / 4)
-            if np.any(up):
-                t = (x[up] + su / 2) / (su / 4)
-                out[up] = scale * _ramp_values(t, n, spec, rising=True)
-            if n == 0:
-                out[(x >= -su / 4) & (x <= su / 2)] = 1.0
-            down = (x > su / 2) & (x < 3 * su / 4)
-            if np.any(down):
-                t = (x[down] - su / 2) / (su / 4)
-                out[down] = scale * _ramp_values(t, n, spec, rising=False)
-            return out
-        funcs.append(fn)
     i_lo = -grid.su_steps  # support is inside (-su, su)
     i_hi = grid.su_steps + 1
-    return ScalarField.from_function(grid, i_lo, i_hi, funcs)
+    return ScalarField.from_function(
+        grid, i_lo, i_hi, lambda x: bump_chain(x, -su / 2, su / 4, su / 2, spec))
 
 
 def build_Q(R: ModuleVector) -> AlgebraElement:

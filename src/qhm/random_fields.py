@@ -14,29 +14,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .lattice import Grid, ScalarField, TorusFunction
-from .projection import BumpSpec, _ramp_values
+from .projection import BumpSpec, bump_chain
 
 
 def smooth_envelope(grid: Grid, spec: BumpSpec = BumpSpec()) -> ScalarField:
     """A C-infinity bump on (-1/2, 1/2): up-ramp, plateau, down-ramp."""
-    funcs = []
-    for n in range(spec.depth + 1):
-        def fn(x, n=n):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            scale = 4.0 ** n
-            up = (x > -0.5) & (x < -0.25)
-            if np.any(up):
-                out[up] = scale * _ramp_values((x[up] + 0.5) * 4, n, spec, True)
-            if n == 0:
-                out[(x >= -0.25) & (x <= 0.25)] = 1.0
-            down = (x > 0.25) & (x < 0.5)
-            if np.any(down):
-                out[down] = scale * _ramp_values((x[down] - 0.25) * 4, n, spec, False)
-            return out
-        funcs.append(fn)
     n2 = grid.nx_unit // 2
-    return ScalarField.from_function(grid, -n2, n2 + 1, funcs)
+    return ScalarField.from_function(
+        grid, -n2, n2 + 1, lambda x: bump_chain(x, -0.5, 0.25, 0.25, spec))
 
 
 def random_module_vector(grid: Grid, rng: np.random.Generator,
@@ -101,11 +86,9 @@ def random_torus_function(grid: Grid, rng: np.random.Generator,
     if zero_mean:
         co[0, 0] = 0.0
     if skew:
-        herm = np.zeros_like(co)
-        for n in range(nx):
-            for m in range(ny):
-                herm[n, m] = 0.5 * (co[n, m] + np.conj(co[-n % nx, -m % ny]))
-        co = 1j * herm
+        # co[-n, -m], indices mod (nx, ny)
+        rev = np.roll(co[::-1, ::-1], 1, axis=(0, 1))
+        co = 1j * (0.5 * (co + np.conj(rev)))
     return TorusFunction.from_fft(grid, co)
 
 

@@ -1,8 +1,4 @@
-"""Shared fixtures.
-
-The symbolic ramp derivatives are lambdified once per process (lru_cache),
-so the session-scoped fixtures below pay that cost a single time.
-"""
+"""Shared fixtures: the default parameters, grids and bump vectors."""
 
 from fractions import Fraction
 

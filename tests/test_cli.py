@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +172,13 @@ class TestChainDepth:
         run_solve(cfg)
         run_verify(cfg)
         assert fallbacks == []
+
+
+def test_import_loads_no_sympy():
+    # the ramp derivatives come from jet arithmetic, not symbolic algebra
+    src = os.path.dirname(os.path.dirname(os.path.abspath(algebra.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, qhm.cli; assert 'sympy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

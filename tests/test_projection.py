@@ -6,7 +6,7 @@ import pytest
 from qhm.algebra import AlgebraElement, adjoint, star, trace_D
 from qhm.bimodule import inner_D, inner_E
 from qhm.projection import (BumpSpec, build_Q, build_R, extract_h_g,
-                            verify_R_conditions)
+                            ramp_chain, verify_R_conditions)
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +89,35 @@ def test_r_chain_integrates_by_parts(params, grid9, R9):
         errs.append(abs(integrate(R.dx() * phi) + integrate(R * phi.dx())))
     assert errs[1] < 1e-5
     assert errs[1] < errs[0] / 10
+
+
+def test_ramp_chain_matches_high_precision_oracle():
+    # independent oracle: 50-digit numerical derivatives of the defining
+    # form sqrt(phi(t) / (phi(t) + phi(1-t))), phi(t) = exp(-1/t), and its
+    # mirror for the falling ramp
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    spec = BumpSpec()
+    ts = np.linspace(spec.t_min, 1 - spec.t_min, 1002)[1:-1]
+
+    def ramp(t, rising):
+        phi_t, phi_1t = mp.exp(-1 / t), mp.exp(-1 / (1 - t))
+        return mp.sqrt((phi_t if rising else phi_1t) / (phi_t + phi_1t))
+
+    for rising in (True, False):
+        chain = ramp_chain(ts, spec, rising)
+        for i, t in enumerate(ts):
+            ref = mp.diffs(lambda u: ramp(u, rising), mp.mpf(float(t)),
+                           spec.depth)
+            for n, r in enumerate(ref):
+                r = float(r)
+                err = abs(chain[n][i] - r)
+                assert err <= 1e-12 * max(abs(r), 1e-12), (rising, t, n, err)
+
+
+def test_ramp_chain_finite_at_the_widest_clip():
+    spec = BumpSpec(depth=4, t_min=0.002)
+    ts = np.linspace(0.0, 1.0, 10001)
+    for rising in (True, False):
+        for c in ramp_chain(ts, spec, rising):
+            assert np.all(np.isfinite(c))
