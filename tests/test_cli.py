@@ -181,4 +181,5 @@ def test_import_loads_no_sympy():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = "import sys, qhm.cli; assert 'sympy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)

@@ -96,7 +96,6 @@ def test_ramp_chain_matches_high_precision_oracle():
     # form sqrt(phi(t) / (phi(t) + phi(1-t))), phi(t) = exp(-1/t), and its
     # mirror for the falling ramp
     mp = pytest.importorskip("mpmath").mp
-    mp.dps = 50
     spec = BumpSpec()
     ts = np.linspace(spec.t_min, 1 - spec.t_min, 1002)[1:-1]
 
@@ -107,10 +106,10 @@ def test_ramp_chain_matches_high_precision_oracle():
     for rising in (True, False):
         chain = ramp_chain(ts, spec, rising)
         for i, t in enumerate(ts):
-            ref = mp.diffs(lambda u: ramp(u, rising), mp.mpf(float(t)),
-                           spec.depth)
+            with mp.workdps(50):
+                ref = [float(r) for r in mp.diffs(
+                    lambda u: ramp(u, rising), mp.mpf(float(t)), spec.depth)]
             for n, r in enumerate(ref):
-                r = float(r)
                 err = abs(chain[n][i] - r)
                 assert err <= 1e-12 * max(abs(r), 1e-12), (rising, t, n, err)
 
