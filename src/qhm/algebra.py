@@ -180,27 +180,21 @@ class AlgebraElement:
         g = self.grid
         N = self.nxd
         d = self.depth if depth is None else depth
-        chain = self.component(p, d)
         out = [np.zeros((i_hi - i_lo, g.ny), complex) for _ in range(d + 1)]
-        if p in self.comps:
-            gi = np.arange(i_lo + dxs, i_hi + dxs)
-            blocks = np.floor_divide(gi, N)
-            for k in np.unique(blocks):
-                sel = blocks == k
-                rows = gi[sel] - k * N
-                ph = self._wrap_phase(int(k), p)[None, :]
+        chain = self.comps.get(p)
+        if chain is not None:
+            lo, hi = i_lo + dxs, i_hi + dxs
+            for k in range(lo // N, (hi - 1) // N + 1):
+                r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
+                ph = self._wrap_phase(k, p)[None, :]
                 for n in range(d + 1):
-                    vals = chain[n][rows, :]
+                    vals = chain[n][r0 - k * N:r1 - k * N]
                     if self.flavor == E_FLAVOR and k:
-                        vals = np.roll(vals, int(k) * g.sv_steps, axis=1)
-                    out[n][sel, :] = vals * ph
+                        vals = np.roll(vals, k * g.sv_steps, axis=1)
+                    out[n][r0 - lo:r1 - lo] = vals * ph
         if dys:
             out = [np.roll(a, -dys, axis=1) for a in out]
         return out
-
-    def eval_field(self, p: int, i_lo: int, i_hi: int,
-                   dxs: int = 0, dys: int = 0) -> ScalarField:
-        return ScalarField(self.grid, i_lo, self.eval_window(p, i_lo, i_hi, dxs, dys))
 
 
 # -- operations ----------------------------------------------------------
@@ -278,6 +272,29 @@ def _component_dx(a: AlgebraElement, p: int) -> Chain:
     return [fd_dx(ext, a.grid.hx_f)[FD_HALO:FD_HALO + a.nxd]]
 
 
+def derive_component(w: str, a: AlgebraElement, p: int) -> Chain:
+    """Chain of component p of derivation(w, a)."""
+    g = a.grid
+    c = g.params.c
+    chain = a.comps[p]
+    if w == "Z":
+        z = 2j * math.pi * p * c
+        return [z * arr for arr in chain]
+    if w == "Y":
+        return [-arr for arr in _component_dx(a, p)]
+    if w == "X":
+        z = 2j * math.pi * c * p
+        xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[:, None]
+        new = []
+        for n, arr in enumerate(chain):
+            term = z * xs * arr - spectral_dy(arr, g.ny)
+            if n >= 1:
+                term = term + n * z * chain[n - 1]
+            new.append(term)
+        return new
+    raise ValueError(f"unknown Lie label {w!r}")
+
+
 def derivation(w: str, a: AlgebraElement) -> AlgebraElement:
     """Infinitesimal Heisenberg actions on flavor D, componentwise in p:
 
@@ -287,28 +304,8 @@ def derivation(w: str, a: AlgebraElement) -> AlgebraElement:
     """
     if a.flavor != D_FLAVOR:
         raise FlavorError("derivations are defined on flavor D")
-    g = a.grid
-    c = g.params.c
-    comps: Dict[int, Chain] = {}
-    for p, chain in a.comps.items():
-        if w == "Z":
-            z = 2j * math.pi * p * c
-            comps[p] = [z * arr for arr in chain]
-        elif w == "Y":
-            comps[p] = [-arr for arr in _component_dx(a, p)]
-        elif w == "X":
-            z = 2j * math.pi * c * p
-            xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[:, None]
-            new = []
-            for n, arr in enumerate(chain):
-                term = z * xs * arr - spectral_dy(arr, g.ny)
-                if n >= 1:
-                    term = term + n * z * chain[n - 1]
-                new.append(term)
-            comps[p] = new
-        else:
-            raise ValueError(f"unknown Lie label {w!r}")
-    return AlgebraElement(D_FLAVOR, g, comps)
+    return AlgebraElement(D_FLAVOR, a.grid,
+                          {p: derive_component(w, a, p) for p in a.comps})
 
 
 def laplacian(a: AlgebraElement) -> AlgebraElement:

@@ -18,12 +18,12 @@ Conventions, with e(t) = exp(2 pi i t), su = 2 hbar mu, sv = 2 hbar nu:
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import jets
-from .algebra import AlgebraElement, D_FLAVOR, E_FLAVOR
+from .algebra import AlgebraElement, D_FLAVOR, E_FLAVOR, derive_component
 from .lattice import ScalarField
 
 ModuleVector = ScalarField
@@ -34,105 +34,136 @@ def _phase(c: float, a: int, b: int, ys: np.ndarray, sv: float, sign: int) -> np
 
 
 def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
-    """D-valued inner product of two module vectors."""
+    """D-valued inner product of two module vectors.
+
+    Component p is one Leibniz product on the rows where f and the
+    translate of g by p su are both supported, folded into [0, 1) block by
+    block with the wrap phase of each block.
+    """
     grid = f.grid
     N = grid.nx_unit
     S = grid.su_steps
+    V = grid.sv_steps
     sv = float(grid.params.sv)
     ys = np.arange(grid.ny) * grid.hy_f
     d = min(f.depth, g.depth)
     comps: Dict[int, List[np.ndarray]] = {}
     if f.nx == 0 or g.nx == 0:
         return AlgebraElement.zero(D_FLAVOR, grid)
-    p_lo = -((g.i1 - f.i0 - 1) // S) - 1
-    p_hi = (f.i1 - g.i0 - 1) // S + 1
-    k_lo = f.i0 // N
-    k_hi = (f.i1 - 1) // N
-    for p in range(p_lo, p_hi + 1):
-        acc = None
-        for k in range(k_lo, k_hi + 1):
-            a = [f.window(k * N, (k + 1) * N, n) for n in range(d + 1)]
-            if not np.any(a[0]):
-                continue
-            b = [np.conj(np.roll(
-                g.window(k * N - p * S, (k + 1) * N - p * S, n),
-                p * grid.sv_steps, axis=1)) for n in range(d + 1)]
-            if not np.any(b[0]):
-                continue
-            term = jets.mul(a, b)
+    for p in range(-((g.i1 - f.i0 - 1) // S), (f.i1 - g.i0 - 1) // S + 1):
+        lo = max(f.i0, g.i0 + p * S)
+        hi = min(f.i1, g.i1 + p * S)
+        a = [x[lo - f.i0:hi - f.i0] for x in f.chain[:d + 1]]
+        b = [np.conj(np.roll(x[lo - p * S - g.i0:hi - p * S - g.i0], p * V, axis=1))
+             for x in g.chain[:d + 1]]
+        term = jets.mul(a, b)
+        acc = [np.zeros((N, grid.ny), complex) for _ in range(d + 1)]
+        for k in range(lo // N, (hi - 1) // N + 1):
+            r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
             ph = _phase(grid.params.c, k, p, ys, sv, -1)[None, :]
-            term = [t * ph for t in term]
-            acc = term if acc is None else [x + y for x, y in zip(acc, term)]
-        if acc is not None:
-            comps[p] = acc
+            for n in range(d + 1):
+                acc[n][r0 - k * N:r1 - k * N] += term[n][r0 - lo:r1 - lo] * ph
+        comps[p] = acc
     return AlgebraElement(D_FLAVOR, grid, comps)
 
 
 def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
-    """E-valued inner product of two module vectors."""
+    """E-valued inner product of two module vectors.
+
+    Component p is one Leibniz product on the rows where f and the
+    translate of g by p units are both supported, folded into [0, su)
+    translate by translate (k ascending) with the roll and phase of each.
+    """
     grid = f.grid
     N = grid.nx_unit
     S = grid.su_steps
+    V = grid.sv_steps
     sv = float(grid.params.sv)
     ys = np.arange(grid.ny) * grid.hy_f
     d = min(f.depth, g.depth)
     comps: Dict[int, List[np.ndarray]] = {}
     if f.nx == 0 or g.nx == 0:
         return AlgebraElement.zero(E_FLAVOR, grid)
-    k_lo = -((f.i1 - 1) // S) - 1
-    k_hi = (S - 1 - f.i0) // S + 1
-    p_lo = -((f.i1 - g.i0 - 1) // N) - 1
-    p_hi = (g.i1 - f.i0 - 1) // N + 1
-    for p in range(p_lo, p_hi + 1):
-        acc = None
-        for k in range(k_lo, k_hi + 1):
-            roll = k * grid.sv_steps
-            a = [np.conj(np.roll(f.window(-k * S, S - k * S, n), roll, axis=1))
-                 for n in range(d + 1)]
-            if not np.any(a[0]):
-                continue
-            b = [np.roll(g.window(p * N - k * S, p * N + S - k * S, n), roll, axis=1)
-                 for n in range(d + 1)]
-            if not np.any(b[0]):
-                continue
-            term = jets.mul(a, b)
+    for p in range(-((f.i1 - g.i0 - 1) // N), (g.i1 - f.i0 - 1) // N + 1):
+        lo = max(f.i0, g.i0 - p * N)
+        hi = min(f.i1, g.i1 - p * N)
+        a = [np.conj(x[lo - f.i0:hi - f.i0]) for x in f.chain[:d + 1]]
+        b = [x[lo + p * N - g.i0:hi + p * N - g.i0] for x in g.chain[:d + 1]]
+        term = jets.mul(a, b)
+        acc = [np.zeros((S, grid.ny), complex) for _ in range(d + 1)]
+        # rows [-kS, S - kS) of f land on [0, S)
+        for k in range(-((hi - 1) // S), -(lo // S) + 1):
+            r0, r1 = max(lo, -k * S), min(hi, S - k * S)
             ph = _phase(grid.params.c, p, k, ys, sv, +1)[None, :]
-            term = [t * ph for t in term]
-            acc = term if acc is None else [x + y for x, y in zip(acc, term)]
-        if acc is not None:
-            comps[p] = acc
+            for n in range(d + 1):
+                acc[n][r0 + k * S:r1 + k * S] += \
+                    np.roll(term[n][r0 - lo:r1 - lo], k * V, axis=1) * ph
+        comps[p] = acc
     return AlgebraElement(E_FLAVOR, grid, comps)
 
 
 def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
-    """Left action of flavor E on a module vector."""
+    """Left action of flavor E on a module vector.
+
+    Term q is one Leibniz product on the rows of f moved by -q units, added
+    into a common buffer.
+    """
     if psi.flavor != E_FLAVOR:
         raise ValueError("left action needs flavor E")
     grid = f.grid
-    acc = ScalarField.zeros(grid, min(psi.depth, f.depth))
-    for q in psi.p_support:
-        fs = f.shift_steps(q * grid.nx_unit, 0)
-        if fs.nx == 0:
-            continue
-        w = psi.eval_field(q, fs.i0, fs.i1)
-        acc = acc + w.conj() * fs
-    return acc.trimmed()
+    N = grid.nx_unit
+    d = min(psi.depth, f.depth)
+    qs = psi.p_support
+    if not qs or f.nx == 0:
+        return ScalarField.zeros(grid, d)
+    lo = f.i0 - qs[-1] * N
+    acc = [np.zeros((f.nx + (qs[-1] - qs[0]) * N, grid.ny), complex)
+           for _ in range(d + 1)]
+    for q in qs:
+        vals = psi.eval_window(q, f.i0 - q * N, f.i1 - q * N)
+        term = jets.mul([np.conj(a) for a in vals], f.chain)
+        r0 = f.i0 - q * N - lo
+        for n in range(d + 1):
+            acc[n][r0:r0 + f.nx] += term[n]
+    out = ScalarField(grid, lo, acc).trimmed()
+    return out if out.nx else ScalarField.zeros(grid, d)
 
 
-def act_right(g: ModuleVector, phi: AlgebraElement) -> ModuleVector:
-    """Right action of flavor D on a module vector."""
+def act_right(g: ModuleVector, phi: AlgebraElement,
+              w: Optional[str] = None) -> ModuleVector:
+    """Right action of flavor D on a module vector: g . phi, or
+    g . delta_w(phi) when a derivation direction w is given.
+
+    Term q is one Leibniz product on g's own rows, moved by -q su, -q sv
+    into a common buffer.  With w, each component of delta_w(phi) is
+    formed inside the loop, so the derived element is never held whole.
+    """
     if phi.flavor != D_FLAVOR:
         raise ValueError("right action needs flavor D")
     grid = g.grid
-    acc = ScalarField.zeros(grid, min(phi.depth, g.depth))
-    for q in phi.p_support:
-        gs = g.shift_steps(q * grid.su_steps, q * grid.sv_steps)
-        if gs.nx == 0:
+    S = grid.su_steps
+    V = grid.sv_steps
+    qs = phi.p_support
+    if not qs:
+        return ScalarField.zeros(grid)
+    lo = g.i0 - qs[-1] * S
+    rows = g.nx + (qs[-1] - qs[0]) * S if g.nx else 0
+    acc = [np.zeros((rows, grid.ny), complex) for _ in range(g.depth + 1)]
+    depths = []
+    for q in qs:
+        src = phi if w is None else AlgebraElement(
+            D_FLAVOR, grid, {q: derive_component(w, phi, q)})
+        if q not in src.comps:  # a component that delta_w annihilates
             continue
-        w = phi.eval_field(q, gs.i0, gs.i1,
-                           dxs=q * grid.su_steps, dys=q * grid.sv_steps)
-        acc = acc + gs * w.conj()
-    return acc.trimmed()
+        depths.append(src.depth)
+        vals = src.eval_window(q, g.i0, g.i1)
+        term = jets.mul(g.chain, [np.conj(a) for a in vals])
+        r0 = g.i0 - q * S - lo
+        for n in range(len(term)):
+            acc[n][r0:r0 + g.nx] += np.roll(term[n], -q * V, axis=1)
+    depth = min(depths + [g.depth]) if depths else 0
+    out = ScalarField(grid, lo, acc[:depth + 1]).trimmed()
+    return out if out.nx else ScalarField.zeros(grid, depth)
 
 
 def trace_E(a: AlgebraElement) -> complex:

@@ -17,7 +17,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .algebra import (AlgebraElement, E_FLAVOR, bracket, derivation, star)
+from .algebra import (AlgebraElement, E_FLAVOR, adjoint, bracket, derivation,
+                      star)
 from .bimodule import ModuleVector, act_left, act_right, inner_D, inner_E
 from .lattice import CHAIN_DEPTH, TorusFunction
 from .projection import grassmann_apply
@@ -81,12 +82,20 @@ def mult_element(g: TorusFunction, depth: int = CHAIN_DEPTH) -> AlgebraElement:
     return AlgebraElement.from_torus(g, depth)
 
 
-def connect(nabla: Connection, w: str, f: ModuleVector) -> ModuleVector:
-    """Apply the connection along basis direction w."""
-    out = grassmann_apply(nabla.R, w, f)
+def connect(nabla: Connection, w: str, f: ModuleVector,
+            phi: Optional[AlgebraElement] = None,
+            mult: Optional[AlgebraElement] = None) -> ModuleVector:
+    """Apply the connection along basis direction w.
+
+    A caller applying it along several directions can build phi = <R, f>_D
+    and the perturbation's element `mult` along w once and pass them in;
+    `mult` may carry a longer chain than f, since act_left truncates.
+    """
+    out = grassmann_apply(nabla.R, w, f, phi)
     if nabla.perturbation is not None:
-        g = nabla.perturbation.component(w)
-        out = out + act_left(mult_element(g, max(f.depth, 1)), f)
+        if mult is None:
+            mult = mult_element(nabla.perturbation.component(w), max(f.depth, 1))
+        out = out + act_left(mult, f)
     return out
 
 
@@ -123,7 +132,6 @@ class Curvature2Form:
 
     def skew_defect(self) -> float:
         """Max violation of adjoint(component) = -component."""
-        from .algebra import adjoint
         return max((adjoint(t) + t).norm_inf() for t in (self.xy, self.xz, self.yz))
 
 

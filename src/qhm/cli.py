@@ -202,11 +202,12 @@ def _write_report(path: str, report: Dict[str, object]):
 def _write_torus_csv(path: str, g: TorusFunction):
     grid = g.grid
     lines = ["x,y,re,im"]
-    for i in range(grid.su_steps):
+    ys = [j * grid.hy_f for j in range(grid.ny)]
+    # tolist() yields Python complex, whose parts repr as plain floats
+    for i, row in enumerate(g.samples.tolist()):
         x = i * grid.hx_f
-        for j in range(grid.ny):
-            z = g.samples[i, j]
-            lines.append(f"{x!r},{j * grid.hy_f!r},{z.real!r},{z.imag!r}")
+        for y, z in zip(ys, row):
+            lines.append(f"{x!r},{y!r},{z.real!r},{z.imag!r}")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -24,6 +24,7 @@ from .bimodule import ModuleVector
 from .calculus import (Connection, Perturbation, check_skew, curvature_closed,
                        extract_f1_f2)
 from .lattice import Grid, TorusFunction
+from .yangmills import critical_residuals, ym_value
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,6 @@ def verify_critical(R: ModuleVector, pert: Optional[Perturbation] = None,
                     battery: Sequence[ModuleVector] = (),
                     absorb_zero_mode: bool = True) -> Dict[str, object]:
     """Run the full construction (if pert is None) and measure criticality."""
-    from .yangmills import critical_residuals, ym_value
-
     grid = R.grid
     c = grid.params.c
     theta0 = curvature_closed(R)

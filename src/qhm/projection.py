@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from . import jets
-from .algebra import AlgebraElement, D_FLAVOR, derivation
+from .algebra import AlgebraElement, D_FLAVOR
 from .bimodule import ModuleVector, act_right, inner_D
 from .lattice import CHAIN_DEPTH, Grid, Params, ScalarField
 
@@ -190,6 +190,12 @@ def verify_R_conditions(R: ModuleVector) -> Dict[str, float]:
     return out
 
 
-def grassmann_apply(R: ModuleVector, w: str, f: ModuleVector) -> ModuleVector:
-    """Grassmannian connection: nabla0_W(f) = R . delta_W(<R, f>_D)."""
-    return act_right(R, derivation(w, inner_D(R, f)))
+def grassmann_apply(R: ModuleVector, w: str, f: ModuleVector,
+                    phi: Optional[AlgebraElement] = None) -> ModuleVector:
+    """Grassmannian connection: nabla0_W(f) = R . delta_W(<R, f>_D).
+
+    A caller that already holds phi = <R, f>_D passes it in.
+    """
+    if phi is None:
+        phi = inner_D(R, f)
+    return act_right(R, phi, w)

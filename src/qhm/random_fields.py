@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .calculus import Perturbation
 from .lattice import Grid, ScalarField, TorusFunction
 from .projection import BumpSpec, bump_chain
 
@@ -93,8 +94,7 @@ def random_torus_function(grid: Grid, rng: np.random.Generator,
 
 
 def random_perturbation(grid: Grid, rng: np.random.Generator,
-                        zero_mean: bool = False):
-    from .calculus import Perturbation
+                        zero_mean: bool = False) -> Perturbation:
     return Perturbation(
         random_torus_function(grid, rng, zero_mean=zero_mean),
         random_torus_function(grid, rng, zero_mean=zero_mean),

@@ -15,14 +15,16 @@ vectors, normalized by the unperturbed curvature scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, bracket, star
-from .bimodule import ModuleVector, act_left, trace_E
+from .bimodule import ModuleVector, act_left, inner_D, trace_E
 from .calculus import (Connection, Curvature2Form, Perturbation, connect,
                        curvature_closed, curvature_of, mult_element)
+from .lattice import TorusFunction
 
 BASIS = ("X", "Y", "Z")
 
@@ -54,27 +56,39 @@ def euler_lagrange_apply(nabla: Connection, theta: Curvature2Form,
 
     sum_j [nabla_{Z_j}, Theta(Z_i ^ Z_j)] f - sum_{j<k} c^i_{jk} Theta(Z_j ^ Z_k) f
 
-    Each nabla_{Z_j} f enters the commutators of two equations; it is
-    computed once.
+    Each nabla_{Z_j} f enters the commutators of two equations.  For j < k,
+    u = Theta(Z_j ^ Z_k) f is differentiated along Z_k for equation j and,
+    as Theta(Z_k ^ Z_j) f = -u, along Z_j for equation k.  So the connection
+    meets four vectors, f and the three u, and one <R, v>_D per vector v
+    serves all its directions; the perturbation's elements are built once.
     """
     c = nabla.grid.params.c
-    nabla_f = {j: connect(nabla, j, f) for j in BASIS}
-    eqs = {}
-    for i in BASIS:
-        out = None
-        for j in BASIS:
-            if j == i:
-                continue
-            t = theta.component(i, j)
-            term = connect(nabla, j, act_left(t, f)) - act_left(t, nabla_f[j])
-            out = term if out is None else out + term
-        for jj in range(3):
-            for kk in range(jj + 1, 3):
-                sign, lbl = bracket(BASIS[jj], BASIS[kk])
-                if lbl == i and sign:
-                    out = out - act_left(theta.component(BASIS[jj], BASIS[kk]),
-                                         f).scaled(sign * c)
-        eqs[i] = out
+    pert = nabla.perturbation
+    mults = {} if pert is None else {
+        j: mult_element(pert.component(j), max(f.depth, 1)) for j in BASIS}
+
+    def along(v: ModuleVector, dirs):
+        phi = inner_D(nabla.R, v)
+        return [connect(nabla, j, v, phi, mults.get(j)) for j in dirs]
+
+    nabla_f = dict(zip(BASIS, along(f, BASIS)))
+    eqs: Dict[str, ModuleVector] = {}
+    brackets = []
+
+    def add(i: str, term: ModuleVector):
+        eqs[i] = term if i not in eqs else eqs[i] + term
+
+    for a, b in combinations(BASIS, 2):
+        t = theta.component(a, b)
+        u = act_left(t, f)
+        along_b, along_a = along(u, (b, a))
+        add(a, along_b - act_left(t, nabla_f[b]))
+        add(b, -along_a - act_left(-t, nabla_f[a]))
+        sign, lbl = bracket(a, b)
+        if sign:
+            brackets.append((lbl, u.scaled(sign * c)))
+    for lbl, term in brackets:
+        eqs[lbl] = eqs[lbl] - term
     return eqs
 
 
@@ -109,7 +123,6 @@ def critical_residuals(nabla: Connection, battery: Sequence[ModuleVector],
     cscale = max(theta0.norm_inf(), theta.norm_inf(), 1e-30)
     const_el = None
     if a0 != 0.0:
-        from .lattice import TorusFunction
         g = nabla.grid
         const_el = mult_element(TorusFunction(
             g, np.full((g.su_steps, g.ny), a0, complex)), 1)

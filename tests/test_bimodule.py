@@ -5,11 +5,18 @@ which ties both inner products and both actions together and fails if any
 single phase or translation convention is wrong.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from qhm.algebra import adjoint, star, trace_D
+from qhm import jets
+from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, adjoint,
+                         derivation, star, trace_D)
 from qhm.bimodule import (act_left, act_right, inner_D, inner_E, trace_E)
+from qhm.lattice import Params, ScalarField, make_grid
+from qhm.projection import build_R
 from qhm.random_fields import make_battery, random_module_vector
 
 
@@ -82,3 +89,141 @@ def test_battery_is_deterministic(grid4):
     b = make_battery(grid4, 3, seed=7)
     for u, v in zip(a, b):
         assert (u - v).norm_inf() == 0.0
+
+
+# -- the kernels against the direct per-translate sums ----------------------
+#
+# The references below sum over every (p, k) pair on full fundamental-domain
+# windows and evaluate components row by row.  The kernels restrict each
+# translate to the rows where both factors are supported and fold by
+# slicing; they make the same products in the same order, so the results
+# must agree bit for bit.
+
+
+def _ref_eval(a, p, i_lo, i_hi, dxs=0, dys=0):
+    g = a.grid
+    N = a.nxd
+    chain = a.component(p)
+    out = [np.zeros((i_hi - i_lo, g.ny), complex) for _ in chain]
+    if p in a.comps:
+        gi = np.arange(i_lo + dxs, i_hi + dxs)
+        blocks = np.floor_divide(gi, N)
+        for k in np.unique(blocks):
+            sel = blocks == k
+            ph = a._wrap_phase(int(k), p)[None, :]
+            for n, arr in enumerate(chain):
+                vals = arr[gi[sel] - k * N, :]
+                if a.flavor == E_FLAVOR and k:
+                    vals = np.roll(vals, int(k) * g.sv_steps, axis=1)
+                out[n][sel, :] = vals * ph
+    if dys:
+        out = [np.roll(x, -dys, axis=1) for x in out]
+    return out
+
+
+def _ref_phase(c, a, b, ys, sv, sign):
+    return np.exp(sign * 2j * math.pi * c * a * b * (ys - b * sv / 2))
+
+
+def _ref_inner(f, g, flavor):
+    grid = f.grid
+    N, S, V = grid.nx_unit, grid.su_steps, grid.sv_steps
+    sv = float(grid.params.sv)
+    ys = np.arange(grid.ny) * grid.hy_f
+    d = min(f.depth, g.depth)
+    if flavor == D_FLAVOR:
+        ps = range(-((g.i1 - f.i0 - 1) // S) - 1, (f.i1 - g.i0 - 1) // S + 2)
+        ks = range(f.i0 // N, (f.i1 - 1) // N + 1)
+    else:
+        ps = range(-((f.i1 - g.i0 - 1) // N) - 1, (g.i1 - f.i0 - 1) // N + 2)
+        ks = range(-((f.i1 - 1) // S) - 1, (S - 1 - f.i0) // S + 2)
+    comps = {}
+    for p in ps:
+        acc = None
+        for k in ks:
+            if flavor == D_FLAVOR:
+                a = [f.window(k * N, (k + 1) * N, n) for n in range(d + 1)]
+                b = [np.conj(np.roll(g.window(k * N - p * S, (k + 1) * N - p * S, n),
+                                     p * V, axis=1)) for n in range(d + 1)]
+                ph = _ref_phase(grid.params.c, k, p, ys, sv, -1)[None, :]
+            else:
+                a = [np.conj(np.roll(f.window(-k * S, S - k * S, n), k * V, axis=1))
+                     for n in range(d + 1)]
+                b = [np.roll(g.window(p * N - k * S, p * N + S - k * S, n), k * V,
+                             axis=1) for n in range(d + 1)]
+                ph = _ref_phase(grid.params.c, p, k, ys, sv, +1)[None, :]
+            if not (np.any(a[0]) and np.any(b[0])):
+                continue
+            term = [t * ph for t in jets.mul(a, b)]
+            acc = term if acc is None else [x + y for x, y in zip(acc, term)]
+        if acc is not None:
+            comps[p] = acc
+    return AlgebraElement(flavor, grid, comps)
+
+
+def _ref_act_left(psi, f):
+    grid = f.grid
+    acc = ScalarField.zeros(grid, min(psi.depth, f.depth))
+    for q in psi.p_support:
+        fs = f.shift_steps(q * grid.nx_unit, 0)
+        if fs.nx:
+            w = ScalarField(grid, fs.i0, _ref_eval(psi, q, fs.i0, fs.i1))
+            acc = acc + w.conj() * fs
+    return acc.trimmed()
+
+
+def _ref_act_right(g, phi):
+    grid = g.grid
+    acc = ScalarField.zeros(grid, min(phi.depth, g.depth))
+    for q in phi.p_support:
+        gs = g.shift_steps(q * grid.su_steps, q * grid.sv_steps)
+        if gs.nx:
+            w = _ref_eval(phi, q, gs.i0, gs.i1, q * grid.su_steps, q * grid.sv_steps)
+            acc = acc + gs * ScalarField(grid, gs.i0, w).conj()
+    return acc.trimmed()
+
+
+def _assert_same_chain(a, b):
+    assert len(a) == len(b)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _assert_same_element(a, b):
+    assert a.flavor == b.flavor and a.p_support == b.p_support
+    for p in a.p_support:
+        _assert_same_chain(a.comps[p], b.comps[p])
+
+
+def _assert_same_field(u, v):
+    assert (u.i0, u.nx) == (v.i0, v.nx)
+    _assert_same_chain(u.chain, v.chain)
+
+
+KERNEL_PARAMS = [Params.from_steps(1, Fraction(1, 4), Fraction(1, 4)),
+                 Params.from_steps(2, Fraction(1, 4), Fraction(1, 3))]
+
+
+@pytest.mark.parametrize("refinement", [3, 9, 27])
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["c1", "c2"])
+def test_kernels_match_direct_sums_bitwise(params, refinement):
+    grid = make_grid(params, refinement)
+    rng = np.random.default_rng(refinement)
+    R = build_R(params, grid)
+    f, g = (random_module_vector(grid, rng, y_modes=1, max_shift_units=1)
+            for _ in range(2))
+    for u, v in ((R, f), (f, R), (f, g)):
+        phi = inner_D(u, v)
+        _assert_same_element(phi, _ref_inner(u, v, D_FLAVOR))
+        psi = inner_E(u, v)
+        _assert_same_element(psi, _ref_inner(u, v, E_FLAVOR))
+        for a in (phi, star(phi, phi), psi):
+            for p in a.p_support:
+                for shift in ((0, 0), (grid.su_steps, grid.sv_steps),
+                              (-grid.nx_unit - 1, 1)):
+                    _assert_same_chain(a.eval_window(p, v.i0, v.i1, *shift),
+                                       _ref_eval(a, p, v.i0, v.i1, *shift))
+        _assert_same_field(act_right(v, phi), _ref_act_right(v, phi))
+        _assert_same_field(act_left(psi, u), _ref_act_left(psi, u))
+        for w in "XYZ":
+            _assert_same_field(act_right(u, phi, w),
+                               _ref_act_right(u, derivation(w, phi)))

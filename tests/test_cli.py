@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qhm import algebra
+from qhm import algebra, cli
 from qhm.cli import (ConfigError, RunConfig, _parse_kv, load_config, main,
                      run_solve, run_verify)
 from qhm.lattice import ScalarField
@@ -99,6 +99,34 @@ class TestSolve:
             text = (out / name).read_text().splitlines()
             assert text[0] == "x,y,re,im"
             assert len(text) > 1
+
+    def test_solve_csv_values_parse_exactly(self, params, tmp_path,
+                                            monkeypatch):
+        # every field is a plain float literal that reads back bit for bit
+        made = {}
+        verify_critical = cli.verify_critical
+
+        def keep(*args, **kwargs):
+            made.update(verify_critical(*args, **kwargs))
+            return made
+
+        monkeypatch.setattr(cli, "verify_critical", keep)
+        cfg = RunConfig(params=params, refinement=9, seed=0, out=str(tmp_path))
+        rep = run_solve(cfg)
+        pert = made["perturbation"]
+        funcs = {"f1.csv": made["f1"], "f2.csv": made["f2"],
+                 "g3.csv": pert.g3, "g1.csv": pert.g1}
+        assert sorted(rep["csv_files"]) == sorted(funcs)
+        for name, g in funcs.items():
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == "x,y,re,im"
+            rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+            grid = g.grid
+            assert len(rows) == grid.su_steps * grid.ny
+            for k, (x, y, re, im) in enumerate(rows):
+                i, j = divmod(k, grid.ny)
+                assert (x, y) == (i * grid.hx_f, j * grid.hy_f)
+                assert complex(re, im) == g.samples[i, j]
 
     def test_solve_deterministic(self, tmp_path):
         _, out1 = run(tmp_path / "a", "solve")

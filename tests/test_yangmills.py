@@ -1,13 +1,20 @@
 """Yang-Mills functional, pairing and variation tests."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from qhm.calculus import Connection, Perturbation, curvature_of
+from qhm.bimodule import inner_D
+from qhm.calculus import (Connection, Perturbation, curvature_closed,
+                          curvature_of, extract_f1_f2, mult_element)
+from qhm.laplace import assemble_rhs, build_perturbation, solve_poisson
 from qhm.lattice import TorusFunction
-from qhm.random_fields import random_perturbation, random_torus_function
-from qhm.yangmills import (critical_residuals, first_variation, pair_forms,
-                           ym_directional, ym_of_curvature, ym_value)
+from qhm.random_fields import (make_battery, random_perturbation,
+                               random_torus_function)
+from qhm.yangmills import (critical_residuals, euler_lagrange_apply,
+                           first_variation, pair_forms, ym_directional,
+                           ym_of_curvature, ym_value)
 
 
 @pytest.fixture()
@@ -68,3 +75,30 @@ def test_residuals_nonzero_for_generic_perturbation(grid2, R2, rng):
     nabla = Connection(R2, random_perturbation(grid2, rng))
     res = critical_residuals(nabla, battery)
     assert max(res.r1, res.r2, res.r3) > 1e-3
+
+
+def test_euler_lagrange_builds_each_shared_piece_once(params, grid9, R9,
+                                                      monkeypatch):
+    # One <R, v>_D per distinct vector v (f and Theta(a, b) f for a < b)
+    # and one multiplication element per perturbation component.
+    theta0 = curvature_closed(R9)
+    f1, f2 = extract_f1_f2(theta0)
+    g3 = solve_poisson(assemble_rhs(f1, f2, params.c))
+    nabla = Connection(R9, build_perturbation(f1, g3, params.c))
+    theta = curvature_of(nabla, theta0)
+    f = make_battery(grid9, 1, seed=0)[0]
+    calls = {"inner_D": 0, "mult_element": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("inner_D", inner_D), ("mult_element", mult_element)):
+        wrapper = counting(name, fn)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("qhm") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+    euler_lagrange_apply(nabla, theta, f)
+    assert calls == {"inner_D": 4, "mult_element": 3}
