@@ -13,6 +13,7 @@ derivations are exact on elements built from closed forms.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -132,18 +133,23 @@ class AlgebraElement:
         if self.grid != other.grid:
             raise ValueError("grid mismatch")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def _combine(self, other: "AlgebraElement", op) -> "AlgebraElement":
+        """Componentwise op, to the shorter depth of the operands that have
+        components: a zero element carries no chain and truncates nothing."""
         self._check(other)
-        d = min(self.depth, other.depth)
+        d = min((e.depth for e in (self, other) if e.comps), default=0)
         comps = {}
         for p in set(self.comps) | set(other.comps):
             a = self.component(p, d)
             b = other.component(p, d)
-            comps[p] = [x + y for x, y in zip(a, b)]
+            comps[p] = [op(x, y) for x, y in zip(a, b)]
         return AlgebraElement(self.flavor, self.grid, comps)
 
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self._combine(other, operator.add)
+
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.flavor, self.grid,
@@ -200,29 +206,51 @@ class AlgebraElement:
 # -- operations ----------------------------------------------------------
 
 
+def _row_mask(chain: Chain) -> np.ndarray:
+    """Rows of a component where some chain entry is nonzero."""
+    return np.logical_or.reduce([np.any(a, axis=1) for a in chain])
+
+
+def _runs(mask: np.ndarray):
+    """[lo, hi) bounds of the runs of True rows in a row mask."""
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
+    return zip(edges[0::2].tolist(), edges[1::2].tolist())
+
+
 def star(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Twisted convolution over the p-index.
 
     D: (A*B)(x,y,p) = sum_q A(x,y,q) B(x - q su, y - q sv, p - q)
     E: (A*B)(x,y,p) = sum_q A(x,y,q) B(x + q, y, p - q)
+
+    Each (q, r) pair is one Leibniz product per run of rows where component
+    q of a and the translated component r of b are both nonzero; the other
+    rows of the pair's term are zero.
     """
     a._check(b)
     g = a.grid
+    N = a.nxd
+    d = min(a.depth, b.depth)
+    b_rows = {r: _row_mask(chain[:d + 1]) for r, chain in b.comps.items()}
     comps: Dict[int, Chain] = {}
     for q in a.p_support:
-        aq = a.component(q)
+        aq = a.comps[q][:d + 1]
+        a_rows = _row_mask(aq)
+        if a.flavor == D_FLAVOR:
+            dxs, dys = -q * g.su_steps, -q * g.sv_steps
+        else:
+            dxs, dys = q * g.nx_unit, 0
         for r in b.p_support:
-            p = q + r
-            if a.flavor == D_FLAVOR:
-                bw = b.eval_window(r, 0, a.nxd, dxs=-q * g.su_steps, dys=-q * g.sv_steps)
-            else:
-                bw = b.eval_window(r, 0, a.nxd, dxs=q * g.nx_unit, dys=0)
-            term = jets.mul(aq, bw)
-            if p in comps:
-                dmin = min(len(comps[p]), len(term))
-                comps[p] = [x + y for x, y in zip(comps[p][:dmin], term[:dmin])]
-            else:
-                comps[p] = term
+            # window row i reads row (i + dxs) mod N of component r
+            for lo, hi in _runs(a_rows & np.roll(b_rows[r], -dxs)):
+                bw = b.eval_window(r, lo, hi, dxs, dys, d)
+                term = jets.mul([x[lo:hi] for x in aq], bw)
+                acc = comps.get(q + r)
+                if acc is None:
+                    acc = comps[q + r] = [np.zeros((N, g.ny), complex)
+                                          for _ in range(d + 1)]
+                for n in range(d + 1):
+                    acc[n][lo:hi] += term[n]
     return AlgebraElement(a.flavor, g, comps)
 
 
@@ -273,26 +301,32 @@ def _component_dx(a: AlgebraElement, p: int) -> Chain:
 
 
 def derive_component(w: str, a: AlgebraElement, p: int) -> Chain:
-    """Chain of component p of derivation(w, a)."""
+    """Chain of component p of derivation(w, a).
+
+    Every term of an entry vanishes on the rows where the chain entry it
+    is built from does, so each is formed on that entry's nonzero rows.
+    """
+    if w not in ("X", "Y", "Z"):
+        raise ValueError(f"unknown Lie label {w!r}")
     g = a.grid
     c = g.params.c
-    chain = a.comps[p]
-    if w == "Z":
-        z = 2j * math.pi * p * c
-        return [z * arr for arr in chain]
-    if w == "Y":
-        return [-arr for arr in _component_dx(a, p)]
-    if w == "X":
-        z = 2j * math.pi * c * p
-        xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[:, None]
-        new = []
-        for n, arr in enumerate(chain):
-            term = z * xs * arr - spectral_dy(arr, g.ny)
+    chain = _component_dx(a, p) if w == "Y" else a.comps[p]
+    rows = [np.flatnonzero(np.any(arr, axis=1)) for arr in chain]
+    xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[:, None]
+    z = 2j * math.pi * c * p
+    new = []
+    for n, (arr, r) in enumerate(zip(chain, rows)):
+        term = np.zeros(arr.shape, complex)
+        if w == "Z":
+            term[r] = 2j * math.pi * p * c * arr[r]
+        elif w == "Y":
+            term[r] = -arr[r]
+        else:
+            term[r] = z * xs[r] * arr[r] - spectral_dy(arr[r], g.ny)
             if n >= 1:
-                term = term + n * z * chain[n - 1]
-            new.append(term)
-        return new
-    raise ValueError(f"unknown Lie label {w!r}")
+                term[rows[n - 1]] += n * z * chain[n - 1][rows[n - 1]]
+        new.append(term)
+    return new
 
 
 def derivation(w: str, a: AlgebraElement) -> AlgebraElement:

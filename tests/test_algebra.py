@@ -5,14 +5,20 @@ products (flavor D) and multiplication elements (flavor E), so every
 algebraic identity below is exercised on structurally correct data.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from qhm import jets
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, FlavorError,
-                         adjoint, derivation, element_allclose,
+                         _component_dx, adjoint, derivation, element_allclose,
                          invariance_defect, laplacian, star, trace_D)
 from qhm.bimodule import inner_D, inner_E, trace_E
 from qhm.calculus import mult_element
+from qhm.lattice import Params, make_grid, spectral_dy
+from qhm.projection import build_R
 from qhm.random_fields import random_module_vector, random_torus_function
 
 
@@ -143,3 +149,143 @@ def test_laplacian_matches_nested_derivations(d_elems):
 def test_mult_element_round_trip(grid4, rng):
     g = random_torus_function(grid4, rng)
     assert (mult_element(g, 2).as_torus() - g).norm_inf() < 1e-12
+
+
+def test_delta_x_chain_matches_closed_form(grid4):
+    # Phi_p(x, y) = g(x) e(m y) with a closed-form x-derivative chain, so
+    # delta_X Phi = z (x - p su/2) Phi - dPhi/dy, z = 2 pi i c p, has the
+    # chain z (x - p su/2) g^(n) e + n z g^(n-1) e - 2 pi i m g^(n) e.
+    grid, p, m = grid4, 2, 1
+    k = 2 * math.pi
+    xs = (np.arange(grid.nx_unit) * grid.hx_f)[:, None]
+    e = np.exp(1j * k * m * np.arange(grid.ny) * grid.hy_f)[None, :]
+    g = [np.sin(k * xs) + 0.5 * np.cos(2 * k * xs),
+         k * np.cos(k * xs) - k * np.sin(2 * k * xs),
+         -k ** 2 * np.sin(k * xs) - 2 * k ** 2 * np.cos(2 * k * xs)]
+    a = AlgebraElement(D_FLAVOR, grid, {p: [gn * e for gn in g]})
+    z = 1j * k * grid.params.c * p
+    shift = xs - p * float(grid.params.su) / 2
+    got = derivation("X", a).comps[p]
+    assert len(got) == 3
+    for n in range(3):
+        want = (z * shift * g[n] + n * z * (g[n - 1] if n else 0)
+                - 1j * k * m * g[n]) * e
+        assert np.max(np.abs(got[n] - want)) < 1e-12 * np.max(np.abs(want))
+
+
+# -- the support-row kernels against full-window references -----------------
+#
+# The references multiply every (q, r) pair of star on the full fundamental
+# domain and apply the derivations to whole arrays.  The kernels touch only
+# the rows where the factors are nonzero; the skipped rows contribute exact
+# zeros, so the results may differ in the sign of a zero and nowhere else.
+
+
+def _ref_star(a, b):
+    g = a.grid
+    comps = {}
+    for q in a.p_support:
+        aq = a.component(q)
+        for r in b.p_support:
+            p = q + r
+            if a.flavor == D_FLAVOR:
+                bw = b.eval_window(r, 0, a.nxd, dxs=-q * g.su_steps,
+                                   dys=-q * g.sv_steps)
+            else:
+                bw = b.eval_window(r, 0, a.nxd, dxs=q * g.nx_unit, dys=0)
+            term = jets.mul(aq, bw)
+            if p in comps:
+                dmin = min(len(comps[p]), len(term))
+                comps[p] = [x + y for x, y in zip(comps[p][:dmin], term[:dmin])]
+            else:
+                comps[p] = term
+    return AlgebraElement(a.flavor, g, comps)
+
+
+def _ref_derivation(w, a):
+    g = a.grid
+    c = g.params.c
+    comps = {}
+    for p, chain in a.comps.items():
+        if w == "Z":
+            z = 2j * math.pi * p * c
+            comps[p] = [z * arr for arr in chain]
+        elif w == "Y":
+            comps[p] = [-arr for arr in _component_dx(a, p)]
+        else:
+            z = 2j * math.pi * c * p
+            xs = (np.arange(g.nx_unit) * g.hx_f
+                  - p * float(g.params.su) / 2)[:, None]
+            new = []
+            for n, arr in enumerate(chain):
+                term = z * xs * arr - spectral_dy(arr, g.ny)
+                if n >= 1:
+                    term = term + n * z * chain[n - 1]
+                new.append(term)
+            comps[p] = new
+    return AlgebraElement(D_FLAVOR, g, comps)
+
+
+def _sparse_element(flavor, grid, rng, rows_by_p, depth):
+    """Random chains on the given rows of each component; chain entry n
+    also fills row 1 + n, so the entries differ in their row supports."""
+    nxd = AlgebraElement.domain_steps(flavor, grid)
+    comps = {}
+    for p, rows in rows_by_p.items():
+        chain = []
+        for n in range(depth + 1):
+            arr = np.zeros((nxd, grid.ny), complex)
+            sel = np.unique(np.r_[rows, 1 + n] % nxd)
+            arr[sel] = (rng.normal(size=(sel.size, grid.ny))
+                        + 1j * rng.normal(size=(sel.size, grid.ny)))
+            chain.append(arr)
+        comps[p] = chain
+    return AlgebraElement(flavor, grid, comps)
+
+
+def _assert_same_element(a, b):
+    assert a.flavor == b.flavor and a.p_support == b.p_support
+    for p in a.p_support:
+        assert len(a.comps[p]) == len(b.comps[p])
+        assert all(np.array_equal(x, y) for x, y in zip(a.comps[p], b.comps[p]))
+
+
+KERNEL_PARAMS = [Params.from_steps(1, Fraction(1, 4), Fraction(1, 4)),
+                 Params.from_steps(2, Fraction(1, 4), Fraction(1, 3))]
+
+
+@pytest.mark.parametrize("refinement", [3, 9, 27])
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["c1", "c2"])
+def test_star_and_derivations_match_full_window_bitwise(params, refinement):
+    grid = make_grid(params, refinement)
+    rng = np.random.default_rng(refinement)
+    R = build_R(params, grid)
+    f = random_module_vector(grid, rng, y_modes=1, max_shift_units=1)
+    q = inner_D(R, R)
+    dq = [derivation(w, q) for w in "XYZ"]
+    elems = {}
+    for flavor in (D_FLAVOR, E_FLAVOR):
+        nxd = AlgebraElement.domain_steps(flavor, grid)
+        # row supports that wrap across x = 0, sit inside the domain, come
+        # in two runs, or cover every row; depths 2, 1 and 0
+        elems[flavor] = (
+            _sparse_element(flavor, grid, rng, {-1: [-1, 0],
+                                                0: [nxd // 2],
+                                                2: [0, nxd // 2, -2]}, 2),
+            _sparse_element(flavor, grid, rng, {0: [-2, -1, 0],
+                                                1: list(range(nxd)),
+                                                3: [nxd // 3]}, 1),
+        )
+    d1, d2 = elems[D_FLAVOR]
+    e1, e2 = elems[E_FLAVOR]
+    d0 = _sparse_element(D_FLAVOR, grid, rng, {-2: [-1, 0, 1], 1: [3]}, 0)
+    psi = inner_E(R, f)
+    pairs = [(x, y) for x in dq for y in dq]
+    pairs += [(d1, d2), (d2, d1), (d1, d1), (q, d2), (d2, q),
+              (e1, e2), (e2, e1), (e2, e2), (psi, e1), (e2, psi)]
+    for a, b in pairs:
+        _assert_same_element(star(a, b), _ref_star(a, b))
+    for a in (q, *dq, d1, d2, d0):
+        for w in "XYZ":
+            _assert_same_element(derivation(w, a), _ref_derivation(w, a))
+

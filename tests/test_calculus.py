@@ -1,15 +1,20 @@
 """Connection, curvature and multiplication-commutator tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from qhm import algebra, jets
 from qhm.algebra import adjoint, derivation
 from qhm.bimodule import act_left, act_right, inner_D
 from qhm.calculus import (Connection, Perturbation, StructureError,
                           commutator_mult, connect, curvature_closed,
                           curvature_definition, curvature_of, extract_f1_f2,
                           mult_element)
-from qhm.lattice import TorusFunction
+from qhm.laplace import assemble_rhs, build_perturbation, solve_poisson
+from qhm.lattice import TorusFunction, make_grid
+from qhm.projection import build_R
 from qhm.random_fields import (battery_bandwidth, random_module_vector,
                                random_perturbation, random_torus_function)
 
@@ -128,6 +133,36 @@ class TestCurvature:
             cl = act_left(theta0.component(w1, w2), f)
             scale = max(theta0.norm_inf() * f.norm_inf(), 1e-30)
             assert (op - cl).norm_inf() < 5e-6 * scale
+
+    def test_perturbed_curvature_keeps_chain_depth(self, params):
+        # G3 of the construction is y-independent, so -dG3/dy is the zero
+        # element; adding it to Theta0(X,Z) must not truncate the chain
+        R = build_R(params, make_grid(params, 27))
+        theta0 = curvature_closed(R)
+        f1, f2 = extract_f1_f2(theta0)
+        g3 = solve_poisson(assemble_rhs(f1, f2, params.c))
+        nabla = Connection(R, build_perturbation(f1, g3, params.c))
+        assert theta0.xz.depth == 2
+        assert curvature_of(nabla, theta0).xz.depth == theta0.xz.depth
+
+    def test_closed_form_stars_multiply_only_support_rows(self, params,
+                                                          monkeypatch):
+        # 6 stars of 9 component pairs each: 6 * 9 * 180 = 9720 rows on
+        # full windows at refinement 45, where each component of
+        # delta_W Q is nonzero on 11 to 22 of the 180 rows
+        grid = make_grid(params, 45)
+        R = build_R(params, grid)
+        rows = []
+
+        def counting(a, b):
+            rows.append(a[0].shape[0])
+            return jets.mul(a, b)
+
+        monkeypatch.setattr(algebra, "jets",
+                            SimpleNamespace(**{**vars(jets), "mul": counting}))
+        curvature_closed(R)
+        assert grid.nx_unit == 180
+        assert 0 < sum(rows) <= 6 * 9 * grid.nx_unit // 4
 
     def test_perturbed_operator_matches_assembled(self, grid4, R4, rng):
         pert = random_perturbation(grid4, rng)

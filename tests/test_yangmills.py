@@ -9,7 +9,7 @@ from qhm.bimodule import inner_D
 from qhm.calculus import (Connection, Perturbation, curvature_closed,
                           curvature_of, extract_f1_f2, mult_element)
 from qhm.laplace import assemble_rhs, build_perturbation, solve_poisson
-from qhm.lattice import TorusFunction
+from qhm.lattice import ScalarField, TorusFunction
 from qhm.random_fields import (make_battery, random_perturbation,
                                random_torus_function)
 from qhm.yangmills import (critical_residuals, euler_lagrange_apply,
@@ -102,3 +102,26 @@ def test_euler_lagrange_builds_each_shared_piece_once(params, grid9, R9,
                 monkeypatch.setattr(mod, name, wrapper)
     euler_lagrange_apply(nabla, theta, f)
     assert calls == {"inner_D": 4, "mult_element": 3}
+
+
+def test_equations_read_no_chain_order_beyond_one(params, grid9, R9):
+    # critical_residuals hands euler_lagrange_apply each battery vector cut
+    # to depth 1; order 0 of every equation must be bitwise the same as
+    # with the full chain, for the constructed and the Grassmannian
+    # connection.
+    theta0 = curvature_closed(R9)
+    f1, f2 = extract_f1_f2(theta0)
+    g3 = solve_poisson(assemble_rhs(f1, f2, params.c))
+    f = make_battery(grid9, 1, seed=0)[0]
+    assert f.depth == 2
+    cut = ScalarField(grid9, f.i0, f.chain[:2])
+    for nabla in (Connection(R9, build_perturbation(f1, g3, params.c)),
+                  Connection(R9)):
+        theta = curvature_of(nabla, theta0)
+        full = euler_lagrange_apply(nabla, theta, f)
+        short = euler_lagrange_apply(nabla, theta, cut)
+        for i in "XYZ":
+            a, b = full[i], short[i]
+            assert a.norm_inf() > 0
+            lo, hi = min(a.i0, b.i0), max(a.i1, b.i1)
+            assert np.array_equal(a.window(lo, hi), b.window(lo, hi))
