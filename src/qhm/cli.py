@@ -24,7 +24,8 @@ from .algebra import AlgebraElement, adjoint, derivation, star, trace_D
 from .bimodule import act_left, act_right, inner_D, inner_E
 from .calculus import (Connection, StructureError, commutator_mult, connect,
                        curvature_closed, extract_f1_f2, mult_element)
-from .lattice import CommensurabilityError, Params, TorusFunction, make_grid
+from .lattice import (CHAIN_DEPTH, CommensurabilityError, Params, TorusFunction,
+                      WindowOverflowError, make_grid, y_bandwidth)
 from .laplace import laplace_form_residuals, laplace_eigenvalues, verify_critical
 from .morita import MoritaGridError, verify_bimodule_preservation
 from .projection import build_R, verify_R_conditions
@@ -102,6 +103,16 @@ def _intval(kv, key, default):
         raise ConfigError(f"{key}={raw!r} is not an integer") from exc
 
 
+def _floatval(kv, key, default):
+    raw = kv.get(key, None)
+    if raw is None:
+        return default
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}={raw!r} is not a number") from exc
+
+
 def _boolval(kv, key):
     raw = kv.get(key, "false").lower()
     if raw in ("1", "true", "yes", "on"):
@@ -141,7 +152,7 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
         if raw is not None:
             try:
                 tols[name] = float(Fraction(raw)) if "/" in raw else float(raw)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"tol.{name}={raw!r} is not a number") from exc
             if tols[name] <= 0:
                 raise ConfigError(f"tol.{name} must be positive")
@@ -152,7 +163,7 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
         out=kv.get("out", "out"),
         tolerances=tols,
         morita_sample_count=_intval(kv, "morita.sample_count", 20),
-        morita_broken_u=float(kv.get("morita.broken_u", "0") or 0),
+        morita_broken_u=_floatval(kv, "morita.broken_u", 0.0),
         morita_refinement=_intval(kv, "morita.refinement", 2),
         tamper_star=_boolval(kv, "debug.tamper_star"),
         zero_curvature=_boolval(kv, "debug.zero_curvature"),
@@ -226,7 +237,12 @@ def _tamper(elem: AlgebraElement) -> AlgebraElement:
 # verify -------------------------------------------------------------------
 
 def run_verify(cfg: RunConfig) -> Dict[str, object]:
-    grid = make_grid(cfg.params, cfg.refinement)
+    # The pairwise identities below need the wide y-band of two spread-out
+    # vectors, and the two known failures of this report (ROADMAP item 2:
+    # the Laplace roundoff grows like ny^2, the Morita wrap is harmless on
+    # coarse y-grids) must stay visible, so verify and morita keep the
+    # refinement-tied ny.
+    grid = make_grid(cfg.params, cfg.refinement, tied_ny=True)
     tol = cfg.tolerances
     checks: List[Dict[str, object]] = []
 
@@ -267,7 +283,7 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
                              tol["curvature"]))
 
     rng = np.random.default_rng(cfg.seed)
-    ym, mshift = battery_bandwidth(grid)
+    ym, mshift = battery_bandwidth(grid, pairwise=True)
     f = random_module_vector(grid, rng, y_modes=ym, max_shift_units=mshift)
     nabla0 = Connection(R)
     g = random_torus_function(grid, rng)
@@ -360,6 +376,9 @@ def run_solve(cfg: RunConfig, sweep: bool = False) -> Dict[str, object]:
         "ym": rep["ym"],
         "ym_grassmannian": rep["ym_grassmannian"],
         "laplace_form": cor,
+        "grid": {"nx_unit": grid.nx_unit, "ny": grid.ny,
+                 "y_bandwidth": y_bandwidth(cfg.params),
+                 "battery_size": len(battery), "chain_depth": CHAIN_DEPTH},
     })
     report["csv_files"] = ["f1.csv", "f2.csv", "g3.csv", "g1.csv"]
     _write_torus_csv(os.path.join(cfg.out, "f1.csv"), rep["f1"])
@@ -393,7 +412,8 @@ class PipelineError(RuntimeError):
 # morita -------------------------------------------------------------------
 
 def run_morita(cfg: RunConfig) -> Dict[str, object]:
-    grid = make_grid(cfg.params, cfg.morita_refinement)
+    # refinement-tied ny, as in run_verify (ROADMAP item 2)
+    grid = make_grid(cfg.params, cfg.morita_refinement, tied_ny=True)
     try:
         rep = verify_bimodule_preservation(
             grid, cfg.morita_sample_count, seed=cfg.seed,
@@ -451,6 +471,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except WindowOverflowError as exc:
+        print(f"grid error: {exc}", file=sys.stderr)
+        return 2
 
     _write_report(os.path.join(cfg.out, out_name), report)
     ok = bool(report.get("all_pass", False))

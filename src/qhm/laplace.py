@@ -10,6 +10,22 @@ The discarded constant is then absorbed into the mean of G3 (default): with
 G3 + a0/c the connection satisfies the three critical-point operator
 equations exactly, while the mean-zero choice leaves a constant c*a0 defect
 in the third one.  Both variants coincide when a0 = 0.
+
+Closed-form limit of the Yang-Mills value.  After the solve the perturbed
+curvature is constant: Theta(X,Y) = f1 + dx G1 - c G3 = 0 once the zero
+mode is absorbed, Theta(X,Z) = Theta0(X,Z) - dy G3 = 0 since G3 is
+y-independent, and dx G3 = f2 - <f2>, so Theta(Y,Z) = <f2> delta_0.  With
+tau_E integrating over [0, su) x T,
+
+    YM = -tau_E(Theta(Y,Z)^2) = su |<f2>|^2.
+
+The trace of Theta0(Y,Z) is of Chern type, su <f2> -> 2 pi i c, hence
+
+    YM -> YM_inf = 4 pi^2 c^2 / su,
+
+and a0 -> -i pi c / 4.  The error decays superalgebraically in the number
+of samples across su: 7.5e-3 at refinement 27 (su = 1/4), 7.4e-8 at 135
+and 4.6e-14 at 405, independent of c and sv.
 """
 
 from __future__ import annotations

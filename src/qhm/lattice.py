@@ -28,6 +28,12 @@ from . import jets
 # differences; depth 1 does, and shifts the Grassmannian residuals.
 CHAIN_DEPTH = 2
 
+# Test vectors of a solve run (random_fields.make_battery): the unit-width
+# envelope on (-1/2, 1/2), moved by up to this many su in x and modulated
+# by e(m y) with |m| up to this many modes.
+BATTERY_Y_MODES = 1
+BATTERY_SHIFT_UNITS = 1
+
 # order-6 central difference stencil, denominator 60*h
 _FD6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 FD_HALO = len(_FD6) // 2
@@ -158,23 +164,71 @@ class Grid:
         return int(q)
 
 
-def make_grid(params: Params, refinement: int, x_halfwidth: int = 6,
-              max_points: int = 50_000_000) -> Grid:
-    """Grid with hx = 1/(b*refinement) for su = a/b and likewise in y.
+def y_bandwidth(params: Params, pairwise: bool = False) -> int:
+    """Largest |y-frequency| that the spectral y-operations of a run meet.
 
-    Both 1 and the translation step are integer multiples of the spacing,
-    so every translation in the calculus is an exact index shift.
+    Only the y-derivative inside delta_X and the torus FFTs act spectrally
+    in y; products are pointwise, so they need no band.  Along the solve
+    pipeline the y-content is:
+
+    - R is constant in y, and the curvature profiles f1, f2 and the
+      Poisson solutions G3, G1 are y-independent.
+    - Row x of component p of <R, f>_D carries e(-c k p y) times the y-modes
+      of f, where k is the unit block the row of R came from.  R vanishes
+      outside (-su/2, 3su/4) (projection.build_R), so k is 0 or -1, and
+      only k = -1 carries a phase.
+    - For Q = <R, R>_D, |k p| <= 1.  A battery vector lies in
+      (-1/2 - s su, 1/2 + s su) with s = BATTERY_SHIFT_UNITS; it meets the
+      rows of R on block -1 only at translates |p| < 1/2 + s + 1/(2 su),
+      which is 3 at su = 1/4.
+
+    So B = c * max|k p| + BATTERY_Y_MODES.  With pairwise=True the band is
+    that of <f, g>_D for two battery vectors, as `qhm verify` forms them:
+    f reaches block -1 itself, |p| < 1/su + 2s, and both vectors bring
+    their modes, so B = c * max|k p| + 2 * BATTERY_Y_MODES.
+    """
+    su = params.su
+    s = BATTERY_SHIFT_UNITS
+    if pairwise:
+        reach, modes = 1 / su + 2 * s, 2 * BATTERY_Y_MODES
+    else:
+        reach, modes = Fraction(1, 2) + s + 1 / (2 * su), BATTERY_Y_MODES
+    kp = math.ceil(reach) - 1  # largest integer strictly below reach
+    return params.c * kp + modes
+
+
+def make_grid(params: Params, refinement: int, x_halfwidth: int = 6,
+              max_points: int = 10_000_000, tied_ny: bool = False) -> Grid:
+    """Grid with hx = 1/(b*refinement) for su = a/b, and ny y-samples.
+
+    Both 1 and su are integer multiples of hx, and both 1 and sv of hy =
+    1/ny, so every translation in the calculus is an exact index shift;
+    hy divides sv = a'/b' exactly when b' divides ny.
+
+    ny does not follow the refinement: it is the smallest multiple of b'
+    that is at least 2B + 1, with B = y_bandwidth(params), so every y-mode
+    the pipeline creates lies strictly below the Nyquist line ny/2 and the
+    spectral y-derivative is exact on it.  tied_ny=True gives instead the
+    refinement-tied ny = b'*refinement, which grows with the x-resolution.
+
+    The budget bounds the points of the x-window, 2 * x_halfwidth units by
+    ny samples, the most any field can hold.  It is checked before any
+    array exists; WindowOverflowError refuses a larger grid.
     """
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
     b = params.su.denominator
-    bp = params.sv.denominator if params.sv != 0 else 1
+    bp = params.sv.denominator
+    if tied_ny:
+        ny = bp * refinement
+    else:
+        ny = bp * -(-(2 * y_bandwidth(params) + 1) // bp)
     hx = Fraction(1, b * refinement)
-    hy = Fraction(1, bp * refinement)
-    grid = Grid(params=params, hx=hx, hy=hy, x_halfwidth=x_halfwidth)
+    grid = Grid(params=params, hx=hx, hy=Fraction(1, ny), x_halfwidth=x_halfwidth)
     if 2 * grid.i_bound * grid.ny > max_points:
         raise WindowOverflowError(
-            f"grid would exceed {max_points} points; lower refinement or window"
+            f"refinement {refinement} needs {2 * grid.i_bound * grid.ny} grid "
+            f"points, above the budget of {max_points}; lower the refinement"
         )
     return grid
 

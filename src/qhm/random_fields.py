@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .calculus import Perturbation
-from .lattice import Grid, ScalarField, TorusFunction
+from .lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Grid, ScalarField,
+                      TorusFunction, y_bandwidth)
 from .projection import BumpSpec, bump_chain
 
 
@@ -26,8 +27,8 @@ def smooth_envelope(grid: Grid, spec: BumpSpec = BumpSpec()) -> ScalarField:
 
 
 def random_module_vector(grid: Grid, rng: np.random.Generator,
-                         terms: int = 3, y_modes: int = 1,
-                         max_shift_units: int = 1,
+                         terms: int = 3, y_modes: int = BATTERY_Y_MODES,
+                         max_shift_units: int = BATTERY_SHIFT_UNITS,
                          envelope: Optional[ScalarField] = None) -> ScalarField:
     """Random smooth vector: sum of shifted, y-modulated envelope copies."""
     if envelope is None:
@@ -42,18 +43,21 @@ def random_module_vector(grid: Grid, rng: np.random.Generator,
     return out
 
 
-def battery_bandwidth(grid: Grid):
-    """(y_modes, max_shift_units) the grid resolves through inner products.
+def battery_bandwidth(grid: Grid, pairwise: bool = False):
+    """(y_modes, max_shift_units) of test vectors whose y-content the grid
+    resolves: the battery's (BATTERY_Y_MODES, BATTERY_SHIFT_UNITS) when ny
+    exceeds twice lattice.y_bandwidth, else (0, 0), which leaves y-constant
+    envelopes at the origin.
 
-    Components of D-valued inner products pick up wrap phases with y-
-    frequency c*k*p, where p ranges over the translate offsets between the
-    two vectors; unit-width envelopes with unit shifts push that past the
-    Nyquist line ny/2 when ny < 16, so on such coarse grids the battery
-    drops both the character modulation and the random translates.  The
-    identities are then grid-exact instead of polluted by aliased modes the
-    lattice cannot represent.
+    Solve's battery vectors only meet the narrow R, and make_grid sizes ny
+    for that band, so on its default grids they keep both.  `qhm verify`
+    pairs two vectors in <f, g>_D (pairwise=True), whose wrap phases need
+    the wider band of two spread-out vectors; for c = 1 and sv = 1/4 the
+    refinement-tied grid has it from refinement 4 on.
     """
-    return (1, 1) if grid.ny >= 16 else (0, 0)
+    if grid.ny >= 2 * y_bandwidth(grid.params, pairwise) + 1:
+        return BATTERY_Y_MODES, BATTERY_SHIFT_UNITS
+    return 0, 0
 
 
 def make_battery(grid: Grid, count: int, seed: int,

@@ -1,16 +1,19 @@
 """CLI front end: config handling, reports, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from qhm import algebra, cli
 from qhm.cli import (ConfigError, RunConfig, _parse_kv, load_config, main,
                      run_solve, run_verify)
-from qhm.lattice import ScalarField
+from qhm.lattice import Params, ScalarField, make_grid
+from qhm.random_fields import battery_bandwidth
 
 
 def run(tmp_path, *argv):
@@ -45,6 +48,34 @@ class TestConfigParsing:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("line", ["tol.exact = 1/0",
+                                      "morita.broken_u = abc"])
+    def test_unparsable_number_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            load_config(str(cfg), argparse.Namespace(
+                refinement=None, seed=None, out=None))
+        assert main(["morita", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_grid_over_budget_exits_2_before_computing(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("the computation started")
+
+        for name in ("build_R", "verify_bimodule_preservation"):
+            monkeypatch.setattr(cli, name, started)
+        for command in ("solve", "verify"):
+            code, _ = run(tmp_path, command, "--refinement", "100000")
+            assert code == 2
+            assert "grid error" in capsys.readouterr().err
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("morita.refinement = 100000\n")
+        code, _ = run(tmp_path, "morita", "--config", str(cfg))
+        assert code == 2
+
     def test_tolerance_override(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("tol.exact = 1e-10\nseed = 5\n")
@@ -77,6 +108,21 @@ class TestVerify:
         a = (out1 / "verify_report.json").read_bytes()
         b = (out2 / "verify_report.json").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("c, refinement, modes", [
+        (1, 3, (0, 0)), (1, 4, (1, 1)), (2, 4, (0, 0)), (2, 7, (1, 1))])
+    def test_pairwise_vectors_stay_resolved(self, tmp_path, c, refinement,
+                                            modes):
+        # <f, g>_D of two modulated, translated vectors needs
+        # 2 * (5c + 2) + 1 y-samples at su = 1/4; on coarser grids verify
+        # draws y-constant envelopes instead of reporting aliasing
+        params = Params.from_steps(c, Fraction(1, 4), Fraction(1, 4))
+        grid = make_grid(params, refinement, tied_ny=True)
+        assert battery_bandwidth(grid, pairwise=True) == modes
+        rep = run_verify(RunConfig(params=params, refinement=refinement,
+                                   out=str(tmp_path)))
+        checks = {ch["name"]: ch["pass"] for ch in rep["checks"]}
+        assert checks["metric_compatibility"] and checks["commutator_x"]
 
     def test_tampered_star_fails(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -127,6 +173,17 @@ class TestSolve:
                 i, j = divmod(k, grid.ny)
                 assert (x, y) == (i * grid.hx_f, j * grid.hy_f)
                 assert complex(re, im) == g.samples[i, j]
+
+    def test_solve_reports_its_grid(self, params, tmp_path):
+        # the y-resolution follows the y-bandwidth, not the refinement
+        for refinement, nx_unit in ((9, 36), (27, 108)):
+            cfg = RunConfig(params=params, refinement=refinement, seed=0,
+                            out=str(tmp_path))
+            assert run_solve(cfg)["grid"] == {
+                "nx_unit": nx_unit, "ny": 12, "y_bandwidth": 4,
+                "battery_size": 5, "chain_depth": 2}
+            lines = (tmp_path / "g3.csv").read_text().splitlines()
+            assert len(lines) == 1 + refinement * 12
 
     def test_solve_deterministic(self, tmp_path):
         _, out1 = run(tmp_path / "a", "solve")

@@ -1,6 +1,7 @@
 """Spectral Poisson solver and the critical-point construction."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from qhm.calculus import Connection, curvature_closed, extract_f1_f2
 from qhm.laplace import (assemble_rhs, build_perturbation, laplace_form_residuals,
                          laplace_eigenvalues, solve_poisson, verify_critical)
-from qhm.lattice import TorusFunction
-from qhm.random_fields import make_battery
+from qhm.lattice import Params, TorusFunction, make_grid
+from qhm.projection import build_R, grassmann_apply
+from qhm.random_fields import battery_bandwidth, make_battery
 
 
 def character(grid, n, m):
@@ -122,3 +124,87 @@ def test_perturbation_components_are_skew(grid9, R9):
     for name, g in pert.items():
         assert g.is_skew(1e-11), name
     assert pert.g2.norm_inf() == 0.0
+
+
+@pytest.mark.parametrize("c, su, sv", [
+    (1, Fraction(1, 4), Fraction(1, 4)),
+    (2, Fraction(1, 4), Fraction(1, 4)),
+    (3, Fraction(1, 4), Fraction(1, 3))])
+def test_ym_converges_to_closed_form_limit(c, su, sv):
+    # YM = su |<f2>|^2 with <f2> -> 2 pi i c / su, so YM -> 4 pi^2 c^2 / su;
+    # the error is superalgebraic in the refinement, 4.6e-14 at 405
+    params = Params.from_steps(c, su, sv)
+    rep = verify_critical(build_R(params, make_grid(params, 405)))
+    su_f = float(su)
+    assert abs(rep["ym"] / (4 * math.pi ** 2 * c ** 2 / su_f) - 1) <= 1e-13
+    assert abs(rep["f2"].mean() / (2j * math.pi * c / su_f) - 1) <= 1e-13
+    assert abs(rep["a0"] / (-1j * math.pi * c / 4) - 1) <= 1e-13
+
+
+def _on_y_grid(a: np.ndarray, ny: int) -> np.ndarray:
+    """Rows of a evaluated at y = j/ny through their trigonometric
+    interpolant; exact for content below the Nyquist line of a."""
+    n = a.shape[1]
+    m = np.fft.fftfreq(n, 1.0 / n)
+    return np.fft.fft(a, axis=1) @ np.exp(
+        2j * math.pi * np.outer(m, np.arange(ny) / ny)) / n
+
+
+def _solve_on(grid, seed):
+    R = build_R(grid.params, grid)
+    battery = make_battery(grid, 4, seed, include=[R])
+    # the residuals over R and two of solve's four vectors keep the test
+    # short; the connection comparison below takes all of them
+    rep = verify_critical(R, battery=battery[:3])
+    form = laplace_form_residuals(rep["f1"], rep["f2"], rep["perturbation"],
+                                  grid.params.c)
+    nabla0 = [grassmann_apply(R, w, f) for f in battery for w in "XYZ"]
+    return rep, form, battery, nabla0
+
+
+@pytest.mark.parametrize("refinement", [9, 27])
+@pytest.mark.parametrize("sv", [Fraction(1, 4), Fraction(1, 3)])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_default_grid_matches_refinement_tied_grid(c, sv, refinement):
+    # The default ny carries every y-mode of solve, so its run agrees with
+    # the refinement-tied grid, which has up to 9 times more y-samples, to
+    # rounding.
+    params = Params.from_steps(c, Fraction(1, 4), sv)
+    fine = make_grid(params, refinement, tied_ny=True)
+    grid = make_grid(params, refinement)
+    assert grid.ny < fine.ny
+    assert battery_bandwidth(grid) == battery_bandwidth(fine) == (1, 1)
+    ref, ref_form, ref_battery, ref_nabla0 = _solve_on(fine, 5)
+    rep, form, battery, nabla0 = _solve_on(grid, 5)
+
+    assert abs(rep["ym"] / ref["ym"] - 1) <= 1e-13
+    assert abs(rep["a0"] / ref["a0"] - 1) <= 1e-13
+    for k in ("r1", "r2", "r3_osc"):
+        assert abs(rep["residuals"][k] - ref["residuals"][k]) <= 5e-12
+    for k in ("r1", "r3"):
+        got, want = rep["residuals_grassmannian"][k], ref["residuals_grassmannian"][k]
+        assert abs(got / want - 1) <= 1e-12
+    assert abs(form["theta_xy"] - ref_form["theta_xy"]) <= 1e-12
+    # the fine grid's own Laplace roundoff, which grows like ny^2
+    assert abs(form["second_eq_osc"] - ref_form["second_eq_osc"]) <= 1e-9
+
+    # same draws, modes and translates: the coarse battery is the fine one
+    # sampled on the coarse y-points
+    assert len(battery) == len(ref_battery)
+    for f, g in zip(battery, ref_battery):
+        assert (f.i0, f.nx, f.depth) == (g.i0, g.nx, g.depth)
+        for a, b in zip(f.chain, g.chain):
+            scale = max(np.max(np.abs(b)), 1.0)
+            assert np.max(np.abs(a - _on_y_grid(b, grid.ny))) <= 1e-13 * scale
+    assert any(np.max(np.abs(f.data - f.data[:, :1])) > 1e-3 * f.norm_inf()
+               for f in battery[1:])
+
+    # The residuals are maxima over the battery, which R attains, so they
+    # would not see a vector the coarse grid mishandles: compare the
+    # Grassmannian connection of every vector along every direction.
+    for a, b in zip(nabla0, ref_nabla0):
+        lo, hi = min(a.i0, b.i0), max(a.i1, b.i1)
+        fine_vals = b.window(lo, hi)
+        scale = max(np.max(np.abs(fine_vals)), 1.0)
+        dev = np.max(np.abs(a.window(lo, hi) - _on_y_grid(fine_vals, grid.ny)))
+        assert dev <= 1e-11 * scale

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhm.lattice import (CommensurabilityError, Params, ScalarField,
-                         TorusFunction, integrate, make_grid, shift)
+                         TorusFunction, WindowOverflowError, integrate,
+                         make_grid, shift, y_bandwidth)
 
 
 def gaussian_chain(grid, sigma=0.3, depth=3):
@@ -50,9 +51,35 @@ class TestParams:
             Params.from_steps(1, 0.25, Fraction(1, 4))
 
     def test_grid_steps_divide_units(self, params):
-        g = make_grid(params, 3)
+        g = make_grid(params, 3, tied_ny=True)
         assert g.nx_unit == 12 and g.su_steps == 3
         assert g.ny == 12 and g.sv_steps == 3
+
+    @pytest.mark.parametrize("c, sv, ny", [
+        (1, Fraction(1, 4), 12), (2, Fraction(1, 4), 16),
+        (3, Fraction(1, 3), 21), (1, Fraction(1, 3), 9),
+        (1, Fraction(1, 2), 10), (1, Fraction(0), 9)])
+    def test_default_ny_follows_the_y_bandwidth(self, c, sv, ny):
+        # smallest multiple of sv's denominator that is at least 2B + 1,
+        # B = c * 3 + 1 at su = 1/4, whatever the refinement
+        params = Params.from_steps(c, Fraction(1, 4), sv)
+        assert y_bandwidth(params) == 3 * c + 1
+        for refinement in (1, 9, 405):
+            g = make_grid(params, refinement)
+            assert g.ny == ny and g.nx_unit == 4 * refinement
+            assert g.ny >= 2 * y_bandwidth(params) + 1
+            assert g.ny - sv.denominator < 2 * y_bandwidth(params) + 1
+            if sv:
+                assert g.sv_steps * g.hy == sv
+
+    def test_grid_budget(self, params):
+        # checked before any array exists: a deep ladder fits, a refinement
+        # that would hold gigabytes does not, on either kind of grid
+        assert make_grid(params, 2025).nx_unit == 8100
+        with pytest.raises(WindowOverflowError):
+            make_grid(params, 100_000)
+        with pytest.raises(WindowOverflowError):
+            make_grid(params, 1000, tied_ny=True)
 
     def test_incommensurate_shift_raises(self, grid2):
         with pytest.raises(CommensurabilityError):
