@@ -19,8 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import jets
-from .lattice import (CHAIN_DEPTH, FD_HALO, Grid, ScalarField, TorusFunction,
-                      fd_dx, spectral_dy)
+from .lattice import CHAIN_DEPTH, Grid, TorusFunction, chain_dx, spectral_dy
 
 Chain = List[np.ndarray]
 
@@ -171,14 +170,11 @@ class AlgebraElement:
     def _wrap_phase(self, k: int, p: int) -> np.ndarray:
         """Phase relating the fundamental-domain samples to the block at
         offset k periods: value(x + k*period, y) = phase * samples."""
-        g = self.grid
-        ys = np.arange(g.ny) * g.hy_f
-        c = g.params.c
         if self.flavor == D_FLAVOR:
             # Phi(x+k, y, p) = e(c k p (y - p sv/2)) Phi(x, y, p)
-            return np.exp(2j * math.pi * c * k * p * (ys - p * float(g.params.sv) / 2))
+            return self.grid.twist(k, p)
         # Psi(x + m su, y, p) = e(c p m (y - m sv/2)) Psi(x, y - m sv, p)
-        return np.exp(2j * math.pi * c * p * k * (ys - k * float(g.params.sv) / 2))
+        return self.grid.twist(p, k)
 
     def eval_window(self, p: int, i_lo: int, i_hi: int,
                     dxs: int = 0, dys: int = 0, depth: Optional[int] = None) -> Chain:
@@ -276,28 +272,16 @@ def invariance_action(a: AlgebraElement, k: int) -> AlgebraElement:
     gamma_k Psi(x,y,p) = e(c p k (y - k sv/2)) Psi(x - k su, y - k sv, p)
     """
     g = a.grid
-    c = g.params.c
-    ys = np.arange(g.ny) * g.hy_f
     comps: Dict[int, Chain] = {}
     for p in a.p_support:
         if a.flavor == D_FLAVOR:
             w = a.eval_window(p, 0, a.nxd, dxs=k * g.nx_unit, dys=0)
-            ph = np.exp(-2j * math.pi * c * k * p * (ys - p * float(g.params.sv) / 2))
+            ph = np.conj(g.twist(k, p))
         else:
             w = a.eval_window(p, 0, a.nxd, dxs=-k * g.su_steps, dys=-k * g.sv_steps)
-            ph = np.exp(2j * math.pi * c * p * k * (ys - k * float(g.params.sv) / 2))
+            ph = g.twist(p, k)
         comps[p] = [x * ph[None, :] for x in w]
     return AlgebraElement(a.flavor, g, comps)
-
-
-def _component_dx(a: AlgebraElement, p: int) -> Chain:
-    """x-derivative of one component: analytic chain when present, else
-    finite differences with twisted-periodic halo."""
-    chain = a.comps[p]
-    if len(chain) >= 2:
-        return chain[1:]
-    ext = a.eval_window(p, -FD_HALO, a.nxd + FD_HALO, depth=0)[0]
-    return [fd_dx(ext, a.grid.hx_f)[FD_HALO:FD_HALO + a.nxd]]
 
 
 def derive_component(w: str, a: AlgebraElement, p: int) -> Chain:
@@ -310,7 +294,7 @@ def derive_component(w: str, a: AlgebraElement, p: int) -> Chain:
         raise ValueError(f"unknown Lie label {w!r}")
     g = a.grid
     c = g.params.c
-    chain = _component_dx(a, p) if w == "Y" else a.comps[p]
+    chain = chain_dx(a.comps[p]) if w == "Y" else a.comps[p]
     rows = [np.flatnonzero(np.any(arr, axis=1)) for arr in chain]
     xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[:, None]
     z = 2j * math.pi * c * p
@@ -348,10 +332,9 @@ def laplacian(a: AlgebraElement) -> AlgebraElement:
             + derivation("Y", derivation("Y", a)))
 
 
-def trace_D(a: AlgebraElement) -> complex:
-    """tau(A) = integral of the p=0 component over [0,1) x T; tau(Id) = 1."""
-    if a.flavor != D_FLAVOR:
-        raise FlavorError("trace_D needs flavor D")
+def trace(a: AlgebraElement) -> complex:
+    """Integral of the p=0 component over the fundamental domain x T:
+    [0,1) for flavor D, where tau(Id) = 1, and [0,su) for flavor E."""
     comp0 = a.component(0, 0)[0]
     return complex(np.sum(comp0)) * a.grid.hx_f * a.grid.hy_f
 

@@ -17,7 +17,6 @@ Conventions, with e(t) = exp(2 pi i t), su = 2 hbar mu, sv = 2 hbar nu:
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -27,10 +26,6 @@ from .algebra import AlgebraElement, D_FLAVOR, E_FLAVOR, derive_component
 from .lattice import ScalarField
 
 ModuleVector = ScalarField
-
-
-def _phase(c: float, a: int, b: int, ys: np.ndarray, sv: float, sign: int) -> np.ndarray:
-    return np.exp(sign * 2j * math.pi * c * a * b * (ys - b * sv / 2))
 
 
 def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
@@ -44,8 +39,6 @@ def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
     N = grid.nx_unit
     S = grid.su_steps
     V = grid.sv_steps
-    sv = float(grid.params.sv)
-    ys = np.arange(grid.ny) * grid.hy_f
     d = min(f.depth, g.depth)
     comps: Dict[int, List[np.ndarray]] = {}
     if f.nx == 0 or g.nx == 0:
@@ -60,7 +53,7 @@ def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
         acc = [np.zeros((N, grid.ny), complex) for _ in range(d + 1)]
         for k in range(lo // N, (hi - 1) // N + 1):
             r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
-            ph = _phase(grid.params.c, k, p, ys, sv, -1)[None, :]
+            ph = np.conj(grid.twist(k, p))[None, :]
             for n in range(d + 1):
                 acc[n][r0 - k * N:r1 - k * N] += term[n][r0 - lo:r1 - lo] * ph
         comps[p] = acc
@@ -78,8 +71,6 @@ def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
     N = grid.nx_unit
     S = grid.su_steps
     V = grid.sv_steps
-    sv = float(grid.params.sv)
-    ys = np.arange(grid.ny) * grid.hy_f
     d = min(f.depth, g.depth)
     comps: Dict[int, List[np.ndarray]] = {}
     if f.nx == 0 or g.nx == 0:
@@ -94,7 +85,7 @@ def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
         # rows [-kS, S - kS) of f land on [0, S)
         for k in range(-((hi - 1) // S), -(lo // S) + 1):
             r0, r1 = max(lo, -k * S), min(hi, S - k * S)
-            ph = _phase(grid.params.c, p, k, ys, sv, +1)[None, :]
+            ph = grid.twist(p, k)[None, :]
             for n in range(d + 1):
                 acc[n][r0 + k * S:r1 + k * S] += \
                     np.roll(term[n][r0 - lo:r1 - lo], k * V, axis=1) * ph
@@ -164,11 +155,3 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
     depth = min(depths + [g.depth]) if depths else 0
     out = ScalarField(grid, lo, acc[:depth + 1]).trimmed()
     return out if out.nx else ScalarField.zeros(grid, depth)
-
-
-def trace_E(a: AlgebraElement) -> complex:
-    """tau_E(A) = integral of the p=0 component over [0,su) x T."""
-    if a.flavor != E_FLAVOR:
-        raise ValueError("trace_E needs flavor E")
-    comp0 = a.component(0, 0)[0]
-    return complex(np.sum(comp0)) * a.grid.hx_f * a.grid.hy_f

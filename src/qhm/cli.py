@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, adjoint, derivation, star, trace_D
+from .algebra import AlgebraElement, adjoint, derivation, star, trace
 from .bimodule import act_left, act_right, inner_D, inner_E
 from .calculus import (Connection, StructureError, commutator_mult, connect,
                        curvature_closed, extract_f1_f2, mult_element)
@@ -40,7 +40,7 @@ class ConfigError(ValueError):
 _KNOWN_KEYS = {
     "c", "hbar", "mu", "nu", "su", "sv", "refinement", "seed", "out",
     "morita.sample_count", "morita.broken_u", "morita.refinement",
-    "debug.tamper_star", "debug.zero_curvature",
+    "debug.tamper_star",
     "tol.exact", "tol.conditions", "tol.curvature", "tol.commutator",
     "tol.poisson", "tol.connection", "tol.morita",
 }
@@ -63,7 +63,6 @@ class RunConfig:
     morita_broken_u: float = 0.0
     morita_refinement: int = 2
     tamper_star: bool = False
-    zero_curvature: bool = False
 
 
 def _parse_kv(text: str) -> Dict[str, str]:
@@ -104,12 +103,13 @@ def _intval(kv, key, default):
 
 
 def _floatval(kv, key, default):
+    """A decimal or an exact rational a/b, as a float."""
     raw = kv.get(key, None)
     if raw is None:
         return default
     try:
-        return float(raw)
-    except ValueError as exc:
+        return float(Fraction(raw)) if "/" in raw else float(raw)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{key}={raw!r} is not a number") from exc
 
 
@@ -148,14 +148,9 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
             raise ConfigError(str(exc)) from exc
     tols = dict(_DEFAULT_TOLS)
     for name in tols:
-        raw = kv.get(f"tol.{name}")
-        if raw is not None:
-            try:
-                tols[name] = float(Fraction(raw)) if "/" in raw else float(raw)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"tol.{name}={raw!r} is not a number") from exc
-            if tols[name] <= 0:
-                raise ConfigError(f"tol.{name} must be positive")
+        tols[name] = _floatval(kv, f"tol.{name}", tols[name])
+        if not 0 < tols[name] < np.inf:  # an infinite tolerance passes anything
+            raise ConfigError(f"tol.{name} must be positive and finite")
     cfg = RunConfig(
         params=params,
         refinement=_intval(kv, "refinement", 2),
@@ -166,7 +161,6 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
         morita_broken_u=_floatval(kv, "morita.broken_u", 0.0),
         morita_refinement=_intval(kv, "morita.refinement", 2),
         tamper_star=_boolval(kv, "debug.tamper_star"),
-        zero_curvature=_boolval(kv, "debug.zero_curvature"),
     )
     if overrides.refinement is not None:
         cfg = replace(cfg, refinement=overrides.refinement)
@@ -174,8 +168,13 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
         cfg = replace(cfg, seed=overrides.seed)
     if overrides.out is not None:
         cfg = replace(cfg, out=overrides.out)
-    if cfg.refinement < 1:
-        raise ConfigError("refinement must be >= 1")
+    for name, value in (("refinement", cfg.refinement),
+                        ("morita.refinement", cfg.morita_refinement),
+                        ("morita.sample_count", cfg.morita_sample_count)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     return cfg
 
 
@@ -260,7 +259,7 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
     checks.append(_check("module_frame", "<R,R>_E = Id",
                          (ee - ident).norm_inf(), tol["exact"]))
     checks.append(_check("projection_trace", "trace_D(Q) = 2 hbar mu",
-                         abs(trace_D(Q) - float(cfg.params.su)), 1e-10))
+                         abs(trace(Q) - float(cfg.params.su)), 1e-10))
 
     for name, dev in sorted(verify_R_conditions(R).items()):
         checks.append(_check(f"condition_{name}",
@@ -300,7 +299,6 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
     checks.append(_check("commutator_z", "[nabla0_Z, G] = 0",
                          worst_z, tol["commutator"]))
 
-    probe = TorusFunction.zeros(grid)
     co = np.zeros((grid.su_steps, grid.ny), complex)
     n0, m0 = 0, 1 % grid.ny
     co[n0, m0] = 1.0
@@ -349,14 +347,6 @@ def _config_summary(cfg: RunConfig) -> Dict[str, object]:
 # solve --------------------------------------------------------------------
 
 def run_solve(cfg: RunConfig, sweep: bool = False) -> Dict[str, object]:
-    if cfg.zero_curvature:
-        return {
-            "command": "solve",
-            "config": _config_summary(cfg),
-            "stub": "zero_curvature",
-            "ym": 0.0,
-            "all_pass": True,
-        }
     report: Dict[str, object] = {"command": "solve",
                                  "config": _config_summary(cfg)}
     grid = make_grid(cfg.params, cfg.refinement)

@@ -37,8 +37,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .bimodule import ModuleVector
-from .calculus import (Connection, Perturbation, check_skew, curvature_closed,
-                       extract_f1_f2)
+from .calculus import Connection, Perturbation, curvature_closed, extract_f1_f2
 from .lattice import Grid, TorusFunction
 from .yangmills import critical_residuals, ym_value
 
@@ -53,11 +52,9 @@ class PoissonRHS:
 def assemble_rhs(f1: TorusFunction, f2: TorusFunction, c: int) -> PoissonRHS:
     """w = dx f2 + c*a0 with the zero mode split off; a0 = mean of f1."""
     a0 = f1.mean()
-    w_full = f2.d_dx() + TorusFunction(
-        f1.grid, np.full(f1.samples.shape, c * a0, complex))
+    w_full = f2.d_dx() + c * a0
     m = w_full.mean()
-    w = w_full - TorusFunction(f1.grid, np.full(f1.samples.shape, m, complex))
-    return PoissonRHS(w=w, a0=a0, discarded_mean=m)
+    return PoissonRHS(w=w_full - m, a0=a0, discarded_mean=m)
 
 
 def laplace_eigenvalues(grid: Grid) -> np.ndarray:
@@ -97,18 +94,10 @@ def build_perturbation(f1: TorusFunction, g3: TorusFunction, c: int,
     critical; without it the perturbation matches the mean-zero solve and
     the constant c*a0 remains in the third critical equation.
     """
-    grid = f1.grid
     a0 = f1.mean()
-    f1t = f1 - TorusFunction(grid, np.full(f1.samples.shape, a0, complex))
-    integrand = float(c) * g3 - f1t
-    g1 = integrand.antiderivative_x()
-    g2 = TorusFunction.zeros(grid)
-    g3_out = g3
-    if absorb_zero_mode and a0 != 0:
-        g3_out = g3 + TorusFunction(grid, np.full(g3.samples.shape, a0 / c, complex))
-    for name, g in (("G1", g1), ("G3", g3_out)):
-        check_skew(g, name)
-    return Perturbation(g1, g2, g3_out)
+    g1 = (float(c) * g3 - (f1 - a0)).antiderivative_x()
+    g3_out = g3 + a0 / c if absorb_zero_mode and a0 != 0 else g3
+    return Perturbation(g1, TorusFunction.zeros(f1.grid), g3_out)
 
 
 def verify_critical(R: ModuleVector, pert: Optional[Perturbation] = None,
@@ -155,15 +144,13 @@ def laplace_form_residuals(f1: TorusFunction, f2: TorusFunction,
     second_eq:  (dyy + dxx) G3 - (dx f2 + c a0), split into oscillatory and
                 constant parts since only the former is solvable
     """
-    grid = f1.grid
     a0 = f1.mean()
-    const = lambda z: TorusFunction(grid, np.full(f1.samples.shape, z, complex))
     curl = pert.g1.d_dx() - pert.g2.d_dy()
-    eq_a = curl - (float(c) * pert.g3 - f1 + const(a0))
+    eq_a = curl - (float(c) * pert.g3 - f1 + a0)
     theta_xy = f1 + curl - float(c) * pert.g3
     eq_b = (pert.g3.d_dy().d_dy() + pert.g3.d_dx().d_dx()
-            - (f2.d_dx() + const(c * a0)))
-    eq_b_osc = eq_b - const(eq_b.mean())
+            - (f2.d_dx() + c * a0))
+    eq_b_osc = eq_b - eq_b.mean()
     return {
         "first_eq": eq_a.norm_inf(),
         "theta_xy": theta_xy.norm_inf(),

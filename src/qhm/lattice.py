@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from . import jets
 # carry.  Y-derivations consume one order each, and the deepest consumer,
 # nabla_Y applied to Theta . f in the criticality residuals, starts from the
 # curvature Theta, which is built from R and so already has one order less
-# than R.  Depth 2 is therefore the least that never falls back to finite
-# differences; depth 1 does, and shifts the Grassmannian residuals.
+# than R.  Depth 2 is therefore the least whose chains never run out; at
+# depth 1 that derivative raises (chain_dx).
 CHAIN_DEPTH = 2
 
 # Test vectors of a solve run (random_fields.make_battery): the unit-width
@@ -34,9 +34,10 @@ CHAIN_DEPTH = 2
 BATTERY_Y_MODES = 1
 BATTERY_SHIFT_UNITS = 1
 
-# order-6 central difference stencil, denominator 60*h
-_FD6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-FD_HALO = len(_FD6) // 2
+# Every field's x-support lies in (-X_HALFWIDTH, X_HALFWIDTH) units, and a
+# grid may hold at most GRID_BUDGET points of that window (make_grid).
+X_HALFWIDTH = 6
+GRID_BUDGET = 10_000_000
 
 
 class CommensurabilityError(ValueError):
@@ -109,7 +110,6 @@ class Grid:
     params: Params
     hx: Fraction
     hy: Fraction
-    x_halfwidth: int  # window bound, in whole x-units
 
     def __post_init__(self):
         for step, unit in ((self.hx, Fraction(1)), (self.hx, self.params.su),
@@ -145,7 +145,22 @@ class Grid:
 
     @cached_property
     def i_bound(self) -> int:
-        return self.x_halfwidth * self.nx_unit
+        return X_HALFWIDTH * self.nx_unit
+
+    @cached_property
+    def ys(self) -> np.ndarray:
+        """The y-samples j*hy of one period (read-only)."""
+        ys = np.arange(self.ny) * self.hy_f
+        ys.flags.writeable = False
+        return ys
+
+    def twist(self, a: int, b: int) -> np.ndarray:
+        """e(c a b (y - b sv/2)), e(t) = exp(2 pi i t): the twisted
+        periodicity of the calculus.  A D-component p gains twist(k, p)
+        across k unit cells, an E-component p gains twist(p, m) across m
+        cells of width su."""
+        c, sv = self.params.c, float(self.params.sv)
+        return np.exp(2j * math.pi * c * a * b * (self.ys - b * sv / 2))
 
     def x_of(self, i) -> np.ndarray:
         return np.asarray(i, dtype=float) * self.hx_f
@@ -155,12 +170,6 @@ class Grid:
         q = _as_fraction(dx) / self.hx
         if q.denominator != 1:
             raise CommensurabilityError(f"shift {dx} is not a multiple of hx={self.hx}")
-        return int(q)
-
-    def ysteps_of(self, dy: Fraction) -> int:
-        q = _as_fraction(dy) / self.hy
-        if q.denominator != 1:
-            raise CommensurabilityError(f"shift {dy} is not a multiple of hy={self.hy}")
         return int(q)
 
 
@@ -197,8 +206,7 @@ def y_bandwidth(params: Params, pairwise: bool = False) -> int:
     return params.c * kp + modes
 
 
-def make_grid(params: Params, refinement: int, x_halfwidth: int = 6,
-              max_points: int = 10_000_000, tied_ny: bool = False) -> Grid:
+def make_grid(params: Params, refinement: int, tied_ny: bool = False) -> Grid:
     """Grid with hx = 1/(b*refinement) for su = a/b, and ny y-samples.
 
     Both 1 and su are integer multiples of hx, and both 1 and sv of hy =
@@ -211,8 +219,8 @@ def make_grid(params: Params, refinement: int, x_halfwidth: int = 6,
     spectral y-derivative is exact on it.  tied_ny=True gives instead the
     refinement-tied ny = b'*refinement, which grows with the x-resolution.
 
-    The budget bounds the points of the x-window, 2 * x_halfwidth units by
-    ny samples, the most any field can hold.  It is checked before any
+    GRID_BUDGET bounds the points of the x-window, 2 * X_HALFWIDTH units
+    by ny samples, the most any field can hold.  It is checked before any
     array exists; WindowOverflowError refuses a larger grid.
     """
     if refinement < 1:
@@ -224,11 +232,11 @@ def make_grid(params: Params, refinement: int, x_halfwidth: int = 6,
     else:
         ny = bp * -(-(2 * y_bandwidth(params) + 1) // bp)
     hx = Fraction(1, b * refinement)
-    grid = Grid(params=params, hx=hx, hy=Fraction(1, ny), x_halfwidth=x_halfwidth)
-    if 2 * grid.i_bound * grid.ny > max_points:
+    grid = Grid(params=params, hx=hx, hy=Fraction(1, ny))
+    if 2 * grid.i_bound * grid.ny > GRID_BUDGET:
         raise WindowOverflowError(
             f"refinement {refinement} needs {2 * grid.i_bound * grid.ny} grid "
-            f"points, above the budget of {max_points}; lower the refinement"
+            f"points, above the budget of {GRID_BUDGET}; lower the refinement"
         )
     return grid
 
@@ -296,9 +304,6 @@ class ScalarField:
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.data))) if self.nx else 0.0
-
-    def xs(self) -> np.ndarray:
-        return self.grid.x_of(np.arange(self.i0, self.i1))
 
     def trimmed(self) -> "ScalarField":
         """Drop leading/trailing all-zero x-rows (every chain entry zero)."""
@@ -379,8 +384,7 @@ class ScalarField:
 
     def y_phase(self, cycles: float, const: float = 0.0) -> "ScalarField":
         """Multiply by e(cycles*y + const) with e(t) = exp(2*pi*i*t)."""
-        ys = np.arange(self.grid.ny) * self.grid.hy_f
-        ph = np.exp(2j * math.pi * (cycles * ys + const))[None, :]
+        ph = np.exp(2j * math.pi * (cycles * self.grid.ys + const))[None, :]
         return ScalarField(self.grid, self.i0, [a * ph for a in self.chain])
 
     # -- calculus --------------------------------------------------------
@@ -391,31 +395,16 @@ class ScalarField:
                            [spectral_dy(a, self.grid.ny) for a in self.chain])
 
     def dx(self) -> "ScalarField":
-        """x-derivative: the attached analytic chain when present, else
-        order-6 central finite differences."""
-        if self.depth >= 1:
-            return ScalarField(self.grid, self.i0, self.chain[1:])
-        return self.dx_fd()
-
-    def dx_fd(self) -> "ScalarField":
-        """Finite-difference x-derivative (always; ignores the chain)."""
-        if self.nx == 0:
-            return ScalarField.zeros(self.grid)
-        padded = np.zeros((self.nx + 2 * FD_HALO, self.grid.ny), complex)
-        padded[FD_HALO:FD_HALO + self.nx] = self.data
-        # the zero pad is as wide as the stencil halo, so nothing wraps
-        return ScalarField(self.grid, self.i0 - FD_HALO,
-                           [fd_dx(padded, self.grid.hx_f)]).trimmed()
+        """x-derivative, read off the attached exact chain."""
+        return ScalarField(self.grid, self.i0, chain_dx(self.chain))
 
 
-def fd_dx(a: np.ndarray, hx: float) -> np.ndarray:
-    """Order-6 central x-differences of the rows of a, taken periodically;
-    callers pad a by FD_HALO rows at each end."""
-    out = np.zeros_like(a)
-    for k, w in enumerate(_FD6):
-        if w:
-            out += w * np.roll(a, FD_HALO - k, axis=0)
-    return out / hx
+def chain_dx(chain: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+    """Chain of the x-derivative: the given chain less its first entry."""
+    if len(chain) < 2:
+        raise ValueError("derivative chain exhausted: an x-derivative needs "
+                         "a chain deeper than the field carries (CHAIN_DEPTH)")
+    return chain[1:]
 
 
 def spectral_dy(a: np.ndarray, ny: int) -> np.ndarray:
@@ -428,25 +417,14 @@ def spectral_dy(a: np.ndarray, ny: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(a, axis=1) * (2j * math.pi * m)[None, :], axis=1)
 
 
-def shift(f: ScalarField, dx, dy) -> ScalarField:
-    """Exact shift by (dx, dy); raises on non-commensurate amounts."""
-    return f.shift_steps(f.grid.steps_of(dx), f.grid.ysteps_of(dy))
-
-
-def integrate(f: ScalarField, x_range: Optional[tuple] = None) -> complex:
-    """Equal-weight Riemann sum hx*hy*sum over x_range x one y-period.
+def integrate(f: ScalarField) -> complex:
+    """Equal-weight Riemann sum hx*hy*sum over the support x one y-period.
 
     Exact for trigonometric polynomials in y; superalgebraic for smooth
     compactly supported x-data.
     """
     g = f.grid
-    if x_range is None:
-        s = complex(np.sum(f.data))
-    else:
-        lo = g.steps_of(x_range[0])
-        hi = g.steps_of(x_range[1])
-        s = complex(np.sum(f.window(lo, hi, 0)))
-    return s * g.hx_f * g.hy_f
+    return complex(np.sum(f.data)) * g.hx_f * g.hy_f
 
 
 # -- skew-torus functions ------------------------------------------------
@@ -515,10 +493,11 @@ class TorusFunction:
 
     # spectral machinery ---------------------------------------------------
 
-    def _shear(self) -> np.ndarray:
-        g = self.grid
-        # (sv/su) * x_i for i on the fundamental domain
-        return float(g.params.sv / g.params.su) * g.x_of(np.arange(g.su_steps))
+    @staticmethod
+    def _shear(grid: Grid) -> np.ndarray:
+        """(sv/su) * x_i on the fundamental domain, against the y-modes m."""
+        shear = float(grid.params.sv / grid.params.su) * grid.x_of(np.arange(grid.su_steps))
+        return np.outer(shear, np.fft.fftfreq(grid.ny, d=1.0 / grid.ny))
 
     def fft(self) -> np.ndarray:
         """Coefficients wrt the dual characters
@@ -526,16 +505,13 @@ class TorusFunction:
         fft-style in (n, m)."""
         g = self.grid
         f1 = np.fft.fft(self.samples, axis=1) / g.ny
-        mvals = np.fft.fftfreq(g.ny, d=1.0 / g.ny)
-        f1 *= np.exp(2j * math.pi * np.outer(self._shear(), mvals))
+        f1 *= np.exp(2j * math.pi * self._shear(g))
         return np.fft.fft(f1, axis=0) / g.su_steps
 
     @classmethod
     def from_fft(cls, grid: Grid, coeffs: np.ndarray) -> "TorusFunction":
         f1 = np.fft.ifft(coeffs, axis=0) * grid.su_steps
-        mvals = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)
-        shear = float(grid.params.sv / grid.params.su) * grid.x_of(np.arange(grid.su_steps))
-        f1 *= np.exp(-2j * math.pi * np.outer(shear, mvals))
+        f1 *= np.exp(-2j * math.pi * cls._shear(grid))
         return cls(grid, np.fft.ifft(f1, axis=1) * grid.ny)
 
     def mode_frequencies(self):
@@ -549,41 +525,26 @@ class TorusFunction:
         ky = np.broadcast_to(m[None, :], kx.shape)
         return kx, ky
 
-    def _odd_mask_x(self) -> np.ndarray:
-        """True on modes where kx changes sign under (n,m) -> (-n,-m).
-
-        The unmatched Nyquist slots of even-length axes are self-paired but
-        carry a nonzero kx label, so odd x-operators (kx multipliers) must
-        vanish there to preserve Hermitian symmetry.  On odd-length axes the
-        mask is all-True."""
+    def _multiplier(self, axis: str) -> np.ndarray:
+        """2 pi i kx (axis "x") or 2 pi i ky (axis "y"), the multiplier of
+        d/dx or d/dy, zero on the unmatched Nyquist slots of even-length
+        axes: those are self-paired but carry a nonzero label, so an odd
+        operator must vanish there to keep Hermitian symmetry.  ky = m does
+        not involve n, so d/dy keeps the x-Nyquist row."""
         g = self.grid
-        keep_x = np.ones(g.su_steps, bool)
-        if g.su_steps % 2 == 0:
-            keep_x[g.su_steps // 2] = False
-        keep_y = np.ones(g.ny, bool)
+        kx, ky = self.mode_frequencies()
+        keep = np.ones((g.su_steps, g.ny), bool)
         if g.ny % 2 == 0:
-            keep_y[g.ny // 2] = False
-        return keep_x[:, None] & keep_y[None, :]
-
-    def _odd_mask_y(self) -> np.ndarray:
-        """Like _odd_mask_x but for ky = m: only the y-Nyquist column is
-        self-paired with a nonzero label; the x-Nyquist row is harmless
-        since ky does not involve n."""
-        g = self.grid
-        keep_y = np.ones(g.ny, bool)
-        if g.ny % 2 == 0:
-            keep_y[g.ny // 2] = False
-        return np.broadcast_to(keep_y[None, :], (g.su_steps, g.ny))
+            keep[:, g.ny // 2] = False
+        if axis == "x" and g.su_steps % 2 == 0:
+            keep[g.su_steps // 2, :] = False
+        return np.where(keep, 2j * math.pi * (kx if axis == "x" else ky), 0.0)
 
     def d_dx(self) -> "TorusFunction":
-        kx, _ = self.mode_frequencies()
-        mult = np.where(self._odd_mask_x(), 2j * math.pi * kx, 0.0)
-        return TorusFunction.from_fft(self.grid, self.fft() * mult)
+        return TorusFunction.from_fft(self.grid, self.fft() * self._multiplier("x"))
 
     def d_dy(self) -> "TorusFunction":
-        _, ky = self.mode_frequencies()
-        mult = np.where(self._odd_mask_y(), 2j * math.pi * ky, 0.0)
-        return TorusFunction.from_fft(self.grid, self.fft() * mult)
+        return TorusFunction.from_fft(self.grid, self.fft() * self._multiplier("y"))
 
     def antiderivative_x(self) -> "TorusFunction":
         """Spectral x-antiderivative; input must vanish on d/dx-kernel modes.
@@ -600,18 +561,16 @@ class TorusFunction:
             raise ValueError(
                 f"x-antiderivative needs mean-zero input on kernel modes (residual {bad:.2e})"
             )
+        mult = self._multiplier("x")
         out = np.zeros_like(co)
-        good = self._odd_mask_x() & ~kernel
-        np.divide(co, 2j * math.pi * kx, out=out, where=good)
+        np.divide(co, mult, out=out, where=(mult != 0) & ~kernel)
         return TorusFunction.from_fft(self.grid, out)
 
     def derivative_chain(self, depth: int):
         """[G, G_x, G_xx, ...] sample arrays to the given depth (spectral)."""
-        kx, _ = self.mode_frequencies()
-        mult = np.where(self._odd_mask_x(), 2j * math.pi * kx, 0.0)
-        co = self.fft()
+        mult = self._multiplier("x")
         out = [self.samples.copy()]
-        cur = co
+        cur = self.fft()
         for _ in range(depth):
             cur = cur * mult
             out.append(TorusFunction.from_fft(self.grid, cur).samples)

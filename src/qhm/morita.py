@@ -90,47 +90,28 @@ class SpectralVector:
     def nx(self) -> int:
         return self.samples.shape[0]
 
-    def _twist_up(self, row: np.ndarray) -> np.ndarray:
-        """Value row at x + cell from the row at x."""
-        g = self.grid
-        s = g.sv_steps
-        rolled = np.roll(row, s)                     # g(., y - sv)
-        if not _TAG_PHASED[self.tag]:
-            return rolled
-        ys = np.arange(g.ny) * g.hy_f
-        c = g.params.c
-        sv = float(g.params.sv)
-        ph = np.exp(2j * math.pi * (c * (ys - sv / 2) + self.broken_shift))
-        if self.tag == X_BETA_USTAR_ALPHA:
-            # g(x+1, y) = conj e(c(y - sv/2)) g(x, y - sv)
-            return np.conj(ph) * rolled
-        # F(x+su, y) = e(c(y - sv/2)) F(x, y - sv)
-        return ph * rolled
-
-    def _twist_down(self, row: np.ndarray) -> np.ndarray:
-        """Value row at x - cell from the row at x."""
-        g = self.grid
-        s = g.sv_steps
-        if not _TAG_PHASED[self.tag]:
-            return np.roll(row, -s)
-        ys = np.arange(g.ny) * g.hy_f
-        c = g.params.c
-        sv = float(g.params.sv)
-        ph = np.exp(2j * math.pi * (c * (ys + sv / 2) + self.broken_shift))
-        rolled = np.roll(row, -s)                    # g(., y + sv)
-        if self.tag == X_BETA_USTAR_ALPHA:
-            return ph * rolled
-        return np.conj(ph) * rolled
-
     def eval_row(self, i: int) -> np.ndarray:
-        """Values at (x_i, y_j) for all j, x_i = i*hx possibly out of domain."""
+        """Values at (x_i, y_j) for all j, x_i = i*hx possibly out of domain.
+
+        Each cell crossed moves y by sv and, on the phased spaces, applies
+        the twist F(x + su, y) = e(c(y - sv/2)) F(x, y - sv) (E_first) or
+        g(x + 1, y) = conj e(c(y - sv/2)) g(x, y - sv) (X), times
+        e(broken_shift), or its inverse when crossing downwards.
+        """
         r = i % self.nx
         k = (i - r) // self.nx
         row = self.samples[r]
-        for _ in range(k):
-            row = self._twist_up(row)
-        for _ in range(-k):
-            row = self._twist_down(row)
+        if k == 0:
+            return row
+        g = self.grid
+        step = 1 if k > 0 else -1
+        ph = 1.0
+        if _TAG_PHASED[self.tag]:
+            ph = g.twist(step, step) * np.exp(2j * math.pi * self.broken_shift)
+            if (self.tag == X_BETA_USTAR_ALPHA) == (k > 0):
+                ph = np.conj(ph)
+        for _ in range(abs(k)):
+            row = ph * np.roll(row, step * g.sv_steps)
         return row
 
     def norm_inf(self) -> float:
@@ -139,8 +120,7 @@ class SpectralVector:
 
 def _y_phase_sq(grid: Grid) -> np.ndarray:
     """e(c y^2 / sv) on the y-grid."""
-    ys = np.arange(grid.ny) * grid.hy_f
-    return np.exp(2j * math.pi * grid.params.c * ys ** 2 / float(grid.params.sv))
+    return np.exp(2j * math.pi * grid.params.c * grid.ys ** 2 / float(grid.params.sv))
 
 
 def _reverse_y(row: np.ndarray) -> np.ndarray:
@@ -253,9 +233,7 @@ def random_source_vector(grid: Grid, rng: np.random.Generator,
         coef = complex(rng.normal(), rng.normal())
         seed += coef * window * np.exp(2j * math.pi * (n * xs / 2.0 + mm * ys))
     # g = seed|_[0,1) + U(seed)|_[0,1) with U the twisted unit translate
-    c = g.params.c
-    sv = float(g.params.sv)
-    ph = np.exp(2j * math.pi * (c * (ys + sv / 2) + broken_shift))
+    ph = g.twist(-1, -1) * np.exp(2j * math.pi * broken_shift)
     translated = np.roll(seed[nxu:], -g.sv_steps, axis=1) * ph
     return SpectralVector(g, seed[:nxu] + translated, X_BETA_USTAR_ALPHA,
                           broken_shift)
@@ -309,8 +287,7 @@ def membership_transport_defect(f: SpectralVector) -> float:
     """Violation of the E-subspace twist by S(f), with S evaluated from its
     formula on both sides (the stored-sample extension would be circular)."""
     g = f.grid
-    ys = np.arange(g.ny) * g.hy_f
-    ph = np.exp(2j * math.pi * g.params.c * (ys - float(g.params.sv) / 2))
+    ph = g.twist(1, 1)
     dev = 0.0
     for i in range(g.su_steps):
         lhs = _map_S_row(f, i)

@@ -129,8 +129,7 @@ def verify_R_conditions(R: ModuleVector) -> Dict[str, float]:
     checked on [0, su] and (B-3) on the support of g, where the identities
     they restate apply.
     """
-    grid = R.grid
-    g = grid
+    g = R.grid
     N, S, V = g.nx_unit, g.su_steps, g.sv_steps
     out: Dict[str, float] = {}
 
@@ -174,14 +173,11 @@ def verify_R_conditions(R: ModuleVector) -> Dict[str, float]:
         for j in (-2, -1, 1, 2)
     )
     out["d-1"] = out["C-2"]
-    ys = np.arange(g.ny) * g.hy_f
-    sv = float(g.params.sv)
-    c = g.params.c
     d2 = 0.0
     for p in (1, 2):
         acc2 = np.zeros((S, g.ny), dtype=complex)
         for k in range(-kmax, kmax + 1):
-            ph = np.exp(2j * math.pi * c * p * k * (ys - k * sv / 2))
+            ph = g.twist(p, k)
             prod = (_profile(R, 0, S, -k * S)
                     * _profile(R, 0, S, -k * S + p * N))
             acc2 += prod[:, None] * ph[None, :]

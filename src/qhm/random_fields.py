@@ -27,14 +27,15 @@ def smooth_envelope(grid: Grid, spec: BumpSpec = BumpSpec()) -> ScalarField:
 
 
 def random_module_vector(grid: Grid, rng: np.random.Generator,
-                         terms: int = 3, y_modes: int = BATTERY_Y_MODES,
+                         y_modes: int = BATTERY_Y_MODES,
                          max_shift_units: int = BATTERY_SHIFT_UNITS,
                          envelope: Optional[ScalarField] = None) -> ScalarField:
-    """Random smooth vector: sum of shifted, y-modulated envelope copies."""
+    """Random smooth vector: sum of three shifted, y-modulated envelope
+    copies."""
     if envelope is None:
         envelope = smooth_envelope(grid)
     out = ScalarField.zeros(grid, envelope.depth)
-    for _ in range(terms):
+    for _ in range(3):
         kx = int(rng.integers(-max_shift_units * grid.su_steps,
                               max_shift_units * grid.su_steps + 1))
         m = int(rng.integers(-y_modes, y_modes + 1))
@@ -74,32 +75,24 @@ def make_battery(grid: Grid, count: int, seed: int,
     return out
 
 
-def random_torus_function(grid: Grid, rng: np.random.Generator,
-                          x_modes: int = 2, y_modes: int = 1,
-                          skew: bool = True,
-                          zero_mean: bool = False) -> TorusFunction:
-    """Band-limited random function on the skew torus.
+def random_torus_function(grid: Grid, rng: np.random.Generator) -> TorusFunction:
+    """Skew (purely imaginary) random function on the skew torus, band
+    limited to the dual characters with |n| <= 2, |m| <= 1.
 
-    With skew=True the values are purely imaginary at every sample (the
-    coefficient array is Hermitian before multiplying by i).
+    The coefficient array is made Hermitian before multiplying by i.
     """
     nx, ny = grid.su_steps, grid.ny
     co = np.zeros((nx, ny), complex)
-    for n in range(-x_modes, x_modes + 1):
-        for m in range(-y_modes, y_modes + 1):
+    for n in range(-2, 3):
+        for m in range(-1, 2):
             co[n % nx, m % ny] = complex(rng.normal(), rng.normal())
-    if zero_mean:
-        co[0, 0] = 0.0
-    if skew:
-        # co[-n, -m], indices mod (nx, ny)
-        rev = np.roll(co[::-1, ::-1], 1, axis=(0, 1))
-        co = 1j * (0.5 * (co + np.conj(rev)))
+    # co[-n, -m], indices mod (nx, ny)
+    rev = np.roll(co[::-1, ::-1], 1, axis=(0, 1))
+    co = 1j * (0.5 * (co + np.conj(rev)))
     return TorusFunction.from_fft(grid, co)
 
 
-def random_perturbation(grid: Grid, rng: np.random.Generator,
-                        zero_mean: bool = False) -> Perturbation:
-    return Perturbation(
-        random_torus_function(grid, rng, zero_mean=zero_mean),
-        random_torus_function(grid, rng, zero_mean=zero_mean),
-        random_torus_function(grid, rng, zero_mean=zero_mean))
+def random_perturbation(grid: Grid, rng: np.random.Generator) -> Perturbation:
+    return Perturbation(random_torus_function(grid, rng),
+                        random_torus_function(grid, rng),
+                        random_torus_function(grid, rng))

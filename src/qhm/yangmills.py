@@ -1,6 +1,6 @@
 """The 2-form pairing, the Yang-Mills functional, and criticality residuals.
 
-YM(nabla) = -trace_E({Theta, Theta}_E) with the pairing summed over the
+YM(nabla) = -tau_E({Theta, Theta}_E) with the pairing summed over the
 three basis 2-vectors.  A connection is critical when the three operator
 equations
 
@@ -20,8 +20,8 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, bracket, star
-from .bimodule import ModuleVector, act_left, inner_D, trace_E
+from .algebra import AlgebraElement, bracket, star, trace
+from .bimodule import ModuleVector, act_left, inner_D
 from .calculus import (Connection, Curvature2Form, Perturbation, connect,
                        curvature_closed, curvature_of, mult_element)
 from .lattice import TorusFunction
@@ -37,7 +37,7 @@ def pair_forms(a: Curvature2Form, b: Curvature2Form) -> AlgebraElement:
 
 
 def ym_of_curvature(theta: Curvature2Form) -> float:
-    val = -trace_E(pair_forms(theta, theta))
+    val = -trace(pair_forms(theta, theta))
     scale = max(abs(val), 1.0)
     if abs(val.imag) > 1e-10 * scale:
         raise ValueError(f"YM value is not real ({val.imag:.2e}); "
@@ -178,6 +178,6 @@ def first_variation(nabla: Connection, direction: Perturbation,
     dxy = mult_element(h1.d_dx() - h2.d_dy() - float(c) * h3, 1)
     dxz = mult_element(-h3.d_dy(), 1)
     dyz = mult_element(-h3.d_dx(), 1)
-    val = -(trace_E(star(theta.xy, dxy)) + trace_E(star(theta.xz, dxz))
-            + trace_E(star(theta.yz, dyz))) * 2.0
+    val = -(trace(star(theta.xy, dxy)) + trace(star(theta.xz, dxz))
+            + trace(star(theta.yz, dyz))) * 2.0
     return float(val.real)

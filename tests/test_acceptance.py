@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from qhm.algebra import AlgebraElement, adjoint, derivation, star, trace_D
+from qhm.algebra import AlgebraElement, adjoint, derivation, star, trace
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import (Connection, commutator_mult, connect,
                           curvature_closed, curvature_definition,
@@ -51,7 +51,7 @@ def test_criterion_01_projection_suite(params, grid2, R2):
                 (adjoint(Q) - Q).norm_inf(),
                 (inner_E(R2, R2)
                  - AlgebraElement.identity("E", grid2, 0)).norm_inf())
-    trace_dev = abs(trace_D(Q) - float(params.su))
+    trace_dev = abs(trace(Q) - float(params.su))
     report(1, "projection suite", worst <= 1e-12 and trace_dev <= 1e-10,
            f"identities {worst:.1e}, trace dev {trace_dev:.1e}")
 

@@ -13,9 +13,9 @@ import pytest
 
 from qhm import jets
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, FlavorError,
-                         _component_dx, adjoint, derivation, element_allclose,
-                         invariance_defect, laplacian, star, trace_D)
-from qhm.bimodule import inner_D, inner_E, trace_E
+                         adjoint, derivation, element_allclose,
+                         invariance_defect, laplacian, star, trace)
+from qhm.bimodule import inner_D, inner_E
 from qhm.calculus import mult_element
 from qhm.lattice import Params, make_grid, spectral_dy
 from qhm.projection import build_R
@@ -116,24 +116,24 @@ def test_derivations_kill_trace(d_elems):
     a = d_elems[0]
     scale = max(a.norm_inf(), 1.0)
     for w in "XYZ":
-        assert abs(trace_D(derivation(w, a))) < 1e-10 * scale
+        assert abs(trace(derivation(w, a))) < 1e-10 * scale
 
 
 def test_trace_is_tracial(d_elems):
     a, b, _ = d_elems
     scale = max(a.norm_inf() * b.norm_inf(), 1.0)
-    assert abs(trace_D(star(a, b)) - trace_D(star(b, a))) < 1e-11 * scale
+    assert abs(trace(star(a, b)) - trace(star(b, a))) < 1e-11 * scale
 
 
 def test_trace_of_identity(grid4):
-    assert abs(trace_D(AlgebraElement.identity(D_FLAVOR, grid4)) - 1) < 1e-12
+    assert abs(trace(AlgebraElement.identity(D_FLAVOR, grid4)) - 1) < 1e-12
     ident_e = AlgebraElement.identity(E_FLAVOR, grid4)
-    assert abs(trace_E(ident_e) - float(grid4.params.su)) < 1e-12
+    assert abs(trace(ident_e) - float(grid4.params.su)) < 1e-12
 
 
 def test_trace_positive(d_elems):
     a = d_elems[0]
-    val = trace_D(star(adjoint(a), a))
+    val = trace(star(adjoint(a), a))
     assert abs(val.imag) < 1e-12 * max(abs(val), 1)
     assert val.real > 0
 
@@ -211,7 +211,7 @@ def _ref_derivation(w, a):
             z = 2j * math.pi * p * c
             comps[p] = [z * arr for arr in chain]
         elif w == "Y":
-            comps[p] = [-arr for arr in _component_dx(a, p)]
+            comps[p] = [-arr for arr in chain[1:]]
         else:
             z = 2j * math.pi * c * p
             xs = (np.arange(g.nx_unit) * g.hx_f
@@ -285,7 +285,12 @@ def test_star_and_derivations_match_full_window_bitwise(params, refinement):
               (e1, e2), (e2, e1), (e2, e2), (psi, e1), (e2, psi)]
     for a, b in pairs:
         _assert_same_element(star(a, b), _ref_star(a, b))
-    for a in (q, *dq, d1, d2, d0):
+    for a in (q, *dq, d1, d2):
         for w in "XYZ":
             _assert_same_element(derivation(w, a), _ref_derivation(w, a))
+    # a depth-0 element has no x-derivative left: delta_Y refuses it
+    for w in "XZ":
+        _assert_same_element(derivation(w, d0), _ref_derivation(w, d0))
+    with pytest.raises(ValueError, match="chain exhausted"):
+        derivation("Y", d0)
 

@@ -13,8 +13,8 @@ import pytest
 
 from qhm import jets
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, adjoint,
-                         derivation, star, trace_D)
-from qhm.bimodule import (act_left, act_right, inner_D, inner_E, trace_E)
+                         derivation, star, trace)
+from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.lattice import Params, ScalarField, make_grid
 from qhm.projection import build_R
 from qhm.random_fields import make_battery, random_module_vector
@@ -78,8 +78,8 @@ def test_inner_d_compatible_with_right_action(vectors):
 def test_traces_agree_through_the_bimodule(vectors):
     # tau_D(<f,f>_D) = tau_E(<f,f>_E): the bimodule links the two traces
     f = vectors[0]
-    a = trace_D(inner_D(f, f))
-    b = trace_E(inner_E(f, f))
+    a = trace(inner_D(f, f))
+    b = trace(inner_E(f, f))
     assert abs(a - b) < 1e-11 * max(abs(a), 1)
     assert a.real > 0 and abs(a.imag) < 1e-12 * max(abs(a), 1)
 

@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 
 from qhm import algebra, cli
-from qhm.cli import (ConfigError, RunConfig, _parse_kv, load_config, main,
-                     run_solve, run_verify)
-from qhm.lattice import Params, ScalarField, make_grid
+from qhm.cli import (ConfigError, PipelineError, RunConfig, _parse_kv,
+                     load_config, main, run_solve, run_verify)
+from qhm.lattice import Params, make_grid
+from qhm.projection import BumpSpec, build_R
 from qhm.random_fields import battery_bandwidth
 
 
@@ -58,6 +59,26 @@ class TestConfigParsing:
                 refinement=None, seed=None, out=None))
         assert main(["morita", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line, argv", [
+        ("morita", "morita.sample_count = 0", []),
+        ("morita", "morita.refinement = 0", []),
+        ("morita", "seed = -1", []),
+        ("verify", "", ["--seed", "-1"]),
+        ("verify", "tol.exact = inf", []),
+        ("verify", "tol.exact = nan", [])],
+        ids=["sample_count", "morita_refinement", "seed", "seed_flag",
+             "tol_inf", "tol_nan"])
+    def test_out_of_range_input_exits_2(self, tmp_path, capsys, command, line,
+                                        argv):
+        # an empty Morita battery or an infinite tolerance would pass
+        # vacuously; a zero refinement or a negative seed has no grid or
+        # generator to run on
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        code, _ = run(tmp_path, command, "--config", str(cfg), *argv)
+        assert code == 2
         assert "config error" in capsys.readouterr().err
 
     def test_grid_over_budget_exits_2_before_computing(self, tmp_path, capsys,
@@ -192,15 +213,6 @@ class TestSolve:
             == (out2 / "solve_summary.json").read_bytes()
         assert (out1 / "g3.csv").read_bytes() == (out2 / "g3.csv").read_bytes()
 
-    def test_zero_curvature_stub(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("debug.zero_curvature = true\n")
-        code, out = run(tmp_path, "solve", "--config", str(cfg))
-        assert code == 0
-        rep = json.loads((out / "solve_summary.json").read_text())
-        assert rep["stub"] == "zero_curvature"
-        assert rep["ym"] == 0.0
-
     def test_sweep_table(self, tmp_path):
         code, out = run(tmp_path, "solve", "--sweep", "--refinement", "1")
         assert code == 0
@@ -218,10 +230,12 @@ class TestMorita:
         assert rep["sample_count"] == 20
 
     def test_broken_unitary_fails(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("morita.broken_u = 0.05\n")
-        code, out = run(tmp_path, "morita", "--config", str(cfg))
-        assert code == 1
+        # a decimal and an exact rational a/b are both read as numbers
+        for value in ("0.05", "1/10"):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"morita.broken_u = {value}\n")
+            code, _ = run(tmp_path, "morita", "--config", str(cfg))
+            assert code == 1
 
     def test_bad_rescale_exits_1_with_stage(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -233,30 +247,23 @@ class TestMorita:
 
 
 class TestChainDepth:
-    def test_default_depth_needs_no_finite_differences(self, params, tmp_path,
-                                                       monkeypatch):
-        # The default chain depth is the floor: no x-derivative taken by
-        # solve or verify runs out of its exact chain and falls back to
-        # finite differences.
-        fallbacks = []
-        dx_fd = ScalarField.dx_fd
-        component_dx = algebra._component_dx
-
-        def counting_dx_fd(self, *args, **kwargs):
-            fallbacks.append("ScalarField.dx_fd")
-            return dx_fd(self, *args, **kwargs)
-
-        def counting_component_dx(a, p, *args, **kwargs):
-            if len(a.comps[p]) < 2:
-                fallbacks.append("algebra._component_dx")
-            return component_dx(a, p, *args, **kwargs)
-
-        monkeypatch.setattr(ScalarField, "dx_fd", counting_dx_fd)
-        monkeypatch.setattr(algebra, "_component_dx", counting_component_dx)
+    def test_default_depth_needs_no_finite_differences(self, params,
+                                                       tmp_path):
+        # every x-derivative taken by solve and verify reads an exact chain
+        # of the default depth; there is no finite-difference fallback, so
+        # one that ran out would raise
         cfg = RunConfig(params=params, refinement=9, seed=0, out=str(tmp_path))
         run_solve(cfg)
         run_verify(cfg)
-        assert fallbacks == []
+
+    def test_shallow_chain_is_refused(self, params, tmp_path, monkeypatch):
+        # at depth 1 the deepest consumer runs out of its chain: the solve
+        # stops with the stage that failed instead of approximating
+        monkeypatch.setattr(cli, "build_R",
+                            lambda p, g: build_R(p, g, BumpSpec(depth=1)))
+        cfg = RunConfig(params=params, refinement=9, seed=0, out=str(tmp_path))
+        with pytest.raises(PipelineError, match="chain exhausted"):
+            run_solve(cfg)
 
 
 def test_import_loads_no_sympy():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qhm.algebra import AlgebraElement, adjoint, star, trace_D
+from qhm.algebra import AlgebraElement, adjoint, star, trace
 from qhm.bimodule import inner_D, inner_E
 from qhm.projection import (BumpSpec, build_Q, build_R, extract_h_g,
                             ramp_chain, verify_R_conditions)
@@ -30,7 +30,7 @@ def test_frame_identity(grid2, R2):
 
 def test_trace_of_q(params, Q2):
     # the trace of the projection equals su = 2 hbar mu
-    assert abs(trace_D(Q2) - float(params.su)) < 1e-10
+    assert abs(trace(Q2) - float(params.su)) < 1e-10
 
 
 def test_trace_of_q_other_parameters(params):
@@ -39,7 +39,7 @@ def test_trace_of_q_other_parameters(params):
     p = Params.from_steps(1, Fraction(1, 3), Fraction(1, 6))
     grid = make_grid(p, 3)
     R = build_R(p, grid)
-    assert abs(trace_D(inner_D(R, R)) - float(p.su)) < 1e-10
+    assert abs(trace(inner_D(R, R)) - float(p.su)) < 1e-10
 
 
 def test_condition_lists(R2):

@@ -46,11 +46,11 @@ def test_ym_scales_quartically_in_flat_background(grid2, R2, rng):
 
 
 def test_pairing_symmetric_under_trace(perturbed, grid2, R2, rng):
-    from qhm.bimodule import trace_E
+    from qhm.algebra import trace
     ta = curvature_of(perturbed)
     tb = curvature_of(Connection(R2, random_perturbation(grid2, rng)))
-    ab = trace_E(pair_forms(ta, tb))
-    ba = trace_E(pair_forms(tb, ta))
+    ab = trace(pair_forms(ta, tb))
+    ba = trace(pair_forms(tb, ta))
     assert abs(ab - ba) < 1e-10 * max(abs(ab), 1.0)
 
 
