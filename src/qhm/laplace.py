@@ -31,7 +31,7 @@ and 4.6e-14 at 405, independent of c and sv.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -115,16 +115,20 @@ def verify_critical(R: ModuleVector, pert: Optional[Perturbation] = None,
     nabla = Connection(R, pert)
     nabla0 = Connection(R)
     # with the zero mode absorbed into G3 the third equation holds as
-    # stated, so there is no constant operator to strip in r3_osc
-    res = critical_residuals(nabla, battery, theta0,
-                             a0=0.0 if absorb_zero_mode else rhs.a0)
-    res0 = critical_residuals(nabla0, battery, theta0, a0=0.0)
+    # stated, so there is no constant operator to strip in r3_osc; without
+    # a battery nothing is measured, and the residuals are None, not 0
+    res = res0 = None
+    if battery:
+        res = critical_residuals(nabla, battery, theta0,
+                                 a0=0.0 if absorb_zero_mode else rhs.a0)
+        res0 = critical_residuals(nabla0, battery, theta0, a0=0.0)
+        res, res0 = asdict(res), asdict(res0)
     return {
         "a0": rhs.a0,
         "discarded_mean": rhs.discarded_mean,
         "absorb_zero_mode": absorb_zero_mode,
-        "residuals": res.as_dict(),
-        "residuals_grassmannian": res0.as_dict(),
+        "residuals": res,
+        "residuals_grassmannian": res0,
         "ym": ym_value(nabla, theta0),
         "ym_grassmannian": ym_value(nabla0, theta0),
         "perturbation": pert,

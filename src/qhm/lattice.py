@@ -11,7 +11,7 @@ identities exact as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -110,6 +110,8 @@ class Grid:
     params: Params
     hx: Fraction
     hy: Fraction
+    _twists: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)   # twist(a, b) by (a, b)
 
     def __post_init__(self):
         for step, unit in ((self.hx, Fraction(1)), (self.hx, self.params.su),
@@ -158,9 +160,14 @@ class Grid:
         """e(c a b (y - b sv/2)), e(t) = exp(2 pi i t): the twisted
         periodicity of the calculus.  A D-component p gains twist(k, p)
         across k unit cells, an E-component p gains twist(p, m) across m
-        cells of width su."""
-        c, sv = self.params.c, float(self.params.sv)
-        return np.exp(2j * math.pi * c * a * b * (self.ys - b * sv / 2))
+        cells of width su.  Built once per (a, b) and kept read-only."""
+        ph = self._twists.get((a, b))
+        if ph is None:
+            c, sv = self.params.c, float(self.params.sv)
+            ph = np.exp(2j * math.pi * c * a * b * (self.ys - b * sv / 2))
+            ph.flags.writeable = False
+            self._twists[(a, b)] = ph
+        return ph
 
     def x_of(self, i) -> np.ndarray:
         return np.asarray(i, dtype=float) * self.hx_f

@@ -26,9 +26,11 @@ four identities S(phi.f) = H(phi).S(f), S(f.phi) = S(f).H(phi),
 <S f, S g>_L = H(<f,g>_L), <S f, S g>_R = H(<f,g>_R) on seeded samples.
 
 Vectors are stored by fundamental-domain samples, x in [0,1) x [0,1) on the
-source side and [0,su) x [0,1) on the target side, with evaluation anywhere
-through the defining twist.  The x-rescaling x -> -x/su maps grid points to
-grid points iff 1/su is an integer; that extra rationality constraint is
+source side and [0,su) x [0,1) on the target side.  SpectralVector.eval_row
+evaluates a whole array of x-indices anywhere through the defining twist,
+with one roll of the sample array per crossed cell, so each map below is
+one array expression.  The x-rescaling x -> -x/su maps grid points to grid
+points iff 1/su is an integer; that extra rationality constraint is
 enforced at construction.
 """
 
@@ -90,53 +92,59 @@ class SpectralVector:
     def nx(self) -> int:
         return self.samples.shape[0]
 
-    def eval_row(self, i: int) -> np.ndarray:
-        """Values at (x_i, y_j) for all j, x_i = i*hx possibly out of domain.
+    def eval_row(self, idx: np.ndarray) -> np.ndarray:
+        """(len(idx), ny) block of values at (x_i, y_j) for each i in the 1-D
+        integer array idx and all j; x_i = i*hx may lie outside the domain.
 
-        Each cell crossed moves y by sv and, on the phased spaces, applies
-        the twist F(x + su, y) = e(c(y - sv/2)) F(x, y - sv) (E_first) or
+        Index i is row r = i mod nx of cell k = i // nx.  Each cell crossed
+        moves y by sv and, on the phased spaces, applies the twist
+        F(x + su, y) = e(c(y - sv/2)) F(x, y - sv) (E_first) or
         g(x + 1, y) = conj e(c(y - sv/2)) g(x, y - sv) (X), times
-        e(broken_shift), or its inverse when crossing downwards.
+        e(broken_shift), or its inverse when crossing downwards.  Cell k is
+        built once, from cell k -/+ 1 as ph * roll(cell, +/-sv_steps) over
+        the whole sample array, and its rows are gathered by fancy indexing.
         """
-        r = i % self.nx
-        k = (i - r) // self.nx
-        row = self.samples[r]
-        if k == 0:
-            return row
+        if np.ndim(idx) != 1:
+            raise ValueError(f"eval_row takes a 1-D index array, not {idx!r}")
+        k, r = np.divmod(idx, self.nx)
+        out = self.samples[r]
         g = self.grid
-        step = 1 if k > 0 else -1
-        ph = 1.0
-        if _TAG_PHASED[self.tag]:
-            ph = g.twist(step, step) * np.exp(2j * math.pi * self.broken_shift)
-            if (self.tag == X_BETA_USTAR_ALPHA) == (k > 0):
-                ph = np.conj(ph)
-        for _ in range(abs(k)):
-            row = ph * np.roll(row, step * g.sv_steps)
-        return row
+        for step in (1, -1):
+            far = int(np.max(step * k, initial=0))
+            ph = 1.0
+            if far and _TAG_PHASED[self.tag]:
+                ph = g.twist(step, step) * np.exp(2j * math.pi * self.broken_shift)
+                if (self.tag == X_BETA_USTAR_ALPHA) == (step > 0):
+                    ph = np.conj(ph)
+            cell = self.samples
+            for n in range(1, far + 1):
+                cell = ph * np.roll(cell, step * g.sv_steps, axis=1)
+                hit = k == step * n
+                out[hit] = cell[r[hit]]
+        return out
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.samples))) if self.samples.size else 0.0
 
 
-def _y_phase_sq(grid: Grid) -> np.ndarray:
-    """e(c y^2 / sv) on the y-grid."""
-    return np.exp(2j * math.pi * grid.params.c * grid.ys ** 2 / float(grid.params.sv))
+def _reverse_y(rows: np.ndarray) -> np.ndarray:
+    """rows'[:, j] = rows[:, -j mod ny]."""
+    return np.roll(rows[:, ::-1], 1, axis=1)
 
 
-def _reverse_y(row: np.ndarray) -> np.ndarray:
-    """row'[j] = row[-j mod ny]."""
-    return np.roll(row[::-1], 1)
+def _S_rows(f: SpectralVector, idx: np.ndarray) -> np.ndarray:
+    """S(f) at x = i*hx for each i in idx, straight from the formula."""
+    g = f.grid
+    phase = np.exp(2j * math.pi * g.params.c * g.ys ** 2 / float(g.params.sv))
+    return phase * _reverse_y(f.eval_row(-rescale_factor(g) * idx))
 
 
 def map_S(f: SpectralVector) -> SpectralVector:
     """S(f)(x,y) = e(c y^2 / sv) f(-x/su, -y), onto the first E subspace."""
     if f.tag != X_BETA_USTAR_ALPHA:
         raise ValueError(f"map_S expects tag {X_BETA_USTAR_ALPHA}, got {f.tag}")
-    g = f.grid
-    m = rescale_factor(g)
-    ph = _y_phase_sq(g)
-    rows = [ph * _reverse_y(f.eval_row(-m * i)) for i in range(g.su_steps)]
-    return SpectralVector(g, np.stack(rows), E_FIRST)
+    return SpectralVector(f.grid, _S_rows(f, np.arange(f.grid.su_steps)),
+                          E_FIRST)
 
 
 def map_H(phi: SpectralVector) -> SpectralVector:
@@ -144,9 +152,8 @@ def map_H(phi: SpectralVector) -> SpectralVector:
     if phi.tag != BETA_INVARIANT:
         raise ValueError(f"map_H expects tag {BETA_INVARIANT}, got {phi.tag}")
     g = phi.grid
-    m = rescale_factor(g)
-    rows = [_reverse_y(phi.eval_row(-m * i)) for i in range(g.su_steps)]
-    return SpectralVector(g, np.stack(rows), E_FIXED)
+    rows = phi.eval_row(-rescale_factor(g) * np.arange(g.su_steps))
+    return SpectralVector(g, _reverse_y(rows), E_FIXED)
 
 
 # source-side bimodule operations ------------------------------------------
@@ -160,8 +167,7 @@ def source_right(f: SpectralVector, phi: SpectralVector) -> SpectralVector:
     """(f . phi)(x,y) = f(x,y) phi(x - 1/su, y)."""
     # 1/su is m whole x-units, i.e. m*nx_unit grid steps
     step = rescale_factor(f.grid) * f.grid.nx_unit
-    out = np.stack([f.samples[i] * phi.eval_row(i - step)
-                    for i in range(f.nx)])
+    out = f.samples * phi.eval_row(np.arange(f.nx) - step)
     return SpectralVector(f.grid, out, f.tag, f.broken_shift)
 
 
@@ -178,10 +184,8 @@ def source_inner_R(f: SpectralVector, g: SpectralVector) -> SpectralVector:
     that shifts only the first argument breaks the fourth preservation
     identity for every nonzero sample.
     """
-    m = rescale_factor(f.grid)
-    step = m * f.grid.nx_unit
-    out = np.stack([np.conj(f.eval_row(i + step)) * g.eval_row(i + step)
-                    for i in range(f.nx)])
+    idx = np.arange(f.nx) + rescale_factor(f.grid) * f.grid.nx_unit
+    out = np.conj(f.eval_row(idx)) * g.eval_row(idx)
     return SpectralVector(f.grid, out, BETA_INVARIANT)
 
 
@@ -193,9 +197,8 @@ def target_left(psi: SpectralVector, F: SpectralVector) -> SpectralVector:
 
 def target_right(F: SpectralVector, psi: SpectralVector) -> SpectralVector:
     """(F . psi)(x,y) = F(x,y) psi(x+1,y)."""
-    step = F.grid.nx_unit       # one x-unit in grid steps
-    out = np.stack([F.samples[i] * psi.eval_row(i + step)
-                    for i in range(F.nx)])
+    # one x-unit is nx_unit grid steps
+    out = F.samples * psi.eval_row(np.arange(F.nx) + F.grid.nx_unit)
     return SpectralVector(F.grid, out, F.tag)
 
 
@@ -205,9 +208,8 @@ def target_inner_L(F: SpectralVector, G: SpectralVector) -> SpectralVector:
 
 def target_inner_R(F: SpectralVector, G: SpectralVector) -> SpectralVector:
     """<F,G>_R(x,y) = conj F(x-1,y) G(x-1,y)."""
-    step = F.grid.nx_unit
-    out = np.stack([np.conj(F.eval_row(i - step)) * G.eval_row(i - step)
-                    for i in range(F.nx)])
+    idx = np.arange(F.nx) - F.grid.nx_unit
+    out = np.conj(F.eval_row(idx)) * G.eval_row(idx)
     return SpectralVector(F.grid, out, E_FIXED)
 
 
@@ -268,32 +270,19 @@ def membership_defect_source(f: SpectralVector) -> float:
     Both sides are evaluated through the clean twist on the stored samples,
     so a vector generated with a broken phase shows a nonzero defect.
     """
-    g = f.grid
-    clean = SpectralVector(g, f.samples, f.tag)
-    broken = f
-    dev = 0.0
-    for i in range(f.nx):
-        dev = max(dev, float(np.max(np.abs(
-            clean.eval_row(i + f.nx) - broken.eval_row(i + f.nx)))))
-    return dev
-
-
-def _map_S_row(f: SpectralVector, i: int) -> np.ndarray:
-    """S(f) at x = i*hx straight from the formula, i unrestricted."""
-    return _y_phase_sq(f.grid) * _reverse_y(f.eval_row(-rescale_factor(f.grid) * i))
+    clean = SpectralVector(f.grid, f.samples, f.tag)
+    idx = np.arange(f.nx) + f.nx
+    return float(np.max(np.abs(clean.eval_row(idx) - f.eval_row(idx))))
 
 
 def membership_transport_defect(f: SpectralVector) -> float:
     """Violation of the E-subspace twist by S(f), with S evaluated from its
     formula on both sides (the stored-sample extension would be circular)."""
     g = f.grid
-    ph = g.twist(1, 1)
-    dev = 0.0
-    for i in range(g.su_steps):
-        lhs = _map_S_row(f, i)
-        rhs = ph * np.roll(_map_S_row(f, i - g.su_steps), g.sv_steps)
-        dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-    return dev
+    i = np.arange(g.su_steps)
+    rhs = g.twist(1, 1) * np.roll(_S_rows(f, i - g.su_steps), g.sv_steps,
+                                  axis=1)
+    return float(np.max(np.abs(_S_rows(f, i) - rhs)))
 
 
 def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,

@@ -100,10 +100,6 @@ class Residuals:
     r3_osc: float      # third equation with the constant c*a0 term removed
     scale: float       # curvature scale used for normalization
 
-    def as_dict(self):
-        return {"r1": self.r1, "r2": self.r2, "r3": self.r3,
-                "r3_osc": self.r3_osc, "scale": self.scale}
-
 
 def critical_residuals(nabla: Connection, battery: Sequence[ModuleVector],
                        theta0: Optional[Curvature2Form] = None,
@@ -114,8 +110,11 @@ def critical_residuals(nabla: Connection, battery: Sequence[ModuleVector],
     components, so a critical connection scores ~0 while the Grassmannian
     connection scores O(1) on the third equation.  When a0 is supplied,
     r3_osc removes the constant multiplication operator c*a0 from equation
-    three before measuring, per the zero-mode policy.
+    three before measuring, per the zero-mode policy.  An empty battery
+    raises ValueError: its maxima would read 0 without measuring anything.
     """
+    if not battery:
+        raise ValueError("critical_residuals needs a nonempty battery")
     if theta0 is None:
         theta0 = curvature_closed(nabla.R)
     theta = curvature_of(nabla, theta0)

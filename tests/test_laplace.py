@@ -85,6 +85,17 @@ def test_construction_is_critical(grid9, R9):
     assert res.r3 < 1e-10
 
 
+def test_empty_battery_is_not_a_pass(R9):
+    # maxima over no vectors used to read 0, a criticality pass that
+    # measured nothing
+    from qhm.yangmills import critical_residuals
+    with pytest.raises(ValueError):
+        critical_residuals(Connection(R9), [])
+    rep = verify_critical(R9)
+    assert rep["residuals"] is None
+    assert rep["residuals_grassmannian"] is None
+
+
 def test_flat_connection_is_not_critical(grid9, R9):
     battery = make_battery(grid9, 3, 0, include=[R9])
     rep = verify_critical(R9, battery=battery)
