@@ -6,22 +6,22 @@ domain: x in [0,1) for flavor D, x in [0,su) for flavor E.  Evaluation at
 arbitrary grid points wraps through the invariance action exactly, which
 keeps every translation in the star products an exact index map.
 
-Components carry the same x-derivative chains as ScalarField, so the
-derivations are exact on elements built from closed forms.
+Each component is one (depth + 1, nxd, ny) x-derivative chain, as in
+ScalarField (see jets), so the derivations are exact on elements built from
+closed forms.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from . import jets
+from .jets import Chain
 from .lattice import CHAIN_DEPTH, Grid, TorusFunction, chain_dx, spectral_dy
-
-Chain = List[np.ndarray]
 
 D_FLAVOR = "D"
 E_FLAVOR = "E"
@@ -57,13 +57,11 @@ class AlgebraElement:
         nxd = self.domain_steps(flavor, grid)
         clean: Dict[int, Chain] = {}
         for p, chain in comps.items():
-            chain = [np.ascontiguousarray(a, complex) for a in chain]
-            for a in chain:
-                if a.shape != (nxd, grid.ny):
-                    raise ValueError(
-                        f"component shape {a.shape} != ({nxd}, {grid.ny})"
-                    )
-            if any(np.any(a) for a in chain):
+            chain = np.asarray(chain, complex)
+            if chain.ndim != 3 or chain.shape[1:] != (nxd, grid.ny):
+                raise ValueError(f"component shape {chain.shape} != "
+                                 f"(depth + 1, {nxd}, {grid.ny})")
+            if np.any(chain):
                 clean[int(p)] = chain
         self.comps = clean
 
@@ -91,8 +89,7 @@ class AlgebraElement:
         d = self.depth if depth is None else depth
         chain = self.comps.get(p)
         if chain is None:
-            z = np.zeros((self.nxd, self.grid.ny), complex)
-            return [z.copy() for _ in range(d + 1)]
+            return np.zeros((d + 1, self.nxd, self.grid.ny), complex)
         return chain[: d + 1]
 
     def norm_inf(self) -> float:
@@ -108,10 +105,9 @@ class AlgebraElement:
 
     @classmethod
     def identity(cls, flavor: str, grid: Grid, depth: int = CHAIN_DEPTH) -> "AlgebraElement":
-        nxd = cls.domain_steps(flavor, grid)
-        one = np.ones((nxd, grid.ny), complex)
-        zero = np.zeros_like(one)
-        return cls(flavor, grid, {0: [one] + [zero.copy() for _ in range(depth)]})
+        chain = np.zeros((depth + 1, cls.domain_steps(flavor, grid), grid.ny), complex)
+        chain[0] = 1
+        return cls(flavor, grid, {0: chain})
 
     @classmethod
     def from_torus(cls, g: TorusFunction, depth: int = CHAIN_DEPTH) -> "AlgebraElement":
@@ -139,9 +135,7 @@ class AlgebraElement:
         d = min((e.depth for e in (self, other) if e.comps), default=0)
         comps = {}
         for p in set(self.comps) | set(other.comps):
-            a = self.component(p, d)
-            b = other.component(p, d)
-            comps[p] = [op(x, y) for x, y in zip(a, b)]
+            comps[p] = op(self.component(p, d), other.component(p, d))
         return AlgebraElement(self.flavor, self.grid, comps)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -152,11 +146,11 @@ class AlgebraElement:
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.flavor, self.grid,
-                              {p: [-a for a in c] for p, c in self.comps.items()})
+                              {p: -c for p, c in self.comps.items()})
 
     def scaled(self, z: complex) -> "AlgebraElement":
         return AlgebraElement(self.flavor, self.grid,
-                              {p: [z * a for a in c] for p, c in self.comps.items()})
+                              {p: z * c for p, c in self.comps.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -178,24 +172,22 @@ class AlgebraElement:
 
     def eval_window(self, p: int, i_lo: int, i_hi: int,
                     dxs: int = 0, dys: int = 0, depth: Optional[int] = None) -> Chain:
-        """Chain arrays W with W[i, j] = comp_p(x_{i_lo+i} + dxs*hx, y_j + dys*hy)."""
+        """Chain W with W[n, i, j] = comp_p^(n)(x_{i_lo+i} + dxs*hx, y_j + dys*hy)."""
         g = self.grid
         N = self.nxd
         d = self.depth if depth is None else depth
-        out = [np.zeros((i_hi - i_lo, g.ny), complex) for _ in range(d + 1)]
+        out = np.zeros((d + 1, i_hi - i_lo, g.ny), complex)
         chain = self.comps.get(p)
         if chain is not None:
             lo, hi = i_lo + dxs, i_hi + dxs
             for k in range(lo // N, (hi - 1) // N + 1):
                 r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
-                ph = self._wrap_phase(k, p)[None, :]
-                for n in range(d + 1):
-                    vals = chain[n][r0 - k * N:r1 - k * N]
-                    if self.flavor == E_FLAVOR and k:
-                        vals = np.roll(vals, k * g.sv_steps, axis=1)
-                    out[n][r0 - lo:r1 - lo] = vals * ph
+                vals = chain[:d + 1, r0 - k * N:r1 - k * N]
+                if self.flavor == E_FLAVOR and k:
+                    vals = np.roll(vals, k * g.sv_steps, axis=2)
+                out[:, r0 - lo:r1 - lo] = vals * self._wrap_phase(k, p)
         if dys:
-            out = [np.roll(a, -dys, axis=1) for a in out]
+            out = np.roll(out, -dys, axis=2)
         return out
 
 
@@ -204,7 +196,7 @@ class AlgebraElement:
 
 def _row_mask(chain: Chain) -> np.ndarray:
     """Rows of a component where some chain entry is nonzero."""
-    return np.logical_or.reduce([np.any(a, axis=1) for a in chain])
+    return np.any(chain, axis=(0, 2))
 
 
 def _runs(mask: np.ndarray):
@@ -240,13 +232,10 @@ def star(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             # window row i reads row (i + dxs) mod N of component r
             for lo, hi in _runs(a_rows & np.roll(b_rows[r], -dxs)):
                 bw = b.eval_window(r, lo, hi, dxs, dys, d)
-                term = jets.mul([x[lo:hi] for x in aq], bw)
                 acc = comps.get(q + r)
                 if acc is None:
-                    acc = comps[q + r] = [np.zeros((N, g.ny), complex)
-                                          for _ in range(d + 1)]
-                for n in range(d + 1):
-                    acc[n][lo:hi] += term[n]
+                    acc = comps[q + r] = np.zeros((d + 1, N, g.ny), complex)
+                acc[:, lo:hi] += jets.mul(aq[:, lo:hi], bw)
     return AlgebraElement(a.flavor, g, comps)
 
 
@@ -261,7 +250,7 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
             w = a.eval_window(q, 0, a.nxd, dxs=-p * g.su_steps, dys=-p * g.sv_steps)
         else:
             w = a.eval_window(q, 0, a.nxd, dxs=p * g.nx_unit, dys=0)
-        comps[p] = [np.conj(x) for x in w]
+        comps[p] = np.conj(w)
     return AlgebraElement(a.flavor, g, comps)
 
 
@@ -280,37 +269,36 @@ def invariance_action(a: AlgebraElement, k: int) -> AlgebraElement:
         else:
             w = a.eval_window(p, 0, a.nxd, dxs=-k * g.su_steps, dys=-k * g.sv_steps)
             ph = g.twist(p, k)
-        comps[p] = [x * ph[None, :] for x in w]
+        comps[p] = w * ph
     return AlgebraElement(a.flavor, g, comps)
 
 
 def derive_component(w: str, a: AlgebraElement, p: int) -> Chain:
     """Chain of component p of derivation(w, a).
 
-    Every term of an entry vanishes on the rows where the chain entry it
-    is built from does, so each is formed on that entry's nonzero rows.
+    Every term vanishes on the rows where the whole chain does, so the
+    chain is formed on its nonzero rows only.
     """
     if w not in ("X", "Y", "Z"):
         raise ValueError(f"unknown Lie label {w!r}")
     g = a.grid
     c = g.params.c
     chain = chain_dx(a.comps[p]) if w == "Y" else a.comps[p]
-    rows = [np.flatnonzero(np.any(arr, axis=1)) for arr in chain]
-    xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[:, None]
-    z = 2j * math.pi * c * p
-    new = []
-    for n, (arr, r) in enumerate(zip(chain, rows)):
-        term = np.zeros(arr.shape, complex)
-        if w == "Z":
-            term[r] = 2j * math.pi * p * c * arr[r]
-        elif w == "Y":
-            term[r] = -arr[r]
-        else:
-            term[r] = z * xs[r] * arr[r] - spectral_dy(arr[r], g.ny)
-            if n >= 1:
-                term[rows[n - 1]] += n * z * chain[n - 1][rows[n - 1]]
-        new.append(term)
-    return new
+    r = np.flatnonzero(_row_mask(chain))
+    rows = chain[:, r]
+    out = np.zeros(chain.shape, complex)
+    if w == "Z":
+        out[:, r] = 2j * math.pi * p * c * rows
+    elif w == "Y":
+        out[:, r] = -rows
+    else:
+        xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[r, None]
+        z = 2j * math.pi * c * p
+        term = z * xs * rows
+        term -= spectral_dy(rows, g.ny)
+        term[1:] += np.arange(1, len(chain))[:, None, None] * z * rows[:-1]
+        out[:, r] = term
+    return out
 
 
 def derivation(w: str, a: AlgebraElement) -> AlgebraElement:

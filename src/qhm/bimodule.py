@@ -17,7 +17,7 @@ Conventions, with e(t) = exp(2 pi i t), su = 2 hbar mu, sv = 2 hbar nu:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -40,22 +40,19 @@ def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
     S = grid.su_steps
     V = grid.sv_steps
     d = min(f.depth, g.depth)
-    comps: Dict[int, List[np.ndarray]] = {}
+    comps: Dict[int, jets.Chain] = {}
     if f.nx == 0 or g.nx == 0:
         return AlgebraElement.zero(D_FLAVOR, grid)
     for p in range(-((g.i1 - f.i0 - 1) // S), (f.i1 - g.i0 - 1) // S + 1):
         lo = max(f.i0, g.i0 + p * S)
         hi = min(f.i1, g.i1 + p * S)
-        a = [x[lo - f.i0:hi - f.i0] for x in f.chain[:d + 1]]
-        b = [np.conj(np.roll(x[lo - p * S - g.i0:hi - p * S - g.i0], p * V, axis=1))
-             for x in g.chain[:d + 1]]
-        term = jets.mul(a, b)
-        acc = [np.zeros((N, grid.ny), complex) for _ in range(d + 1)]
+        b = np.roll(g.chain[:d + 1, lo - p * S - g.i0:hi - p * S - g.i0], p * V, axis=2)
+        term = jets.mul(f.chain[:d + 1, lo - f.i0:hi - f.i0], np.conj(b, out=b))
+        acc = np.zeros((d + 1, N, grid.ny), complex)
         for k in range(lo // N, (hi - 1) // N + 1):
             r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
-            ph = np.conj(grid.twist(k, p))[None, :]
-            for n in range(d + 1):
-                acc[n][r0 - k * N:r1 - k * N] += term[n][r0 - lo:r1 - lo] * ph
+            ph = np.conj(grid.twist(k, p))
+            acc[:, r0 - k * N:r1 - k * N] += term[:, r0 - lo:r1 - lo] * ph
         comps[p] = acc
     return AlgebraElement(D_FLAVOR, grid, comps)
 
@@ -72,23 +69,20 @@ def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
     S = grid.su_steps
     V = grid.sv_steps
     d = min(f.depth, g.depth)
-    comps: Dict[int, List[np.ndarray]] = {}
+    comps: Dict[int, jets.Chain] = {}
     if f.nx == 0 or g.nx == 0:
         return AlgebraElement.zero(E_FLAVOR, grid)
     for p in range(-((f.i1 - g.i0 - 1) // N), (g.i1 - f.i0 - 1) // N + 1):
         lo = max(f.i0, g.i0 - p * N)
         hi = min(f.i1, g.i1 - p * N)
-        a = [np.conj(x[lo - f.i0:hi - f.i0]) for x in f.chain[:d + 1]]
-        b = [x[lo + p * N - g.i0:hi + p * N - g.i0] for x in g.chain[:d + 1]]
-        term = jets.mul(a, b)
-        acc = [np.zeros((S, grid.ny), complex) for _ in range(d + 1)]
+        term = jets.mul(np.conj(f.chain[:d + 1, lo - f.i0:hi - f.i0]),
+                        g.chain[:d + 1, lo + p * N - g.i0:hi + p * N - g.i0])
+        acc = np.zeros((d + 1, S, grid.ny), complex)
         # rows [-kS, S - kS) of f land on [0, S)
         for k in range(-((hi - 1) // S), -(lo // S) + 1):
             r0, r1 = max(lo, -k * S), min(hi, S - k * S)
-            ph = grid.twist(p, k)[None, :]
-            for n in range(d + 1):
-                acc[n][r0 + k * S:r1 + k * S] += \
-                    np.roll(term[n][r0 - lo:r1 - lo], k * V, axis=1) * ph
+            acc[:, r0 + k * S:r1 + k * S] += \
+                np.roll(term[:, r0 - lo:r1 - lo], k * V, axis=2) * grid.twist(p, k)
         comps[p] = acc
     return AlgebraElement(E_FLAVOR, grid, comps)
 
@@ -108,14 +102,11 @@ def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
     if not qs or f.nx == 0:
         return ScalarField.zeros(grid, d)
     lo = f.i0 - qs[-1] * N
-    acc = [np.zeros((f.nx + (qs[-1] - qs[0]) * N, grid.ny), complex)
-           for _ in range(d + 1)]
+    acc = np.zeros((d + 1, f.nx + (qs[-1] - qs[0]) * N, grid.ny), complex)
     for q in qs:
         vals = psi.eval_window(q, f.i0 - q * N, f.i1 - q * N)
-        term = jets.mul([np.conj(a) for a in vals], f.chain)
         r0 = f.i0 - q * N - lo
-        for n in range(d + 1):
-            acc[n][r0:r0 + f.nx] += term[n]
+        acc[:, r0:r0 + f.nx] += jets.mul(np.conj(vals, out=vals), f.chain)
     out = ScalarField(grid, lo, acc).trimmed()
     return out if out.nx else ScalarField.zeros(grid, d)
 
@@ -139,7 +130,7 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
         return ScalarField.zeros(grid)
     lo = g.i0 - qs[-1] * S
     rows = g.nx + (qs[-1] - qs[0]) * S if g.nx else 0
-    acc = [np.zeros((rows, grid.ny), complex) for _ in range(g.depth + 1)]
+    acc = np.zeros((g.depth + 1, rows, grid.ny), complex)
     depths = []
     for q in qs:
         src = phi if w is None else AlgebraElement(
@@ -148,10 +139,9 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
             continue
         depths.append(src.depth)
         vals = src.eval_window(q, g.i0, g.i1)
-        term = jets.mul(g.chain, [np.conj(a) for a in vals])
+        term = jets.mul(g.chain, np.conj(vals, out=vals))
         r0 = g.i0 - q * S - lo
-        for n in range(len(term)):
-            acc[n][r0:r0 + g.nx] += np.roll(term[n], -q * V, axis=1)
+        acc[:len(term), r0:r0 + g.nx] += np.roll(term, -q * V, axis=2)
     depth = min(depths + [g.depth]) if depths else 0
     out = ScalarField(grid, lo, acc[:depth + 1]).trimmed()
     return out if out.nx else ScalarField.zeros(grid, depth)

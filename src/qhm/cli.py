@@ -228,8 +228,7 @@ def _tamper(elem: AlgebraElement) -> AlgebraElement:
     if not elem.comps:
         return elem
     bad = max(elem.p_support)
-    comps = {p: ([-c for c in ch] if p == bad else [c.copy() for c in ch])
-             for p, ch in elem.comps.items()}
+    comps = {p: (-ch if p == bad else ch.copy()) for p, ch in elem.comps.items()}
     return AlgebraElement(elem.flavor, elem.grid, comps)
 
 

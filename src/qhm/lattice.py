@@ -3,9 +3,9 @@
 All translations that occur anywhere in the calculus (integer shifts, shifts
 by multiples of the deformation steps su, sv) are exact index maps on the
 grid, so the algebraic identities downstream hold at machine precision.
-Sampled fields optionally carry a chain of exact x-derivatives; arithmetic
-propagates the chain by the Leibniz rule, which keeps derivative-based
-identities exact as well.
+Sampled fields carry a chain of exact x-derivatives, one (depth + 1, nx, ny)
+array (see jets); arithmetic propagates the chain by the Leibniz rule, which
+keeps derivative-based identities exact as well.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -252,23 +251,20 @@ class ScalarField:
     """Complex sampled function on R x T with compact x-support.
 
     data[i, j] is the value at (x, y) = ((i0 + i)*hx, j*hy); y is periodic.
-    `chain` holds [f, f', f'', ...] -- samples of exact x-derivatives when
-    the field was built from a closed form.  Arithmetic propagates the chain
+    `chain` is the (depth + 1, nx, ny) array whose entry n samples the exact
+    n-th x-derivative, data = chain[0].  Arithmetic propagates the chain
     (Leibniz rule), so dx() stays exact through the calculus.
     """
 
     __slots__ = ("grid", "i0", "chain")
 
-    def __init__(self, grid: Grid, i0: int, chain: Sequence[np.ndarray]):
+    def __init__(self, grid: Grid, i0: int, chain: jets.Chain):
         self.grid = grid
         self.i0 = int(i0)
-        self.chain = [np.ascontiguousarray(a, dtype=complex) for a in chain]
-        nx, ny = self.chain[0].shape
-        if ny != grid.ny:
-            raise ValueError("y-extent mismatch with grid")
-        for a in self.chain[1:]:
-            if a.shape != (nx, ny):
-                raise ValueError("derivative chain shape mismatch")
+        self.chain = np.asarray(chain, complex)
+        if self.chain.ndim != 3 or self.chain.shape[2] != grid.ny:
+            raise ValueError(f"chain shape {self.chain.shape} != (depth + 1, nx, {grid.ny})")
+        nx = self.chain.shape[1]
         if nx and (self.i0 < -grid.i_bound or self.i0 + nx > grid.i_bound):
             raise WindowOverflowError(
                 f"support [{self.i0}, {self.i0 + nx}) exceeds window +-{grid.i_bound}"
@@ -278,17 +274,17 @@ class ScalarField:
 
     @classmethod
     def zeros(cls, grid: Grid, depth: int = 0) -> "ScalarField":
-        return cls(grid, 0, [np.zeros((0, grid.ny), complex) for _ in range(depth + 1)])
+        return cls(grid, 0, np.zeros((depth + 1, 0, grid.ny), complex))
 
     @classmethod
     def from_function(cls, grid: Grid, i_lo: int, i_hi: int, chain_of) -> "ScalarField":
         """Sample a closed-form x-profile, constant in y.
 
-        `chain_of` maps x-samples to the chain [f, f', f'', ...] there.
+        `chain_of` maps x-samples to the (depth + 1, len(xs)) chain there.
         """
         xs = grid.x_of(np.arange(i_lo, i_hi))
         ones = np.ones((1, grid.ny), complex)
-        chain = [np.asarray(f, complex)[:, None] * ones for f in chain_of(xs)]
+        chain = np.asarray(chain_of(xs), complex)[:, :, None] * ones
         return cls(grid, i_lo, chain).trimmed()
 
     # -- basic queries ---------------------------------------------------
@@ -303,7 +299,7 @@ class ScalarField:
 
     @property
     def nx(self) -> int:
-        return self.data.shape[0]
+        return self.chain.shape[1]
 
     @property
     def i1(self) -> int:
@@ -316,21 +312,19 @@ class ScalarField:
         """Drop leading/trailing all-zero x-rows (every chain entry zero)."""
         if self.nx == 0:
             return self
-        nz = np.any([np.any(a, axis=1) for a in self.chain], axis=0)
-        idx = np.flatnonzero(nz)
+        idx = np.flatnonzero(np.any(self.chain, axis=(0, 2)))
         if idx.size == 0:
-            return ScalarField(self.grid, 0,
-                               [a[:0] for a in self.chain])
+            return ScalarField(self.grid, 0, self.chain[:, :0])
         lo, hi = idx[0], idx[-1] + 1
-        return ScalarField(self.grid, self.i0 + lo, [a[lo:hi] for a in self.chain])
+        return ScalarField(self.grid, self.i0 + lo, self.chain[:, lo:hi])
 
-    def window(self, i_lo: int, i_hi: int, n: int = 0) -> np.ndarray:
-        """Samples of chain[n] on [i_lo, i_hi), zero outside support."""
-        out = np.zeros((i_hi - i_lo, self.grid.ny), complex)
+    def window(self, i_lo: int, i_hi: int) -> jets.Chain:
+        """The chain on rows [i_lo, i_hi), zero outside support."""
+        out = np.zeros((len(self.chain), i_hi - i_lo, self.grid.ny), complex)
         lo = max(i_lo, self.i0)
         hi = min(i_hi, self.i1)
         if hi > lo:
-            out[lo - i_lo:hi - i_lo] = self.chain[n][lo - self.i0:hi - self.i0]
+            out[:, lo - i_lo:hi - i_lo] = self.chain[:, lo - self.i0:hi - self.i0]
         return out
 
     # -- arithmetic ------------------------------------------------------
@@ -348,15 +342,14 @@ class ScalarField:
             return ScalarField(self.grid, self.i0, self.chain[:depth + 1])
         lo = min(self.i0, other.i0)
         hi = max(self.i1, other.i1)
-        chain = [self.window(lo, hi, n) + other.window(lo, hi, n)
-                 for n in range(depth + 1)]
-        return ScalarField(self.grid, lo, chain)
+        return ScalarField(self.grid, lo, self.window(lo, hi)[:depth + 1]
+                           + other.window(lo, hi)[:depth + 1])
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         return self + (-other)
 
     def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, self.i0, [-a for a in self.chain])
+        return ScalarField(self.grid, self.i0, -self.chain)
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
@@ -366,7 +359,7 @@ class ScalarField:
     __rmul__ = __mul__
 
     def scaled(self, z: complex) -> "ScalarField":
-        return ScalarField(self.grid, self.i0, [z * a for a in self.chain])
+        return ScalarField(self.grid, self.i0, z * self.chain)
 
     def _pointwise_mul(self, other: "ScalarField") -> "ScalarField":
         self._check(other)
@@ -375,38 +368,36 @@ class ScalarField:
         hi = min(self.i1, other.i1)
         if hi <= lo:
             return ScalarField.zeros(self.grid, depth)
-        a = [self.window(lo, hi, n) for n in range(depth + 1)]
-        b = [other.window(lo, hi, n) for n in range(depth + 1)]
-        return ScalarField(self.grid, lo, jets.mul(a, b)).trimmed()
+        return ScalarField(self.grid, lo, jets.mul(self.window(lo, hi),
+                                                   other.window(lo, hi))).trimmed()
 
     def conj(self) -> "ScalarField":
-        return ScalarField(self.grid, self.i0, [np.conj(a) for a in self.chain])
+        return ScalarField(self.grid, self.i0, np.conj(self.chain))
 
     def shift_steps(self, kx: int, ky: int) -> "ScalarField":
         """result(x, y) = f(x + kx*hx, y + ky*hy); exact index move."""
         chain = self.chain
         if ky % self.grid.ny:
-            chain = [np.roll(a, -ky % self.grid.ny, axis=1) for a in chain]
+            chain = np.roll(chain, -ky % self.grid.ny, axis=2)
         return ScalarField(self.grid, self.i0 - kx, chain)
 
     def y_phase(self, cycles: float, const: float = 0.0) -> "ScalarField":
         """Multiply by e(cycles*y + const) with e(t) = exp(2*pi*i*t)."""
-        ph = np.exp(2j * math.pi * (cycles * self.grid.ys + const))[None, :]
-        return ScalarField(self.grid, self.i0, [a * ph for a in self.chain])
+        ph = np.exp(2j * math.pi * (cycles * self.grid.ys + const))
+        return ScalarField(self.grid, self.i0, self.chain * ph)
 
     # -- calculus --------------------------------------------------------
 
     def dy(self) -> "ScalarField":
         """Spectral derivative along the periodic y-direction."""
-        return ScalarField(self.grid, self.i0,
-                           [spectral_dy(a, self.grid.ny) for a in self.chain])
+        return ScalarField(self.grid, self.i0, spectral_dy(self.chain, self.grid.ny))
 
     def dx(self) -> "ScalarField":
         """x-derivative, read off the attached exact chain."""
         return ScalarField(self.grid, self.i0, chain_dx(self.chain))
 
 
-def chain_dx(chain: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+def chain_dx(chain: jets.Chain) -> jets.Chain:
     """Chain of the x-derivative: the given chain less its first entry."""
     if len(chain) < 2:
         raise ValueError("derivative chain exhausted: an x-derivative needs "
@@ -415,13 +406,14 @@ def chain_dx(chain: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
 
 
 def spectral_dy(a: np.ndarray, ny: int) -> np.ndarray:
-    if a.shape[0] == 0:
+    """Spectral y-derivative along the last axis, which has length ny."""
+    if a.size == 0:
         return a.copy()
     m = np.fft.fftfreq(ny, d=1.0 / ny)
     if ny % 2 == 0:
         m = m.copy()
         m[ny // 2] = 0.0  # drop the unmatched Nyquist mode
-    return np.fft.ifft(np.fft.fft(a, axis=1) * (2j * math.pi * m)[None, :], axis=1)
+    return np.fft.ifft(np.fft.fft(a, axis=-1) * (2j * math.pi * m), axis=-1)
 
 
 def integrate(f: ScalarField) -> complex:
@@ -573,17 +565,13 @@ class TorusFunction:
         np.divide(co, mult, out=out, where=(mult != 0) & ~kernel)
         return TorusFunction.from_fft(self.grid, out)
 
-    def derivative_chain(self, depth: int):
-        """[G, G_x, G_xx, ...] sample arrays to the given depth (spectral)."""
+    def derivative_chain(self, depth: int) -> jets.Chain:
+        """Chain (G, G_x, G_xx, ...) to the given depth (spectral)."""
         mult = self._multiplier("x")
-        out = [self.samples.copy()]
+        out = np.empty((depth + 1,) + self.samples.shape, complex)
+        out[0] = self.samples
         cur = self.fft()
-        for _ in range(depth):
+        for n in range(1, depth + 1):
             cur = cur * mult
-            out.append(TorusFunction.from_fft(self.grid, cur).samples)
+            out[n] = TorusFunction.from_fft(self.grid, cur).samples
         return out
-
-    def is_skew(self, tol: float = 1e-12) -> bool:
-        """Purely imaginary values: conj G = -G."""
-        scale = max(self.norm_inf(), 1.0)
-        return float(np.max(np.abs(self.samples.real))) <= tol * scale

@@ -52,18 +52,19 @@ def ramp_chain(t: np.ndarray, spec: BumpSpec, rising: bool) -> jets.Chain:
     (1 + e^s)^(-1/2) and (1 + e^-s)^(-1/2), so 1 - h never cancels.  Where
     t or 1 - t is at most t_min the chain takes the flat values.
     """
-    out = [np.zeros_like(t, dtype=float) for _ in range(spec.depth + 1)]
-    out[0][(t >= 1 - spec.t_min) if rising else (t <= spec.t_min)] = 1.0
+    out = np.zeros((spec.depth + 1,) + np.shape(t))
+    out[0, (t >= 1 - spec.t_min) if rising else (t <= spec.t_min)] = 1.0
     mid = (t > spec.t_min) & (t < 1 - spec.t_min)
     tm = t[mid]
     sign = 1.0 if rising else -1.0
     # d^n/dt^n (1/t - 1/(1-t)), in closed form
-    s = [sign * math.factorial(n)
-         * ((-1) ** n / tm ** (n + 1) - 1 / (1 - tm) ** (n + 1))
-         for n in range(spec.depth + 1)]
+    s = np.empty((spec.depth + 1,) + tm.shape)
+    for n in range(spec.depth + 1):
+        s[n] = (sign * math.factorial(n)
+                * ((-1) ** n / tm ** (n + 1) - 1 / (1 - tm) ** (n + 1)))
     e = jets.exp(s)
-    for n, r in enumerate(jets.power([1 + e[0]] + e[1:], -0.5)):
-        out[n][mid] = r
+    e[0] += 1
+    out[:, mid] = jets.power(e, -0.5)
     return out
 
 
@@ -72,12 +73,12 @@ def bump_chain(x: np.ndarray, start: float, width: float, top: float,
     """Chain in x of the C-infinity bump that rises on (start, start + width),
     is one on [start + width, top] and falls on (top, top + width)."""
     x = np.asarray(x, dtype=float)
-    out = [np.zeros_like(x) for _ in range(spec.depth + 1)]
-    out[0][(x >= start + width) & (x <= top)] = 1.0
+    out = np.zeros((spec.depth + 1,) + x.shape)
+    out[0, (x >= start + width) & (x <= top)] = 1.0
+    scale = width ** np.arange(spec.depth + 1)[:, None]
     for lo, rising in ((start, True), (top, False)):
         sel = (x > lo) & (x < lo + width)
-        for n, r in enumerate(ramp_chain((x[sel] - lo) / width, spec, rising)):
-            out[n][sel] = r / width ** n
+        out[:, sel] = ramp_chain((x[sel] - lo) / width, spec, rising) / scale
     return out
 
 
@@ -105,11 +106,8 @@ def extract_h_g(Q: AlgebraElement) -> Tuple[ScalarField, ScalarField]:
     d = Q.depth
     h_f = ScalarField(g, 0, Q.component(0, d))
     g_f = ScalarField(g, 0, Q.component(1, d))
-    mirror = Q.eval_window(1, 0, g.nx_unit, dxs=g.su_steps, dys=g.sv_steps)
-    resid = max(
-        float(np.max(np.abs(np.conj(m) - c)))
-        for m, c in zip(mirror[:1], Q.component(-1, 0))
-    )
+    mirror = Q.eval_window(1, 0, g.nx_unit, dxs=g.su_steps, dys=g.sv_steps, depth=0)
+    resid = float(np.max(np.abs(np.conj(mirror[0]) - Q.component(-1, 0)[0])))
     scale = max(g_f.norm_inf(), 1.0)
     if resid > 1e-12 * scale:
         raise ValueError(f"delta_-1 component is not the conjugate mirror ({resid:.2e})")
@@ -118,7 +116,7 @@ def extract_h_g(Q: AlgebraElement) -> Tuple[ScalarField, ScalarField]:
 
 def _profile(R: ModuleVector, i_lo: int, i_hi: int, shift: int = 0) -> np.ndarray:
     """One-variable x-profile samples of R on [i_lo, i_hi) shifted by steps."""
-    return R.window(i_lo + shift, i_hi + shift, 0)[:, 0]
+    return R.window(i_lo + shift, i_hi + shift)[0, :, 0]
 
 
 def verify_R_conditions(R: ModuleVector) -> Dict[str, float]:
@@ -132,11 +130,13 @@ def verify_R_conditions(R: ModuleVector) -> Dict[str, float]:
     g = R.grid
     N, S, V = g.nx_unit, g.su_steps, g.sv_steps
     out: Dict[str, float] = {}
+    # the conditions read values, and order 0 of a product needs only order 0
+    R = ScalarField(g, R.i0, R.chain[:1])
 
     Q = build_Q(R)
     h_f, g_f = extract_h_g(Q)
-    h0 = h_f.window(0, N, 0)
-    g0 = g_f.window(0, N, 0)
+    h0 = h_f.window(0, N)[0]
+    g0 = g_f.window(0, N)[0]
     g_m = Q.eval_window(1, 0, N, dxs=-S, dys=-V, depth=0)[0]
     h_m = Q.eval_window(0, 0, N, dxs=-S, dys=-V, depth=0)[0]
     g_p = Q.eval_window(1, 0, N, dxs=S, dys=V, depth=0)[0]

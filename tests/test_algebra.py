@@ -15,9 +15,9 @@ from qhm import jets
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, FlavorError,
                          adjoint, derivation, element_allclose,
                          invariance_defect, laplacian, star, trace)
-from qhm.bimodule import inner_D, inner_E
+from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import mult_element
-from qhm.lattice import Params, make_grid, spectral_dy
+from qhm.lattice import Params, ScalarField, make_grid, spectral_dy
 from qhm.projection import build_R
 from qhm.random_fields import random_module_vector, random_torus_function
 
@@ -171,6 +171,32 @@ def test_delta_x_chain_matches_closed_form(grid4):
         want = (z * shift * g[n] + n * z * (g[n - 1] if n else 0)
                 - 1j * k * m * g[n]) * e
         assert np.max(np.abs(got[n] - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_chains_are_single_complex_arrays(grid4, rng):
+    # a chain is one (depth + 1, nx, ny) complex array, for fields and for
+    # every component of an element, whatever operation made it
+    f, g = (random_module_vector(grid4, rng) for _ in range(2))
+    phi, psi = inner_D(f, g), inner_E(f, g)
+    elems = [phi, psi, star(phi, phi), adjoint(phi), derivation("X", phi)]
+    fields = [f, act_right(f, phi), act_left(psi, g), f.dy() * g]
+    shapes = [(v.chain, (v.depth + 1, v.nx, grid4.ny)) for v in fields]
+    shapes += [(c, (e.depth + 1, e.nxd, grid4.ny))
+               for e in elems for c in e.comps.values()]
+    for chain, shape in shapes:
+        assert isinstance(chain, np.ndarray)
+        assert chain.dtype == complex and chain.shape == shape
+    assert all(e.comps for e in elems) and all(v.nx for v in fields)
+
+    ny, nxd = grid4.ny, grid4.nx_unit
+    ragged = [np.zeros((3, ny)), np.zeros((2, ny))]
+    for chain in (ragged, np.zeros((1, 3, ny + 1)), np.zeros((3, ny))):
+        with pytest.raises(ValueError):
+            ScalarField(grid4, 0, chain)
+    ragged = [np.zeros((nxd, ny)), np.zeros((nxd - 1, ny))]
+    for chain in (ragged, np.zeros((1, nxd, ny + 1)), np.zeros((nxd, ny))):
+        with pytest.raises(ValueError):
+            AlgebraElement(D_FLAVOR, grid4, {0: chain})
 
 
 # -- the support-row kernels against full-window references -----------------

@@ -142,14 +142,14 @@ def _ref_inner(f, g, flavor):
         acc = None
         for k in ks:
             if flavor == D_FLAVOR:
-                a = [f.window(k * N, (k + 1) * N, n) for n in range(d + 1)]
-                b = [np.conj(np.roll(g.window(k * N - p * S, (k + 1) * N - p * S, n),
+                a = [f.window(k * N, (k + 1) * N)[n] for n in range(d + 1)]
+                b = [np.conj(np.roll(g.window(k * N - p * S, (k + 1) * N - p * S)[n],
                                      p * V, axis=1)) for n in range(d + 1)]
                 ph = _ref_phase(grid.params.c, k, p, ys, sv, -1)[None, :]
             else:
-                a = [np.conj(np.roll(f.window(-k * S, S - k * S, n), k * V, axis=1))
+                a = [np.conj(np.roll(f.window(-k * S, S - k * S)[n], k * V, axis=1))
                      for n in range(d + 1)]
-                b = [np.roll(g.window(p * N - k * S, p * N + S - k * S, n), k * V,
+                b = [np.roll(g.window(p * N - k * S, p * N + S - k * S)[n], k * V,
                              axis=1) for n in range(d + 1)]
                 ph = _ref_phase(grid.params.c, p, k, ys, sv, +1)[None, :]
             if not (np.any(a[0]) and np.any(b[0])):

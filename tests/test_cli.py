@@ -275,3 +275,81 @@ def test_import_loads_no_sympy():
     code = "import sys, qhm.cli; assert 'sympy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
+
+
+# Report numbers of the per-order chain code, recorded with repr at seeds 5
+# (solve) and 7 (verify).  The array chains form every product in the same
+# order, so they must come back bit for bit.
+PINNED_SOLVE = {
+    9: {"ym": 193.61006841215558, "ym_grassmannian": 977.5426280115382,
+        "a0": 8.836845456821019e-16 - 0.9071299842634906j,
+        "residuals": {"r1": 1.214480349694225e-15, "r2": 6.896605342647959e-16,
+                      "r3": 6.350945734709485e-14,
+                      "r3_osc": 6.350945734709485e-14,
+                      "scale": 168.68066332793055},
+        "residuals_grassmannian": {"r1": 1.786698056584289,
+                                   "r2": 3.050460719486218e-14,
+                                   "r3": 93.74260209351631,
+                                   "r3_osc": 93.74260209351631,
+                                   "scale": 168.68066332793055},
+        "laplace_form": {"first_eq": 0.9071299842634937,
+                         "theta_xy": 3.1608123510917994e-15,
+                         "second_eq_osc": 8.64670374815587e-12,
+                         "second_eq_const": 0.9071299842639051}},
+    27: {"ym": 159.10442281051877, "ym_grassmannian": 1032.0036713289005,
+         "a0": 1.0621731397989502e-16 - 0.7878236853309589j,
+         "residuals": {"r1": 8.388159292128106e-15, "r2": 7.890337488304808e-16,
+                       "r3": 1.7669291724381088e-13,
+                       "r3_osc": 1.7669291724381088e-13,
+                       "scale": 200.7844860479144},
+         "residuals_grassmannian": {"r1": 3.4329330349177325,
+                                    "r2": 3.1644729764925476e-14,
+                                    "r3": 78.75391477928795,
+                                    "r3_osc": 78.75391477928795,
+                                    "scale": 200.7844860479144},
+         "laplace_form": {"first_eq": 0.7878236853309639,
+                          "theta_xy": 8.285033136023516e-15,
+                          "second_eq_osc": 3.635629623857668e-11,
+                          "second_eq_const": 0.7878236853309751}},
+}
+
+PINNED_VERIFY = {
+    "projection_idempotent": 3.3975686634380557e-16,
+    "projection_selfadjoint": 5.398084850998443e-16,
+    "module_frame": 4.440892098500626e-16,
+    "projection_trace": 0.0,
+    "condition_B-1": 0.0,
+    "condition_B-2": 4.440892098500626e-16,
+    "condition_B-3": 4.440892098500626e-16,
+    "condition_C-1": 0.0,
+    "condition_C-2": 4.440892098500626e-16,
+    "condition_C-3": 0.0,
+    "condition_b-1": 0.0,
+    "condition_b-2": 1.2862871998485766e-16,
+    "condition_b-3": 2.7755575615628914e-16,
+    "condition_d-1": 4.440892098500626e-16,
+    "condition_d-2": 0.0,
+    "curvature_xz_vanishes": 3.641334780857857e-14,
+    "curvature_skew": 5.874510523090839e-13,
+    "curvature_profiles": 0.0,
+    "commutator_x": 1.5594876509899228e-14,
+    "commutator_y": 3.7970674445337e-15,
+    "commutator_z": 2.513056861604302e-15,
+    "laplace_eigenfunction": 8.561288988912328e-14,
+    "connection_leibniz": 5.479346282534217e-16,
+    "metric_compatibility": 8.272825316471308e-14,
+}
+
+
+@pytest.mark.parametrize("refinement", sorted(PINNED_SOLVE))
+def test_solve_report_is_pinned(params, tmp_path, refinement):
+    cfg = RunConfig(params=params, refinement=refinement, seed=5,
+                    out=str(tmp_path))
+    rep = run_solve(cfg)
+    assert {k: rep[k] for k in PINNED_SOLVE[refinement]} == PINNED_SOLVE[refinement]
+
+
+def test_verify_report_is_pinned(params, tmp_path):
+    cfg = RunConfig(params=params, refinement=9, seed=7, out=str(tmp_path))
+    rep = run_verify(cfg)
+    assert {c["name"]: c["violation"] for c in rep["checks"]} == PINNED_VERIFY

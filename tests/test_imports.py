@@ -1,6 +1,8 @@
-"""Source hygiene: every name a qhm module imports is used in that module."""
+"""Source hygiene: every name a qhm module imports is used in that module,
+and every function or class a qhm module defines is named somewhere else."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from qhm import algebra
 
 MODULES = sorted(Path(algebra.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str):
@@ -35,3 +38,31 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_name():
     src = "import math\nfrom typing import Dict, List\nx: List[int] = []\n"
     assert unused_imports(src) == [(1, "math"), (2, "Dict")]
+
+
+DEF = re.compile(r"^\s*(?:def|class)\s+(\w+)", re.M)
+
+
+def unused_definitions(defining, sources):
+    """Non-dunder names defined by `def` or `class` in the `defining` texts
+    that no line of `sources` names (word match) except a definition."""
+    names = {name for text in defining for name in DEF.findall(text)
+             if not (name.startswith("__") and name.endswith("__"))}
+    rest = "\n".join(line for text in sources for line in text.splitlines()
+                     if not DEF.match(line))
+    return sorted(name for name in names if not re.search(rf"\b{name}\b", rest))
+
+
+def test_no_dead_definitions():
+    sources = [path.read_text(encoding="utf-8")
+               for top in ("src", "tests", "bench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    defining = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unused_definitions(defining, sources) == []
+
+
+def test_guard_sees_a_dead_definition():
+    src = ("class Used:\n    def __init__(self):\n        pass\n\n"
+           "    def gone(self):\n        return Used()\n\n"
+           "def _helper():\n    pass\n")
+    assert unused_definitions([src], [src]) == ["_helper", "gone"]

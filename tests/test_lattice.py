@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhm.calculus import StructureError, check_skew
 from qhm.lattice import (CommensurabilityError, Params, ScalarField,
                          TorusFunction, WindowOverflowError, integrate,
                          make_grid, y_bandwidth)
@@ -106,7 +107,7 @@ class TestScalarField:
         g = f.shift_steps(grid2.steps_of(Fraction(1, 4)), grid2.sv_steps)
         # value at x of the shift equals value at x + su of the original
         i = grid2.su_steps
-        assert np.allclose(g.window(0, 4, 0), f.window(i, 4 + i, 0))
+        assert np.allclose(g.window(0, 4)[0], f.window(i, 4 + i)[0])
 
     def test_product_chain_is_leibniz_exact(self, grid4):
         f = gaussian_chain(grid4)
@@ -188,9 +189,10 @@ class TestTorusFunction:
 
     def test_skew_detection(self, grid2):
         g = TorusFunction(grid2, 1j * np.ones((grid2.su_steps, grid2.ny)))
-        assert g.is_skew()
-        assert not (g + TorusFunction(
-            grid2, np.ones((grid2.su_steps, grid2.ny)))).is_skew()
+        check_skew(g, "g")
+        with pytest.raises(StructureError):
+            check_skew(g + TorusFunction(
+                grid2, np.ones((grid2.su_steps, grid2.ny))), "g + 1")
 
 
 @settings(max_examples=25, deadline=None)

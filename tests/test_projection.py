@@ -63,8 +63,8 @@ def test_h_g_split_structure(grid2, Q2):
 def test_r_is_real_and_partition(R2, grid2):
     assert np.max(np.abs(R2.data.imag)) == 0.0
     S = grid2.su_steps
-    r0 = R2.window(0, S, 0)[:, 0]
-    rm = R2.window(-S, 0, 0)[:, 0]
+    r0 = R2.window(0, S)[0, :, 0]
+    rm = R2.window(-S, 0)[0, :, 0]
     assert np.max(np.abs(r0 ** 2 + rm ** 2 - 1)) < 1e-12
 
 

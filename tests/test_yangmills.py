@@ -124,4 +124,4 @@ def test_equations_read_no_chain_order_beyond_one(params, grid9, R9):
             a, b = full[i], short[i]
             assert a.norm_inf() > 0
             lo, hi = min(a.i0, b.i0), max(a.i1, b.i1)
-            assert np.array_equal(a.window(lo, hi), b.window(lo, hi))
+            assert np.array_equal(a.window(lo, hi)[0], b.window(lo, hi)[0])
