@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -100,35 +100,28 @@ def build_perturbation(f1: TorusFunction, g3: TorusFunction, c: int,
     return Perturbation(g1, TorusFunction.zeros(f1.grid), g3_out)
 
 
-def verify_critical(R: ModuleVector, pert: Optional[Perturbation] = None,
-                    battery: Sequence[ModuleVector] = (),
+def verify_critical(R: ModuleVector,
                     absorb_zero_mode: bool = True) -> Dict[str, object]:
-    """Run the full construction (if pert is None) and measure criticality."""
-    grid = R.grid
-    c = grid.params.c
+    """Run the full construction and measure criticality of it and of the
+    Grassmannian connection, both against one theta0."""
+    c = R.grid.params.c
     theta0 = curvature_closed(R)
     f1, f2 = extract_f1_f2(theta0)
     rhs = assemble_rhs(f1, f2, c)
-    if pert is None:
-        g3 = solve_poisson(rhs)
-        pert = build_perturbation(f1, g3, c, absorb_zero_mode)
+    pert = build_perturbation(f1, solve_poisson(rhs), c, absorb_zero_mode)
     nabla = Connection(R, pert)
     nabla0 = Connection(R)
     # with the zero mode absorbed into G3 the third equation holds as
-    # stated, so there is no constant operator to strip in r3_osc; without
-    # a battery nothing is measured, and the residuals are None, not 0
-    res = res0 = None
-    if battery:
-        res = critical_residuals(nabla, battery, theta0,
-                                 a0=0.0 if absorb_zero_mode else rhs.a0)
-        res0 = critical_residuals(nabla0, battery, theta0, a0=0.0)
-        res, res0 = asdict(res), asdict(res0)
+    # stated, so there is no constant to strip in r3_osc
+    res = critical_residuals(nabla, theta0,
+                             a0=0.0 if absorb_zero_mode else rhs.a0)
+    res0 = critical_residuals(nabla0, theta0)
     return {
         "a0": rhs.a0,
         "discarded_mean": rhs.discarded_mean,
         "absorb_zero_mode": absorb_zero_mode,
-        "residuals": res,
-        "residuals_grassmannian": res0,
+        "residuals": asdict(res),
+        "residuals_grassmannian": asdict(res0),
         "ym": ym_value(nabla, theta0),
         "ym_grassmannian": ym_value(nabla0, theta0),
         "perturbation": pert,

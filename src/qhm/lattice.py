@@ -21,15 +21,17 @@ from . import jets
 
 # Depth of the x-derivative chains that sampled fields and algebra elements
 # carry.  Y-derivations consume one order each, and the deepest consumer,
-# nabla_Y applied to Theta . f in the criticality residuals, starts from the
-# curvature Theta, which is built from R and so already has one order less
-# than R.  Depth 2 is therefore the least whose chains never run out; at
-# depth 1 that derivative raises (chain_dx).
+# delta_Y of <R, Theta . R>_D in the Euler-Lagrange elements (yangmills),
+# starts from the curvature Theta, which is built from R and so already has
+# one order less than R.  Depth 2 is therefore the least whose chains never
+# run out; at depth 1 that derivative raises (chain_dx).
 CHAIN_DEPTH = 2
 
-# Test vectors of a solve run (random_fields.make_battery): the unit-width
-# envelope on (-1/2, 1/2), moved by up to this many su in x and modulated
-# by e(m y) with |m| up to this many modes.
+# Random test vectors (random_fields) of verify's pairings and of the tests'
+# operator oracle for the criticality elements: the unit-width envelope on
+# (-1/2, 1/2), moved by up to this many su in x and modulated by e(m y)
+# with |m| up to this many modes.  Solve draws none, but its grid carries
+# them (y_bandwidth), so the oracle can run on it.
 BATTERY_Y_MODES = 1
 BATTERY_SHIFT_UNITS = 1
 
@@ -170,13 +172,6 @@ class Grid:
 
     def x_of(self, i) -> np.ndarray:
         return np.asarray(i, dtype=float) * self.hx_f
-
-    def steps_of(self, dx: Fraction) -> int:
-        """Exact number of x-steps in a shift, or raise."""
-        q = _as_fraction(dx) / self.hx
-        if q.denominator != 1:
-            raise CommensurabilityError(f"shift {dx} is not a multiple of hx={self.hx}")
-        return int(q)
 
 
 def y_bandwidth(params: Params, pairwise: bool = False) -> int:
@@ -416,16 +411,6 @@ def spectral_dy(a: np.ndarray, ny: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(a, axis=-1) * (2j * math.pi * m), axis=-1)
 
 
-def integrate(f: ScalarField) -> complex:
-    """Equal-weight Riemann sum hx*hy*sum over the support x one y-period.
-
-    Exact for trigonometric polynomials in y; superalgebraic for smooth
-    compactly supported x-data.
-    """
-    g = f.grid
-    return complex(np.sum(f.data)) * g.hx_f * g.hy_f
-
-
 # -- skew-torus functions ------------------------------------------------
 
 
@@ -450,15 +435,6 @@ class TorusFunction:
     @classmethod
     def zeros(cls, grid: Grid) -> "TorusFunction":
         return cls(grid, np.zeros((grid.su_steps, grid.ny), complex))
-
-    def eval_idx(self, i, j):
-        """Value at global grid point (i*hx, j*hy); exact L-reduction."""
-        S = self.grid.su_steps
-        i = np.asarray(i)
-        k = np.floor_divide(i, S)
-        ii = i - k * S
-        jj = np.mod(np.asarray(j) - k * self.grid.sv_steps, self.grid.ny)
-        return self.samples[ii, jj]
 
     # arithmetic ----------------------------------------------------------
 

@@ -50,11 +50,11 @@ def battery_bandwidth(grid: Grid, pairwise: bool = False):
     exceeds twice lattice.y_bandwidth, else (0, 0), which leaves y-constant
     envelopes at the origin.
 
-    Solve's battery vectors only meet the narrow R, and make_grid sizes ny
-    for that band, so on its default grids they keep both.  `qhm verify`
-    pairs two vectors in <f, g>_D (pairwise=True), whose wrap phases need
-    the wider band of two spread-out vectors; for c = 1 and sv = 1/4 the
-    refinement-tied grid has it from refinement 4 on.
+    Battery vectors on solve's grid only meet the narrow R, and make_grid
+    sizes ny for that band, so on its default grids they keep both.
+    `qhm verify` pairs two vectors in <f, g>_D (pairwise=True), whose wrap
+    phases need the wider band of two spread-out vectors; for c = 1 and
+    sv = 1/4 the refinement-tied grid has it from refinement 4 on.
     """
     if grid.ny >= 2 * y_bandwidth(grid.params, pairwise) + 1:
         return BATTERY_Y_MODES, BATTERY_SHIFT_UNITS

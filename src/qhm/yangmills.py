@@ -1,30 +1,29 @@
 """The 2-form pairing, the Yang-Mills functional, and criticality residuals.
 
 YM(nabla) = -tau_E({Theta, Theta}_E) with the pairing summed over the
-three basis 2-vectors.  A connection is critical when the three operator
-equations
+three basis 2-vectors.  A connection is critical when the three elements
 
-  [nabla_Y, Theta(X,Y)] + [nabla_Z, Theta(X,Z)] = 0
-  [nabla_X, Theta(Y,X)] + [nabla_Z, Theta(Y,Z)] = 0
-  [nabla_X, Theta(Z,X)] + [nabla_Y, Theta(Z,Y)] - c Theta(X,Y) = 0
+  [nabla_Y, Theta(X,Y)] + [nabla_Z, Theta(X,Z)]
+  [nabla_X, Theta(Y,X)] + [nabla_Z, Theta(Y,Z)]
+  [nabla_X, Theta(Z,X)] + [nabla_Y, Theta(Z,Y)] - c Theta(X,Y)
 
-hold; the residuals measure them as operators on a seeded battery of test
-vectors, normalized by the unperturbed curvature scale.
+of E vanish.  As <R,R>_E = Id, f = R . <R,f>_D, so for T in E and
+t = <R, T . R>_D the commutator [nabla0_W, T] is the element
+<R . delta_W(t), R>_E (Connes-Rieffel); a multiplication-type perturbation
+G adds G * T - T * G.  The residuals are the elements' sup-norms over the
+curvature scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-import numpy as np
-
-from .algebra import AlgebraElement, bracket, star, trace
-from .bimodule import ModuleVector, act_left, inner_D
+from .algebra import AlgebraElement, E_FLAVOR, bracket, star, trace
+from .bimodule import ModuleVector, act_left, act_right, inner_D, inner_E
 from .calculus import (Connection, Curvature2Form, Perturbation, connect,
                        curvature_closed, curvature_of, mult_element)
-from .lattice import TorusFunction
 
 BASIS = ("X", "Y", "Z")
 
@@ -51,8 +50,9 @@ def ym_value(nabla: Connection, theta0: Optional[Curvature2Form] = None) -> floa
 
 def euler_lagrange_apply(nabla: Connection, theta: Curvature2Form,
                          f: ModuleVector) -> Dict[str, ModuleVector]:
-    """Left sides of the critical-point equations on f, keyed by basis
-    element i and assembled generically from the bracket table:
+    """Left sides of the critical-point equations applied to f as
+    operators, keyed by basis element i and assembled generically from the
+    bracket table (the operator oracle for euler_lagrange_elements):
 
     sum_j [nabla_{Z_j}, Theta(Z_i ^ Z_j)] f - sum_{j<k} c^i_{jk} Theta(Z_j ^ Z_k) f
 
@@ -92,6 +92,41 @@ def euler_lagrange_apply(nabla: Connection, theta: Curvature2Form,
     return eqs
 
 
+def euler_lagrange_elements(nabla: Connection,
+                            theta: Curvature2Form) -> Dict[str, AlgebraElement]:
+    """Left sides of the critical-point equations as elements of E, keyed
+    by basis element i and assembled from the bracket table:
+
+    sum_j [nabla_{Z_j}, Theta(Z_i ^ Z_j)] - sum_{j<k} c^i_{jk} Theta(Z_j ^ Z_k)
+
+    For j < k, T = Theta(Z_j ^ Z_k) enters equation j through [nabla_{Z_k}, T]
+    and equation k through -[nabla_{Z_j}, T]; one t = <R, T . R>_D serves
+    both, and the perturbation's elements are built once.
+    """
+    R = nabla.R
+    c = nabla.grid.params.c
+    pert = nabla.perturbation
+    mults = {} if pert is None else {
+        j: mult_element(pert.component(j), 1) for j in BASIS}
+
+    def commutator(t: AlgebraElement, t_hat: AlgebraElement, j: str):
+        out = inner_E(act_right(R, t_hat, j), R)
+        if j in mults:
+            out = out + (star(mults[j], t) - star(t, mults[j]))
+        return out
+
+    eqs = {i: AlgebraElement.zero(E_FLAVOR, nabla.grid) for i in BASIS}
+    for a, b in combinations(BASIS, 2):
+        t = theta.component(a, b)
+        t_hat = inner_D(R, act_left(t, R))
+        eqs[a] = eqs[a] + commutator(t, t_hat, b)
+        eqs[b] = eqs[b] - commutator(t, t_hat, a)
+        sign, lbl = bracket(a, b)
+        if sign:
+            eqs[lbl] = eqs[lbl] - t.scaled(sign * c)
+    return eqs
+
+
 @dataclass(frozen=True)
 class Residuals:
     r1: float
@@ -101,51 +136,26 @@ class Residuals:
     scale: float       # curvature scale used for normalization
 
 
-def critical_residuals(nabla: Connection, battery: Sequence[ModuleVector],
+def critical_residuals(nabla: Connection,
                        theta0: Optional[Curvature2Form] = None,
                        a0: complex = 0.0) -> Residuals:
-    """Max relative residual of the three equations over the battery.
-
-    Normalization: ||f||_inf times the sup of the unperturbed curvature
-    components, so a critical connection scores ~0 while the Grassmannian
-    connection scores O(1) on the third equation.  When a0 is supplied,
-    r3_osc removes the constant multiplication operator c*a0 from equation
-    three before measuring, per the zero-mode policy.  An empty battery
-    raises ValueError: its maxima would read 0 without measuring anything.
+    """Sup-norms of the three Euler-Lagrange elements over the curvature
+    scale, the sup of the unperturbed and perturbed curvature components:
+    a critical connection scores ~0, the Grassmannian one O(1) on the
+    third equation.  When a0 is supplied, r3_osc adds c*a0 times the
+    identity to the third element, which removes the constant left by the
+    mean-zero Poisson solve (the zero-mode policy of laplace).
     """
-    if not battery:
-        raise ValueError("critical_residuals needs a nonempty battery")
     if theta0 is None:
         theta0 = curvature_closed(nabla.R)
     theta = curvature_of(nabla, theta0)
-    c = nabla.grid.params.c
     cscale = max(theta0.norm_inf(), theta.norm_inf(), 1e-30)
-    const_el = None
-    if a0 != 0.0:
-        g = nabla.grid
-        const_el = mult_element(TorusFunction(
-            g, np.full((g.su_steps, g.ny), a0, complex)), 1)
-    worst = [0.0, 0.0, 0.0, 0.0]
-    for f in battery:
-        fs = max(f.norm_inf(), 1e-30)
-        # The norms read order 0 of each equation, and delta_Y, the only
-        # derivation that uses up a chain order, acts once: order 1 of f
-        # is the last one that reaches them.
-        f = ModuleVector(f.grid, f.i0, f.chain[:2])
-        eqs = euler_lagrange_apply(nabla, theta, f)
-        for idx, i in enumerate(BASIS):
-            r = eqs[i]
-            worst[idx] = max(worst[idx], r.norm_inf() / (fs * cscale))
-            if i == "Z":
-                if const_el is not None:
-                    # eq three contains -c*Theta(X,Y); adding back the
-                    # constant operator isolates the oscillatory residual
-                    r_osc = r + act_left(const_el, f).scaled(c)
-                else:
-                    r_osc = r
-                worst[3] = max(worst[3], r_osc.norm_inf() / (fs * cscale))
-    return Residuals(r1=worst[0], r2=worst[1], r3=worst[2], r3_osc=worst[3],
-                     scale=cscale)
+    eqs = euler_lagrange_elements(nabla, theta)
+    const = AlgebraElement.identity(E_FLAVOR, nabla.grid, depth=0).scaled(
+        nabla.grid.params.c * a0)
+    r1, r2, r3, r3_osc = (e.norm_inf() / cscale for e in
+                          (eqs["X"], eqs["Y"], eqs["Z"], eqs["Z"] + const))
+    return Residuals(r1=r1, r2=r2, r3=r3, r3_osc=r3_osc, scale=cscale)
 
 
 def ym_directional(nabla: Connection, direction: Perturbation, t: float = 1e-4,

@@ -158,7 +158,7 @@ class TestVerify:
 
 class TestSolve:
     def test_solve_writes_report_and_csv(self, tmp_path):
-        code, out = run(tmp_path, "solve")
+        code, out = run(tmp_path, "solve", "--refinement", "9")
         assert code == 0
         rep = json.loads((out / "solve_summary.json").read_text())
         assert rep["all_pass"]
@@ -202,7 +202,7 @@ class TestSolve:
                             out=str(tmp_path))
             assert run_solve(cfg)["grid"] == {
                 "nx_unit": nx_unit, "ny": 12, "y_bandwidth": 4,
-                "battery_size": 5, "chain_depth": 2}
+                "chain_depth": 2}
             lines = (tmp_path / "g3.csv").read_text().splitlines()
             assert len(lines) == 1 + refinement * 12
 
@@ -214,11 +214,89 @@ class TestSolve:
         assert (out1 / "g3.csv").read_bytes() == (out2 / "g3.csv").read_bytes()
 
     def test_sweep_table(self, tmp_path):
-        code, out = run(tmp_path, "solve", "--sweep", "--refinement", "1")
+        code, out = run(tmp_path, "solve", "--sweep", "--refinement", "3")
         assert code == 0
         rep = json.loads((out / "solve_summary.json").read_text())
         refs = [row["refinement"] for row in rep["sweep"]]
-        assert refs == [1, 2, 3]
+        assert refs == [3, 6, 9]
+
+    @pytest.mark.parametrize("refinement, failing", [
+        (2, {"curvature_resolved"}),
+        (8, {"critical_z", "theta_xy"}),
+        (90, {"critical_z", "theta_xy"})], ids=["r2", "r8", "r90"])
+    def test_unresolved_solve_is_not_a_pass(self, tmp_path, refinement,
+                                            failing):
+        # 2: the ramp has no interior samples and the curvature vanishes;
+        # 8 and 90: on even grids the odd-derivative operators zero the
+        # self-paired Nyquist modes (r3 3.9e-3 at 8; theta_xy 2.2e-4 and
+        # r3 1.1e-6 at 90)
+        code, out = run(tmp_path, "solve", "--refinement", str(refinement))
+        assert code == 1
+        rep = json.loads((out / "solve_summary.json").read_text())
+        assert rep["all_pass"] is False
+        assert {c["name"] for c in rep["checks"] if not c["pass"]} == failing
+
+    def test_resolved_solve_passes_every_check(self, tmp_path):
+        code, out = run(tmp_path, "solve", "--refinement", "27")
+        assert code == 0
+        rep = json.loads((out / "solve_summary.json").read_text())
+        assert rep["all_pass"] is True
+        assert [c["name"] for c in rep["checks"]] == [
+            "critical_x", "critical_y", "critical_z", "theta_xy",
+            "curvature_resolved"]
+        for c in rep["checks"]:
+            assert c["pass"] is True and c["anchor"]
+
+    def test_solve_reads_no_test_vectors(self, params, tmp_path, monkeypatch):
+        # criticality is measured as elements of E: no battery is drawn and
+        # no equation is applied to a vector
+        from qhm import random_fields, yangmills
+        calls = []
+        for mod, name in ((random_fields, "make_battery"),
+                          (yangmills, "euler_lagrange_apply")):
+            fn = getattr(mod, name)
+
+            def counting(*args, _name=name, _fn=fn, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            for mod_name, m in list(sys.modules.items()):
+                if mod_name.startswith("qhm") and getattr(m, name, None) is fn:
+                    monkeypatch.setattr(m, name, counting)
+        cfg = RunConfig(params=params, refinement=9, seed=0, out=str(tmp_path))
+        run_solve(cfg, sweep=True)
+        assert calls == []
+
+    def test_solve_report_does_not_depend_on_seed(self, params, tmp_path):
+        reps = [run_solve(RunConfig(params=params, refinement=9, seed=seed,
+                                    out=str(tmp_path / str(seed))))
+                for seed in (0, 5)]
+        assert [r["config"].pop("seed") for r in reps] == [0, 5]
+        assert reps[0] == reps[1]
+
+
+def test_reports_write_json_booleans(tmp_path):
+    # bool is a subclass of int; every pass flag must still read back as
+    # true or false, not 1 or 0
+    def flags(node):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                if k in ("pass", "all_pass"):
+                    yield v
+                yield from flags(v)
+        elif isinstance(node, list):
+            for v in node:
+                yield from flags(v)
+
+    for argv, name in ((["verify"], "verify_report.json"),
+                       (["morita"], "morita_report.json"),
+                       (["solve", "--refinement", "9"], "solve_summary.json"),
+                       (["solve"], "solve_summary.json")):
+        _, out = run(tmp_path / name, *argv)
+        with open(out / name, encoding="utf-8") as fh:
+            values = list(flags(json.load(fh)))
+        assert len(values) > 1
+        assert all(v is True or v is False for v in values)
 
 
 class TestMorita:
@@ -277,20 +355,22 @@ def test_import_loads_no_sympy():
                    timeout=120)
 
 
-# Report numbers of the per-order chain code, recorded with repr at seeds 5
-# (solve) and 7 (verify).  The array chains form every product in the same
-# order, so they must come back bit for bit.
+# Report numbers recorded with repr at seeds 5 (solve) and 7 (verify).  The
+# verify numbers, and ym, a0 and laplace_form of solve, date from the
+# per-order chain code; the residuals from the E-element form of the
+# Euler-Lagrange equations, which reads no seed.  Any change of the order
+# in which products are formed shows here.
 PINNED_SOLVE = {
     9: {"ym": 193.61006841215558, "ym_grassmannian": 977.5426280115382,
         "a0": 8.836845456821019e-16 - 0.9071299842634906j,
-        "residuals": {"r1": 1.214480349694225e-15, "r2": 6.896605342647959e-16,
-                      "r3": 6.350945734709485e-14,
-                      "r3_osc": 6.350945734709485e-14,
+        "residuals": {"r1": 1.2144803496942248e-15, "r2": 4.349515155547144e-17,
+                      "r3": 6.369689300745685e-14,
+                      "r3_osc": 6.369689300745685e-14,
                       "scale": 168.68066332793055},
-        "residuals_grassmannian": {"r1": 1.786698056584289,
-                                   "r2": 3.050460719486218e-14,
-                                   "r3": 93.74260209351631,
-                                   "r3_osc": 93.74260209351631,
+        "residuals_grassmannian": {"r1": 1.7866980565844601,
+                                   "r2": 2.4907948841221237e-14,
+                                   "r3": 93.74260209351634,
+                                   "r3_osc": 93.74260209351634,
                                    "scale": 168.68066332793055},
         "laplace_form": {"first_eq": 0.9071299842634937,
                          "theta_xy": 3.1608123510917994e-15,
@@ -298,14 +378,14 @@ PINNED_SOLVE = {
                          "second_eq_const": 0.9071299842639051}},
     27: {"ym": 159.10442281051877, "ym_grassmannian": 1032.0036713289005,
          "a0": 1.0621731397989502e-16 - 0.7878236853309589j,
-         "residuals": {"r1": 8.388159292128106e-15, "r2": 7.890337488304808e-16,
-                       "r3": 1.7669291724381088e-13,
-                       "r3_osc": 1.7669291724381088e-13,
+         "residuals": {"r1": 8.388159292128114e-15, "r2": 1.0639289481682447e-16,
+                       "r3": 1.767225061715653e-13,
+                       "r3_osc": 1.767225061715653e-13,
                        "scale": 200.7844860479144},
-         "residuals_grassmannian": {"r1": 3.4329330349177325,
-                                    "r2": 3.1644729764925476e-14,
-                                    "r3": 78.75391477928795,
-                                    "r3_osc": 78.75391477928795,
+         "residuals_grassmannian": {"r1": 3.432933034917864,
+                                    "r2": 2.95788537995973e-14,
+                                    "r3": 78.75391477928797,
+                                    "r3_osc": 78.75391477928797,
                                     "scale": 200.7844860479144},
          "laplace_form": {"first_eq": 0.7878236853309639,
                           "theta_xy": 8.285033136023516e-15,

@@ -74,40 +74,26 @@ def test_assemble_rhs_splits_zero_mode(grid9, R9):
     assert abs(rhs.a0.imag) > 0.5
 
 
-def test_construction_is_critical(grid9, R9):
-    battery = make_battery(grid9, 3, 0, include=[R9])
+def test_construction_is_critical(R9):
     rep = verify_critical(R9)
     from qhm.yangmills import critical_residuals
     nabla = Connection(R9, rep["perturbation"])
-    res = critical_residuals(nabla, battery, rep["theta0"])
+    res = critical_residuals(nabla, rep["theta0"])
     assert res.r1 < 1e-10
     assert res.r2 < 1e-10
     assert res.r3 < 1e-10
 
 
-def test_empty_battery_is_not_a_pass(R9):
-    # maxima over no vectors used to read 0, a criticality pass that
-    # measured nothing
-    from qhm.yangmills import critical_residuals
-    with pytest.raises(ValueError):
-        critical_residuals(Connection(R9), [])
+def test_flat_connection_is_not_critical(R9):
     rep = verify_critical(R9)
-    assert rep["residuals"] is None
-    assert rep["residuals_grassmannian"] is None
-
-
-def test_flat_connection_is_not_critical(grid9, R9):
-    battery = make_battery(grid9, 3, 0, include=[R9])
-    rep = verify_critical(R9, battery=battery)
     res0 = rep["residuals_grassmannian"]
     assert res0["r3"] > 1.0
 
 
 def test_zero_mode_policy(grid9, R9):
     # absorbed: third equation holds as stated; mean-zero: c*a0 remains
-    battery = make_battery(grid9, 2, 0)
-    rep_abs = verify_critical(R9, battery=battery, absorb_zero_mode=True)
-    rep_osc = verify_critical(R9, battery=battery, absorb_zero_mode=False)
+    rep_abs = verify_critical(R9, absorb_zero_mode=True)
+    rep_osc = verify_critical(R9, absorb_zero_mode=False)
     assert rep_abs["residuals"]["r3"] < 1e-10
     assert rep_osc["residuals"]["r3"] > 1e-3        # constant c*a0 defect
     assert rep_osc["residuals"]["r3_osc"] < 1e-10   # removed in the osc part
@@ -164,9 +150,7 @@ def _on_y_grid(a: np.ndarray, ny: int) -> np.ndarray:
 def _solve_on(grid, seed):
     R = build_R(grid.params, grid)
     battery = make_battery(grid, 4, seed, include=[R])
-    # the residuals over R and two of solve's four vectors keep the test
-    # short; the connection comparison below takes all of them
-    rep = verify_critical(R, battery=battery[:3])
+    rep = verify_critical(R)
     form = laplace_form_residuals(rep["f1"], rep["f2"], rep["perturbation"],
                                   grid.params.c)
     nabla0 = [grassmann_apply(R, w, f) for f in battery for w in "XYZ"]
@@ -210,8 +194,8 @@ def test_default_grid_matches_refinement_tied_grid(c, sv, refinement):
     assert any(np.max(np.abs(f.data - f.data[:, :1])) > 1e-3 * f.norm_inf()
                for f in battery[1:])
 
-    # The residuals are maxima over the battery, which R attains, so they
-    # would not see a vector the coarse grid mishandles: compare the
+    # The residuals are norms of E-elements and read no test vector, so
+    # they would not see a vector the coarse grid mishandles: compare the
     # Grassmannian connection of every vector along every direction.
     for a, b in zip(nabla0, ref_nabla0):
         lo, hi = min(a.i0, b.i0), max(a.i1, b.i1)

@@ -10,8 +10,34 @@ from hypothesis import strategies as st
 
 from qhm.calculus import StructureError, check_skew
 from qhm.lattice import (CommensurabilityError, Params, ScalarField,
-                         TorusFunction, WindowOverflowError, integrate,
-                         make_grid, y_bandwidth)
+                         TorusFunction, WindowOverflowError, make_grid,
+                         y_bandwidth)
+
+
+def steps_of(grid, dx):
+    """Exact number of x-steps in a shift, or raise."""
+    q = Fraction(dx) / grid.hx
+    if q.denominator != 1:
+        raise CommensurabilityError(f"shift {dx} is not a multiple of hx={grid.hx}")
+    return int(q)
+
+
+def integrate(f):
+    """Equal-weight Riemann sum hx*hy*sum over the support x one y-period.
+
+    Exact for trigonometric polynomials in y; superalgebraic for smooth
+    compactly supported x-data.
+    """
+    g = f.grid
+    return complex(np.sum(f.data)) * g.hx_f * g.hy_f
+
+
+def eval_idx(g, i, j):
+    """Value of a torus function at global grid points (i*hx, j*hy),
+    reduced through the lattice L exactly."""
+    S = g.grid.su_steps
+    k = np.floor_divide(i, S)
+    return g.samples[i - k * S, np.mod(j - k * g.grid.sv_steps, g.grid.ny)]
 
 
 def gaussian_chain(grid, sigma=0.3, depth=3):
@@ -84,7 +110,7 @@ class TestParams:
 
     def test_incommensurate_shift_raises(self, grid2):
         with pytest.raises(CommensurabilityError):
-            grid2.steps_of(Fraction(1, 3))
+            steps_of(grid2, Fraction(1, 3))
 
     @settings(max_examples=60, deadline=None)
     @given(c=st.integers(1, 3), sv=st.sampled_from(["1/4", "1/3", "1/5"]),
@@ -104,7 +130,7 @@ class TestParams:
 class TestScalarField:
     def test_shift_is_exact_index_move(self, grid2, rng):
         f = gaussian_chain(grid2)
-        g = f.shift_steps(grid2.steps_of(Fraction(1, 4)), grid2.sv_steps)
+        g = f.shift_steps(steps_of(grid2, Fraction(1, 4)), grid2.sv_steps)
         # value at x of the shift equals value at x + su of the original
         i = grid2.su_steps
         assert np.allclose(g.window(0, 4)[0], f.window(i, 4 + i)[0])
@@ -147,12 +173,12 @@ class TestTorusFunction:
         assert (back - g).norm_inf() < 1e-12 * g.norm_inf()
 
     def test_character_is_lattice_invariant(self, grid4):
-        # chi(x + su, y + sv) = chi(x, y): evaluation through eval_idx
+        # chi(x + su, y + sv) = chi(x, y), evaluated through the lattice
         g = torus_character(grid4, 1, 1)
         i = np.arange(3 * grid4.su_steps)
         j = np.zeros_like(i)
-        a = g.eval_idx(i, j)
-        b = g.eval_idx(i + grid4.su_steps, j + grid4.sv_steps)
+        a = eval_idx(g, i, j)
+        b = eval_idx(g, i + grid4.su_steps, j + grid4.sv_steps)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_derivative_eigenvalues(self, grid4):

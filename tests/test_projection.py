@@ -79,8 +79,8 @@ def test_r_chain_integrates_by_parts(params, grid9, R9):
     # independent oracle for the attached derivative chain: against a smooth
     # compactly supported test function, integral(R' phi) = -integral(R phi')
     # quadrature converges as the ramp transitions gain sample points
-    from qhm.lattice import integrate, make_grid
-    from test_lattice import gaussian_chain
+    from qhm.lattice import make_grid
+    from test_lattice import gaussian_chain, integrate
     errs = []
     for refinement in (32, 96):
         grid = make_grid(params, refinement)

@@ -1,20 +1,25 @@
 """Yang-Mills functional, pairing and variation tests."""
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qhm.bimodule import inner_D
-from qhm.calculus import (Connection, Perturbation, curvature_closed,
-                          curvature_of, extract_f1_f2, mult_element)
-from qhm.laplace import assemble_rhs, build_perturbation, solve_poisson
-from qhm.lattice import ScalarField, TorusFunction
+from qhm.bimodule import act_left, inner_D, inner_E
+from qhm.calculus import (Connection, Curvature2Form, Perturbation,
+                          curvature_closed, curvature_of, extract_f1_f2,
+                          mult_element)
+from qhm.laplace import (assemble_rhs, build_perturbation, solve_poisson,
+                         verify_critical)
+from qhm.lattice import Params, ScalarField, TorusFunction, make_grid
+from qhm.projection import build_R
 from qhm.random_fields import (make_battery, random_perturbation,
                                random_torus_function)
-from qhm.yangmills import (critical_residuals, euler_lagrange_apply,
-                           first_variation, pair_forms, ym_directional,
-                           ym_of_curvature, ym_value)
+from qhm.yangmills import (BASIS, critical_residuals, euler_lagrange_apply,
+                           euler_lagrange_elements, first_variation,
+                           pair_forms, ym_directional, ym_of_curvature,
+                           ym_value)
 
 
 @pytest.fixture()
@@ -62,18 +67,14 @@ def test_first_variation_matches_central_difference(perturbed, grid2, rng):
     assert abs(fd - exact) < 1e-6 * scale
 
 
-def test_residuals_zero_for_flat_connection(grid2, R2, rng):
-    from qhm.random_fields import make_battery
-    battery = make_battery(grid2, 2, 0)
-    res = critical_residuals(Connection(R2), battery)
+def test_residuals_zero_for_flat_connection(R2):
+    res = critical_residuals(Connection(R2))
     assert res.r1 < 1e-12 and res.r2 < 1e-12 and res.r3 < 1e-12
 
 
 def test_residuals_nonzero_for_generic_perturbation(grid2, R2, rng):
-    from qhm.random_fields import make_battery
-    battery = make_battery(grid2, 2, 0)
     nabla = Connection(R2, random_perturbation(grid2, rng))
-    res = critical_residuals(nabla, battery)
+    res = critical_residuals(nabla)
     assert max(res.r1, res.r2, res.r3) > 1e-3
 
 
@@ -105,10 +106,9 @@ def test_euler_lagrange_builds_each_shared_piece_once(params, grid9, R9,
 
 
 def test_equations_read_no_chain_order_beyond_one(params, grid9, R9):
-    # critical_residuals hands euler_lagrange_apply each battery vector cut
-    # to depth 1; order 0 of every equation must be bitwise the same as
-    # with the full chain, for the constructed and the Grassmannian
-    # connection.
+    # The oracle reads order 1 of f at most: order 0 of every equation must
+    # be bitwise the same with f cut to depth 1 as with the full chain, for
+    # the constructed and the Grassmannian connection.
     theta0 = curvature_closed(R9)
     f1, f2 = extract_f1_f2(theta0)
     g3 = solve_poisson(assemble_rhs(f1, f2, params.c))
@@ -125,3 +125,56 @@ def test_equations_read_no_chain_order_beyond_one(params, grid9, R9):
             assert a.norm_inf() > 0
             lo, hi = min(a.i0, b.i0), max(a.i1, b.i1)
             assert np.array_equal(a.window(lo, hi)[0], b.window(lo, hi)[0])
+
+
+@pytest.mark.parametrize("connection", ["constructed", "grassmannian"])
+@pytest.mark.parametrize("refinement", [9, 27])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_elements_act_as_the_operator_equations(c, refinement, connection):
+    # Each Euler-Lagrange element, acting on a vector, is the operator
+    # equation applied to it, on solve's grid and on R and every random
+    # vector of solve's former battery.  The error is measured against the
+    # normalization of the residuals, ||f|| times the curvature scale; it
+    # reads at most 1e-13, and flipping the sign of c Theta(X,Y) makes it
+    # O(1).
+    params = Params.from_steps(c, Fraction(1, 4), Fraction(1, 4))
+    grid = make_grid(params, refinement)
+    R = build_R(params, grid)
+    rep = verify_critical(R)
+    theta0 = rep["theta0"]
+    nabla = Connection(R, rep["perturbation"] if connection == "constructed"
+                       else None)
+    theta = curvature_of(nabla, theta0)
+    scale = theta0.norm_inf()
+    assert scale > 1
+    eqs = euler_lagrange_elements(nabla, theta)
+    for f in make_battery(grid, 4, 5, include=[R]):
+        ref = euler_lagrange_apply(nabla, theta, f)
+        for i in BASIS:
+            err = (act_left(eqs[i], f) - ref[i]).norm_inf()
+            assert err <= 1e-10 * f.norm_inf() * scale, (i, err)
+
+
+@pytest.mark.parametrize("c, refinement", [(1, 9), (3, 27)])
+def test_elements_keep_the_perturbation_commutators(c, refinement):
+    # The curvature of every connection nabla0 + G is of multiplication
+    # type, and so is G, so [G_j, Theta] vanishes on the solve pipeline.
+    # A generic 2-form (inner products of random vectors, p-support beyond
+    # 0) and a y-dependent G do not commute once G(x + 1, y) != G(x, y),
+    # here since sv / su = 4/3 is not an integer; the elements must still
+    # act as the operator equations.  Dropping [G_j, T] makes the error
+    # about 2 (against 1e-13).
+    params = Params.from_steps(c, Fraction(1, 4), Fraction(1, 3))
+    grid = make_grid(params, refinement, tied_ny=True)
+    R = build_R(params, grid)
+    nabla = Connection(R, random_perturbation(grid, np.random.default_rng(1)))
+    v = make_battery(grid, 6, 3)
+    theta = Curvature2Form(inner_E(v[0], v[1]), inner_E(v[2], v[3]),
+                           inner_E(v[4], v[5]))
+    assert min(len(t.p_support) for t in (theta.xy, theta.xz, theta.yz)) > 1
+    eqs = euler_lagrange_elements(nabla, theta)
+    for f in make_battery(grid, 2, 5, include=[R]):
+        ref = euler_lagrange_apply(nabla, theta, f)
+        for i in BASIS:
+            err = (act_left(eqs[i], f) - ref[i]).norm_inf()
+            assert err <= 1e-10 * f.norm_inf() * theta.norm_inf(), (i, err)
