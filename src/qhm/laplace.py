@@ -37,9 +37,10 @@ from typing import Dict
 import numpy as np
 
 from .bimodule import ModuleVector
-from .calculus import Connection, Perturbation, curvature_closed, extract_f1_f2
+from .calculus import (Connection, Perturbation, curvature_closed, curvature_of,
+                       extract_f1_f2)
 from .lattice import Grid, TorusFunction
-from .yangmills import critical_residuals, ym_value
+from .yangmills import critical_residuals, ym_of_curvature
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,12 @@ def verify_critical(R: ModuleVector,
     pert = build_perturbation(f1, solve_poisson(rhs), c, absorb_zero_mode)
     nabla = Connection(R, pert)
     nabla0 = Connection(R)
+    theta = curvature_of(nabla, theta0)
     # with the zero mode absorbed into G3 the third equation holds as
     # stated, so there is no constant to strip in r3_osc
     res = critical_residuals(nabla, theta0,
-                             a0=0.0 if absorb_zero_mode else rhs.a0)
+                             a0=0.0 if absorb_zero_mode else rhs.a0,
+                             theta=theta)
     res0 = critical_residuals(nabla0, theta0)
     return {
         "a0": rhs.a0,
@@ -122,8 +125,8 @@ def verify_critical(R: ModuleVector,
         "absorb_zero_mode": absorb_zero_mode,
         "residuals": asdict(res),
         "residuals_grassmannian": asdict(res0),
-        "ym": ym_value(nabla, theta0),
-        "ym_grassmannian": ym_value(nabla0, theta0),
+        "ym": ym_of_curvature(theta),
+        "ym_grassmannian": ym_of_curvature(theta0),
         "perturbation": pert,
         "f1": f1,
         "f2": f2,

@@ -207,7 +207,8 @@ def y_bandwidth(params: Params, pairwise: bool = False) -> int:
     return params.c * kp + modes
 
 
-def make_grid(params: Params, refinement: int, tied_ny: bool = False) -> Grid:
+def make_grid(params: Params, refinement: int, tied_ny: bool = False,
+              pairwise: bool = False) -> Grid:
     """Grid with hx = 1/(b*refinement) for su = a/b, and ny y-samples.
 
     Both 1 and su are integer multiples of hx, and both 1 and sv of hy =
@@ -215,9 +216,11 @@ def make_grid(params: Params, refinement: int, tied_ny: bool = False) -> Grid:
     hy divides sv = a'/b' exactly when b' divides ny.
 
     ny does not follow the refinement: it is the smallest multiple of b'
-    that is at least 2B + 1, with B = y_bandwidth(params), so every y-mode
-    the pipeline creates lies strictly below the Nyquist line ny/2 and the
-    spectral y-derivative is exact on it.  tied_ny=True gives instead the
+    that is at least 2B + 1, with B = y_bandwidth(params, pairwise), so
+    every y-mode the pipeline creates lies strictly below the Nyquist line
+    ny/2 and the spectral y-derivative is exact on it.  pairwise=True sizes
+    ny for <f, g>_D of two battery vectors, as `qhm verify` forms them (16
+    samples for c = 1 at su = sv = 1/4).  tied_ny=True gives instead the
     refinement-tied ny = b'*refinement, which grows with the x-resolution.
 
     GRID_BUDGET bounds the points of the x-window, 2 * X_HALFWIDTH units
@@ -231,7 +234,7 @@ def make_grid(params: Params, refinement: int, tied_ny: bool = False) -> Grid:
     if tied_ny:
         ny = bp * refinement
     else:
-        ny = bp * -(-(2 * y_bandwidth(params) + 1) // bp)
+        ny = bp * -(-(2 * y_bandwidth(params, pairwise) + 1) // bp)
     hx = Fraction(1, b * refinement)
     grid = Grid(params=params, hx=hx, hy=Fraction(1, ny))
     if 2 * grid.i_bound * grid.ny > GRID_BUDGET:

@@ -53,8 +53,10 @@ def battery_bandwidth(grid: Grid, pairwise: bool = False):
     Battery vectors on solve's grid only meet the narrow R, and make_grid
     sizes ny for that band, so on its default grids they keep both.
     `qhm verify` pairs two vectors in <f, g>_D (pairwise=True), whose wrap
-    phases need the wider band of two spread-out vectors; for c = 1 and
-    sv = 1/4 the refinement-tied grid has it from refinement 4 on.
+    phases need the wider band of two spread-out vectors; it builds its
+    grid with make_grid(..., pairwise=True), which holds that band at every
+    refinement, so verify always draws full-band vectors.  (0, 0) is left
+    for grids sized otherwise, such as a coarse refinement-tied one.
     """
     if grid.ny >= 2 * y_bandwidth(grid.params, pairwise) + 1:
         return BATTERY_Y_MODES, BATTERY_SHIFT_UNITS

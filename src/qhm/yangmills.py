@@ -138,17 +138,20 @@ class Residuals:
 
 def critical_residuals(nabla: Connection,
                        theta0: Optional[Curvature2Form] = None,
-                       a0: complex = 0.0) -> Residuals:
+                       a0: complex = 0.0,
+                       theta: Optional[Curvature2Form] = None) -> Residuals:
     """Sup-norms of the three Euler-Lagrange elements over the curvature
     scale, the sup of the unperturbed and perturbed curvature components:
     a critical connection scores ~0, the Grassmannian one O(1) on the
     third equation.  When a0 is supplied, r3_osc adds c*a0 times the
     identity to the third element, which removes the constant left by the
-    mean-zero Poisson solve (the zero-mode policy of laplace).
+    mean-zero Poisson solve (the zero-mode policy of laplace).  A caller
+    that already holds the curvature theta of nabla passes it in.
     """
     if theta0 is None:
         theta0 = curvature_closed(nabla.R)
-    theta = curvature_of(nabla, theta0)
+    if theta is None:
+        theta = curvature_of(nabla, theta0)
     cscale = max(theta0.norm_inf(), theta.norm_inf(), 1e-30)
     eqs = euler_lagrange_elements(nabla, theta)
     const = AlgebraElement.identity(E_FLAVOR, nabla.grid, depth=0).scaled(

@@ -7,20 +7,40 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qhm import algebra, cli
+from qhm import algebra, bimodule, calculus, cli, random_fields, yangmills
 from qhm.cli import (ConfigError, PipelineError, RunConfig, _parse_kv,
                      load_config, main, run_solve, run_verify)
-from qhm.lattice import Params, make_grid
+from qhm.lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Params,
+                         make_grid, y_bandwidth)
 from qhm.projection import BumpSpec, build_R
-from qhm.random_fields import battery_bandwidth
+from qhm.random_fields import (battery_bandwidth, random_module_vector,
+                               random_torus_function)
 
 
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     code = main([*argv, "--out", str(out)])
     return code, out
+
+
+def count_calls(monkeypatch, *targets):
+    """Record the name of each (module, name) function at every call made
+    through any qhm binding of it; returns the list of recorded names."""
+    calls = []
+    for mod, name in targets:
+        fn = getattr(mod, name)
+
+        def counting(*args, _name=name, _fn=fn, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for mod_name, m in list(sys.modules.items()):
+            if mod_name.startswith("qhm") and getattr(m, name, None) is fn:
+                monkeypatch.setattr(m, name, counting)
+    return calls
 
 
 class TestConfigParsing:
@@ -135,15 +155,90 @@ class TestVerify:
     def test_pairwise_vectors_stay_resolved(self, tmp_path, c, refinement,
                                             modes):
         # <f, g>_D of two modulated, translated vectors needs
-        # 2 * (5c + 2) + 1 y-samples at su = 1/4; on coarser grids verify
-        # draws y-constant envelopes instead of reporting aliasing
+        # 2 * (5c + 2) + 1 y-samples at su = 1/4.  The refinement-tied grid
+        # holds them only from refinement 4 (c = 1) or 7 (c = 2) on and would
+        # cut the draws to `modes`; verify's own grid holds them at every
+        # refinement, so it always draws full-band vectors
         params = Params.from_steps(c, Fraction(1, 4), Fraction(1, 4))
-        grid = make_grid(params, refinement, tied_ny=True)
-        assert battery_bandwidth(grid, pairwise=True) == modes
+        tied = make_grid(params, refinement, tied_ny=True)
+        assert battery_bandwidth(tied, pairwise=True) == modes
         rep = run_verify(RunConfig(params=params, refinement=refinement,
                                    out=str(tmp_path)))
+        assert (rep["grid"]["y_modes"], rep["grid"]["shift_units"]) == (
+            BATTERY_Y_MODES, BATTERY_SHIFT_UNITS)
         checks = {ch["name"]: ch["pass"] for ch in rep["checks"]}
         assert checks["metric_compatibility"] and checks["commutator_x"]
+
+    @pytest.mark.parametrize("config", [
+        "c = 2\n",
+        "c = 3\nsu = 1/4\nsv = 1/3\nrefinement = 4\n",
+        "su = 1/5\nsv = 1/3\n"], ids=["c2", "c3-sv1/3-r4", "su1/5-sv1/3"])
+    def test_coarse_pairs_are_not_aliased(self, tmp_path, config):
+        # On the refinement-tied grid (ny = 8, 12 and 6 here) the wrap
+        # phases e(-c k p y) of <f, g>_D aliased: metric_compatibility read
+        # 25.1, 37.7 and 18.4, and commutator_x 3.20 in the second case
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        code, out = run(tmp_path, "verify", "--config", str(cfg))
+        rep = json.loads((out / "verify_report.json").read_text())
+        assert code == 0, [ch for ch in rep["checks"] if not ch["pass"]]
+
+    @pytest.mark.parametrize("refinement", [2, 4, 9, 27, 45])
+    @pytest.mark.parametrize("c, sv", [(1, Fraction(1, 4)), (2, Fraction(1, 4)),
+                                       (3, Fraction(1, 3))])
+    def test_grid_block_resolves_pairwise_band(self, tmp_path, c, sv,
+                                               refinement):
+        params = Params.from_steps(c, Fraction(1, 4), sv)
+        rep = run_verify(RunConfig(params=params, refinement=refinement,
+                                   out=str(tmp_path)))
+        grid = rep["grid"]
+        band = y_bandwidth(params, pairwise=True)
+        assert grid["y_bandwidth"] == band
+        assert grid["ny"] >= 2 * band + 1 and grid["ny"] % sv.denominator == 0
+        assert grid["nx_unit"] == 4 * refinement
+        assert (grid["y_modes"], grid["shift_units"]) == (
+            BATTERY_Y_MODES, BATTERY_SHIFT_UNITS)
+        assert grid["laplace_ny"] == sv.denominator * refinement
+        # the Laplace roundoff grows like laplace_ny^2 (ROADMAP item 2)
+        failing = [ch["name"] for ch in rep["checks"] if not ch["pass"]]
+        assert failing in ([], ["laplace_eigenfunction"])
+
+    @pytest.mark.parametrize("refinement", [9, 27])
+    def test_vectors_are_the_tied_grid_draws(self, params, tmp_path,
+                                             monkeypatch, refinement):
+        # the banded grid samples the same functions: f and g2 equal the
+        # refinement-tied draws of the same seed where the y-grids meet
+        drawn = []
+
+        def recording(*args, **kwargs):
+            drawn.append(random_module_vector(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "random_module_vector", recording)
+        run_verify(RunConfig(params=params, refinement=refinement, seed=7,
+                             out=str(tmp_path)))
+        tied = make_grid(params, refinement, tied_ny=True)
+        rng = np.random.default_rng(7)
+        f = random_module_vector(tied, rng)
+        random_torus_function(tied, rng)
+        g2 = random_module_vector(tied, rng)
+        assert len(drawn) == 2
+        ys = [Fraction(k, 4) for k in range(4)]
+        for got, want in zip(drawn, (f, g2)):
+            assert got.i0 == want.i0
+            a = got.chain[:, :, [int(y * got.grid.ny) for y in ys]]
+            b = want.chain[:, :, [int(y * tied.ny) for y in ys]]
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+    def test_verify_builds_each_shared_piece_once(self, params, tmp_path,
+                                                  monkeypatch):
+        # <R, f>_D, each nabla0_W f, <R, t f>_D and <R, g2>_D are built
+        # once and shared by the commutator, Leibniz and metric checks
+        calls = count_calls(monkeypatch, (bimodule, "inner_D"),
+                            (calculus, "connect"))
+        run_verify(RunConfig(params=params, refinement=27, seed=7,
+                             out=str(tmp_path)))
+        assert (calls.count("inner_D"), calls.count("connect")) == (14, 10)
 
     def test_tampered_star_fails(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -250,22 +345,19 @@ class TestSolve:
     def test_solve_reads_no_test_vectors(self, params, tmp_path, monkeypatch):
         # criticality is measured as elements of E: no battery is drawn and
         # no equation is applied to a vector
-        from qhm import random_fields, yangmills
-        calls = []
-        for mod, name in ((random_fields, "make_battery"),
-                          (yangmills, "euler_lagrange_apply")):
-            fn = getattr(mod, name)
-
-            def counting(*args, _name=name, _fn=fn, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-
-            for mod_name, m in list(sys.modules.items()):
-                if mod_name.startswith("qhm") and getattr(m, name, None) is fn:
-                    monkeypatch.setattr(m, name, counting)
+        calls = count_calls(monkeypatch, (random_fields, "make_battery"),
+                            (yangmills, "euler_lagrange_apply"))
         cfg = RunConfig(params=params, refinement=9, seed=0, out=str(tmp_path))
         run_solve(cfg, sweep=True)
         assert calls == []
+
+    def test_solve_builds_perturbed_curvature_once(self, params, tmp_path,
+                                                   monkeypatch):
+        # one theta of nabla0 + G serves the residuals and the YM value
+        calls = count_calls(monkeypatch, (calculus, "curvature_perturbed"))
+        run_solve(RunConfig(params=params, refinement=9, seed=0,
+                            out=str(tmp_path)))
+        assert calls == ["curvature_perturbed"]
 
     def test_solve_report_does_not_depend_on_seed(self, params, tmp_path):
         reps = [run_solve(RunConfig(params=params, refinement=9, seed=seed,
@@ -356,10 +448,12 @@ def test_import_loads_no_sympy():
 
 
 # Report numbers recorded with repr at seeds 5 (solve) and 7 (verify).  The
-# verify numbers, and ym, a0 and laplace_form of solve, date from the
-# per-order chain code; the residuals from the E-element form of the
-# Euler-Lagrange equations, which reads no seed.  Any change of the order
-# in which products are formed shows here.
+# ym, a0 and laplace_form of solve date from the per-order chain code; the
+# residuals from the E-element form of the Euler-Lagrange equations, which
+# reads no seed; the verify numbers from verify's pairwise-band grid
+# (ny = 16), except laplace_eigenfunction, which runs on the
+# refinement-tied grid.  Any change of the order in which products are
+# formed shows here.
 PINNED_SOLVE = {
     9: {"ym": 193.61006841215558, "ym_grassmannian": 977.5426280115382,
         "a0": 8.836845456821019e-16 - 0.9071299842634906j,
@@ -394,8 +488,8 @@ PINNED_SOLVE = {
 }
 
 PINNED_VERIFY = {
-    "projection_idempotent": 3.3975686634380557e-16,
-    "projection_selfadjoint": 5.398084850998443e-16,
+    "projection_idempotent": 3.3311988718462524e-16,
+    "projection_selfadjoint": 2.2887833992611187e-16,
     "module_frame": 4.440892098500626e-16,
     "projection_trace": 0.0,
     "condition_B-1": 0.0,
@@ -406,18 +500,18 @@ PINNED_VERIFY = {
     "condition_C-3": 0.0,
     "condition_b-1": 0.0,
     "condition_b-2": 1.2862871998485766e-16,
-    "condition_b-3": 2.7755575615628914e-16,
+    "condition_b-3": 2.498001805406602e-16,
     "condition_d-1": 4.440892098500626e-16,
     "condition_d-2": 0.0,
-    "curvature_xz_vanishes": 3.641334780857857e-14,
-    "curvature_skew": 5.874510523090839e-13,
+    "curvature_xz_vanishes": 7.915901684959184e-15,
+    "curvature_skew": 1.0467291742715298e-13,
     "curvature_profiles": 0.0,
-    "commutator_x": 1.5594876509899228e-14,
-    "commutator_y": 3.7970674445337e-15,
-    "commutator_z": 2.513056861604302e-15,
+    "commutator_x": 5.388121751833232e-15,
+    "commutator_y": 3.83977687084634e-15,
+    "commutator_z": 1.2581568522800448e-15,
     "laplace_eigenfunction": 8.561288988912328e-14,
-    "connection_leibniz": 5.479346282534217e-16,
-    "metric_compatibility": 8.272825316471308e-14,
+    "connection_leibniz": 4.388214772253806e-16,
+    "metric_compatibility": 2.8063003441783256e-14,
 }
 
 
@@ -433,3 +527,12 @@ def test_verify_report_is_pinned(params, tmp_path):
     cfg = RunConfig(params=params, refinement=9, seed=7, out=str(tmp_path))
     rep = run_verify(cfg)
     assert {c["name"]: c["violation"] for c in rep["checks"]} == PINNED_VERIFY
+
+
+def test_laplace_check_keeps_refinement_tied_grid(params, tmp_path):
+    # the known FFT-roundoff failure (ROADMAP item 2) stays visible at the
+    # value it read before verify moved to the pairwise-band grid
+    rep = run_verify(RunConfig(params=params, refinement=27, seed=7,
+                               out=str(tmp_path)))
+    lap = next(c for c in rep["checks"] if c["name"] == "laplace_eigenfunction")
+    assert (lap["violation"], lap["pass"]) == (1.1949588973205556e-12, False)
