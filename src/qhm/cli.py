@@ -434,7 +434,9 @@ class PipelineError(RuntimeError):
 # morita -------------------------------------------------------------------
 
 def run_morita(cfg: RunConfig) -> Dict[str, object]:
-    # refinement-tied ny, as in run_verify (ROADMAP item 2)
+    # refinement-tied ny, as in verify's Laplace check (ROADMAP item 2); all
+    # samples are checked as one batch, cut into chunks of at most
+    # lattice.GRID_BUDGET points so that any sample count fits in memory
     grid = make_grid(cfg.params, cfg.morita_refinement, tied_ny=True)
     try:
         rep = verify_bimodule_preservation(

@@ -26,22 +26,30 @@ four identities S(phi.f) = H(phi).S(f), S(f.phi) = S(f).H(phi),
 <S f, S g>_L = H(<f,g>_L), <S f, S g>_R = H(<f,g>_R) on seeded samples.
 
 Vectors are stored by fundamental-domain samples, x in [0,1) x [0,1) on the
-source side and [0,su) x [0,1) on the target side.  SpectralVector.eval_row
-evaluates a whole array of x-indices anywhere through the defining twist,
-with one roll of the sample array per crossed cell, so each map below is
-one array expression.  The x-rescaling x -> -x/su maps grid points to grid
-points iff 1/su is an integer; that extra rationality constraint is
+source side and [0,su) x [0,1) on the target side, optionally behind a
+leading sample axis: one SpectralVector holds a batch (S, nx, ny) of S
+members.  SpectralVector.eval_row evaluates a whole array of x-indices
+anywhere through the defining twist, with one roll of the sample array per
+crossed cell, so each map, bimodule operation and check below is one array
+expression over all S samples.  The x-rescaling x -> -x/su maps grid points
+to grid points iff 1/su is an integer; that extra rationality constraint is
 enforced at construction.
+
+The seeded samples are sums of four characters each.  draw_terms takes
+their frequencies and coefficients from the generator one sample at a time;
+the builders then evaluate each distinct character once, as one row of a
+character table, and add the terms of all samples from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
+from . import lattice
 from .lattice import Grid
 
 X_BETA_USTAR_ALPHA = "X_beta_ustar_alpha"
@@ -71,7 +79,8 @@ def rescale_factor(grid: Grid) -> int:
 
 @dataclass(frozen=True)
 class SpectralVector:
-    """Fundamental-domain samples of a member of one of the four spaces.
+    """Fundamental-domain samples (nx, ny) of a member of one of the four
+    spaces, or (S, nx, ny) of S members.
 
     The twist phase used when crossing the unit cell can be overridden
     (broken_shift) to model a deliberately wrong unitary u in tests.
@@ -84,17 +93,19 @@ class SpectralVector:
 
     def __post_init__(self):
         nx = getattr(self.grid, _TAG_NX[self.tag])
-        if self.samples.shape != (nx, self.grid.ny):
+        if self.samples.ndim not in (2, 3) \
+                or self.samples.shape[-2:] != (nx, self.grid.ny):
             raise ValueError(f"samples shape {self.samples.shape} does not "
                              f"match ({nx}, {self.grid.ny}) for tag {self.tag}")
 
     @property
     def nx(self) -> int:
-        return self.samples.shape[0]
+        return self.samples.shape[-2]
 
     def eval_row(self, idx: np.ndarray) -> np.ndarray:
-        """(len(idx), ny) block of values at (x_i, y_j) for each i in the 1-D
-        integer array idx and all j; x_i = i*hx may lie outside the domain.
+        """(..., len(idx), ny) block of values at (x_i, y_j) for each i in the
+        1-D integer array idx and all j, per sample; x_i = i*hx may lie
+        outside the domain.
 
         Index i is row r = i mod nx of cell k = i // nx.  Each cell crossed
         moves y by sv and, on the phased spaces, applies the twist
@@ -107,7 +118,7 @@ class SpectralVector:
         if np.ndim(idx) != 1:
             raise ValueError(f"eval_row takes a 1-D index array, not {idx!r}")
         k, r = np.divmod(idx, self.nx)
-        out = self.samples[r]
+        out = self.samples[..., r, :]
         g = self.grid
         for step in (1, -1):
             far = int(np.max(step * k, initial=0))
@@ -118,9 +129,9 @@ class SpectralVector:
                     ph = np.conj(ph)
             cell = self.samples
             for n in range(1, far + 1):
-                cell = ph * np.roll(cell, step * g.sv_steps, axis=1)
+                cell = ph * np.roll(cell, step * g.sv_steps, axis=-1)
                 hit = k == step * n
-                out[hit] = cell[r[hit]]
+                out[..., hit, :] = cell[..., r[hit], :]
         return out
 
     def norm_inf(self) -> float:
@@ -128,8 +139,8 @@ class SpectralVector:
 
 
 def _reverse_y(rows: np.ndarray) -> np.ndarray:
-    """rows'[:, j] = rows[:, -j mod ny]."""
-    return np.roll(rows[:, ::-1], 1, axis=1)
+    """rows'[..., j] = rows[..., -j mod ny]."""
+    return np.roll(rows[..., ::-1], 1, axis=-1)
 
 
 def _S_rows(f: SpectralVector, idx: np.ndarray) -> np.ndarray:
@@ -215,46 +226,86 @@ def target_inner_R(F: SpectralVector, G: SpectralVector) -> SpectralVector:
 
 # seeded generators --------------------------------------------------------
 
-def random_source_vector(grid: Grid, rng: np.random.Generator,
-                         broken_shift: float = 0.0) -> SpectralVector:
-    """Phase-twisted periodization of a compactly supported random seed.
+TERMS = 4       # characters per random vector
+MAX_FREQ = 2    # |n|, |m| of each character
 
-    The seed lives on x in [0,2); summing its twisted unit translates
+
+class Terms(NamedTuple):
+    """Drawn characters of S random vectors, each array (S, TERMS)."""
+
+    n: np.ndarray       # x-frequencies
+    m: np.ndarray       # y-frequencies
+    coef: np.ndarray    # complex amplitudes
+
+
+def draw_terms(rng: np.random.Generator, sample_count: int,
+               kinds: int) -> List[Terms]:
+    """Term tables of `kinds` random vectors per sample, in stream order:
+    sample by sample, vector by vector, term by term, n then m then the
+    real and imaginary parts of the amplitude, one scalar draw each."""
+    n = np.empty((kinds, sample_count, TERMS), int)
+    m = np.empty_like(n)
+    coef = np.empty(n.shape, complex)
+    for s in range(sample_count):
+        for kind in range(kinds):
+            for t in range(TERMS):
+                n[kind, s, t] = rng.integers(-MAX_FREQ, MAX_FREQ + 1)
+                m[kind, s, t] = rng.integers(-MAX_FREQ, MAX_FREQ + 1)
+                coef[kind, s, t] = complex(rng.normal(), rng.normal())
+    return [Terms(*arrays) for arrays in zip(n, m, coef)]
+
+
+def _superpose(terms: Terms, character, window=None) -> np.ndarray:
+    """(S, ...) sums over t of coef_t [* window] * character(n_t, m_t),
+    added in term order; each distinct character is evaluated once."""
+    pairs, which = np.unique(
+        np.stack([terms.n, terms.m], axis=-1).reshape(-1, 2), axis=0,
+        return_inverse=True)
+    which = which.reshape(terms.n.shape)
+    table = np.stack([character(n, m) for n, m in pairs.tolist()])
+    out = np.zeros((len(terms.coef),) + table.shape[1:], complex)
+    for t in range(TERMS):
+        coef = terms.coef[:, t, None, None]
+        if window is not None:
+            coef = coef * window
+        out += coef * table[which[:, t]]
+    return out
+
+
+def random_source_vector(grid: Grid, terms: Terms,
+                         broken_shift: float = 0.0) -> SpectralVector:
+    """Phase-twisted periodizations of compactly supported random seeds,
+    one per row of the term table.
+
+    Each seed lives on x in [0,2); summing its twisted unit translates
     telescopes into an exact member of the twisted subspace (with the
     broken phase instead when broken_shift is nonzero).
     """
     g = grid
-    nxu, ny = g.nx_unit, g.ny
+    nxu = g.nx_unit
     xs = (np.arange(2 * nxu) / nxu)[:, None]
-    ys = (np.arange(ny) * g.hy_f)[None, :]
-    seed = np.zeros((2 * nxu, ny), complex)
+    ys = (np.arange(g.ny) * g.hy_f)[None, :]
     window = np.sin(math.pi * xs / 2.0) ** 2        # vanishes at x=0 and x=2
-    for _ in range(4):
-        n = int(rng.integers(-2, 3))
-        mm = int(rng.integers(-2, 3))
-        coef = complex(rng.normal(), rng.normal())
-        seed += coef * window * np.exp(2j * math.pi * (n * xs / 2.0 + mm * ys))
+    seed = _superpose(
+        terms, lambda n, mm: np.exp(2j * math.pi * (n * xs / 2.0 + mm * ys)),
+        window)
     # g = seed|_[0,1) + U(seed)|_[0,1) with U the twisted unit translate
     ph = g.twist(-1, -1) * np.exp(2j * math.pi * broken_shift)
-    translated = np.roll(seed[nxu:], -g.sv_steps, axis=1) * ph
-    return SpectralVector(g, seed[:nxu] + translated, X_BETA_USTAR_ALPHA,
+    translated = np.roll(seed[:, nxu:], -g.sv_steps, axis=-1) * ph
+    return SpectralVector(g, seed[:, :nxu] + translated, X_BETA_USTAR_ALPHA,
                           broken_shift)
 
 
-def random_invariant_function(grid: Grid,
-                              rng: np.random.Generator) -> SpectralVector:
-    """Random beta-invariant function from the invariant characters
-    e(n x + m (y - sv x))."""
+def random_invariant_function(grid: Grid, terms: Terms) -> SpectralVector:
+    """Random beta-invariant functions from the invariant characters
+    e(n x + m (y - sv x)), one per row of the term table."""
     g = grid
     xs = (np.arange(g.nx_unit) / g.nx_unit)[:, None]
     ys = (np.arange(g.ny) * g.hy_f)[None, :]
     sv = float(g.params.sv)
-    out = np.zeros((g.nx_unit, g.ny), complex)
-    for _ in range(4):
-        n = int(rng.integers(-2, 3))
-        mm = int(rng.integers(-2, 3))
-        coef = complex(rng.normal(), rng.normal())
-        out += coef * np.exp(2j * math.pi * (n * xs + mm * (ys - sv * xs)))
+    out = _superpose(
+        terms,
+        lambda n, mm: np.exp(2j * math.pi * (n * xs + mm * (ys - sv * xs))))
     return SpectralVector(g, out, BETA_INVARIANT)
 
 
@@ -281,39 +332,49 @@ def membership_transport_defect(f: SpectralVector) -> float:
     g = f.grid
     i = np.arange(g.su_steps)
     rhs = g.twist(1, 1) * np.roll(_S_rows(f, i - g.su_steps), g.sv_steps,
-                                  axis=1)
+                                  axis=-1)
     return float(np.max(np.abs(_S_rows(f, i) - rhs)))
 
 
 def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
                                  seed: int = 0, broken_u: float = 0.0,
                                  tol: float = 1e-10) -> Dict[str, object]:
-    """Measure the four preservation identities on seeded random members."""
+    """Measure the four preservation identities on seeded random members.
+
+    The samples are evaluated as batches of at most lattice.GRID_BUDGET
+    seed points (S * 2 nx_unit * ny), drawn in turn from one generator;
+    each identity's worst value is the max over all batches.
+    """
     rng = np.random.default_rng(seed)
     worst = {"left_action": 0.0, "right_action": 0.0,
              "inner_left": 0.0, "inner_right": 0.0,
              "membership_transport": 0.0, "source_membership": 0.0}
-    for _ in range(sample_count):
+    chunk = max(1, lattice.GRID_BUDGET // (2 * grid.nx_unit * grid.ny))
+    for start in range(0, sample_count, chunk):
+        f_terms, g_terms, phi_terms = draw_terms(
+            rng, min(chunk, sample_count - start), 3)
         # a broken unitary phase is applied to the second vector only; a
         # consistent corruption of both would cancel in the conjugate pairs
         # of the inner products and go unnoticed there
-        f = random_source_vector(grid, rng)
-        gv = random_source_vector(grid, rng, broken_shift=broken_u)
-        phi = random_invariant_function(grid, rng)
+        f = random_source_vector(grid, f_terms)
+        gv = random_source_vector(grid, g_terms, broken_shift=broken_u)
+        phi = random_invariant_function(grid, phi_terms)
         sf, sg, hphi = map_S(f), map_S(gv), map_H(phi)
-        worst["left_action"] = max(worst["left_action"], _maxdiff(
-            map_S(source_left(phi, f)), target_left(hphi, sf)))
-        worst["right_action"] = max(worst["right_action"], _maxdiff(
-            map_S(source_right(f, phi)), target_right(sf, hphi)))
-        worst["inner_left"] = max(worst["inner_left"], _maxdiff(
-            map_H(source_inner_L(f, gv)), target_inner_L(sf, sg)))
-        worst["inner_right"] = max(worst["inner_right"], _maxdiff(
-            map_H(source_inner_R(f, gv)), target_inner_R(sf, sg)))
-        worst["membership_transport"] = max(
-            worst["membership_transport"], membership_transport_defect(f))
-        worst["source_membership"] = max(
-            worst["source_membership"], membership_defect_source(f),
-            membership_defect_source(gv))
+        batch = {
+            "left_action": _maxdiff(map_S(source_left(phi, f)),
+                                    target_left(hphi, sf)),
+            "right_action": _maxdiff(map_S(source_right(f, phi)),
+                                     target_right(sf, hphi)),
+            "inner_left": _maxdiff(map_H(source_inner_L(f, gv)),
+                                   target_inner_L(sf, sg)),
+            "inner_right": _maxdiff(map_H(source_inner_R(f, gv)),
+                                    target_inner_R(sf, sg)),
+            "membership_transport": membership_transport_defect(f),
+            "source_membership": max(membership_defect_source(f),
+                                     membership_defect_source(gv)),
+        }
+        for name, value in batch.items():
+            worst[name] = max(worst[name], value)
     checks = {k: {"violation": v, "tol": tol, "pass": bool(v <= tol)}
               for k, v in worst.items()}
     return {

@@ -7,9 +7,11 @@ import pytest
 
 from fractions import Fraction
 
+from qhm import lattice
 from qhm.lattice import Params, make_grid
 from qhm.morita import (BETA_INVARIANT, E_FIRST, E_FIXED, X_BETA_USTAR_ALPHA,
-                        MoritaGridError, SpectralVector, map_H, map_S,
+                        MoritaGridError, SpectralVector, draw_terms, map_H,
+                        map_S,
                         membership_defect_source, membership_transport_defect,
                         random_invariant_function, random_source_vector,
                         rescale_factor, source_inner_L, source_inner_R,
@@ -30,27 +32,30 @@ def test_rescale_factor_rejects_non_integer():
 
 
 def test_source_vectors_are_members(grid2, rng):
-    for _ in range(5):
-        f = random_source_vector(grid2, rng)
+    for f_terms in draw_terms(rng, 1, 5):
+        f = random_source_vector(grid2, f_terms)
         assert membership_defect_source(f) < 1e-12 * max(f.norm_inf(), 1)
 
 
 def test_broken_vector_is_not_a_member(grid2, rng):
-    f = random_source_vector(grid2, rng, broken_shift=0.05)
+    (f_terms,) = draw_terms(rng, 1, 1)
+    f = random_source_vector(grid2, f_terms, broken_shift=0.05)
     assert membership_defect_source(f) > 1e-3
 
 
 def test_s_maps_into_first_subspace(grid2, rng):
-    f = random_source_vector(grid2, rng)
+    (f_terms,) = draw_terms(rng, 1, 1)
+    f = random_source_vector(grid2, f_terms)
     sf = map_S(f)
     assert sf.tag == E_FIRST
     assert membership_transport_defect(f) < 1e-12 * max(f.norm_inf(), 1)
 
 
 def test_four_preservation_identities(grid2, rng):
-    f = random_source_vector(grid2, rng)
-    g = random_source_vector(grid2, rng)
-    phi = random_invariant_function(grid2, rng)
+    f_terms, g_terms, phi_terms = draw_terms(rng, 1, 3)
+    f = random_source_vector(grid2, f_terms)
+    g = random_source_vector(grid2, g_terms)
+    phi = random_invariant_function(grid2, phi_terms)
     sf, sg, hphi = map_S(f), map_S(g), map_H(phi)
 
     def dev(a, b):
@@ -64,8 +69,9 @@ def test_four_preservation_identities(grid2, rng):
 
 def test_inner_r_needs_both_arguments_shifted(grid2, rng):
     # the variant shifting only the first argument breaks the identity
-    f = random_source_vector(grid2, rng)
-    g = random_source_vector(grid2, rng)
+    f_terms, g_terms = draw_terms(rng, 1, 2)
+    f = random_source_vector(grid2, f_terms)
+    g = random_source_vector(grid2, g_terms)
     m = rescale_factor(grid2)
     step = m * grid2.nx_unit
     out = np.conj(f.eval_row(np.arange(f.nx) + step)) * g.samples
@@ -95,6 +101,87 @@ def test_verification_deterministic(grid2):
     a = verify_bimodule_preservation(grid2, sample_count=4, seed=11)
     b = verify_bimodule_preservation(grid2, sample_count=4, seed=11)
     assert a == b
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 128, 7 * 128 + 5])
+def test_sample_batches_respect_the_grid_budget(grid2, monkeypatch, budget):
+    # one sample of grid2 holds 2 * 8 * 8 = 128 seed points, so these
+    # budgets cut the 20 samples into batches of 1, 3 and 7
+    whole = verify_bimodule_preservation(grid2, sample_count=20, seed=9201,
+                                         broken_u=0.07)
+    calls = []
+    eval_row = SpectralVector.eval_row
+
+    def counted(self, idx):
+        calls.append(self.samples.shape[0])
+        return eval_row(self, idx)
+
+    monkeypatch.setattr(SpectralVector, "eval_row", counted)
+    monkeypatch.setattr(lattice, "GRID_BUDGET", budget)
+    chunked = verify_bimodule_preservation(grid2, sample_count=20,
+                                           seed=9201, broken_u=0.07)
+    batch = max(1, budget // 128)
+    assert max(calls) == batch
+    assert len(calls) == 19 * -(-20 // batch)
+    assert chunked == whole
+
+
+def _random_source_reference(grid, rng, broken_shift=0.0):
+    """One source vector, term by term from the generator: the per-sample
+    builder that draw_terms and the character table replaced."""
+    g = grid
+    nxu, ny = g.nx_unit, g.ny
+    xs = (np.arange(2 * nxu) / nxu)[:, None]
+    ys = (np.arange(ny) * g.hy_f)[None, :]
+    seed = np.zeros((2 * nxu, ny), complex)
+    window = np.sin(math.pi * xs / 2.0) ** 2
+    for _ in range(4):
+        n = int(rng.integers(-2, 3))
+        mm = int(rng.integers(-2, 3))
+        coef = complex(rng.normal(), rng.normal())
+        seed += coef * window * np.exp(2j * math.pi * (n * xs / 2.0 + mm * ys))
+    ph = g.twist(-1, -1) * np.exp(2j * math.pi * broken_shift)
+    translated = np.roll(seed[nxu:], -g.sv_steps, axis=1) * ph
+    return seed[:nxu] + translated
+
+
+def _random_invariant_reference(grid, rng):
+    """One beta-invariant function, term by term from the generator."""
+    g = grid
+    xs = (np.arange(g.nx_unit) / g.nx_unit)[:, None]
+    ys = (np.arange(g.ny) * g.hy_f)[None, :]
+    sv = float(g.params.sv)
+    out = np.zeros((g.nx_unit, g.ny), complex)
+    for _ in range(4):
+        n = int(rng.integers(-2, 3))
+        mm = int(rng.integers(-2, 3))
+        coef = complex(rng.normal(), rng.normal())
+        out += coef * np.exp(2j * math.pi * (n * xs + mm * (ys - sv * xs)))
+    return out
+
+
+@pytest.mark.parametrize("broken_shift", [0.0, 0.07])
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("sv", [Fraction(1, 4), Fraction(1, 3)])
+def test_batched_vectors_match_per_sample_reference_bitwise(broken_shift, c,
+                                                            sv):
+    grid = make_grid(Params.from_steps(c, Fraction(1, 4), sv), 2,
+                     tied_ny=True)
+    count = 6
+    f_terms, g_terms, phi_terms = draw_terms(np.random.default_rng(c), count,
+                                             3)
+    f = random_source_vector(grid, f_terms)
+    gv = random_source_vector(grid, g_terms, broken_shift=broken_shift)
+    phi = random_invariant_function(grid, phi_terms)
+    assert f.samples.shape == (count, grid.nx_unit, grid.ny)
+    rng = np.random.default_rng(c)
+    for s in range(count):
+        # the stream order of the per-sample loop: f, then gv, then phi
+        assert np.array_equal(f.samples[s], _random_source_reference(grid, rng))
+        assert np.array_equal(gv.samples[s], _random_source_reference(
+            grid, rng, broken_shift))
+        assert np.array_equal(phi.samples[s],
+                              _random_invariant_reference(grid, rng))
 
 
 def _eval_row_reference(v, i):
@@ -141,17 +228,29 @@ def test_eval_row_matches_per_row_reference_bitwise(tag, broken_shift, c, sv):
     assert block.shape == (len(idx), grid.ny)
     assert np.array_equal(block, ref)
     assert np.array_equal(v.samples, samples)      # samples left unwritten
+    # a leading sample axis: every slice is its own vector's block
+    batch = np.stack([samples, rng.normal(size=samples.shape)
+                      + 1j * rng.normal(size=samples.shape), samples[::-1]])
+    vb = SpectralVector(grid, batch, tag, broken_shift)
+    blocks = vb.eval_row(idx)
+    assert blocks.shape == (3, len(idx), grid.ny)
+    for s in range(3):
+        vs = SpectralVector(grid, batch[s], tag, broken_shift)
+        ref = np.stack([_eval_row_reference(vs, int(i)) for i in idx])
+        assert np.array_equal(blocks[s], ref)
 
 
 def test_eval_row_rejects_a_scalar_index(grid2, rng):
-    f = random_source_vector(grid2, rng)
+    (f_terms,) = draw_terms(rng, 1, 1)
+    f = random_source_vector(grid2, f_terms)
     with pytest.raises(ValueError):
         f.eval_row(3)
 
 
 def test_preservation_sample_evaluates_whole_arrays(grid8, monkeypatch):
-    # one sample at the benchmark's refinement: 19 array evaluations; a
-    # per-row loop in any map or check would make hundreds
+    # at the benchmark's refinement: 19 array evaluations for one sample
+    # and no more for twenty; a per-row loop in any map or check would make
+    # hundreds, and a per-sample loop twenty times as many
     calls = []
     eval_row = SpectralVector.eval_row
 
@@ -161,36 +260,49 @@ def test_preservation_sample_evaluates_whole_arrays(grid8, monkeypatch):
 
     monkeypatch.setattr(SpectralVector, "eval_row", counted)
     verify_bimodule_preservation(grid8, sample_count=1, seed=9201)
-    assert len(calls) <= 19
+    single = len(calls)
+    assert single <= 19
+    verify_bimodule_preservation(grid8, sample_count=20, seed=9201)
+    assert len(calls) - single <= single
 
 
-# Violations of the per-row implementation, recorded with repr; the array
-# evaluation forms the same products in the same order, so they must come
-# back bit for bit.  membership_transport at refinement 8 is the known
-# defect of S on the torus (ROADMAP item 2).
+# Violations of the per-row, per-sample implementation, recorded with repr;
+# the batched array evaluation forms the same products in the same order,
+# so they must come back bit for bit.  membership_transport at refinement 8
+# is the known defect of S on the torus (ROADMAP item 2).  Keys are
+# (c, su, sv, refinement, broken_u).
 PINNED = {
-    (1, Fraction(1, 4), Fraction(1, 4), 8): {
+    (1, Fraction(1, 4), Fraction(1, 4), 8, 0.0): {
         "left_action": 8.498827956506644e-15,
         "right_action": 8.498827956506644e-15,
         "inner_left": 7.32410687763558e-15,
         "inner_right": 1.517719948885615e-14,
         "membership_transport": 11.558352509287685,
         "source_membership": 0.0},
-    (3, Fraction(1, 4), Fraction(1, 3), 3): {
+    (3, Fraction(1, 4), Fraction(1, 3), 3, 0.0): {
         "left_action": 5.0242958677880805e-15,
         "right_action": 3.972054645195637e-15,
         "inner_left": 3.66205343881779e-15,
         "inner_right": 1.1234667099445444e-14,
         "membership_transport": 6.079320143700642e-14,
         "source_membership": 0.0},
+    (1, Fraction(1, 4), Fraction(1, 4), 8, 0.07): {
+        "left_action": 8.498827956506644e-15,
+        "right_action": 8.498827956506644e-15,
+        "inner_left": 10.404002766039419,
+        "inner_right": 43.04018465872595,
+        "membership_transport": 11.558352509287685,
+        "source_membership": 3.005672578645144},
 }
 
 
-@pytest.mark.parametrize("key", sorted(PINNED),
-                         ids=lambda k: f"c{k[0]}-r{k[3]}")
+@pytest.mark.parametrize(
+    "key", sorted(PINNED),
+    ids=lambda k: f"c{k[0]}-r{k[3]}" + (f"-u{k[4]}" if k[4] else ""))
 def test_preservation_report_is_pinned(key):
-    c, su, sv, refinement = key
+    c, su, sv, refinement, broken_u = key
     grid = make_grid(Params.from_steps(c, su, sv), refinement, tied_ny=True)
-    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201)
+    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201,
+                                       broken_u=broken_u)
     got = {name: chk["violation"] for name, chk in rep["checks"].items()}
     assert got == PINNED[key]
