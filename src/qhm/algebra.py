@@ -274,30 +274,21 @@ def invariance_action(a: AlgebraElement, k: int) -> AlgebraElement:
 
 
 def derive_component(w: str, a: AlgebraElement, p: int) -> Chain:
-    """Chain of component p of derivation(w, a).
-
-    Every term vanishes on the rows where the whole chain does, so the
-    chain is formed on its nonzero rows only.
-    """
-    if w not in ("X", "Y", "Z"):
-        raise ValueError(f"unknown Lie label {w!r}")
+    """Chain of component p of derivation(w, a)."""
     g = a.grid
     c = g.params.c
-    chain = chain_dx(a.comps[p]) if w == "Y" else a.comps[p]
-    r = np.flatnonzero(_row_mask(chain))
-    rows = chain[:, r]
-    out = np.zeros(chain.shape, complex)
+    chain = a.comps[p]
     if w == "Z":
-        out[:, r] = 2j * math.pi * p * c * rows
-    elif w == "Y":
-        out[:, r] = -rows
-    else:
-        xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[r, None]
-        z = 2j * math.pi * c * p
-        term = z * xs * rows
-        term -= spectral_dy(rows, g.ny)
-        term[1:] += np.arange(1, len(chain))[:, None, None] * z * rows[:-1]
-        out[:, r] = term
+        return 2j * math.pi * p * c * chain
+    if w == "Y":
+        return -chain_dx(chain)
+    if w != "X":
+        raise ValueError(f"unknown Lie label {w!r}")
+    xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[:, None]
+    z = 2j * math.pi * c * p
+    out = z * xs * chain
+    out -= spectral_dy(chain, g.ny)
+    out[1:] += np.arange(1, len(chain))[:, None, None] * z * chain[:-1]
     return out
 
 

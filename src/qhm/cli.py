@@ -29,8 +29,7 @@ from .lattice import (CHAIN_DEPTH, CommensurabilityError, Params, ScalarField,
 from .laplace import laplace_form_residuals, laplace_eigenvalues, verify_critical
 from .morita import MoritaGridError, verify_bimodule_preservation
 from .projection import build_R, verify_R_conditions
-from .random_fields import (battery_bandwidth, random_module_vector,
-                            random_torus_function)
+from .random_fields import random_module_vector, random_torus_function
 
 
 class ConfigError(ValueError):
@@ -286,8 +285,7 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
                              tol["curvature"]))
 
     rng = np.random.default_rng(cfg.seed)
-    ym, mshift = battery_bandwidth(grid, pairwise=True)
-    f = random_module_vector(grid, rng, y_modes=ym, max_shift_units=mshift)
+    f = random_module_vector(grid, rng)
     nabla0 = Connection(R)
     # phi = <R, f>_D and nabla0_W f serve the commutator, Leibniz and
     # metric checks alike
@@ -327,7 +325,7 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
     checks.append(_check("connection_leibniz",
                          "nabla(f Phi) = (nabla f) Phi + f delta(Phi)",
                          (lhs - rhs).norm_inf() / lscale, tol["connection"]))
-    g2 = random_module_vector(grid, rng, y_modes=ym, max_shift_units=mshift)
+    g2 = random_module_vector(grid, rng)
     # The check reads order 0 of delta_w <f, g2>_D, which needs orders 0 and
     # 1 only.  <f, g2>_D of that depth and the freed Leibniz vectors keep the
     # peak memory of verify below that of a full-depth copy built per w.
@@ -349,7 +347,6 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
         "config": _config_summary(cfg),
         "grid": {"nx_unit": grid.nx_unit, "ny": grid.ny,
                  "y_bandwidth": y_bandwidth(cfg.params, pairwise=True),
-                 "y_modes": ym, "shift_units": mshift,
                  "laplace_ny": lgrid.ny},
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),

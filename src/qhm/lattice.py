@@ -30,8 +30,8 @@ CHAIN_DEPTH = 2
 # Random test vectors (random_fields) of verify's pairings and of the tests'
 # operator oracle for the criticality elements: the unit-width envelope on
 # (-1/2, 1/2), moved by up to this many su in x and modulated by e(m y)
-# with |m| up to this many modes.  Solve draws none, but its grid carries
-# them (y_bandwidth), so the oracle can run on it.
+# with |m| up to this many modes.  Solve draws none; the pairwise band of
+# y_bandwidth is sized for them.
 BATTERY_Y_MODES = 1
 BATTERY_SHIFT_UNITS = 1
 
@@ -178,33 +178,31 @@ def y_bandwidth(params: Params, pairwise: bool = False) -> int:
     """Largest |y-frequency| that the spectral y-operations of a run meet.
 
     Only the y-derivative inside delta_X and the torus FFTs act spectrally
-    in y; products are pointwise, so they need no band.  Along the solve
-    pipeline the y-content is:
+    in y; products are pointwise, so they need no band.  Row x of
+    component p of <R, f>_D carries e(-c k p y) times the y-modes of f,
+    where k is the unit block the row of R came from.  R is constant in y
+    and vanishes outside (-su/2, 3su/4) (projection.build_R), so k is 0 or
+    -1, and only k = -1 carries a phase.
 
-    - R is constant in y, and the curvature profiles f1, f2 and the
-      Poisson solutions G3, G1 are y-independent.
-    - Row x of component p of <R, f>_D carries e(-c k p y) times the y-modes
-      of f, where k is the unit block the row of R came from.  R vanishes
-      outside (-su/2, 3su/4) (projection.build_R), so k is 0 or -1, and
-      only k = -1 carries a phase.
-    - For Q = <R, R>_D, |k p| <= 1.  A battery vector lies in
-      (-1/2 - s su, 1/2 + s su) with s = BATTERY_SHIFT_UNITS; it meets the
-      rows of R on block -1 only at translates |p| < 1/2 + s + 1/(2 su),
-      which is 3 at su = 1/4.
+    The solve pipeline meets only what R itself makes, so B = c:
+    - Q = <R, R>_D has |k p| <= 1.
+    - Theta(X,Y), Theta(Y,Z), G1 and G3 do not depend on y.
+    - t = <R, T . R>_D for a multiplication-type T has the band of Q.
+    - Theta0(X,Z) is zero to rounding, which verify's curvature_xz_vanishes
+      checks.
 
-    So B = c * max|k p| + BATTERY_Y_MODES.  With pairwise=True the band is
-    that of <f, g>_D for two battery vectors, as `qhm verify` forms them:
-    f reaches block -1 itself, |p| < 1/su + 2s, and both vectors bring
-    their modes, so B = c * max|k p| + 2 * BATTERY_Y_MODES.
+    With pairwise=True the band is that of <f, g>_D for two random test
+    vectors (random_fields), as `qhm verify` and the tests' operator oracle
+    form them.  A vector lies in (-1/2 - s su, 1/2 + s su) with
+    s = BATTERY_SHIFT_UNITS, so f reaches block -1 itself, |p| < 1/su + 2s,
+    and both vectors bring their modes:
+    B = c * max|k p| + 2 * BATTERY_Y_MODES.
     """
-    su = params.su
-    s = BATTERY_SHIFT_UNITS
-    if pairwise:
-        reach, modes = 1 / su + 2 * s, 2 * BATTERY_Y_MODES
-    else:
-        reach, modes = Fraction(1, 2) + s + 1 / (2 * su), BATTERY_Y_MODES
+    if not pairwise:
+        return params.c
+    reach = 1 / params.su + 2 * BATTERY_SHIFT_UNITS
     kp = math.ceil(reach) - 1  # largest integer strictly below reach
-    return params.c * kp + modes
+    return params.c * kp + 2 * BATTERY_Y_MODES
 
 
 def make_grid(params: Params, refinement: int, tied_ny: bool = False,
@@ -218,10 +216,11 @@ def make_grid(params: Params, refinement: int, tied_ny: bool = False,
     ny does not follow the refinement: it is the smallest multiple of b'
     that is at least 2B + 1, with B = y_bandwidth(params, pairwise), so
     every y-mode the pipeline creates lies strictly below the Nyquist line
-    ny/2 and the spectral y-derivative is exact on it.  pairwise=True sizes
-    ny for <f, g>_D of two battery vectors, as `qhm verify` forms them (16
-    samples for c = 1 at su = sv = 1/4).  tied_ny=True gives instead the
-    refinement-tied ny = b'*refinement, which grows with the x-resolution.
+    ny/2 and the spectral y-derivative is exact on it: 4 samples for c = 1
+    at su = sv = 1/4.  pairwise=True sizes ny for <f, g>_D of two random
+    test vectors, as `qhm verify` forms them (16 samples there).
+    tied_ny=True gives instead the refinement-tied ny = b'*refinement,
+    which grows with the x-resolution.
 
     GRID_BUDGET bounds the points of the x-window, 2 * X_HALFWIDTH units
     by ny samples, the most any field can hold.  It is checked before any

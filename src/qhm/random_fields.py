@@ -44,37 +44,22 @@ def random_module_vector(grid: Grid, rng: np.random.Generator,
     return out
 
 
-def battery_bandwidth(grid: Grid, pairwise: bool = False):
-    """(y_modes, max_shift_units) of test vectors whose y-content the grid
-    resolves: the battery's (BATTERY_Y_MODES, BATTERY_SHIFT_UNITS) when ny
-    exceeds twice lattice.y_bandwidth, else (0, 0), which leaves y-constant
-    envelopes at the origin.
-
-    Battery vectors on solve's grid only meet the narrow R, and make_grid
-    sizes ny for that band, so on its default grids they keep both.
-    `qhm verify` pairs two vectors in <f, g>_D (pairwise=True), whose wrap
-    phases need the wider band of two spread-out vectors; it builds its
-    grid with make_grid(..., pairwise=True), which holds that band at every
-    refinement, so verify always draws full-band vectors.  (0, 0) is left
-    for grids sized otherwise, such as a coarse refinement-tied one.
-    """
-    if grid.ny >= 2 * y_bandwidth(grid.params, pairwise) + 1:
-        return BATTERY_Y_MODES, BATTERY_SHIFT_UNITS
-    return 0, 0
-
-
 def make_battery(grid: Grid, count: int, seed: int,
                  include: Sequence[ScalarField] = ()) -> List[ScalarField]:
-    """Deterministic battery of smooth test vectors."""
+    """Deterministic battery of smooth test vectors.
+
+    Pairs of battery vectors carry the pairwise y-band (lattice.y_bandwidth),
+    so a grid with fewer than 2B + 1 y-samples is refused: build it with
+    make_grid(..., pairwise=True).
+    """
+    band = y_bandwidth(grid.params, pairwise=True)
+    if grid.ny < 2 * band + 1:
+        raise ValueError(f"ny = {grid.ny} cannot hold the battery's pairwise "
+                         f"y-band {band}; it needs at least {2 * band + 1}")
     rng = np.random.default_rng(seed)
     env = smooth_envelope(grid)
-    y_modes, max_shift = battery_bandwidth(grid)
-    out = list(include)
-    for _ in range(count):
-        out.append(random_module_vector(grid, rng, y_modes=y_modes,
-                                        max_shift_units=max_shift,
-                                        envelope=env))
-    return out
+    return list(include) + [random_module_vector(grid, rng, envelope=env)
+                            for _ in range(count)]
 
 
 def random_torus_function(grid: Grid, rng: np.random.Generator) -> TorusFunction:

@@ -62,7 +62,7 @@ def test_criterion_02_condition_lists(R2):
 
 
 def connection_axiom_error(params, refinement):
-    grid = make_grid(params, refinement, tied_ny=True)
+    grid = make_grid(params, refinement, pairwise=True)
     R = build_R(params, grid)
     nabla0 = Connection(R)
     battery = make_battery(grid, 16, 0)

@@ -283,7 +283,7 @@ KERNEL_PARAMS = [Params.from_steps(1, Fraction(1, 4), Fraction(1, 4)),
 @pytest.mark.parametrize("refinement", [3, 9, 27])
 @pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["c1", "c2"])
 def test_star_and_derivations_match_full_window_bitwise(params, refinement):
-    grid = make_grid(params, refinement)
+    grid = make_grid(params, refinement, pairwise=True)
     rng = np.random.default_rng(refinement)
     R = build_R(params, grid)
     f = random_module_vector(grid, rng, y_modes=1, max_shift_units=1)

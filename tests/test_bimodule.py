@@ -15,7 +15,7 @@ from qhm import jets
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, adjoint,
                          derivation, star, trace)
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
-from qhm.lattice import Params, ScalarField, make_grid
+from qhm.lattice import Params, ScalarField, make_grid, y_bandwidth
 from qhm.projection import build_R
 from qhm.random_fields import make_battery, random_module_vector
 
@@ -89,6 +89,18 @@ def test_battery_is_deterministic(grid4):
     b = make_battery(grid4, 3, seed=7)
     for u, v in zip(a, b):
         assert (u - v).norm_inf() == 0.0
+
+
+def test_battery_refuses_a_grid_without_its_pairwise_band(params, grid2):
+    # pairs of battery vectors need 2 * 7 + 1 y-samples here; the tied
+    # refinement-2 grid (ny = 8) and solve's grid (ny = 4) have fewer, and a
+    # battery drawn there would be aliased or quietly weakened
+    need = 2 * y_bandwidth(params, pairwise=True) + 1
+    for grid in (grid2, make_grid(params, 9)):
+        assert grid.ny < need
+        with pytest.raises(ValueError, match="pairwise"):
+            make_battery(grid, 1, seed=0)
+    assert len(make_battery(make_grid(params, 2, pairwise=True), 1, 0)) == 1
 
 
 # -- the kernels against the direct per-translate sums ----------------------
@@ -206,7 +218,7 @@ KERNEL_PARAMS = [Params.from_steps(1, Fraction(1, 4), Fraction(1, 4)),
 @pytest.mark.parametrize("refinement", [3, 9, 27])
 @pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["c1", "c2"])
 def test_kernels_match_direct_sums_bitwise(params, refinement):
-    grid = make_grid(params, refinement)
+    grid = make_grid(params, refinement, pairwise=True)
     rng = np.random.default_rng(refinement)
     R = build_R(params, grid)
     f, g = (random_module_vector(grid, rng, y_modes=1, max_shift_units=1)

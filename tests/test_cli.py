@@ -16,8 +16,7 @@ from qhm.cli import (ConfigError, PipelineError, RunConfig, _parse_kv,
 from qhm.lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Params,
                          make_grid, y_bandwidth)
 from qhm.projection import BumpSpec, build_R
-from qhm.random_fields import (battery_bandwidth, random_module_vector,
-                               random_torus_function)
+from qhm.random_fields import random_module_vector, random_torus_function
 
 
 def run(tmp_path, *argv):
@@ -156,16 +155,17 @@ class TestVerify:
                                             modes):
         # <f, g>_D of two modulated, translated vectors needs
         # 2 * (5c + 2) + 1 y-samples at su = 1/4.  The refinement-tied grid
-        # holds them only from refinement 4 (c = 1) or 7 (c = 2) on and would
-        # cut the draws to `modes`; verify's own grid holds them at every
-        # refinement, so it always draws full-band vectors
+        # holds them only from refinement 4 (c = 1) or 7 (c = 2) on; below,
+        # pairs resolve only with `modes` = (y_modes, shift_units) = (0, 0).
+        # Verify's own grid holds the full band at every refinement.
         params = Params.from_steps(c, Fraction(1, 4), Fraction(1, 4))
+        band = y_bandwidth(params, pairwise=True)
         tied = make_grid(params, refinement, tied_ny=True)
-        assert battery_bandwidth(tied, pairwise=True) == modes
+        full = (BATTERY_Y_MODES, BATTERY_SHIFT_UNITS)
+        assert (tied.ny >= 2 * band + 1) == (modes == full)
         rep = run_verify(RunConfig(params=params, refinement=refinement,
                                    out=str(tmp_path)))
-        assert (rep["grid"]["y_modes"], rep["grid"]["shift_units"]) == (
-            BATTERY_Y_MODES, BATTERY_SHIFT_UNITS)
+        assert rep["grid"]["ny"] >= 2 * band + 1
         checks = {ch["name"]: ch["pass"] for ch in rep["checks"]}
         assert checks["metric_compatibility"] and checks["commutator_x"]
 
@@ -192,12 +192,11 @@ class TestVerify:
         rep = run_verify(RunConfig(params=params, refinement=refinement,
                                    out=str(tmp_path)))
         grid = rep["grid"]
+        assert sorted(grid) == ["laplace_ny", "nx_unit", "ny", "y_bandwidth"]
         band = y_bandwidth(params, pairwise=True)
         assert grid["y_bandwidth"] == band
         assert grid["ny"] >= 2 * band + 1 and grid["ny"] % sv.denominator == 0
         assert grid["nx_unit"] == 4 * refinement
-        assert (grid["y_modes"], grid["shift_units"]) == (
-            BATTERY_Y_MODES, BATTERY_SHIFT_UNITS)
         assert grid["laplace_ny"] == sv.denominator * refinement
         # the Laplace roundoff grows like laplace_ny^2 (ROADMAP item 2)
         failing = [ch["name"] for ch in rep["checks"] if not ch["pass"]]
@@ -291,15 +290,16 @@ class TestSolve:
                 assert complex(re, im) == g.samples[i, j]
 
     def test_solve_reports_its_grid(self, params, tmp_path):
-        # the y-resolution follows the y-bandwidth, not the refinement
+        # the y-resolution follows the y-bandwidth of R, B = c, not the
+        # refinement
         for refinement, nx_unit in ((9, 36), (27, 108)):
             cfg = RunConfig(params=params, refinement=refinement, seed=0,
                             out=str(tmp_path))
             assert run_solve(cfg)["grid"] == {
-                "nx_unit": nx_unit, "ny": 12, "y_bandwidth": 4,
+                "nx_unit": nx_unit, "ny": 4, "y_bandwidth": 1,
                 "chain_depth": 2}
             lines = (tmp_path / "g3.csv").read_text().splitlines()
-            assert len(lines) == 1 + refinement * 12
+            assert len(lines) == 1 + refinement * 4
 
     def test_solve_deterministic(self, tmp_path):
         _, out1 = run(tmp_path / "a", "solve")
@@ -448,43 +448,37 @@ def test_import_loads_no_sympy():
 
 
 # Report numbers recorded with repr at seeds 5 (solve) and 7 (verify).  The
-# ym, a0 and laplace_form of solve date from the per-order chain code; the
-# residuals from the E-element form of the Euler-Lagrange equations, which
-# reads no seed; the verify numbers from verify's pairwise-band grid
-# (ny = 16), except laplace_eigenfunction, which runs on the
-# refinement-tied grid.  Any change of the order in which products are
-# formed shows here.
+# solve numbers date from solve's grid of the band of R alone (ny = 4); the
+# verify numbers from verify's pairwise-band grid (ny = 16), except
+# laplace_eigenfunction, which runs on the refinement-tied grid.  Any
+# change of the order in which products are formed shows here.
 PINNED_SOLVE = {
     9: {"ym": 193.61006841215558, "ym_grassmannian": 977.5426280115382,
-        "a0": 8.836845456821019e-16 - 0.9071299842634906j,
-        "residuals": {"r1": 1.2144803496942248e-15, "r2": 4.349515155547144e-17,
-                      "r3": 6.369689300745685e-14,
-                      "r3_osc": 6.369689300745685e-14,
-                      "scale": 168.68066332793055},
-        "residuals_grassmannian": {"r1": 1.7866980565844601,
-                                   "r2": 2.4907948841221237e-14,
-                                   "r3": 93.74260209351634,
-                                   "r3_osc": 93.74260209351634,
-                                   "scale": 168.68066332793055},
-        "laplace_form": {"first_eq": 0.9071299842634937,
-                         "theta_xy": 3.1608123510917994e-15,
-                         "second_eq_osc": 8.64670374815587e-12,
-                         "second_eq_const": 0.9071299842639051}},
-    27: {"ym": 159.10442281051877, "ym_grassmannian": 1032.0036713289005,
-         "a0": 1.0621731397989502e-16 - 0.7878236853309589j,
-         "residuals": {"r1": 8.388159292128114e-15, "r2": 1.0639289481682447e-16,
-                       "r3": 1.767225061715653e-13,
-                       "r3_osc": 1.767225061715653e-13,
+        "a0": 1.1728366530343198e-16 - 0.9071299842634877j,
+        "residuals": {"r1": 9.894657235819465e-16, "r2": 4.378438364656706e-17,
+                      "r3": 5.017285924508465e-14,
+                      "r3_osc": 5.017285924508465e-14,
+                      "scale": 168.68066332793052},
+        "residuals_grassmannian": {"r1": 1.7866980565843307,
+                                   "r2": 6.015885590456416e-16,
+                                   "r3": 93.74260209351635,
+                                   "r3_osc": 93.74260209351635,
+                                   "scale": 168.68066332793052},
+        "laplace_form": {"theta_xy": 2.672244412859312e-15,
+                         "second_eq_osc": 7.342268823989582e-12}},
+    27: {"ym": 159.10442281051883, "ym_grassmannian": 1032.003671328901,
+         "a0": -5.380458011593054e-17 - 0.7878236853309566j,
+         "residuals": {"r1": 1.0620801490503012e-14, "r2": 7.102613147821544e-17,
+                       "r3": 2.9101113220135033e-13,
+                       "r3_osc": 2.9101113220135033e-13,
                        "scale": 200.7844860479144},
-         "residuals_grassmannian": {"r1": 3.432933034917864,
-                                    "r2": 2.95788537995973e-14,
+         "residuals_grassmannian": {"r1": 3.4329330349177694,
+                                    "r2": 6.202825946512788e-16,
                                     "r3": 78.75391477928797,
                                     "r3_osc": 78.75391477928797,
                                     "scale": 200.7844860479144},
-         "laplace_form": {"first_eq": 0.7878236853309639,
-                          "theta_xy": 8.285033136023516e-15,
-                          "second_eq_osc": 3.635629623857668e-11,
-                          "second_eq_const": 0.7878236853309751}},
+         "laplace_form": {"theta_xy": 9.108861475033594e-15,
+                          "second_eq_osc": 5.62761152567723e-11}},
 }
 
 PINNED_VERIFY = {

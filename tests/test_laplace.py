@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhm.calculus import Connection, check_skew, curvature_closed, extract_f1_f2
 from qhm.laplace import (assemble_rhs, build_perturbation, laplace_form_residuals,
                          laplace_eigenvalues, solve_poisson, verify_critical)
-from qhm.lattice import Params, TorusFunction, make_grid
+from qhm.lattice import Grid, Params, TorusFunction, make_grid
 from qhm.projection import build_R, grassmann_apply
-from qhm.random_fields import battery_bandwidth, make_battery
+from qhm.random_fields import make_battery
 
 
 def character(grid, n, m):
@@ -106,13 +108,9 @@ def test_laplace_form_residuals(grid9, R9):
     rep = verify_critical(R9)
     cor = laplace_form_residuals(rep["f1"], rep["f2"], rep["perturbation"],
                               grid9.params.c)
-    a0 = abs(rep["a0"])
-    # theta_xy and the oscillatory second equation vanish; the two "as
-    # stated" forms carry exactly the absorbed constant |a0|
+    assert sorted(cor) == ["second_eq_osc", "theta_xy"]
     assert cor["theta_xy"] < 1e-10
     assert cor["second_eq_osc"] < 1e-9
-    assert abs(cor["first_eq"] - a0) < 1e-10
-    assert abs(cor["second_eq_const"] - a0) < 1e-10
 
 
 def test_perturbation_components_are_skew(grid9, R9):
@@ -147,14 +145,39 @@ def _on_y_grid(a: np.ndarray, ny: int) -> np.ndarray:
         2j * math.pi * np.outer(m, np.arange(ny) / ny)) / n
 
 
-def _solve_on(grid, seed):
-    R = build_R(grid.params, grid)
-    battery = make_battery(grid, 4, seed, include=[R])
-    rep = verify_critical(R)
+def _solve_on(grid):
+    rep = verify_critical(build_R(grid.params, grid))
     form = laplace_form_residuals(rep["f1"], rep["f2"], rep["perturbation"],
                                   grid.params.c)
+    return rep, form
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(c=st.integers(1, 3), b=st.integers(3, 6),
+       sv=st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)]),
+       refinement=st.sampled_from([9, 15]))
+def test_solve_band_holds_the_construction(c, b, sv, refinement):
+    # Solve's ny holds the band B = c of R's content, so a grid of three
+    # times its ny gives the same construction to rounding.  A grid sized
+    # for B = c - 1 moves YM by about 2% at c = 2 or 3 with sv = 1/3.
+    params = Params.from_steps(c, Fraction(1, b), sv)
+    grid = make_grid(params, refinement)
+    rep, _ = _solve_on(grid)
+    ref, _ = _solve_on(Grid(params, grid.hx, grid.hy / 3))
+    assert abs(rep["ym"] / ref["ym"] - 1) <= 1e-13
+    assert abs(rep["a0"] / ref["a0"] - 1) <= 1e-13
+    for k in ("r1", "r2", "r3_osc"):
+        assert abs(rep["residuals"][k] - ref["residuals"][k]) <= 5e-12
+    for k in ("r1", "r3"):
+        got, want = rep["residuals_grassmannian"][k], ref["residuals_grassmannian"][k]
+        assert abs(got / want - 1) <= 1e-12
+
+
+def _battery_on(grid, seed):
+    R = build_R(grid.params, grid)
+    battery = make_battery(grid, 4, seed, include=[R])
     nabla0 = [grassmann_apply(R, w, f) for f in battery for w in "XYZ"]
-    return rep, form, battery, nabla0
+    return battery, nabla0
 
 
 @pytest.mark.parametrize("refinement", [9, 27])
@@ -162,15 +185,14 @@ def _solve_on(grid, seed):
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_default_grid_matches_refinement_tied_grid(c, sv, refinement):
     # The default ny carries every y-mode of solve, so its run agrees with
-    # the refinement-tied grid, which has up to 9 times more y-samples, to
+    # the refinement-tied grid, which has 3 to 27 times more y-samples, to
     # rounding.
     params = Params.from_steps(c, Fraction(1, 4), sv)
     fine = make_grid(params, refinement, tied_ny=True)
     grid = make_grid(params, refinement)
-    assert grid.ny < fine.ny
-    assert battery_bandwidth(grid) == battery_bandwidth(fine) == (1, 1)
-    ref, ref_form, ref_battery, ref_nabla0 = _solve_on(fine, 5)
-    rep, form, battery, nabla0 = _solve_on(grid, 5)
+    assert 3 * grid.ny <= fine.ny
+    ref, ref_form = _solve_on(fine)
+    rep, form = _solve_on(grid)
 
     assert abs(rep["ym"] / ref["ym"] - 1) <= 1e-13
     assert abs(rep["a0"] / ref["a0"] - 1) <= 1e-13
@@ -183,8 +205,14 @@ def test_default_grid_matches_refinement_tied_grid(c, sv, refinement):
     # the fine grid's own Laplace roundoff, which grows like ny^2
     assert abs(form["second_eq_osc"] - ref_form["second_eq_osc"]) <= 1e-9
 
-    # same draws, modes and translates: the coarse battery is the fine one
-    # sampled on the coarse y-points
+    # A battery needs the pairwise band, which the tied grid does not hold
+    # at every refinement: compare the pairwise-band grid with one of three
+    # times its ny.  Same draws, modes and translates: the coarse battery is
+    # the fine one sampled on the coarse y-points.
+    grid = make_grid(params, refinement, pairwise=True)
+    fine = Grid(params, grid.hx, grid.hy / 3)
+    ref_battery, ref_nabla0 = _battery_on(fine, 5)
+    battery, nabla0 = _battery_on(grid, 5)
     assert len(battery) == len(ref_battery)
     for f, g in zip(battery, ref_battery):
         assert (f.i0, f.nx, f.depth) == (g.i0, g.nx, g.depth)

@@ -83,14 +83,14 @@ class TestParams:
         assert g.ny == 12 and g.sv_steps == 3
 
     @pytest.mark.parametrize("c, sv, ny", [
-        (1, Fraction(1, 4), 12), (2, Fraction(1, 4), 16),
-        (3, Fraction(1, 3), 21), (1, Fraction(1, 3), 9),
-        (1, Fraction(1, 2), 10), (1, Fraction(0), 9)])
+        (1, Fraction(1, 4), 4), (2, Fraction(1, 4), 8),
+        (3, Fraction(1, 3), 9), (1, Fraction(1, 3), 3),
+        (1, Fraction(1, 2), 4), (1, Fraction(0), 3)])
     def test_default_ny_follows_the_y_bandwidth(self, c, sv, ny):
         # smallest multiple of sv's denominator that is at least 2B + 1,
-        # B = c * 3 + 1 at su = 1/4, whatever the refinement
+        # B = c from R alone, whatever the refinement
         params = Params.from_steps(c, Fraction(1, 4), sv)
-        assert y_bandwidth(params) == 3 * c + 1
+        assert y_bandwidth(params) == c
         for refinement in (1, 9, 405):
             g = make_grid(params, refinement)
             assert g.ny == ny and g.nx_unit == 4 * refinement

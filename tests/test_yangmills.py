@@ -132,13 +132,13 @@ def test_equations_read_no_chain_order_beyond_one(params, grid9, R9):
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_elements_act_as_the_operator_equations(c, refinement, connection):
     # Each Euler-Lagrange element, acting on a vector, is the operator
-    # equation applied to it, on solve's grid and on R and every random
-    # vector of solve's former battery.  The error is measured against the
-    # normalization of the residuals, ||f|| times the curvature scale; it
-    # reads at most 1e-13, and flipping the sign of c Theta(X,Y) makes it
-    # O(1).
+    # equation applied to it, on R and on every vector of a battery, drawn
+    # on the pairwise-band grid that make_battery needs.  The error is
+    # measured against the normalization of the residuals, ||f|| times the
+    # curvature scale; it reads at most 3e-13, and flipping the sign of
+    # c Theta(X,Y) makes it O(1).
     params = Params.from_steps(c, Fraction(1, 4), Fraction(1, 4))
-    grid = make_grid(params, refinement)
+    grid = make_grid(params, refinement, pairwise=True)
     R = build_R(params, grid)
     rep = verify_critical(R)
     theta0 = rep["theta0"]
