@@ -93,9 +93,8 @@ class AlgebraElement:
         return chain[: d + 1]
 
     def norm_inf(self) -> float:
-        if not self.comps:
-            return 0.0
-        return max(float(np.max(np.abs(c[0]))) for c in self.comps.values())
+        # np.max keeps a NaN, which max() drops behind a number
+        return float(np.max([np.max(np.abs(c[0])) for c in self.comps.values()], initial=0))
 
     # -- constructors ----------------------------------------------------
 

@@ -128,11 +128,12 @@ class Curvature2Form:
         return AlgebraElement.zero(E_FLAVOR, self.xy.grid)
 
     def norm_inf(self) -> float:
-        return max(self.xy.norm_inf(), self.xz.norm_inf(), self.yz.norm_inf())
+        return float(np.max([t.norm_inf() for t in (self.xy, self.xz, self.yz)]))
 
     def skew_defect(self) -> float:
         """Max violation of adjoint(component) = -component."""
-        return max((adjoint(t) + t).norm_inf() for t in (self.xy, self.xz, self.yz))
+        return float(np.max([(adjoint(t) + t).norm_inf()
+                             for t in (self.xy, self.xz, self.yz)]))
 
 
 def curvature_closed(R: ModuleVector) -> Curvature2Form:

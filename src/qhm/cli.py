@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -26,8 +27,8 @@ from .calculus import (Connection, StructureError, connect, curvature_closed,
                        extract_f1_f2, mult_element)
 from .lattice import (CHAIN_DEPTH, CommensurabilityError, Params, ScalarField,
                       TorusFunction, WindowOverflowError, make_grid, y_bandwidth)
-from .laplace import laplace_form_residuals, laplace_eigenvalues, verify_critical
-from .morita import MoritaGridError, verify_bimodule_preservation
+from .laplace import laplace_form_residuals, verify_critical
+from .morita import MoritaGridError, s_y_samples, verify_bimodule_preservation
 from .projection import build_R, verify_R_conditions
 from .random_fields import random_module_vector, random_torus_function
 
@@ -238,13 +239,10 @@ def _tamper(elem: AlgebraElement) -> AlgebraElement:
 def run_verify(cfg: RunConfig) -> Dict[str, object]:
     # <f, g>_D of two modulated, translated vectors carries the wrap phases
     # e(-c k p y) up to the pairwise band B = y_bandwidth(pairwise=True), so
-    # every check but one runs on the grid of that band (ny >= 2B + 1 at
-    # every refinement) and draws full-band vectors.  The Laplace check
-    # keeps the refinement-tied ny: its FFT roundoff grows like ny^2, and
-    # that known failure (ROADMAP item 2) must stay visible.  Both grids are
-    # checked against the budget before any array exists.
+    # every check runs on the grid of that band (ny >= 2B + 1 at every
+    # refinement) and draws full-band vectors.  The grid is checked against
+    # the budget before any array exists.
     grid = make_grid(cfg.params, cfg.refinement, pairwise=True)
-    lgrid = make_grid(cfg.params, cfg.refinement, tied_ny=True)
     tol = cfg.tolerances
     checks: List[Dict[str, object]] = []
 
@@ -308,15 +306,23 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
     checks.append(_check("commutator_z", "[nabla0_Z, G] = 0",
                          com["Z"].norm_inf() / scale, tol["commutator"]))
 
-    co = np.zeros((lgrid.su_steps, lgrid.ny), complex)
-    n0, m0 = 0, 1 % lgrid.ny
-    co[n0, m0] = 1.0
-    chi = TorusFunction.from_fft(lgrid, co)
-    lam = laplace_eigenvalues(lgrid)[n0, m0]
-    dev = (chi.d_dx().d_dx() + chi.d_dy().d_dy() - lam * chi).norm_inf()
-    checks.append(_check("laplace_eigenfunction",
-                         "Laplace(chi_{n,m}) = -4 pi^2 (kx^2 + ky^2) chi",
-                         dev / max(abs(lam), 1.0), tol["poisson"]))
+    # Closed forms, not the spectral tables that made chi: chi_{n,m} = e(kx x
+    # + ky y), and the coefficients of its derivatives relative to their size
+    # (the roundoff of Laplace(chi) - lambda chi grows like eps max|lambda|).
+    n, m = 0, 1
+    kx, ky = float((n - cfg.params.sv * m) / cfg.params.su), m
+    co = np.zeros((grid.su_steps, grid.ny), complex)
+    co[n, m] = 1.0
+    chi = TorusFunction.from_fft(grid, co)
+    dx, dy = chi.d_dx(), chi.d_dy()
+    xs = grid.x_of(np.arange(grid.su_steps))[:, None]
+    lap = [np.max(np.abs(chi.samples - np.exp(2j * math.pi * (kx * xs + ky * grid.ys))))]
+    lap += [abs(t.fft()[n, m] - want) / max(abs(want), 1.0) for t, want in (
+        (dx, 2j * math.pi * kx), (dy, 2j * math.pi * ky),
+        (dx.d_dx() + dy.d_dy(), -4 * math.pi ** 2 * (kx ** 2 + ky ** 2)))]
+    checks.append(_check("laplace_eigenfunction", "chi_{n,m} = e(n x/su + m (y - "
+                         "sv x/su)) has d/dx, d/dy, Laplace = 2 pi i kx, 2 pi i "
+                         "ky, -4 pi^2 (kx^2 + ky^2)", np.max(lap), tol["poisson"]))
 
     lhs = connect(nabla0, "Y", act_right(f, phi))
     # Leibniz along Y: nabla(f Phi) = (nabla f) Phi + f delta(Phi)
@@ -332,11 +338,10 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
     del phi, lhs, rhs
     fg2 = inner_D(f, ScalarField(grid, g2.i0, g2.chain[:2]))
     phi2 = inner_D(R, g2)
-    met = 0.0
-    for w in "XYZ":
-        met = max(met, (derivation(w, fg2)
-                        - inner_D(nabla_f[w], g2)
-                        - inner_D(f, connect(nabla0, w, g2, phi2))).norm_inf())
+    # np.max keeps a NaN, which max() drops behind a number
+    met = np.max([(derivation(w, fg2) - inner_D(nabla_f[w], g2)
+                   - inner_D(f, connect(nabla0, w, g2, phi2))).norm_inf()
+                  for w in "XYZ"])
     mscale = max(fg2.norm_inf(), 1e-30)
     checks.append(_check("metric_compatibility",
                          "delta<f,g>_D = <nabla f, g>_D + <f, nabla g>_D",
@@ -346,8 +351,7 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
         "command": "verify",
         "config": _config_summary(cfg),
         "grid": {"nx_unit": grid.nx_unit, "ny": grid.ny,
-                 "y_bandwidth": y_bandwidth(cfg.params, pairwise=True),
-                 "laplace_ny": lgrid.ny},
+                 "y_bandwidth": y_bandwidth(cfg.params, pairwise=True)},
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
     }
@@ -425,17 +429,18 @@ def run_solve(cfg: RunConfig, sweep: bool = False) -> Dict[str, object]:
 class PipelineError(RuntimeError):
     def __init__(self, stage: str, detail: str):
         super().__init__(f"stage '{stage}' failed: {detail}")
-        self.stage = stage
 
 
 # morita -------------------------------------------------------------------
 
 def run_morita(cfg: RunConfig) -> Dict[str, object]:
-    # refinement-tied ny, as in verify's Laplace check (ROADMAP item 2); all
-    # samples are checked as one batch, cut into chunks of at most
-    # lattice.GRID_BUDGET points so that any sample count fits in memory
-    grid = make_grid(cfg.params, cfg.morita_refinement, tied_ny=True)
+    # make_grid's x-step and ny = 2c/sv, on which S(f) is y-periodic; the
+    # checks' y-operations are pointwise or rolls by sv_steps, so no y-band
+    # binds.  All samples are one batch, cut into chunks of at most
+    # lattice.GRID_BUDGET points so that any sample count fits in memory.
     try:
+        grid = replace(make_grid(cfg.params, cfg.morita_refinement),
+                       hy=Fraction(1, s_y_samples(cfg.params)))
         rep = verify_bimodule_preservation(
             grid, cfg.morita_sample_count, seed=cfg.seed,
             broken_u=cfg.morita_broken_u, tol=cfg.tolerances["morita"])
@@ -443,6 +448,7 @@ def run_morita(cfg: RunConfig) -> Dict[str, object]:
         raise PipelineError("morita grid", str(exc)) from exc
     rep["command"] = "morita"
     rep["config"] = _config_summary(cfg)
+    rep["grid"] = {"nx_unit": grid.nx_unit, "ny": grid.ny}
     anchors = {
         "left_action": "S(phi . f) = H(phi) . S(f)",
         "right_action": "S(f . phi) = S(f) . H(phi)",

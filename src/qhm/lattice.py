@@ -36,7 +36,7 @@ BATTERY_Y_MODES = 1
 BATTERY_SHIFT_UNITS = 1
 
 # Every field's x-support lies in (-X_HALFWIDTH, X_HALFWIDTH) units, and a
-# grid may hold at most GRID_BUDGET points of that window (make_grid).
+# grid may hold at most GRID_BUDGET points of that window (Grid).
 X_HALFWIDTH = 6
 GRID_BUDGET = 10_000_000
 
@@ -106,7 +106,8 @@ class Params:
 
 @dataclass(frozen=True)
 class Grid:
-    """Sampling lattice: hx divides both 1 and su, hy divides both 1 and sv."""
+    """Sampling lattice: hx divides both 1 and su, hy divides both 1 and sv,
+    and the x-window holds at most GRID_BUDGET points."""
 
     params: Params
     hx: Fraction
@@ -119,6 +120,10 @@ class Grid:
                            (self.hy, Fraction(1)), (self.hy, self.params.sv)):
             if unit != 0 and (unit / step).denominator != 1:
                 raise CommensurabilityError(f"{step} does not divide {unit}")
+        points = 2 * self.i_bound * self.ny  # checked before any array exists
+        if points > GRID_BUDGET:
+            raise WindowOverflowError(f"the grid needs {points} points, above the "
+                                      f"budget of {GRID_BUDGET}; lower the refinement")
 
     @cached_property
     def nx_unit(self) -> int:
@@ -205,8 +210,7 @@ def y_bandwidth(params: Params, pairwise: bool = False) -> int:
     return params.c * kp + 2 * BATTERY_Y_MODES
 
 
-def make_grid(params: Params, refinement: int, tied_ny: bool = False,
-              pairwise: bool = False) -> Grid:
+def make_grid(params: Params, refinement: int, pairwise: bool = False) -> Grid:
     """Grid with hx = 1/(b*refinement) for su = a/b, and ny y-samples.
 
     Both 1 and su are integer multiples of hx, and both 1 and sv of hy =
@@ -219,29 +223,12 @@ def make_grid(params: Params, refinement: int, tied_ny: bool = False,
     ny/2 and the spectral y-derivative is exact on it: 4 samples for c = 1
     at su = sv = 1/4.  pairwise=True sizes ny for <f, g>_D of two random
     test vectors, as `qhm verify` forms them (16 samples there).
-    tied_ny=True gives instead the refinement-tied ny = b'*refinement,
-    which grows with the x-resolution.
-
-    GRID_BUDGET bounds the points of the x-window, 2 * X_HALFWIDTH units
-    by ny samples, the most any field can hold.  It is checked before any
-    array exists; WindowOverflowError refuses a larger grid.
     """
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
-    b = params.su.denominator
     bp = params.sv.denominator
-    if tied_ny:
-        ny = bp * refinement
-    else:
-        ny = bp * -(-(2 * y_bandwidth(params, pairwise) + 1) // bp)
-    hx = Fraction(1, b * refinement)
-    grid = Grid(params=params, hx=hx, hy=Fraction(1, ny))
-    if 2 * grid.i_bound * grid.ny > GRID_BUDGET:
-        raise WindowOverflowError(
-            f"refinement {refinement} needs {2 * grid.i_bound * grid.ny} grid "
-            f"points, above the budget of {GRID_BUDGET}; lower the refinement"
-        )
-    return grid
+    ny = bp * -(-(2 * y_bandwidth(params, pairwise) + 1) // bp)
+    return Grid(params, Fraction(1, params.su.denominator * refinement), Fraction(1, ny))
 
 
 class ScalarField:

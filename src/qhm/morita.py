@@ -31,9 +31,11 @@ leading sample axis: one SpectralVector holds a batch (S, nx, ny) of S
 members.  SpectralVector.eval_row evaluates a whole array of x-indices
 anywhere through the defining twist, with one roll of the sample array per
 crossed cell, so each map, bimodule operation and check below is one array
-expression over all S samples.  The x-rescaling x -> -x/su maps grid points
-to grid points iff 1/su is an integer; that extra rationality constraint is
-enforced at construction.
+expression over all S samples.  Two rationality constraints are enforced
+where the maps are formed, with MoritaGridError: x -> -x/su maps grid points
+to grid points iff 1/su is an integer (rescale_factor), and S(f) is
+y-periodic on the samples, a function on the torus, iff c/sv is an integer
+and ny divides 2c/sv (s_y_samples).
 
 The seeded samples are sums of four characters each.  draw_terms takes
 their frequencies and coefficients from the generator one sample at a time;
@@ -50,7 +52,7 @@ from typing import Dict, List, NamedTuple
 import numpy as np
 
 from . import lattice
-from .lattice import Grid
+from .lattice import Grid, Params
 
 X_BETA_USTAR_ALPHA = "X_beta_ustar_alpha"
 E_FIRST = "E_first"
@@ -65,7 +67,7 @@ _TAG_PHASED = {X_BETA_USTAR_ALPHA: True, BETA_INVARIANT: False,
 
 
 class MoritaGridError(ValueError):
-    """The x-rescaling x -> -x/su does not land on grid points."""
+    """S or H is not a map between functions on this grid."""
 
 
 def rescale_factor(grid: Grid) -> int:
@@ -75,6 +77,15 @@ def rescale_factor(grid: Grid) -> int:
         raise MoritaGridError(
             f"1/su = {inv} is not an integer; x -> -x/su leaves the grid")
     return int(inv)
+
+
+def s_y_samples(params: Params) -> int:
+    """2c/sv.  S(f)(x, y + 1) = e(c(2y + 1)/sv) S(f)(x, y), so S(f) is
+    y-periodic on the samples j/ny iff c/sv is an integer and ny divides
+    2c/sv, which is then a multiple of sv's denominator."""
+    if params.sv == 0 or (params.c / params.sv).denominator != 1:
+        raise MoritaGridError(f"c/sv = {params.c}/({params.sv}) is not an integer")
+    return int(2 * params.c / params.sv)
 
 
 @dataclass(frozen=True)
@@ -134,9 +145,6 @@ class SpectralVector:
                 out[..., hit, :] = cell[..., r[hit], :]
         return out
 
-    def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.samples))) if self.samples.size else 0.0
-
 
 def _reverse_y(rows: np.ndarray) -> np.ndarray:
     """rows'[..., j] = rows[..., -j mod ny]."""
@@ -146,6 +154,8 @@ def _reverse_y(rows: np.ndarray) -> np.ndarray:
 def _S_rows(f: SpectralVector, idx: np.ndarray) -> np.ndarray:
     """S(f) at x = i*hx for each i in idx, straight from the formula."""
     g = f.grid
+    if s_y_samples(g.params) % g.ny:
+        raise MoritaGridError(f"S(f) is not y-periodic on {g.ny} y-samples")
     phase = np.exp(2j * math.pi * g.params.c * g.ys ** 2 / float(g.params.sv))
     return phase * _reverse_y(f.eval_row(-rescale_factor(g) * idx))
 
@@ -346,9 +356,7 @@ def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
     each identity's worst value is the max over all batches.
     """
     rng = np.random.default_rng(seed)
-    worst = {"left_action": 0.0, "right_action": 0.0,
-             "inner_left": 0.0, "inner_right": 0.0,
-             "membership_transport": 0.0, "source_membership": 0.0}
+    batches = []
     chunk = max(1, lattice.GRID_BUDGET // (2 * grid.nx_unit * grid.ny))
     for start in range(0, sample_count, chunk):
         f_terms, g_terms, phi_terms = draw_terms(
@@ -360,7 +368,7 @@ def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
         gv = random_source_vector(grid, g_terms, broken_shift=broken_u)
         phi = random_invariant_function(grid, phi_terms)
         sf, sg, hphi = map_S(f), map_S(gv), map_H(phi)
-        batch = {
+        batches.append({
             "left_action": _maxdiff(map_S(source_left(phi, f)),
                                     target_left(hphi, sf)),
             "right_action": _maxdiff(map_S(source_right(f, phi)),
@@ -370,11 +378,10 @@ def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
             "inner_right": _maxdiff(map_H(source_inner_R(f, gv)),
                                     target_inner_R(sf, sg)),
             "membership_transport": membership_transport_defect(f),
-            "source_membership": max(membership_defect_source(f),
-                                     membership_defect_source(gv)),
-        }
-        for name, value in batch.items():
-            worst[name] = max(worst[name], value)
+            "source_membership": np.maximum(membership_defect_source(f),
+                                            membership_defect_source(gv))})
+    # np.max and np.maximum keep a NaN, which max() drops behind a number
+    worst = {k: float(np.max([b[k] for b in batches])) for k in batches[0]}
     checks = {k: {"violation": v, "tol": tol, "pass": bool(v <= tol)}
               for k, v in worst.items()}
     return {

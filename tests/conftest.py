@@ -1,8 +1,9 @@
 """Shared fixtures: the default parameters, grids and bump vectors.
 
-The grid fixtures keep the refinement-tied ny (4 * refinement here): the
-tests that use them build general random vectors and pair them, whose
-y-content the narrower default grid of a solve run does not carry.
+The grid fixtures take hy = hx = 1/(4 * refinement), so ny grows with the
+refinement: the tests that use them build general random vectors and pair
+them, whose y-content the narrower default grid of a solve run does not
+carry.
 """
 
 from fractions import Fraction
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qhm.lattice import Params, make_grid
+from qhm.lattice import Grid, Params
 from qhm.projection import build_R
 
 
@@ -22,24 +23,30 @@ def params():
     return DEFAULT
 
 
+def square_grid(params, refinement):
+    """hx = hy = 1/(4 * refinement), for su = sv = 1/4."""
+    h = Fraction(1, 4 * refinement)
+    return Grid(params, h, h)
+
+
 @pytest.fixture(scope="session")
 def grid2(params):
-    return make_grid(params, 2, tied_ny=True)
+    return square_grid(params, 2)
 
 
 @pytest.fixture(scope="session")
 def grid4(params):
-    return make_grid(params, 4, tied_ny=True)
+    return square_grid(params, 4)
 
 
 @pytest.fixture(scope="session")
 def grid8(params):
-    return make_grid(params, 8, tied_ny=True)
+    return square_grid(params, 8)
 
 
 @pytest.fixture(scope="session")
 def grid9(params):
-    return make_grid(params, 9, tied_ny=True)
+    return square_grid(params, 9)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, FlavorError,
                          adjoint, derivation, element_allclose,
                          invariance_defect, laplacian, star, trace)
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
-from qhm.calculus import mult_element
+from qhm.calculus import Curvature2Form, mult_element
 from qhm.lattice import Params, ScalarField, make_grid, spectral_dy
 from qhm.projection import build_R
 from qhm.random_fields import random_module_vector, random_torus_function
@@ -69,6 +69,19 @@ def test_adjoint_antihomomorphism(d_elems):
 def test_flavors_do_not_mix(d_elems, e_elems):
     with pytest.raises(FlavorError):
         star(d_elems[0], e_elems[0])
+
+
+def test_norms_keep_a_nan_behind_a_number(grid4):
+    # max() drops a NaN once a number is ahead of it, so a NaN in a later
+    # component or 2-form entry read as the finite norm of the others
+    shape = (1, grid4.nx_unit, grid4.ny)
+    a = AlgebraElement(D_FLAVOR, grid4, {0: np.ones(shape),
+                                         1: np.full(shape, np.nan)})
+    assert math.isnan(a.norm_inf())
+    e = mult_element(random_torus_function(grid4, np.random.default_rng(0)), 1)
+    bad = AlgebraElement(E_FLAVOR, grid4, {0: np.full(e.comps[0].shape, np.nan)})
+    theta = Curvature2Form(e, e, bad)
+    assert math.isnan(theta.norm_inf()) and math.isnan(theta.skew_defect())
 
 
 def test_invariance_of_products(d_elems, e_elems):

@@ -13,8 +13,8 @@ import pytest
 from qhm import algebra, bimodule, calculus, cli, random_fields, yangmills
 from qhm.cli import (ConfigError, PipelineError, RunConfig, _parse_kv,
                      load_config, main, run_solve, run_verify)
-from qhm.lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Params,
-                         make_grid, y_bandwidth)
+from qhm.lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Grid, Params,
+                         TorusFunction, make_grid, y_bandwidth)
 from qhm.projection import BumpSpec, build_R
 from qhm.random_fields import random_module_vector, random_torus_function
 
@@ -116,6 +116,20 @@ class TestConfigParsing:
         code, _ = run(tmp_path, "morita", "--config", str(cfg))
         assert code == 2
 
+    def test_fine_verify_fits_the_budget(self, tmp_path, monkeypatch):
+        # every check of verify runs on the pairwise-band grid (ny = 16), so
+        # refinement 229 holds 176 thousand points; the refinement-tied grid
+        # (ny = 916) held 10.07 million, over the budget
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(cli, "build_R", started)
+        with pytest.raises(Started):
+            run(tmp_path, "verify", "--refinement", "229")
+
     def test_tolerance_override(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("tol.exact = 1e-10\nseed = 5\n")
@@ -160,7 +174,8 @@ class TestVerify:
         # Verify's own grid holds the full band at every refinement.
         params = Params.from_steps(c, Fraction(1, 4), Fraction(1, 4))
         band = y_bandwidth(params, pairwise=True)
-        tied = make_grid(params, refinement, tied_ny=True)
+        tied = Grid(params, Fraction(1, 4 * refinement),
+                    Fraction(1, 4 * refinement))
         full = (BATTERY_Y_MODES, BATTERY_SHIFT_UNITS)
         assert (tied.ny >= 2 * band + 1) == (modes == full)
         rep = run_verify(RunConfig(params=params, refinement=refinement,
@@ -192,15 +207,12 @@ class TestVerify:
         rep = run_verify(RunConfig(params=params, refinement=refinement,
                                    out=str(tmp_path)))
         grid = rep["grid"]
-        assert sorted(grid) == ["laplace_ny", "nx_unit", "ny", "y_bandwidth"]
+        assert sorted(grid) == ["nx_unit", "ny", "y_bandwidth"]
         band = y_bandwidth(params, pairwise=True)
         assert grid["y_bandwidth"] == band
         assert grid["ny"] >= 2 * band + 1 and grid["ny"] % sv.denominator == 0
         assert grid["nx_unit"] == 4 * refinement
-        assert grid["laplace_ny"] == sv.denominator * refinement
-        # the Laplace roundoff grows like laplace_ny^2 (ROADMAP item 2)
-        failing = [ch["name"] for ch in rep["checks"] if not ch["pass"]]
-        assert failing in ([], ["laplace_eigenfunction"])
+        assert [ch["name"] for ch in rep["checks"] if not ch["pass"]] == []
 
     @pytest.mark.parametrize("refinement", [9, 27])
     def test_vectors_are_the_tied_grid_draws(self, params, tmp_path,
@@ -216,7 +228,8 @@ class TestVerify:
         monkeypatch.setattr(cli, "random_module_vector", recording)
         run_verify(RunConfig(params=params, refinement=refinement, seed=7,
                              out=str(tmp_path)))
-        tied = make_grid(params, refinement, tied_ny=True)
+        tied = Grid(params, Fraction(1, 4 * refinement),
+                    Fraction(1, 4 * refinement))
         rng = np.random.default_rng(7)
         f = random_module_vector(tied, rng)
         random_torus_function(tied, rng)
@@ -398,6 +411,8 @@ class TestMorita:
         rep = json.loads((out / "morita_report.json").read_text())
         assert rep["all_pass"]
         assert rep["sample_count"] == 20
+        # ny = 2c/sv at every refinement; nx_unit = 4 * refinement
+        assert rep["grid"] == {"nx_unit": 8, "ny": 8}
 
     def test_broken_unitary_fails(self, tmp_path):
         # a decimal and an exact rational a/b are both read as numbers
@@ -410,6 +425,18 @@ class TestMorita:
     def test_bad_rescale_exits_1_with_stage(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("su = 2/5\nsv = 2/5\n")
+        code = main(["morita", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "morita grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sv", ["2/5", "0"])
+    def test_s_without_a_periodic_grid_exits_1(self, tmp_path, capsys, sv):
+        # S(f) is y-periodic on some grid iff c/sv is an integer.  With c = 1
+        # the grid of the refinement gave membership_transport 11.46 at
+        # sv = 2/5; at sv = 0 every violation was NaN, and the run passed.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"su = 1/4\nsv = {sv}\n")
         code = main(["morita", "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 1
@@ -449,9 +476,8 @@ def test_import_loads_no_sympy():
 
 # Report numbers recorded with repr at seeds 5 (solve) and 7 (verify).  The
 # solve numbers date from solve's grid of the band of R alone (ny = 4); the
-# verify numbers from verify's pairwise-band grid (ny = 16), except
-# laplace_eigenfunction, which runs on the refinement-tied grid.  Any
-# change of the order in which products are formed shows here.
+# verify numbers from verify's pairwise-band grid (ny = 16).  Any change of
+# the order in which products are formed shows here.
 PINNED_SOLVE = {
     9: {"ym": 193.61006841215558, "ym_grassmannian": 977.5426280115382,
         "a0": 1.1728366530343198e-16 - 0.9071299842634877j,
@@ -503,7 +529,7 @@ PINNED_VERIFY = {
     "commutator_x": 5.388121751833232e-15,
     "commutator_y": 3.83977687084634e-15,
     "commutator_z": 1.2581568522800448e-15,
-    "laplace_eigenfunction": 8.561288988912328e-14,
+    "laplace_eigenfunction": 8.473409486550037e-16,
     "connection_leibniz": 4.388214772253806e-16,
     "metric_compatibility": 2.8063003441783256e-14,
 }
@@ -523,10 +549,48 @@ def test_verify_report_is_pinned(params, tmp_path):
     assert {c["name"]: c["violation"] for c in rep["checks"]} == PINNED_VERIFY
 
 
-def test_laplace_check_keeps_refinement_tied_grid(params, tmp_path):
-    # the known FFT-roundoff failure (ROADMAP item 2) stays visible at the
-    # value it read before verify moved to the pairwise-band grid
-    rep = run_verify(RunConfig(params=params, refinement=27, seed=7,
+def _laplace_check(params, tmp_path, refinement):
+    rep = run_verify(RunConfig(params=params, refinement=refinement, seed=7,
                                out=str(tmp_path)))
-    lap = next(c for c in rep["checks"] if c["name"] == "laplace_eigenfunction")
-    assert (lap["violation"], lap["pass"]) == (1.1949588973205556e-12, False)
+    return next(c for c in rep["checks"] if c["name"] == "laplace_eigenfunction")
+
+
+def test_laplace_check_passes_at_refinement_27(params, tmp_path):
+    # it read 1.1949588973205556e-12 against 1e-12 when it compared
+    # Laplace(chi) with lambda chi on the refinement-tied grid (ny = 108)
+    lap = _laplace_check(params, tmp_path, 27)
+    assert (lap["violation"], lap["pass"]) == (9.43689570931383e-16, True)
+
+
+def _shear_sign(orig):
+    return staticmethod(lambda grid: -orig(grid))
+
+
+def _sv_sign(orig):
+    # kx = (n + sv m)/su instead of (n - sv m)/su
+    def mode_frequencies(self):
+        kx, ky = orig(self)
+        return kx + 2 * float(self.grid.params.sv / self.grid.params.su) * ky, ky
+    return mode_frequencies
+
+
+def _mode_off_by_one(orig):
+    # every character labelled (n, m + 1)
+    def mode_frequencies(self):
+        kx, ky = orig(self)
+        return kx - float(self.grid.params.sv / self.grid.params.su), ky + 1
+    return mode_frequencies
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("_shear", _shear_sign), ("mode_frequencies", _sv_sign),
+    ("mode_frequencies", _mode_off_by_one)], ids=["shear", "sv", "mode"])
+def test_laplace_check_catches_spectral_mutants(params, tmp_path, monkeypatch,
+                                                name, mutant):
+    # The spectral Laplacian of from_fft(delta) against laplace_eigenvalues
+    # passed all three, at about 1e-13: both sides share _shear and
+    # mode_frequencies.  The closed forms do not.
+    monkeypatch.setattr(TorusFunction, name,
+                        mutant(getattr(TorusFunction, name)))
+    lap = _laplace_check(params, tmp_path, 9)
+    assert lap["violation"] > 0.5 and not lap["pass"]

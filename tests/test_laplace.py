@@ -185,10 +185,11 @@ def _battery_on(grid, seed):
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_default_grid_matches_refinement_tied_grid(c, sv, refinement):
     # The default ny carries every y-mode of solve, so its run agrees with
-    # the refinement-tied grid, which has 3 to 27 times more y-samples, to
-    # rounding.
+    # the refinement-tied grid (ny = denominator of sv times the refinement),
+    # which has 3 to 27 times more y-samples, to rounding.
     params = Params.from_steps(c, Fraction(1, 4), sv)
-    fine = make_grid(params, refinement, tied_ny=True)
+    fine = Grid(params, Fraction(1, 4 * refinement),
+                Fraction(1, sv.denominator * refinement))
     grid = make_grid(params, refinement)
     assert 3 * grid.ny <= fine.ny
     ref, ref_form = _solve_on(fine)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhm.calculus import StructureError, check_skew
-from qhm.lattice import (CommensurabilityError, Params, ScalarField,
+from qhm.lattice import (CommensurabilityError, Grid, Params, ScalarField,
                          TorusFunction, WindowOverflowError, make_grid,
                          y_bandwidth)
 
@@ -78,7 +78,7 @@ class TestParams:
             Params.from_steps(1, 0.25, Fraction(1, 4))
 
     def test_grid_steps_divide_units(self, params):
-        g = make_grid(params, 3, tied_ny=True)
+        g = Grid(params, Fraction(1, 12), Fraction(1, 12))
         assert g.nx_unit == 12 and g.su_steps == 3
         assert g.ny == 12 and g.sv_steps == 3
 
@@ -101,12 +101,12 @@ class TestParams:
 
     def test_grid_budget(self, params):
         # checked before any array exists: a deep ladder fits, a refinement
-        # that would hold gigabytes does not, on either kind of grid
+        # that would hold gigabytes does not, whichever way the grid is built
         assert make_grid(params, 2025).nx_unit == 8100
         with pytest.raises(WindowOverflowError):
             make_grid(params, 100_000)
         with pytest.raises(WindowOverflowError):
-            make_grid(params, 1000, tied_ny=True)
+            Grid(params, Fraction(1, 4000), Fraction(1, 4000))
 
     def test_incommensurate_shift_raises(self, grid2):
         with pytest.raises(CommensurabilityError):

@@ -7,17 +7,23 @@ import pytest
 
 from fractions import Fraction
 
-from qhm import lattice
-from qhm.lattice import Params, make_grid
+from qhm import lattice, morita
+from qhm.lattice import Grid, Params, make_grid
 from qhm.morita import (BETA_INVARIANT, E_FIRST, E_FIXED, X_BETA_USTAR_ALPHA,
                         MoritaGridError, SpectralVector, draw_terms, map_H,
                         map_S,
                         membership_defect_source, membership_transport_defect,
                         random_invariant_function, random_source_vector,
-                        rescale_factor, source_inner_L, source_inner_R,
-                        source_left, source_right, target_inner_L,
-                        target_inner_R, target_left, target_right,
-                        verify_bimodule_preservation)
+                        rescale_factor, s_y_samples, source_inner_L,
+                        source_inner_R, source_left, source_right,
+                        target_inner_L, target_inner_R, target_left,
+                        target_right, verify_bimodule_preservation)
+
+
+def morita_grid(params, refinement):
+    """The grid of `qhm morita`: make_grid's x-step and ny = 2c/sv."""
+    return Grid(params, make_grid(params, refinement).hx,
+                Fraction(1, s_y_samples(params)))
 
 
 def test_rescale_factor(grid2):
@@ -34,7 +40,8 @@ def test_rescale_factor_rejects_non_integer():
 def test_source_vectors_are_members(grid2, rng):
     for f_terms in draw_terms(rng, 1, 5):
         f = random_source_vector(grid2, f_terms)
-        assert membership_defect_source(f) < 1e-12 * max(f.norm_inf(), 1)
+        scale = max(np.max(np.abs(f.samples)), 1)
+        assert membership_defect_source(f) < 1e-12 * scale
 
 
 def test_broken_vector_is_not_a_member(grid2, rng):
@@ -48,7 +55,49 @@ def test_s_maps_into_first_subspace(grid2, rng):
     f = random_source_vector(grid2, f_terms)
     sf = map_S(f)
     assert sf.tag == E_FIRST
-    assert membership_transport_defect(f) < 1e-12 * max(f.norm_inf(), 1)
+    scale = max(np.max(np.abs(f.samples)), 1)
+    assert membership_transport_defect(f) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("c, sv, ny", [
+    (1, Fraction(1, 4), 32), (2, Fraction(2, 5), 20), (1, Fraction(2, 5), 5),
+    (1, Fraction(2, 5), 10)])
+def test_s_refuses_a_grid_where_it_is_not_y_periodic(c, sv, ny):
+    # S(f)(x, y + 1) = e(c(2y + 1)/sv) S(f)(x, y): periodic on the samples
+    # iff c/sv is an integer and ny divides 2c/sv.  On the refinement-tied
+    # ny = 32 of refinement 8 (first case) membership_transport read 11.56.
+    grid = Grid(Params.from_steps(c, Fraction(1, 4), sv), Fraction(1, 32),
+                Fraction(1, ny))
+    (f_terms,) = draw_terms(np.random.default_rng(0), 1, 1)
+    f = random_source_vector(grid, f_terms)
+    with pytest.raises(MoritaGridError):
+        map_S(f)
+    with pytest.raises(MoritaGridError):
+        membership_transport_defect(f)
+
+
+@pytest.mark.parametrize("refinement", [2, 3, 8])
+@pytest.mark.parametrize("c, su, sv", [
+    (1, Fraction(1, 4), Fraction(1, 4)), (2, Fraction(1, 4), Fraction(1, 4)),
+    (3, Fraction(1, 4), Fraction(1, 3)), (2, Fraction(1, 4), Fraction(1, 3)),
+    (2, Fraction(1, 4), Fraction(2, 5)), (1, Fraction(1, 5), Fraction(1, 3))])
+def test_preservation_holds_on_the_morita_grid(c, su, sv, refinement):
+    grid = morita_grid(Params.from_steps(c, su, sv), refinement)
+    assert grid.ny == 2 * c / sv
+    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201)
+    for name, chk in rep["checks"].items():
+        assert chk["violation"] <= 1e-13, name
+
+
+def test_a_nan_violation_fails(grid2, monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN behind a number must not read as a pass
+    values = iter([0.0, float("nan")])
+    monkeypatch.setattr(morita, "membership_defect_source",
+                        lambda f: next(values))
+    rep = verify_bimodule_preservation(grid2, sample_count=1, seed=0)
+    chk = rep["checks"]["source_membership"]
+    assert math.isnan(chk["violation"]) and not chk["pass"]
+    assert not rep["all_pass"]
 
 
 def test_four_preservation_identities(grid2, rng):
@@ -165,8 +214,7 @@ def _random_invariant_reference(grid, rng):
 @pytest.mark.parametrize("sv", [Fraction(1, 4), Fraction(1, 3)])
 def test_batched_vectors_match_per_sample_reference_bitwise(broken_shift, c,
                                                             sv):
-    grid = make_grid(Params.from_steps(c, Fraction(1, 4), sv), 2,
-                     tied_ny=True)
+    grid = morita_grid(Params.from_steps(c, Fraction(1, 4), sv), 2)
     count = 6
     f_terms, g_terms, phi_terms = draw_terms(np.random.default_rng(c), count,
                                              3)
@@ -212,8 +260,7 @@ def _eval_row_reference(v, i):
 @pytest.mark.parametrize("c", [1, 2, 3])
 @pytest.mark.parametrize("sv", [Fraction(1, 4), Fraction(1, 3)])
 def test_eval_row_matches_per_row_reference_bitwise(tag, broken_shift, c, sv):
-    grid = make_grid(Params.from_steps(c, Fraction(1, 4), sv), 2,
-                     tied_ny=True)
+    grid = morita_grid(Params.from_steps(c, Fraction(1, 4), sv), 2)
     rng = np.random.default_rng(c)
     nx = grid.nx_unit if tag in (X_BETA_USTAR_ALPHA, BETA_INVARIANT) \
         else grid.su_steps
@@ -247,7 +294,7 @@ def test_eval_row_rejects_a_scalar_index(grid2, rng):
         f.eval_row(3)
 
 
-def test_preservation_sample_evaluates_whole_arrays(grid8, monkeypatch):
+def test_preservation_sample_evaluates_whole_arrays(params, monkeypatch):
     # at the benchmark's refinement: 19 array evaluations for one sample
     # and no more for twenty; a per-row loop in any map or check would make
     # hundreds, and a per-sample loop twenty times as many
@@ -258,41 +305,41 @@ def test_preservation_sample_evaluates_whole_arrays(grid8, monkeypatch):
         calls.append(len(idx))
         return eval_row(self, idx)
 
+    grid = morita_grid(params, 8)
     monkeypatch.setattr(SpectralVector, "eval_row", counted)
-    verify_bimodule_preservation(grid8, sample_count=1, seed=9201)
+    verify_bimodule_preservation(grid, sample_count=1, seed=9201)
     single = len(calls)
     assert single <= 19
-    verify_bimodule_preservation(grid8, sample_count=20, seed=9201)
+    verify_bimodule_preservation(grid, sample_count=20, seed=9201)
     assert len(calls) - single <= single
 
 
-# Violations of the per-row, per-sample implementation, recorded with repr;
-# the batched array evaluation forms the same products in the same order,
-# so they must come back bit for bit.  membership_transport at refinement 8
-# is the known defect of S on the torus (ROADMAP item 2).  Keys are
+# Violations on the morita grid (ny = 2c/sv), recorded with repr from the
+# batched array evaluation before the grid rule existed, on the same grid
+# built with Grid(...); they must come back bit for bit.  Keys are
 # (c, su, sv, refinement, broken_u).
 PINNED = {
     (1, Fraction(1, 4), Fraction(1, 4), 8, 0.0): {
-        "left_action": 8.498827956506644e-15,
-        "right_action": 8.498827956506644e-15,
-        "inner_left": 7.32410687763558e-15,
-        "inner_right": 1.517719948885615e-14,
-        "membership_transport": 11.558352509287685,
+        "left_action": 5.0242958677880805e-15,
+        "right_action": 5.0242958677880805e-15,
+        "inner_left": 7.229248575812844e-15,
+        "inner_right": 7.32410687763558e-15,
+        "membership_transport": 1.0584449654707028e-14,
         "source_membership": 0.0},
     (3, Fraction(1, 4), Fraction(1, 3), 3, 0.0): {
         "left_action": 5.0242958677880805e-15,
-        "right_action": 3.972054645195637e-15,
-        "inner_left": 3.66205343881779e-15,
-        "inner_right": 1.1234667099445444e-14,
+        "right_action": 5.0242958677880805e-15,
+        "inner_left": 4.440892098500626e-15,
+        "inner_right": 1.854570987253821e-14,
         "membership_transport": 6.079320143700642e-14,
         "source_membership": 0.0},
     (1, Fraction(1, 4), Fraction(1, 4), 8, 0.07): {
-        "left_action": 8.498827956506644e-15,
-        "right_action": 8.498827956506644e-15,
+        "left_action": 5.0242958677880805e-15,
+        "right_action": 5.0242958677880805e-15,
         "inner_left": 10.404002766039419,
         "inner_right": 43.04018465872595,
-        "membership_transport": 11.558352509287685,
-        "source_membership": 3.005672578645144},
+        "membership_transport": 1.0584449654707028e-14,
+        "source_membership": 2.9313992760190732},
 }
 
 
@@ -301,7 +348,7 @@ PINNED = {
     ids=lambda k: f"c{k[0]}-r{k[3]}" + (f"-u{k[4]}" if k[4] else ""))
 def test_preservation_report_is_pinned(key):
     c, su, sv, refinement, broken_u = key
-    grid = make_grid(Params.from_steps(c, su, sv), refinement, tied_ny=True)
+    grid = morita_grid(Params.from_steps(c, su, sv), refinement)
     rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201,
                                        broken_u=broken_u)
     got = {name: chk["violation"] for name, chk in rep["checks"].items()}

@@ -12,7 +12,7 @@ from qhm.calculus import (Connection, Curvature2Form, Perturbation,
                           mult_element)
 from qhm.laplace import (assemble_rhs, build_perturbation, solve_poisson,
                          verify_critical)
-from qhm.lattice import Params, ScalarField, TorusFunction, make_grid
+from qhm.lattice import Grid, Params, ScalarField, TorusFunction, make_grid
 from qhm.projection import build_R
 from qhm.random_fields import (make_battery, random_perturbation,
                                random_torus_function)
@@ -165,7 +165,7 @@ def test_elements_keep_the_perturbation_commutators(c, refinement):
     # act as the operator equations.  Dropping [G_j, T] makes the error
     # about 2 (against 1e-13).
     params = Params.from_steps(c, Fraction(1, 4), Fraction(1, 3))
-    grid = make_grid(params, refinement, tied_ny=True)
+    grid = Grid(params, Fraction(1, 4 * refinement), Fraction(1, 3 * refinement))
     R = build_R(params, grid)
     nabla = Connection(R, random_perturbation(grid, np.random.default_rng(1)))
     v = make_battery(grid, 6, 3)
