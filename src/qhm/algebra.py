@@ -93,6 +93,7 @@ class AlgebraElement:
         return chain[: d + 1]
 
     def norm_inf(self) -> float:
+        """Sup-norm of the values, order 0 of each component's chain."""
         # np.max keeps a NaN, which max() drops behind a number
         return float(np.max([np.max(np.abs(c[0])) for c in self.comps.values()], initial=0))
 

@@ -25,7 +25,7 @@ from .algebra import AlgebraElement, adjoint, derivation, star, trace
 from .bimodule import act_left, act_right, inner_D, inner_E
 from .calculus import (Connection, StructureError, connect, curvature_closed,
                        extract_f1_f2, mult_element)
-from .lattice import (CHAIN_DEPTH, CommensurabilityError, Params, ScalarField,
+from .lattice import (CHAIN_DEPTH, CommensurabilityError, Params,
                       TorusFunction, WindowOverflowError, make_grid, y_bandwidth)
 from .laplace import laplace_form_residuals, verify_critical
 from .morita import MoritaGridError, s_y_samples, verify_bimodule_preservation
@@ -241,13 +241,18 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
     # e(-c k p y) up to the pairwise band B = y_bandwidth(pairwise=True), so
     # every check runs on the grid of that band (ny >= 2B + 1 at every
     # refinement) and draws full-band vectors.  The grid is checked against
-    # the budget before any array exists.
+    # the budget before any array exists.  Every check reads values, and
+    # order 0 of a Leibniz product is a[0] * b[0] at any depth, so each
+    # operand is cut to as many orders as x-derivatives are still taken of
+    # it: depth 1 before a delta_Y, else 0 (a cut never deepens a chain, so
+    # one too short still raises in chain_dx).
     grid = make_grid(cfg.params, cfg.refinement, pairwise=True)
     tol = cfg.tolerances
     checks: List[Dict[str, object]] = []
 
     R = build_R(cfg.params, grid)
-    Q = inner_D(R, R)
+    R0, R1 = R.upto(0), R.upto(1)
+    Q = inner_D(R0, R0)
     qq = star(Q, Q)
     if cfg.tamper_star:
         qq = _tamper(qq)
@@ -255,20 +260,21 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
                          (qq - Q).norm_inf(), tol["exact"]))
     checks.append(_check("projection_selfadjoint", "adjoint(Q) = Q",
                          (adjoint(Q) - Q).norm_inf(), tol["exact"]))
-    ee = inner_E(R, R)
+    ee = inner_E(R0, R0)
     ident = AlgebraElement.identity(ee.flavor, grid, depth=0)
     checks.append(_check("module_frame", "<R,R>_E = Id",
                          (ee - ident).norm_inf(), tol["exact"]))
     checks.append(_check("projection_trace", "trace_D(Q) = 2 hbar mu",
                          abs(trace(Q) - float(cfg.params.su)), 1e-10))
 
-    for name, dev in sorted(verify_R_conditions(R).items()):
+    for name, dev in sorted(verify_R_conditions(R0).items()):
         checks.append(_check(f"condition_{name}",
                              f"projection condition ({name})",
                              dev, tol["conditions"]))
 
     try:
-        theta0 = curvature_closed(R)
+        # delta_Y Q reads order 1 of Q = <R, R>_D
+        theta0 = curvature_closed(R1)
         checks.append(_check("curvature_xz_vanishes", "Theta0(X,Z) = 0",
                              theta0.xz.norm_inf(), tol["curvature"]))
         checks.append(_check("curvature_skew", "adjoint(Theta0) = -Theta0",
@@ -283,20 +289,21 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
                              tol["curvature"]))
 
     rng = np.random.default_rng(cfg.seed)
-    f = random_module_vector(grid, rng)
-    nabla0 = Connection(R)
-    # phi = <R, f>_D and nabla0_W f serve the commutator, Leibniz and
-    # metric checks alike
-    phi = inner_D(R, f)
+    f = random_module_vector(grid, rng).upto(1)
+    # nabla0_W v = R . delta_W <R, v>_D differentiates <R, v>_D once, so each
+    # call passes <R1, v>_D in.  phi = <R, f>_D and nabla0_W f serve the
+    # commutator, Leibniz and metric checks alike.
+    nabla0 = Connection(R0)
+    phi = inner_D(R1, f)
     nabla_f = {w: connect(nabla0, w, f, phi) for w in "XYZ"}
     g = random_torus_function(grid, rng)
     scale = max(f.norm_inf() * g.norm_inf(), 1e-30)
-    gx = act_left(mult_element(g.d_dx(), 1), f)
-    gy = act_left(mult_element(g.d_dy(), 1), f)
+    gx = act_left(mult_element(g.d_dx(), 0), f)
+    gy = act_left(mult_element(g.d_dy(), 0), f)
     # [nabla0_W, G] f = nabla0_W(t f) - t nabla0_W f, t the element of G
-    t = mult_element(g, max(f.depth, 1))
+    t = mult_element(g, 1)
     tf = act_left(t, f)
-    phi_tf = inner_D(R, tf)
+    phi_tf = inner_D(R1, tf)
     com = {w: connect(nabla0, w, tf, phi_tf) - act_left(t, nabla_f[w])
            for w in "XYZ"}
     checks.append(_check("commutator_x", "[nabla0_X, G] = -(dG/dy) as operator",
@@ -324,20 +331,17 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
                          "sv x/su)) has d/dx, d/dy, Laplace = 2 pi i kx, 2 pi i "
                          "ky, -4 pi^2 (kx^2 + ky^2)", np.max(lap), tol["poisson"]))
 
-    lhs = connect(nabla0, "Y", act_right(f, phi))
+    f_phi = act_right(f, phi)
+    lhs = connect(nabla0, "Y", f_phi, inner_D(R1, f_phi))
     # Leibniz along Y: nabla(f Phi) = (nabla f) Phi + f delta(Phi)
     rhs = act_right(nabla_f["Y"], phi) + act_right(f, derivation("Y", phi))
     lscale = max(lhs.norm_inf(), rhs.norm_inf(), 1e-30)
     checks.append(_check("connection_leibniz",
                          "nabla(f Phi) = (nabla f) Phi + f delta(Phi)",
                          (lhs - rhs).norm_inf() / lscale, tol["connection"]))
-    g2 = random_module_vector(grid, rng)
-    # The check reads order 0 of delta_w <f, g2>_D, which needs orders 0 and
-    # 1 only.  <f, g2>_D of that depth and the freed Leibniz vectors keep the
-    # peak memory of verify below that of a full-depth copy built per w.
-    del phi, lhs, rhs
-    fg2 = inner_D(f, ScalarField(grid, g2.i0, g2.chain[:2]))
-    phi2 = inner_D(R, g2)
+    g2 = random_module_vector(grid, rng).upto(1)
+    fg2 = inner_D(f, g2)
+    phi2 = inner_D(R1, g2)
     # np.max keeps a NaN, which max() drops behind a number
     met = np.max([(derivation(w, fg2) - inner_D(nabla_f[w], g2)
                    - inner_D(f, connect(nabla0, w, g2, phi2))).norm_inf()

@@ -290,7 +290,12 @@ class ScalarField:
         return self.i0 + self.nx
 
     def norm_inf(self) -> float:
+        """Sup-norm of the values, order 0 of the chain."""
         return float(np.max(np.abs(self.data))) if self.nx else 0.0
+
+    def upto(self, depth: int) -> "ScalarField":
+        """This field with its chain orders above `depth` dropped (a view)."""
+        return ScalarField(self.grid, self.i0, self.chain[:depth + 1])
 
     def trimmed(self) -> "ScalarField":
         """Drop leading/trailing all-zero x-rows (every chain entry zero)."""

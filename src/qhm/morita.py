@@ -282,28 +282,34 @@ def _superpose(terms: Terms, character, window=None) -> np.ndarray:
     return out
 
 
-def random_source_vector(grid: Grid, terms: Terms,
-                         broken_shift: float = 0.0) -> SpectralVector:
+def random_source_vectors(grid: Grid, *tables) -> List[SpectralVector]:
     """Phase-twisted periodizations of compactly supported random seeds,
-    one per row of the term table.
+    one per row of each (term table, broken_shift) pair given, as one
+    SpectralVector per table.
 
     Each seed lives on x in [0,2); summing its twisted unit translates
     telescopes into an exact member of the twisted subspace (with the
-    broken phase instead when broken_shift is nonzero).
+    broken phase instead when broken_shift is nonzero).  All tables share
+    one _superpose, so each distinct character is evaluated once.
     """
     g = grid
     nxu = g.nx_unit
     xs = (np.arange(2 * nxu) / nxu)[:, None]
     ys = (np.arange(g.ny) * g.hy_f)[None, :]
     window = np.sin(math.pi * xs / 2.0) ** 2        # vanishes at x=0 and x=2
-    seed = _superpose(
-        terms, lambda n, mm: np.exp(2j * math.pi * (n * xs / 2.0 + mm * ys)),
-        window)
-    # g = seed|_[0,1) + U(seed)|_[0,1) with U the twisted unit translate
-    ph = g.twist(-1, -1) * np.exp(2j * math.pi * broken_shift)
-    translated = np.roll(seed[:, nxu:], -g.sv_steps, axis=-1) * ph
-    return SpectralVector(g, seed[:, :nxu] + translated, X_BETA_USTAR_ALPHA,
-                          broken_shift)
+    terms, shifts = zip(*tables)
+    seeds = _superpose(
+        Terms(*map(np.concatenate, zip(*terms))),
+        lambda n, mm: np.exp(2j * math.pi * (n * xs / 2.0 + mm * ys)), window)
+    ends = np.cumsum([len(t.coef) for t in terms])[:-1]
+    out = []
+    for seed, broken_shift in zip(np.split(seeds, ends), shifts):
+        # g = seed|_[0,1) + U(seed)|_[0,1) with U the twisted unit translate
+        ph = g.twist(-1, -1) * np.exp(2j * math.pi * broken_shift)
+        translated = np.roll(seed[:, nxu:], -g.sv_steps, axis=-1) * ph
+        out.append(SpectralVector(g, seed[:, :nxu] + translated,
+                                  X_BETA_USTAR_ALPHA, broken_shift))
+    return out
 
 
 def random_invariant_function(grid: Grid, terms: Terms) -> SpectralVector:
@@ -364,8 +370,8 @@ def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
         # a broken unitary phase is applied to the second vector only; a
         # consistent corruption of both would cancel in the conjugate pairs
         # of the inner products and go unnoticed there
-        f = random_source_vector(grid, f_terms)
-        gv = random_source_vector(grid, g_terms, broken_shift=broken_u)
+        f, gv = random_source_vectors(grid, (f_terms, 0.0),
+                                      (g_terms, broken_u))
         phi = random_invariant_function(grid, phi_terms)
         sf, sg, hphi = map_S(f), map_S(gv), map_H(phi)
         batches.append({

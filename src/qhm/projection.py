@@ -131,7 +131,7 @@ def verify_R_conditions(R: ModuleVector) -> Dict[str, float]:
     N, S, V = g.nx_unit, g.su_steps, g.sv_steps
     out: Dict[str, float] = {}
     # the conditions read values, and order 0 of a product needs only order 0
-    R = ScalarField(g, R.i0, R.chain[:1])
+    R = R.upto(0)
 
     Q = build_Q(R)
     h_f, g_f = extract_h_g(Q)
@@ -159,19 +159,16 @@ def verify_R_conditions(R: ModuleVector) -> Dict[str, float]:
         out["B-3"] = float(np.max(b3))
     else:
         out["B-3"] = 0.0
-    out["C-1"] = max(
-        float(np.max(np.abs(r * _profile(R, lo, hi, -l * S))))
-        for l in (-3, -2, 2, 3)
-    )
+    # np.max and np.maximum keep a NaN, which max() drops behind a number
+    out["C-1"] = float(np.max([np.max(np.abs(r * _profile(R, lo, hi, -l * S)))
+                               for l in (-3, -2, 2, 3)]))
     kmax = (hi - lo) // S + 2
     acc = np.zeros(S, dtype=float)
     for k in range(-kmax, kmax + 1):
         acc += np.abs(_profile(R, 0, S, -k * S)) ** 2
     out["C-2"] = float(np.max(np.abs(acc - 1)))
-    out["C-3"] = max(
-        float(np.max(np.abs(r * _profile(R, lo, hi, j * N))))
-        for j in (-2, -1, 1, 2)
-    )
+    out["C-3"] = float(np.max([np.max(np.abs(r * _profile(R, lo, hi, j * N)))
+                               for j in (-2, -1, 1, 2)]))
     out["d-1"] = out["C-2"]
     d2 = 0.0
     for p in (1, 2):
@@ -181,8 +178,8 @@ def verify_R_conditions(R: ModuleVector) -> Dict[str, float]:
             prod = (_profile(R, 0, S, -k * S)
                     * _profile(R, 0, S, -k * S + p * N))
             acc2 += prod[:, None] * ph[None, :]
-        d2 = max(d2, float(np.max(np.abs(acc2))))
-    out["d-2"] = d2
+        d2 = np.maximum(d2, np.max(np.abs(acc2)))
+    out["d-2"] = float(d2)
     return out
 
 

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qhm import algebra, bimodule, calculus, cli, random_fields, yangmills
+from qhm import algebra, bimodule, calculus, cli, jets, random_fields, yangmills
 from qhm.cli import (ConfigError, PipelineError, RunConfig, _parse_kv,
                      load_config, main, run_solve, run_verify)
 from qhm.lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Grid, Params,
@@ -25,15 +26,16 @@ def run(tmp_path, *argv):
     return code, out
 
 
-def count_calls(monkeypatch, *targets):
+def count_calls(monkeypatch, *targets, lens=False):
     """Record the name of each (module, name) function at every call made
-    through any qhm binding of it; returns the list of recorded names."""
+    through any qhm binding of it; returns the list of recorded names, or
+    with `lens` of (name, len() of each positional operand) tuples."""
     calls = []
     for mod, name in targets:
         fn = getattr(mod, name)
 
         def counting(*args, _name=name, _fn=fn, **kwargs):
-            calls.append(_name)
+            calls.append((_name, *map(len, args)) if lens else _name)
             return _fn(*args, **kwargs)
 
         for mod_name, m in list(sys.modules.items()):
@@ -252,6 +254,17 @@ class TestVerify:
                              out=str(tmp_path)))
         assert (calls.count("inner_D"), calls.count("connect")) == (14, 10)
 
+    def test_verify_forms_each_product_to_the_order_it_reads(
+            self, params, tmp_path, monkeypatch):
+        # every check reads order 0, so an operand carries as many orders
+        # as x-derivatives are still taken of it: depth 1 where a delta_Y
+        # follows, depth 0 elsewhere.  With every operand at the full depth
+        # the Leibniz products were {0: 3, 1: 101, 2: 139}.
+        calls = count_calls(monkeypatch, (jets, "mul"), lens=True)
+        run_verify(RunConfig(params=params, refinement=27, seed=7,
+                             out=str(tmp_path)))
+        assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 188, 1: 55}
+
     def test_tampered_star_fails(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("debug.tamper_star = true\n")
@@ -453,6 +466,28 @@ class TestChainDepth:
         run_solve(cfg)
         run_verify(cfg)
 
+    def test_verify_reads_r_to_order_one(self, params, tmp_path,
+                                         monkeypatch):
+        # verify differentiates Q = <R, R>_D and <R, v>_D once, and never R
+        # itself: an R of depth 1 writes the same report
+        cfg = RunConfig(params=params, refinement=9, seed=7, out=str(tmp_path))
+        full = run_verify(cfg)
+        monkeypatch.setattr(cli, "build_R",
+                            lambda p, g: build_R(p, g, BumpSpec(depth=1)))
+        assert run_verify(cfg) == full
+
+    def test_verify_refuses_r_without_order_one(self, params, tmp_path,
+                                                monkeypatch):
+        # a cut to depth 1 never deepens a shallower chain: at depth 0 the
+        # first delta_Y raises, and no report is written.  BumpSpec refuses
+        # depth 0, so R is cut instead.
+        monkeypatch.setattr(cli, "build_R",
+                            lambda p, g: build_R(p, g).upto(0))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="chain exhausted"):
+            main(["verify", "--refinement", "9", "--out", str(out)])
+        assert not out.exists()
+
     def test_shallow_chain_is_refused(self, params, tmp_path, monkeypatch):
         # at depth 1 the deepest consumer runs out of its chain: the solve
         # stops with the stage that failed instead of approximating
@@ -535,6 +570,61 @@ PINNED_VERIFY = {
 }
 
 
+# verify at c = 2 and 3 (su = sv = 1/4, seed 7, refinement 9; ny = 28 and
+# 36), recorded with repr before verify cut its chains to the orders each
+# check reads.
+PINNED_VERIFY_C = {
+    2: {"projection_idempotent": 3.789212013847933e-16,
+        "projection_selfadjoint": 7.947987303456223e-16,
+        "module_frame": 4.440892098500626e-16,
+        "projection_trace": 0.0,
+        "condition_B-1": 0.0,
+        "condition_B-2": 4.440892098500626e-16,
+        "condition_B-3": 4.440892098500626e-16,
+        "condition_C-1": 0.0,
+        "condition_C-2": 4.440892098500626e-16,
+        "condition_C-3": 0.0,
+        "condition_b-1": 0.0,
+        "condition_b-2": 1.2862871998485766e-16,
+        "condition_b-3": 2.7755575615628914e-16,
+        "condition_d-1": 4.440892098500626e-16,
+        "condition_d-2": 0.0,
+        "curvature_xz_vanishes": 6.456608475455787e-14,
+        "curvature_skew": 7.356550682154781e-13,
+        "curvature_profiles": 0.0,
+        "commutator_x": 1.0751030091480844e-14,
+        "commutator_y": 3.759327134191922e-15,
+        "commutator_z": 2.5811108998811775e-15,
+        "laplace_eigenfunction": 1.4936523181711916e-15,
+        "connection_leibniz": 6.55504057022151e-16,
+        "metric_compatibility": 1.4111389359588649e-13},
+    3: {"projection_idempotent": 6.500682264708994e-16,
+        "projection_selfadjoint": 1.5752358999046824e-15,
+        "module_frame": 4.440892098500626e-16,
+        "projection_trace": 0.0,
+        "condition_B-1": 0.0,
+        "condition_B-2": 4.440892098500626e-16,
+        "condition_B-3": 4.440892098500626e-16,
+        "condition_C-1": 0.0,
+        "condition_C-2": 4.440892098500626e-16,
+        "condition_C-3": 0.0,
+        "condition_b-1": 0.0,
+        "condition_b-2": 1.2862871998485766e-16,
+        "condition_b-3": 2.7755575615628914e-16,
+        "condition_d-1": 4.440892098500626e-16,
+        "condition_d-2": 0.0,
+        "curvature_xz_vanishes": 3.4609826794796496e-13,
+        "curvature_skew": 2.4428382055179994e-12,
+        "curvature_profiles": 0.0,
+        "commutator_x": 1.6959410359972115e-14,
+        "commutator_y": 3.8486428795075966e-15,
+        "commutator_z": 5.084615561878411e-15,
+        "laplace_eigenfunction": 1.4895204919483639e-15,
+        "connection_leibniz": 4.3755669858510875e-16,
+        "metric_compatibility": 3.1893527352072985e-13},
+}
+
+
 @pytest.mark.parametrize("refinement", sorted(PINNED_SOLVE))
 def test_solve_report_is_pinned(params, tmp_path, refinement):
     cfg = RunConfig(params=params, refinement=refinement, seed=5,
@@ -547,6 +637,15 @@ def test_verify_report_is_pinned(params, tmp_path):
     cfg = RunConfig(params=params, refinement=9, seed=7, out=str(tmp_path))
     rep = run_verify(cfg)
     assert {c["name"]: c["violation"] for c in rep["checks"]} == PINNED_VERIFY
+
+
+@pytest.mark.parametrize("c", sorted(PINNED_VERIFY_C))
+def test_verify_report_is_pinned_at_higher_c(tmp_path, c):
+    params = Params.from_steps(c, Fraction(1, 4), Fraction(1, 4))
+    cfg = RunConfig(params=params, refinement=9, seed=7, out=str(tmp_path))
+    rep = run_verify(cfg)
+    assert {ch["name"]: ch["violation"] for ch in rep["checks"]} \
+        == PINNED_VERIFY_C[c]
 
 
 def _laplace_check(params, tmp_path, refinement):

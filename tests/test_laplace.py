@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from qhm.calculus import Connection, check_skew, curvature_closed, extract_f1_f2
 from qhm.laplace import (assemble_rhs, build_perturbation, laplace_form_residuals,
-                         laplace_eigenvalues, solve_poisson, verify_critical)
+                         solve_poisson, verify_critical)
 from qhm.lattice import Grid, Params, TorusFunction, make_grid
 from qhm.projection import build_R, grassmann_apply
 from qhm.random_fields import make_battery
+from test_cli import _mode_off_by_one, _shear_sign, _sv_sign
 
 
 def character(grid, n, m):
@@ -22,14 +23,41 @@ def character(grid, n, m):
     return TorusFunction.from_fft(grid, co)
 
 
+def closed_form_error(grid, n, m):
+    """Largest relative sup-error of chi = character(grid, n, m) and of its
+    d/dx, d/dy and Laplacian against e(kx x + ky y) times 1, 2 pi i kx,
+    2 pi i ky and -4 pi^2 (kx^2 + ky^2), kx = (n - sv m)/su, ky = m: closed
+    forms that share no code with the spectral tables."""
+    p = grid.params
+    kx, ky = float((n - p.sv * m) / p.su), m
+    xs = grid.x_of(np.arange(grid.su_steps))[:, None]
+    e = np.exp(2j * math.pi * (kx * xs + ky * grid.ys))
+    chi = character(grid, n, m)
+    dx, dy = chi.d_dx(), chi.d_dy()
+    return max(float(np.max(np.abs(t.samples - want * e))) / max(abs(want), 1.0)
+               for t, want in ((chi, 1.0), (dx, 2j * math.pi * kx),
+                               (dy, 2j * math.pi * ky),
+                               (dx.d_dx() + dy.d_dy(),
+                                -4 * math.pi ** 2 * (kx ** 2 + ky ** 2))))
+
+
 def test_eigenfunction_exactness(grid4):
-    lam = laplace_eigenvalues(grid4)
     # in-band modes only: Nyquist rows carry the odd-operator mask
     for n, m in ((0, 1), (1, 0), (1, 1), (1, 2)):
-        chi = character(grid4, n, m)
-        lhs = chi.d_dx().d_dx() + chi.d_dy().d_dy()
-        dev = (lhs - chi * lam[n % grid4.su_steps, m % grid4.ny]).norm_inf()
-        assert dev < 1e-12 * max(abs(lam[n % grid4.su_steps, m % grid4.ny]), 1)
+        assert closed_form_error(grid4, n, m) < 1e-12, (n, m)
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("_shear", _shear_sign), ("mode_frequencies", _sv_sign),
+    ("mode_frequencies", _mode_off_by_one)], ids=["shear", "sv", "mode"])
+def test_closed_forms_catch_spectral_mutants(grid4, monkeypatch, name,
+                                             mutant):
+    # the comparison with laplace_eigenvalues passed the shear and sv
+    # mutants: both sides read _shear and mode_frequencies
+    monkeypatch.setattr(TorusFunction, name,
+                        mutant(getattr(TorusFunction, name)))
+    assert max(closed_form_error(grid4, n, m)
+               for n, m in ((0, 1), (1, 0), (1, 1), (1, 2))) > 0.5
 
 
 def test_poisson_solves_manufactured_problem(grid4, rng):

@@ -13,7 +13,7 @@ from qhm.morita import (BETA_INVARIANT, E_FIRST, E_FIXED, X_BETA_USTAR_ALPHA,
                         MoritaGridError, SpectralVector, draw_terms, map_H,
                         map_S,
                         membership_defect_source, membership_transport_defect,
-                        random_invariant_function, random_source_vector,
+                        random_invariant_function, random_source_vectors,
                         rescale_factor, s_y_samples, source_inner_L,
                         source_inner_R, source_left, source_right,
                         target_inner_L, target_inner_R, target_left,
@@ -39,20 +39,20 @@ def test_rescale_factor_rejects_non_integer():
 
 def test_source_vectors_are_members(grid2, rng):
     for f_terms in draw_terms(rng, 1, 5):
-        f = random_source_vector(grid2, f_terms)
+        (f,) = random_source_vectors(grid2, (f_terms, 0.0))
         scale = max(np.max(np.abs(f.samples)), 1)
         assert membership_defect_source(f) < 1e-12 * scale
 
 
 def test_broken_vector_is_not_a_member(grid2, rng):
     (f_terms,) = draw_terms(rng, 1, 1)
-    f = random_source_vector(grid2, f_terms, broken_shift=0.05)
+    (f,) = random_source_vectors(grid2, (f_terms, 0.05))
     assert membership_defect_source(f) > 1e-3
 
 
 def test_s_maps_into_first_subspace(grid2, rng):
     (f_terms,) = draw_terms(rng, 1, 1)
-    f = random_source_vector(grid2, f_terms)
+    (f,) = random_source_vectors(grid2, (f_terms, 0.0))
     sf = map_S(f)
     assert sf.tag == E_FIRST
     scale = max(np.max(np.abs(f.samples)), 1)
@@ -69,7 +69,7 @@ def test_s_refuses_a_grid_where_it_is_not_y_periodic(c, sv, ny):
     grid = Grid(Params.from_steps(c, Fraction(1, 4), sv), Fraction(1, 32),
                 Fraction(1, ny))
     (f_terms,) = draw_terms(np.random.default_rng(0), 1, 1)
-    f = random_source_vector(grid, f_terms)
+    (f,) = random_source_vectors(grid, (f_terms, 0.0))
     with pytest.raises(MoritaGridError):
         map_S(f)
     with pytest.raises(MoritaGridError):
@@ -102,8 +102,8 @@ def test_a_nan_violation_fails(grid2, monkeypatch):
 
 def test_four_preservation_identities(grid2, rng):
     f_terms, g_terms, phi_terms = draw_terms(rng, 1, 3)
-    f = random_source_vector(grid2, f_terms)
-    g = random_source_vector(grid2, g_terms)
+    (f,) = random_source_vectors(grid2, (f_terms, 0.0))
+    (g,) = random_source_vectors(grid2, (g_terms, 0.0))
     phi = random_invariant_function(grid2, phi_terms)
     sf, sg, hphi = map_S(f), map_S(g), map_H(phi)
 
@@ -119,8 +119,8 @@ def test_four_preservation_identities(grid2, rng):
 def test_inner_r_needs_both_arguments_shifted(grid2, rng):
     # the variant shifting only the first argument breaks the identity
     f_terms, g_terms = draw_terms(rng, 1, 2)
-    f = random_source_vector(grid2, f_terms)
-    g = random_source_vector(grid2, g_terms)
+    (f,) = random_source_vectors(grid2, (f_terms, 0.0))
+    (g,) = random_source_vectors(grid2, (g_terms, 0.0))
     m = rescale_factor(grid2)
     step = m * grid2.nx_unit
     out = np.conj(f.eval_row(np.arange(f.nx) + step)) * g.samples
@@ -175,6 +175,45 @@ def test_sample_batches_respect_the_grid_budget(grid2, monkeypatch, budget):
     assert chunked == whole
 
 
+@pytest.mark.parametrize("budget", [None, 7 * 512])
+def test_each_character_is_evaluated_once_per_batch(params, monkeypatch,
+                                                    budget):
+    # f and gv share one character table, phi has its own: a batch
+    # evaluates each distinct (n, m) of f and gv together once.  With a
+    # table per vector it evaluated the pairs that f and gv share twice.
+    # One sample of the refinement-8 grid holds 2 * 32 * 8 = 512 seed
+    # points, so the budget 7 * 512 cuts the 20 samples into 3 batches.
+    grid = morita_grid(params, 8)
+    if budget is not None:
+        monkeypatch.setattr(lattice, "GRID_BUDGET", budget)
+    drawn, evals = [], []
+    draw, superpose = morita.draw_terms, morita._superpose
+
+    def drawing(*args):
+        drawn.append(draw(*args))
+        evals.append(0)
+        return drawn[-1]
+
+    def superposing(terms, character, window=None):
+        def counted(n, m):
+            evals[-1] += 1
+            return character(n, m)
+        return superpose(terms, counted, window)
+
+    monkeypatch.setattr(morita, "draw_terms", drawing)
+    monkeypatch.setattr(morita, "_superpose", superposing)
+    verify_bimodule_preservation(grid, sample_count=20, seed=9201)
+    assert len(drawn) == (1 if budget is None else 3)
+
+    def distinct(*tables):
+        return len({(n, m) for t in tables
+                    for n, m in zip(t.n.ravel().tolist(), t.m.ravel().tolist())})
+
+    for (f_terms, g_terms, phi_terms), count in zip(drawn, evals):
+        assert count == distinct(f_terms, g_terms) + distinct(phi_terms)
+        assert distinct(f_terms, g_terms) < distinct(f_terms) + distinct(g_terms)
+
+
 def _random_source_reference(grid, rng, broken_shift=0.0):
     """One source vector, term by term from the generator: the per-sample
     builder that draw_terms and the character table replaced."""
@@ -218,8 +257,13 @@ def test_batched_vectors_match_per_sample_reference_bitwise(broken_shift, c,
     count = 6
     f_terms, g_terms, phi_terms = draw_terms(np.random.default_rng(c), count,
                                              3)
-    f = random_source_vector(grid, f_terms)
-    gv = random_source_vector(grid, g_terms, broken_shift=broken_shift)
+    # built together, as the suite builds them, and one at a time
+    f, gv = random_source_vectors(grid, (f_terms, 0.0),
+                                  (g_terms, broken_shift))
+    assert gv.broken_shift == broken_shift
+    for v, table in ((f, (f_terms, 0.0)), (gv, (g_terms, broken_shift))):
+        assert np.array_equal(v.samples,
+                              random_source_vectors(grid, table)[0].samples)
     phi = random_invariant_function(grid, phi_terms)
     assert f.samples.shape == (count, grid.nx_unit, grid.ny)
     rng = np.random.default_rng(c)
@@ -289,7 +333,7 @@ def test_eval_row_matches_per_row_reference_bitwise(tag, broken_shift, c, sv):
 
 def test_eval_row_rejects_a_scalar_index(grid2, rng):
     (f_terms,) = draw_terms(rng, 1, 1)
-    f = random_source_vector(grid2, f_terms)
+    (f,) = random_source_vectors(grid2, (f_terms, 0.0))
     with pytest.raises(ValueError):
         f.eval_row(3)
 

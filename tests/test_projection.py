@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qhm import projection
 from qhm.algebra import AlgebraElement, adjoint, star, trace
 from qhm.bimodule import inner_D, inner_E
 from qhm.projection import (BumpSpec, build_Q, build_R, extract_h_g,
@@ -50,6 +51,26 @@ def test_condition_lists(R2):
 def test_condition_lists_finer_grid(R4):
     for name, dev in verify_R_conditions(R4).items():
         assert dev <= 1e-12, f"condition {name}: {dev:.2e}"
+
+
+@pytest.mark.parametrize("name, shift", [("C-1", lambda S, N: 2 * S),
+                                         ("C-3", lambda S, N: -N)],
+                         ids=["C-1", "C-3"])
+def test_conditions_keep_a_nan_behind_a_number(R2, monkeypatch, name, shift):
+    # a NaN in the second term of the fold (l = -2 of C-1, j = -1 of C-3):
+    # max() kept the 0.0 before it and read 0.0
+    S, N = R2.grid.su_steps, R2.grid.nx_unit
+    profile = projection._profile
+    poisoned = (-2 * S, 2 * S + 1, shift(S, N))
+
+    def nan_profile(R, i_lo, i_hi, shift=0):
+        out = profile(R, i_lo, i_hi, shift)
+        return out * np.nan if (i_lo, i_hi, shift) == poisoned else out
+
+    monkeypatch.setattr(projection, "_profile", nan_profile)
+    devs = verify_R_conditions(R2)
+    assert np.isnan(devs[name])
+    assert not any(np.isnan(v) for k, v in devs.items() if k != name)
 
 
 def test_h_g_split_structure(grid2, Q2):
