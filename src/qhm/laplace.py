@@ -6,16 +6,16 @@ right side dx f2 + c*a0 has torus mean c*a0, which obstructs solvability
 whenever a0 = mean(f1) is nonzero; we solve the mean-zero projection and
 record the discarded constant.
 
-The discarded constant is then absorbed into the mean of G3 (default): with
-G3 + a0/c the connection satisfies the three critical-point operator
-equations exactly, while the mean-zero choice leaves a constant c*a0 defect
-in the third one.  Both variants coincide when a0 = 0.
+What no x-derivative reaches goes into G3: f1's part K on the kernel of
+the discrete d/dx (TorusFunction.dx_kernel), its mean a0 and, on an even
+x-axis, its x-Nyquist row.  G3 + K/c cancels K in Theta(X,Y), no derivative
+sees K, and the connection is exactly critical on every resolved grid.
 
 Closed-form limit of the Yang-Mills value.  After the solve the perturbed
-curvature is constant: Theta(X,Y) = f1 + dx G1 - c G3 = 0 once the zero
-mode is absorbed, Theta(X,Z) = Theta0(X,Z) - dy G3 = 0 since G3 is
-y-independent, and dx G3 = f2 - <f2>, so Theta(Y,Z) = <f2> delta_0.  With
-tau_E integrating over [0, su) x T,
+curvature is constant: Theta(X,Y) = f1 + dx G1 - c G3 = 0 once G3 holds
+K, Theta(X,Z) = Theta0(X,Z) - dy G3 = 0 since G3 is y-independent, and
+dx G3 = f2 - <f2>, so Theta(Y,Z) = <f2> delta_0.  With tau_E integrating
+over [0, su) x T,
 
     YM = -tau_E(Theta(Y,Z)^2) = su |<f2>|^2.
 
@@ -65,7 +65,11 @@ def laplace_eigenvalues(grid: Grid) -> np.ndarray:
     return -4.0 * math.pi ** 2 * (kx ** 2 + ky ** 2)
 
 
-def solve_poisson(rhs: PoissonRHS, tol: float = 1e-9) -> TorusFunction:
+# Largest Poisson residual, relative to the right side, that G3 may leave.
+POISSON_TOL = 1e-9
+
+
+def solve_poisson(rhs: PoissonRHS) -> TorusFunction:
     """G3 with (d2/dx2 + d2/dy2) G3 = w, zero-mean gauge."""
     w = rhs.w
     grid = w.grid
@@ -81,48 +85,41 @@ def solve_poisson(rhs: PoissonRHS, tol: float = 1e-9) -> TorusFunction:
     g3 = TorusFunction.from_fft(grid, out)
     resid = (g3.d_dx().d_dx() + g3.d_dy().d_dy() - w).norm_inf()
     wscale = max(w.norm_inf(), 1e-300)
-    if resid > tol * wscale:
-        raise ValueError(f"Poisson residual {resid:.2e} above {tol:.0e} relative")
+    if resid > POISSON_TOL * wscale:
+        raise ValueError(f"Poisson residual {resid:.2e} above {POISSON_TOL:.0e} relative")
     return g3
 
 
-def build_perturbation(f1: TorusFunction, g3: TorusFunction, c: int,
-                       absorb_zero_mode: bool = True) -> Perturbation:
-    """G1 = x-antiderivative of (c*G3 - (f1 - a0)), gauge G2 = 0.
-
-    With absorb_zero_mode the constant a0/c is added to G3, which cancels
-    the constant component of Theta(X,Y) and makes the connection exactly
-    critical; without it the perturbation matches the mean-zero solve and
-    the constant c*a0 remains in the third critical equation.
-    """
+def build_perturbation(f1: TorusFunction, g3: TorusFunction, c: int) -> Perturbation:
+    """G1 = x-antiderivative of (c*G3 - (f1 - K)), G3 + K/c, gauge G2 = 0,
+    with K f1's part on dx_kernel.  The mean a0 is read off the samples and
+    divided by c as a Python scalar, and only the other kernel modes, zero on
+    odd grids, are projected by FFT, so odd grids get G3 + a0/c bit for bit."""
     a0 = f1.mean()
-    g1 = (float(c) * g3 - (f1 - a0)).antiderivative_x()
-    g3_out = g3 + a0 / c if absorb_zero_mode and a0 != 0 else g3
-    return Perturbation(g1, TorusFunction.zeros(f1.grid), g3_out)
+    co = f1.fft()
+    co[0, 0] = 0.0
+    rest = np.where(f1.dx_kernel(), co, 0.0)
+    k = TorusFunction.from_fft(f1.grid, rest) + a0 if np.any(rest) else a0
+    g1 = (float(c) * g3 - (f1 - k)).antiderivative_x()
+    return Perturbation(g1, TorusFunction.zeros(f1.grid), g3 + k / c)
 
 
-def verify_critical(R: ModuleVector,
-                    absorb_zero_mode: bool = True) -> Dict[str, object]:
+def verify_critical(R: ModuleVector) -> Dict[str, object]:
     """Run the full construction and measure criticality of it and of the
     Grassmannian connection, both against one theta0."""
     c = R.grid.params.c
     theta0 = curvature_closed(R)
     f1, f2 = extract_f1_f2(theta0)
     rhs = assemble_rhs(f1, f2, c)
-    pert = build_perturbation(f1, solve_poisson(rhs), c, absorb_zero_mode)
+    pert = build_perturbation(f1, solve_poisson(rhs), c)
     nabla = Connection(R, pert)
     nabla0 = Connection(R)
     theta = curvature_of(nabla, theta0)
-    # with the zero mode absorbed into G3 the third equation holds as
-    # stated, so there is no constant to strip in r3_osc
-    res = critical_residuals(nabla, theta0,
-                             a0=0.0 if absorb_zero_mode else rhs.a0,
-                             theta=theta)
+    res = critical_residuals(nabla, theta0, theta=theta)
     res0 = critical_residuals(nabla0, theta0)
     return {
         "a0": rhs.a0,
         "discarded_mean": rhs.discarded_mean,
-        "absorb_zero_mode": absorb_zero_mode,
         "residuals": asdict(res),
         "residuals_grassmannian": asdict(res0),
         "ym": ym_of_curvature(theta),
@@ -139,7 +136,7 @@ def laplace_form_residuals(f1: TorusFunction, f2: TorusFunction,
     """Consistency of the construction with the Laplace-form equations.
 
     theta_xy:       f1 + dx G1 - dy G2 - c G3, the constant component of
-                    Theta(X,Y); zero exactly when the zero mode was absorbed
+                    Theta(X,Y); zero once G3 holds f1's d/dx-kernel part
     second_eq_osc:  oscillatory part of (dyy + dxx) G3 - (dx f2 + c a0); the
                     constant part is the discarded zero mode c a0
     """

@@ -448,6 +448,9 @@ class TorusFunction:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        return self._binop(other, np.true_divide)
+
     def __neg__(self):
         return TorusFunction(self.grid, -self.samples)
 
@@ -515,24 +518,25 @@ class TorusFunction:
     def d_dy(self) -> "TorusFunction":
         return TorusFunction.from_fft(self.grid, self.fft() * self._multiplier("y"))
 
-    def antiderivative_x(self) -> "TorusFunction":
-        """Spectral x-antiderivative; input must vanish on d/dx-kernel modes.
+    def dx_kernel(self) -> np.ndarray:
+        """Mask of the kernel of the discrete d/dx (fft layout): the kx = 0
+        line and the Nyquist slots that _multiplier zeroes, among them the
+        whole x-Nyquist row of an even-length x-axis."""
+        return np.abs(self._multiplier("x")) < 1e-12
 
-        On even-length axes the Nyquist slots also sit in the kernel of the
-        discrete d/dx (the odd operators zero them), so any content there is
-        dropped; the geometric kernel kx = 0 must be empty and raises."""
-        kx, _ = self.mode_frequencies()
+    def antiderivative_x(self) -> "TorusFunction":
+        """Spectral x-antiderivative, zero on dx_kernel, where the input
+        must vanish: content there has no antiderivative and raises."""
         co = self.fft()
-        kernel = np.abs(kx) < 1e-12
-        bad = float(np.max(np.abs(co[kernel]))) if np.any(kernel) else 0.0
+        kernel = self.dx_kernel()
+        bad = float(np.max(np.abs(co[kernel])))  # kx = 0 holds the mean
         scale = max(float(np.max(np.abs(co))), 1e-300)
         if bad > 1e-10 * scale:
             raise ValueError(
-                f"x-antiderivative needs mean-zero input on kernel modes (residual {bad:.2e})"
+                f"x-antiderivative needs input without d/dx-kernel content (residual {bad:.2e})"
             )
-        mult = self._multiplier("x")
         out = np.zeros_like(co)
-        np.divide(co, mult, out=out, where=(mult != 0) & ~kernel)
+        np.divide(co, self._multiplier("x"), out=out, where=~kernel)
         return TorusFunction.from_fft(self.grid, out)
 
     def derivative_chain(self, depth: int) -> jets.Chain:

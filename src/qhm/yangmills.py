@@ -131,22 +131,19 @@ def euler_lagrange_elements(nabla: Connection,
 class Residuals:
     r1: float
     r2: float
-    r3: float          # full third equation
-    r3_osc: float      # third equation with the constant c*a0 term removed
+    r3: float          # third equation
+    r3_osc: float      # equals r3; bench/workloads.py's gate reads it
     scale: float       # curvature scale used for normalization
 
 
 def critical_residuals(nabla: Connection,
                        theta0: Optional[Curvature2Form] = None,
-                       a0: complex = 0.0,
                        theta: Optional[Curvature2Form] = None) -> Residuals:
     """Sup-norms of the three Euler-Lagrange elements over the curvature
     scale, the sup of the unperturbed and perturbed curvature components:
     a critical connection scores ~0, the Grassmannian one O(1) on the
-    third equation.  When a0 is supplied, r3_osc adds c*a0 times the
-    identity to the third element, which removes the constant left by the
-    mean-zero Poisson solve (the zero-mode policy of laplace).  A caller
-    that already holds the curvature theta of nabla passes it in.
+    third equation.  A caller that already holds the curvature theta of
+    nabla passes it in.
     """
     if theta0 is None:
         theta0 = curvature_closed(nabla.R)
@@ -154,11 +151,8 @@ def critical_residuals(nabla: Connection,
         theta = curvature_of(nabla, theta0)
     cscale = max(theta0.norm_inf(), theta.norm_inf(), 1e-30)
     eqs = euler_lagrange_elements(nabla, theta)
-    const = AlgebraElement.identity(E_FLAVOR, nabla.grid, depth=0).scaled(
-        nabla.grid.params.c * a0)
-    r1, r2, r3, r3_osc = (e.norm_inf() / cscale for e in
-                          (eqs["X"], eqs["Y"], eqs["Z"], eqs["Z"] + const))
-    return Residuals(r1=r1, r2=r2, r3=r3, r3_osc=r3_osc, scale=cscale)
+    r1, r2, r3 = (eqs[i].norm_inf() / cscale for i in BASIS)
+    return Residuals(r1=r1, r2=r2, r3=r3, r3_osc=r3, scale=cscale)
 
 
 def ym_directional(nabla: Connection, direction: Perturbation, t: float = 1e-4,

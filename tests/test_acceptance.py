@@ -3,10 +3,10 @@
 Criteria that need a nonvanishing Grassmannian curvature run on grids fine
 enough to put sample points inside the ramp transitions (refinement 9 and
 up; at the coarse default the ramp has no interior samples, the curvature
-is identically zero and the corresponding checks would be vacuous).  Odd
-refinements are used for the critical construction, where the spectral
-antiderivative has no unmatched Nyquist slot and the constructed
-connection is exactly critical in the discrete calculus.
+is identically zero and the corresponding checks would be vacuous).  The
+constructed connection is exactly critical in the discrete calculus on odd
+and even refinements alike, since G3 carries f1's part on the kernel of the
+discrete d/dx (on an even x-axis that includes the x-Nyquist row).
 """
 
 import json

@@ -1,6 +1,7 @@
 """CLI front end: config handling, reports, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qhm import algebra, bimodule, calculus, cli, jets, random_fields, yangmills
+from qhm import (algebra, bimodule, calculus, cli, jets, laplace,
+                 random_fields, yangmills)
+from qhm.calculus import Perturbation
 from qhm.cli import (ConfigError, PipelineError, RunConfig, _parse_kv,
                      load_config, main, run_solve, run_verify)
 from qhm.lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Grid, Params,
@@ -276,6 +279,33 @@ class TestVerify:
         assert "projection_idempotent" in failing
 
 
+def _kernel_row(f1):
+    """f1's part on the d/dx kernel besides its mean: the x-Nyquist row on
+    an even grid, zero on an odd one."""
+    co = f1.fft()
+    co[0, 0] = 0.0
+    return TorusFunction.from_fft(f1.grid, np.where(f1.dx_kernel(), co, 0.0))
+
+
+def _misplaced_kernel_row(where):
+    """build_perturbation with f1's kernel row taken out of G3 and, by
+    `where`, dropped, put back into G3 with the wrong sign, or put into
+    G1."""
+    build = laplace.build_perturbation
+
+    def mutant(f1, g3, c):
+        pert = build(f1, g3, c)
+        row = _kernel_row(f1) / c
+        g1, g3 = pert.g1, pert.g3 - row
+        if where == "g3-sign":
+            g3 = g3 - row
+        elif where == "g1":
+            g1 = g1 + row
+        return Perturbation(g1, pert.g2, g3)
+
+    return mutant
+
+
 class TestSolve:
     def test_solve_writes_report_and_csv(self, tmp_path):
         code, out = run(tmp_path, "solve", "--refinement", "9")
@@ -340,22 +370,61 @@ class TestSolve:
         rep = json.loads((out / "solve_summary.json").read_text())
         refs = [row["refinement"] for row in rep["sweep"]]
         assert refs == [3, 6, 9]
+        assert all(row["pass"] is True and row["failed_checks"] == []
+                   for row in rep["sweep"])
 
-    @pytest.mark.parametrize("refinement, failing", [
-        (2, {"curvature_resolved"}),
-        (8, {"critical_z", "theta_xy"}),
-        (90, {"critical_z", "theta_xy"})], ids=["r2", "r8", "r90"])
-    def test_unresolved_solve_is_not_a_pass(self, tmp_path, refinement,
-                                            failing):
-        # 2: the ramp has no interior samples and the curvature vanishes;
-        # 8 and 90: on even grids the odd-derivative operators zero the
-        # self-paired Nyquist modes (r3 3.9e-3 at 8; theta_xy 2.2e-4 and
-        # r3 1.1e-6 at 90)
+    def test_failing_sweep_row_fails_the_run(self, tmp_path, monkeypatch):
+        # with f1's x-Nyquist row dropped, as when only the mean went into
+        # G3, the even row 6 fails while the main refinement 3 passes
+        monkeypatch.setattr(laplace, "build_perturbation",
+                            _misplaced_kernel_row("dropped"))
+        code, out = run(tmp_path, "solve", "--sweep", "--refinement", "3")
+        assert code == 1
+        rep = json.loads((out / "solve_summary.json").read_text())
+        assert rep["all_pass"] is False
+        assert all(c["pass"] for c in rep["checks"])
+        assert [row["pass"] for row in rep["sweep"]] == [True, False, True]
+        assert rep["sweep"][1]["failed_checks"] == ["critical_z", "theta_xy"]
+
+    @pytest.mark.parametrize("refinement", [1, 2, 4], ids=["r1", "r2", "r4"])
+    def test_unresolved_solve_is_not_a_pass(self, tmp_path, refinement):
+        # the ramp has no interior samples and the curvature vanishes
         code, out = run(tmp_path, "solve", "--refinement", str(refinement))
         assert code == 1
         rep = json.loads((out / "solve_summary.json").read_text())
         assert rep["all_pass"] is False
-        assert {c["name"] for c in rep["checks"] if not c["pass"]} == failing
+        assert {c["name"] for c in rep["checks"] if not c["pass"]} \
+            == {"curvature_resolved"}
+
+    @pytest.mark.parametrize("su, refinement", [
+        ("1/4", 6), ("1/4", 8), ("1/4", 18), ("1/4", 28), ("1/4", 90),
+        ("2/7", 9), ("2/7", 27)],
+        ids=["r6", "r8", "r18", "r28", "r90", "su2_7-r9", "su2_7-r27"])
+    def test_even_grids_solve_exactly(self, tmp_path, su, refinement):
+        # An even x-axis puts f1's x-Nyquist row on the kernel of the
+        # discrete d/dx; at su = 2/7 every x-axis is even (2 r samples across
+        # su).  G3 takes that row, so every check passes: r3 3.7e-15 at
+        # su = 1/4, r = 8, where dropping the row left 3.9e-3.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"su = {su}\nsv = 1/4\n")
+        code, out = run(tmp_path, "solve", "--config", str(cfg),
+                        "--refinement", str(refinement))
+        assert code == 0
+        rep = json.loads((out / "solve_summary.json").read_text())
+        assert rep["all_pass"] is True
+
+    @pytest.mark.parametrize("where", ["g3-sign", "g1"])
+    def test_misplaced_kernel_row_fails(self, tmp_path, monkeypatch, where):
+        # the x-Nyquist row of f1 added to G3 with the wrong sign leaves
+        # twice the row in Theta(X,Y), put into G1 it leaves the row itself
+        monkeypatch.setattr(laplace, "build_perturbation",
+                            _misplaced_kernel_row(where))
+        code, out = run(tmp_path, "solve", "--refinement", "8")
+        assert code == 1
+        rep = json.loads((out / "solve_summary.json").read_text())
+        failing = {c["name"] for c in rep["checks"] if not c["pass"]}
+        assert failing == {"critical_z", "theta_xy"}
+        assert rep["laplace_form"]["theta_xy"] > 0.5
 
     def test_resolved_solve_passes_every_check(self, tmp_path):
         code, out = run(tmp_path, "solve", "--refinement", "27")
@@ -510,11 +579,13 @@ def test_import_loads_no_sympy():
 
 
 # Report numbers recorded with repr at seeds 5 (solve) and 7 (verify).  The
-# solve numbers date from solve's grid of the band of R alone (ny = 4); the
-# verify numbers from verify's pairwise-band grid (ny = 16).  Any change of
-# the order in which products are formed shows here.
+# solve numbers date from solve's grid of the band of R alone (ny = 4 at
+# c = 1); the verify numbers from verify's pairwise-band grid (ny = 16).  Any
+# change of the order in which products are formed shows here.  Solve cases
+# are keyed by (c, sv, refinement) at su = 1/4; the c = 3 case also pins
+# the bytes of g3.csv, where G3 = solve + a0/c shows how a0/c is rounded.
 PINNED_SOLVE = {
-    9: {"ym": 193.61006841215558, "ym_grassmannian": 977.5426280115382,
+    (1, "1/4", 9): {"ym": 193.61006841215558, "ym_grassmannian": 977.5426280115382,
         "a0": 1.1728366530343198e-16 - 0.9071299842634877j,
         "residuals": {"r1": 9.894657235819465e-16, "r2": 4.378438364656706e-17,
                       "r3": 5.017285924508465e-14,
@@ -527,7 +598,7 @@ PINNED_SOLVE = {
                                    "scale": 168.68066332793052},
         "laplace_form": {"theta_xy": 2.672244412859312e-15,
                          "second_eq_osc": 7.342268823989582e-12}},
-    27: {"ym": 159.10442281051883, "ym_grassmannian": 1032.003671328901,
+    (1, "1/4", 27): {"ym": 159.10442281051883, "ym_grassmannian": 1032.003671328901,
          "a0": -5.380458011593054e-17 - 0.7878236853309566j,
          "residuals": {"r1": 1.0620801490503012e-14, "r2": 7.102613147821544e-17,
                        "r3": 2.9101113220135033e-13,
@@ -540,6 +611,21 @@ PINNED_SOLVE = {
                                     "scale": 200.7844860479144},
          "laplace_form": {"theta_xy": 9.108861475033594e-15,
                           "second_eq_osc": 5.62761152567723e-11}},
+    (3, "1/3", 9): {
+        "ym": 1742.4906157094001, "ym_grassmannian": 8797.883652103847,
+        "a0": 2.8168434080341358e-15 - 2.7213899527904633j,
+        "residuals": {"r1": 2.797036267302207e-15, "r2": 1.170534865346627e-16,
+                      "r3": 3.778646959986208e-14,
+                      "r3_osc": 3.778646959986208e-14,
+                      "scale": 506.0419899837916},
+        "residuals_grassmannian": {"r1": 1.7866980565843644,
+                                   "r2": 1.226661469815823e-14,
+                                   "r3": 93.75606906553273,
+                                   "r3_osc": 93.75606906553273,
+                                   "scale": 506.0419899837916},
+        "laplace_form": {"theta_xy": 3.214895991981845e-14,
+                         "second_eq_osc": 1.6568632146789203e-11},
+        "g3_sha256": "3f2a330d5c7aa51b203e235448337edaf2877804bfcff21f2f46c8acea56a66f"},
 }
 
 PINNED_VERIFY = {
@@ -625,12 +711,21 @@ PINNED_VERIFY_C = {
 }
 
 
-@pytest.mark.parametrize("refinement", sorted(PINNED_SOLVE))
-def test_solve_report_is_pinned(params, tmp_path, refinement):
+def _pinned_solve_id(case):
+    c, _, refinement = case
+    return str(refinement) if c == 1 else f"c{c}-r{refinement}"
+
+
+@pytest.mark.parametrize("case", list(PINNED_SOLVE), ids=_pinned_solve_id)
+def test_solve_report_is_pinned(tmp_path, case):
+    c, sv, refinement = case
+    params = Params.from_steps(c, Fraction(1, 4), Fraction(sv))
     cfg = RunConfig(params=params, refinement=refinement, seed=5,
                     out=str(tmp_path))
     rep = run_solve(cfg)
-    assert {k: rep[k] for k in PINNED_SOLVE[refinement]} == PINNED_SOLVE[refinement]
+    rep["g3_sha256"] = hashlib.sha256(
+        (tmp_path / "g3.csv").read_bytes()).hexdigest()
+    assert {k: rep[k] for k in PINNED_SOLVE[case]} == PINNED_SOLVE[case]
 
 
 def test_verify_report_is_pinned(params, tmp_path):

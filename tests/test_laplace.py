@@ -120,16 +120,26 @@ def test_flat_connection_is_not_critical(R9):
     assert res0["r3"] > 1.0
 
 
-def test_zero_mode_policy(grid9, R9):
-    # absorbed: third equation holds as stated; mean-zero: c*a0 remains
-    rep_abs = verify_critical(R9, absorb_zero_mode=True)
-    rep_osc = verify_critical(R9, absorb_zero_mode=False)
-    assert rep_abs["residuals"]["r3"] < 1e-10
-    assert rep_osc["residuals"]["r3"] > 1e-3        # constant c*a0 defect
-    assert rep_osc["residuals"]["r3_osc"] < 1e-10   # removed in the osc part
-    a0 = rep_abs["a0"]
-    g3_shift = (rep_abs["perturbation"].g3 - rep_osc["perturbation"].g3).mean()
-    assert abs(g3_shift - a0 / grid9.params.c) < 1e-12
+@pytest.mark.parametrize("c, sv", [(1, Fraction(1, 4)), (3, Fraction(1, 3))],
+                         ids=["c1", "c3"])
+def test_g3_absorbs_the_dx_kernel_of_f1(c, sv):
+    # G3 - solve_poisson(rhs) is f1's part on the d/dx kernel over c.  f1
+    # does not depend on y, so that part is its mean a0 and, when the
+    # x-axis across su has even length, its x-Nyquist row b (-1)^i with
+    # b = mean of f1 (-1)^i: closed forms that read the samples directly.
+    params = Params.from_steps(c, Fraction(1, 4), sv)
+    for refinement in (9, 8):
+        grid = make_grid(params, refinement)
+        f1, f2 = extract_f1_f2(curvature_closed(build_R(params, grid)))
+        g3 = solve_poisson(assemble_rhs(f1, f2, c))
+        shift = build_perturbation(f1, g3, c).g3 - g3
+        want = np.full(f1.samples.shape, f1.mean())
+        if grid.su_steps % 2 == 0:
+            sign = (-1.0) ** np.arange(grid.su_steps)[:, None]
+            b = np.mean(f1.samples * sign)
+            assert abs(b) > 0.1   # the row is there to move
+            want = want + b * sign
+        assert np.max(np.abs(shift.samples - want / c)) < 1e-12
 
 
 def test_laplace_form_residuals(grid9, R9):

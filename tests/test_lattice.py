@@ -197,13 +197,23 @@ class TestTorusFunction:
         g = TorusFunction.from_fft(grid4, co)
         d = g.d_dx()
         back = d.antiderivative_x()
-        # agreement up to the d/dx kernel (the kx = 0 line)
+        # agreement up to the d/dx kernel (dx_kernel)
         assert (back.d_dx() - d).norm_inf() < 1e-10 * max(d.norm_inf(), 1)
 
     def test_antiderivative_rejects_kernel_content(self, grid4):
         one = TorusFunction(grid4, np.ones((grid4.su_steps, grid4.ny)))
         with pytest.raises(ValueError):
             one.antiderivative_x()
+
+    def test_antiderivative_rejects_nyquist_content(self, grid4):
+        # (-1)^i lies on the x-Nyquist row, which d/dx zeroes on an even
+        # x-axis: it has no antiderivative and must not be dropped silently
+        assert grid4.su_steps % 2 == 0
+        alt = (-1.0) ** np.arange(grid4.su_steps)[:, None]
+        g = TorusFunction(grid4, alt * np.ones((1, grid4.ny)))
+        assert g.d_dx().norm_inf() < 1e-12
+        with pytest.raises(ValueError, match="kernel"):
+            g.antiderivative_x()
 
     def test_mixed_partials_commute(self, grid4, rng):
         samples = rng.normal(size=(grid4.su_steps, grid4.ny)) \
