@@ -194,15 +194,52 @@ class AlgebraElement:
 # -- operations ----------------------------------------------------------
 
 
-def _row_mask(chain: Chain) -> np.ndarray:
-    """Rows of a component where some chain entry is nonzero."""
-    return np.any(chain, axis=(0, 2))
+def _runs(chain: Chain):
+    """[lo, hi) bounds of the maximal runs of rows of a component where
+    some chain entry is nonzero, ascending."""
+    rows = np.zeros(chain.shape[1] + 2, np.int8)
+    rows[1:-1] = np.any(chain, axis=(0, 2))
+    edges = np.flatnonzero(rows[1:] != rows[:-1]).tolist()
+    return list(zip(edges[0::2], edges[1::2]))
 
 
-def _runs(mask: np.ndarray):
-    """[lo, hi) bounds of the runs of True rows in a row mask."""
-    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
-    return zip(edges[0::2].tolist(), edges[1::2].tolist())
+def _shifted_runs(runs, s: int, n: int):
+    """Maximal runs of the rows i in [0, n) with (i + s) mod n in `runs`:
+    each run moves down by s mod n and splits where it crosses 0, and the
+    pieces that meet again are joined."""
+    s %= n
+    pieces = []
+    for lo, hi in runs:
+        lo, hi = lo - s, hi - s
+        if hi <= 0:
+            pieces.append((lo + n, hi + n))
+        elif lo < 0:
+            pieces += [(0, hi), (lo + n, n)]
+        else:
+            pieces.append((lo, hi))
+    pieces.sort()
+    out = pieces[:1]
+    for lo, hi in pieces[1:]:
+        if lo == out[-1][1]:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _intersect_runs(a, b):
+    """Runs of the rows in both of two ascending lists of maximal runs."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
 
 
 def star(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -213,24 +250,25 @@ def star(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
     Each (q, r) pair is one Leibniz product per run of rows where component
     q of a and the translated component r of b are both nonzero; the other
-    rows of the pair's term are zero.
+    rows of the pair's term are zero.  The runs of each component are found
+    once, and each pair intersects them as integer intervals.
     """
     a._check(b)
     g = a.grid
     N = a.nxd
     d = min(a.depth, b.depth)
-    b_rows = {r: _row_mask(chain[:d + 1]) for r, chain in b.comps.items()}
+    b_runs = {r: _runs(chain[:d + 1]) for r, chain in b.comps.items()}
     comps: Dict[int, Chain] = {}
     for q in a.p_support:
         aq = a.comps[q][:d + 1]
-        a_rows = _row_mask(aq)
+        a_runs = _runs(aq)
         if a.flavor == D_FLAVOR:
             dxs, dys = -q * g.su_steps, -q * g.sv_steps
         else:
             dxs, dys = q * g.nx_unit, 0
         for r in b.p_support:
             # window row i reads row (i + dxs) mod N of component r
-            for lo, hi in _runs(a_rows & np.roll(b_rows[r], -dxs)):
+            for lo, hi in _intersect_runs(a_runs, _shifted_runs(b_runs[r], dxs, N)):
                 bw = b.eval_window(r, lo, hi, dxs, dys, d)
                 acc = comps.get(q + r)
                 if acc is None:
@@ -287,7 +325,7 @@ def derive_component(w: str, a: AlgebraElement, p: int) -> Chain:
     xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[:, None]
     z = 2j * math.pi * c * p
     out = z * xs * chain
-    out -= spectral_dy(chain, g.ny)
+    out -= spectral_dy(chain, g)
     out[1:] += np.arange(1, len(chain))[:, None, None] * z * chain[:-1]
     return out
 

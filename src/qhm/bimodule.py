@@ -91,7 +91,8 @@ def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
     """Left action of flavor E on a module vector.
 
     Term q is one Leibniz product on the rows of f moved by -q units, added
-    into a common buffer.
+    into a common buffer; psi's window is evaluated only to the depth of the
+    product.
     """
     if psi.flavor != E_FLAVOR:
         raise ValueError("left action needs flavor E")
@@ -104,7 +105,7 @@ def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
     lo = f.i0 - qs[-1] * N
     acc = np.zeros((d + 1, f.nx + (qs[-1] - qs[0]) * N, grid.ny), complex)
     for q in qs:
-        vals = psi.eval_window(q, f.i0 - q * N, f.i1 - q * N)
+        vals = psi.eval_window(q, f.i0 - q * N, f.i1 - q * N, depth=d)
         r0 = f.i0 - q * N - lo
         acc[:, r0:r0 + f.nx] += jets.mul(np.conj(vals, out=vals), f.chain)
     out = ScalarField(grid, lo, acc).trimmed()
@@ -117,8 +118,9 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
     g . delta_w(phi) when a derivation direction w is given.
 
     Term q is one Leibniz product on g's own rows, moved by -q su, -q sv
-    into a common buffer.  With w, each component of delta_w(phi) is
-    formed inside the loop, so the derived element is never held whole.
+    into a common buffer; phi's window is evaluated only to the depth of
+    the product.  With w, each component of delta_w(phi) is formed inside
+    the loop, so the derived element is never held whole.
     """
     if phi.flavor != D_FLAVOR:
         raise ValueError("right action needs flavor D")
@@ -138,7 +140,7 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
         if q not in src.comps:  # a component that delta_w annihilates
             continue
         depths.append(src.depth)
-        vals = src.eval_window(q, g.i0, g.i1)
+        vals = src.eval_window(q, g.i0, g.i1, depth=min(src.depth, g.depth))
         term = jets.mul(g.chain, np.conj(vals, out=vals))
         r0 = g.i0 - q * S - lo
         acc[:len(term), r0:r0 + g.nx] += np.roll(term, -q * V, axis=2)

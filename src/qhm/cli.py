@@ -214,12 +214,12 @@ def _write_report(path: str, report: Dict[str, object]):
 def _write_torus_csv(path: str, g: TorusFunction):
     grid = g.grid
     lines = ["x,y,re,im"]
-    ys = [j * grid.hy_f for j in range(grid.ny)]
-    # tolist() yields Python complex, whose parts repr as plain floats
-    for i, row in enumerate(g.samples.tolist()):
-        x = i * grid.hx_f
-        for y, z in zip(ys, row):
-            lines.append(f"{x!r},{y!r},{z.real!r},{z.imag!r}")
+    ys = [repr(j * grid.hy_f) for j in range(grid.ny)]
+    # tolist() yields Python floats, which repr as plain floats
+    for i, (re_row, im_row) in enumerate(zip(g.samples.real.tolist(),
+                                             g.samples.imag.tolist())):
+        x = repr(i * grid.hx_f)
+        lines += [f"{x},{y},{re!r},{im!r}" for y, re, im in zip(ys, re_row, im_row)]
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

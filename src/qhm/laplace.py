@@ -30,7 +30,6 @@ and 4.6e-14 at 405, independent of c and sv.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Dict
 
@@ -60,9 +59,7 @@ def assemble_rhs(f1: TorusFunction, f2: TorusFunction, c: int) -> PoissonRHS:
 
 def laplace_eigenvalues(grid: Grid) -> np.ndarray:
     """Eigenvalue of d2/dx2 + d2/dy2 on each dual character (fft layout)."""
-    probe = TorusFunction.zeros(grid)
-    kx, ky = probe.mode_frequencies()
-    return -4.0 * math.pi ** 2 * (kx ** 2 + ky ** 2)
+    return TorusFunction.spectral_table(grid, "laplace")
 
 
 # Largest Poisson residual, relative to the right side, that G3 may leave.

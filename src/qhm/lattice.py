@@ -114,6 +114,8 @@ class Grid:
     hy: Fraction
     _twists: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)   # twist(a, b) by (a, b)
+    _spectral: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)  # TorusFunction.spectral_table by name
 
     def __post_init__(self):
         for step, unit in ((self.hx, Fraction(1)), (self.hx, self.params.su),
@@ -161,6 +163,17 @@ class Grid:
         ys = np.arange(self.ny) * self.hy_f
         ys.flags.writeable = False
         return ys
+
+    @cached_property
+    def dy_multiplier(self) -> np.ndarray:
+        """2 pi i m on the y-modes m of one period (fft layout), zero on the
+        unmatched Nyquist mode: the multiplier of spectral_dy (read-only)."""
+        m = np.fft.fftfreq(self.ny, d=1.0 / self.ny)
+        if self.ny % 2 == 0:
+            m[self.ny // 2] = 0.0
+        mult = 2j * math.pi * m
+        mult.flags.writeable = False
+        return mult
 
     def twist(self, a: int, b: int) -> np.ndarray:
         """e(c a b (y - b sv/2)), e(t) = exp(2 pi i t): the twisted
@@ -379,7 +392,7 @@ class ScalarField:
 
     def dy(self) -> "ScalarField":
         """Spectral derivative along the periodic y-direction."""
-        return ScalarField(self.grid, self.i0, spectral_dy(self.chain, self.grid.ny))
+        return ScalarField(self.grid, self.i0, spectral_dy(self.chain, self.grid))
 
     def dx(self) -> "ScalarField":
         """x-derivative, read off the attached exact chain."""
@@ -394,15 +407,11 @@ def chain_dx(chain: jets.Chain) -> jets.Chain:
     return chain[1:]
 
 
-def spectral_dy(a: np.ndarray, ny: int) -> np.ndarray:
-    """Spectral y-derivative along the last axis, which has length ny."""
+def spectral_dy(a: np.ndarray, grid: Grid) -> np.ndarray:
+    """Spectral y-derivative along the last axis, which has length grid.ny."""
     if a.size == 0:
         return a.copy()
-    m = np.fft.fftfreq(ny, d=1.0 / ny)
-    if ny % 2 == 0:
-        m = m.copy()
-        m[ny // 2] = 0.0  # drop the unmatched Nyquist mode
-    return np.fft.ifft(np.fft.fft(a, axis=-1) * (2j * math.pi * m), axis=-1)
+    return np.fft.ifft(np.fft.fft(a, axis=-1) * grid.dy_multiplier, axis=-1)
 
 
 # -- skew-torus functions ------------------------------------------------
@@ -471,19 +480,49 @@ class TorusFunction:
         shear = float(grid.params.sv / grid.params.su) * grid.x_of(np.arange(grid.su_steps))
         return np.outer(shear, np.fft.fftfreq(grid.ny, d=1.0 / grid.ny))
 
+    @classmethod
+    def spectral_table(cls, grid: Grid, name: str) -> np.ndarray:
+        """Spectral table of the grid, built on first use from _shear or
+        mode_frequencies and kept read-only on the grid, as Grid.twist:
+        "phase" and "phase_inv", e(+-_shear) of fft and from_fft; "x" and
+        "y", the multipliers of d/dx and d/dy (_multiplier); "laplace", the
+        eigenvalues of d2/dx2 + d2/dy2."""
+        table = grid._spectral.get(name)
+        if table is None:
+            if name == "phase":
+                table = np.exp(2j * math.pi * cls._shear(grid))
+            elif name == "phase_inv":
+                table = np.exp(-2j * math.pi * cls._shear(grid))
+            elif name in ("laplace", "x", "y"):
+                kx, ky = cls.zeros(grid).mode_frequencies()
+                if name == "laplace":
+                    table = -4.0 * math.pi ** 2 * (kx ** 2 + ky ** 2)
+                else:
+                    keep = np.ones((grid.su_steps, grid.ny), bool)
+                    if grid.ny % 2 == 0:
+                        keep[:, grid.ny // 2] = False
+                    if name == "x" and grid.su_steps % 2 == 0:
+                        keep[grid.su_steps // 2, :] = False
+                    table = np.where(keep, 2j * math.pi * (kx if name == "x" else ky), 0.0)
+            else:
+                raise KeyError(f"no spectral table {name!r}")
+            table.flags.writeable = False
+            grid._spectral[name] = table
+        return table
+
     def fft(self) -> np.ndarray:
         """Coefficients wrt the dual characters
         chi_{n,m}(x,y) = e(n*x/su + m*(y - (sv/su)*x)); array indexed
         fft-style in (n, m)."""
         g = self.grid
         f1 = np.fft.fft(self.samples, axis=1) / g.ny
-        f1 *= np.exp(2j * math.pi * self._shear(g))
+        f1 *= self.spectral_table(g, "phase")
         return np.fft.fft(f1, axis=0) / g.su_steps
 
     @classmethod
     def from_fft(cls, grid: Grid, coeffs: np.ndarray) -> "TorusFunction":
         f1 = np.fft.ifft(coeffs, axis=0) * grid.su_steps
-        f1 *= np.exp(-2j * math.pi * cls._shear(grid))
+        f1 *= cls.spectral_table(grid, "phase_inv")
         return cls(grid, np.fft.ifft(f1, axis=1) * grid.ny)
 
     def mode_frequencies(self):
@@ -503,14 +542,7 @@ class TorusFunction:
         axes: those are self-paired but carry a nonzero label, so an odd
         operator must vanish there to keep Hermitian symmetry.  ky = m does
         not involve n, so d/dy keeps the x-Nyquist row."""
-        g = self.grid
-        kx, ky = self.mode_frequencies()
-        keep = np.ones((g.su_steps, g.ny), bool)
-        if g.ny % 2 == 0:
-            keep[:, g.ny // 2] = False
-        if axis == "x" and g.su_steps % 2 == 0:
-            keep[g.su_steps // 2, :] = False
-        return np.where(keep, 2j * math.pi * (kx if axis == "x" else ky), 0.0)
+        return self.spectral_table(self.grid, axis)
 
     def d_dx(self) -> "TorusFunction":
         return TorusFunction.from_fft(self.grid, self.fft() * self._multiplier("x"))

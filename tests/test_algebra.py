@@ -13,8 +13,9 @@ import pytest
 
 from qhm import jets
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, FlavorError,
-                         adjoint, derivation, element_allclose,
-                         invariance_defect, laplacian, star, trace)
+                         _intersect_runs, _runs, _shifted_runs, adjoint,
+                         derivation, element_allclose, invariance_defect,
+                         laplacian, star, trace)
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import Curvature2Form, mult_element
 from qhm.lattice import Params, ScalarField, make_grid, spectral_dy
@@ -257,7 +258,7 @@ def _ref_derivation(w, a):
                   - p * float(g.params.su) / 2)[:, None]
             new = []
             for n, arr in enumerate(chain):
-                term = z * xs * arr - spectral_dy(arr, g.ny)
+                term = z * xs * arr - spectral_dy(arr, g)
                 if n >= 1:
                     term = term + n * z * chain[n - 1]
                 new.append(term)
@@ -280,6 +281,34 @@ def _sparse_element(flavor, grid, rng, rows_by_p, depth):
             chain.append(arr)
         comps[p] = chain
     return AlgebraElement(flavor, grid, comps)
+
+
+def _mask_runs(mask):
+    """Maximal runs of True rows, found as star found them before it
+    intersected intervals: the oracle of the test below."""
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+
+
+def test_run_intersection_matches_rolled_masks():
+    # star reads row (i + s) mod n of b at window row i; its interval
+    # arithmetic must give exactly the runs of a_mask & roll(b_mask, -s)
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 12):
+        ends = np.zeros(n, bool)
+        ends[[0, -1]] = True  # runs touching rows 0 and n - 1
+        masks = [np.zeros(n, bool), np.ones(n, bool), ends]
+        masks += [rng.random(n) < p for p in (0.3, 0.5, 0.8) for _ in range(4)]
+        shifts = {0, n, -n, 3 * n, -2 * n, 1, -1, n - 1, 1 - n, n + 2,
+                  -2 * n - 3, 5 * n + 4}
+        for a_mask in masks:
+            a_runs = _runs(a_mask[None, :, None].astype(complex))
+            assert a_runs == _mask_runs(a_mask)
+            for b_mask in masks:
+                b_runs = _runs(b_mask[None, :, None] * (1 - 2j))
+                for s in shifts:
+                    got = _intersect_runs(a_runs, _shifted_runs(b_runs, s, n))
+                    assert got == _mask_runs(a_mask & np.roll(b_mask, -s)), (a_mask, b_mask, s)
 
 
 def _assert_same_element(a, b):

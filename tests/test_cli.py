@@ -788,3 +788,33 @@ def test_laplace_check_catches_spectral_mutants(params, tmp_path, monkeypatch,
                         mutant(getattr(TorusFunction, name)))
     lap = _laplace_check(params, tmp_path, 9)
     assert lap["violation"] > 0.5 and not lap["pass"]
+
+
+def test_spectral_tables_are_built_once_per_grid(params, tmp_path, monkeypatch):
+    # every table is one call of _shear or mode_frequencies on its grid
+    calls, grids = Counter(), {}
+    shear, modes = TorusFunction._shear, TorusFunction.mode_frequencies
+
+    def counted_shear(grid):
+        calls[id(grid)] += 1
+        grids[id(grid)] = grid
+        return shear(grid)
+
+    def counted_modes(self):
+        calls[id(self.grid)] += 1
+        grids[id(self.grid)] = self.grid
+        return modes(self)
+
+    monkeypatch.setattr(TorusFunction, "_shear", staticmethod(counted_shear))
+    monkeypatch.setattr(TorusFunction, "mode_frequencies", counted_modes)
+    run_solve(RunConfig(params=params, refinement=27, out=str(tmp_path)))
+    tables = {key: grids[key]._spectral for key in calls}
+    assert {frozenset(t) for t in tables.values()} == {
+        frozenset({"phase", "phase_inv", "x", "y", "laplace"})}
+    assert all(calls[key] == len(t) for key, t in tables.items())
+    for key, t in tables.items():
+        for table in t.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            grids[key].dy_multiplier[0] = 0

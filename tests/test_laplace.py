@@ -14,6 +14,7 @@ from qhm.laplace import (assemble_rhs, build_perturbation, laplace_form_residual
 from qhm.lattice import Grid, Params, TorusFunction, make_grid
 from qhm.projection import build_R, grassmann_apply
 from qhm.random_fields import make_battery
+from conftest import square_grid
 from test_cli import _mode_off_by_one, _shear_sign, _sv_sign
 
 
@@ -50,13 +51,15 @@ def test_eigenfunction_exactness(grid4):
 @pytest.mark.parametrize("name, mutant", [
     ("_shear", _shear_sign), ("mode_frequencies", _sv_sign),
     ("mode_frequencies", _mode_off_by_one)], ids=["shear", "sv", "mode"])
-def test_closed_forms_catch_spectral_mutants(grid4, monkeypatch, name,
+def test_closed_forms_catch_spectral_mutants(params, monkeypatch, name,
                                              mutant):
     # the comparison with laplace_eigenvalues passed the shear and sv
-    # mutants: both sides read _shear and mode_frequencies
+    # mutants: both sides read _shear and mode_frequencies.  A grid keeps
+    # the spectral tables it has built, so the mutant gets a fresh one.
     monkeypatch.setattr(TorusFunction, name,
                         mutant(getattr(TorusFunction, name)))
-    assert max(closed_form_error(grid4, n, m)
+    grid = square_grid(params, 4)
+    assert max(closed_form_error(grid, n, m)
                for n, m in ((0, 1), (1, 0), (1, 1), (1, 2))) > 0.5
 
 
