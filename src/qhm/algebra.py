@@ -45,9 +45,14 @@ class FlavorError(ValueError):
 
 
 class AlgebraElement:
-    """Finitely p-supported element of the D- or E-flavored algebra."""
+    """Finitely p-supported element of the D- or E-flavored algebra.
 
-    __slots__ = ("flavor", "grid", "comps")
+    Components are never written after construction: every operation
+    builds its result's chains anew.  So the row runs that star reads are
+    found once per component and depth (runs) and kept on the element.
+    """
+
+    __slots__ = ("flavor", "grid", "comps", "_run_cache")
 
     def __init__(self, flavor: str, grid: Grid, comps: Dict[int, Chain]):
         if flavor not in (D_FLAVOR, E_FLAVOR):
@@ -61,9 +66,10 @@ class AlgebraElement:
             if chain.ndim != 3 or chain.shape[1:] != (nxd, grid.ny):
                 raise ValueError(f"component shape {chain.shape} != "
                                  f"(depth + 1, {nxd}, {grid.ny})")
-            if np.any(chain):
+            if chain.any():
                 clean[int(p)] = chain
         self.comps = clean
+        self._run_cache = {}  # runs(p, d) by (p, d)
 
     # -- structure -------------------------------------------------------
 
@@ -91,6 +97,13 @@ class AlgebraElement:
         if chain is None:
             return np.zeros((d + 1, self.nxd, self.grid.ny), complex)
         return chain[: d + 1]
+
+    def runs(self, p: int, d: int):
+        """_runs of component p cut to depth d, found on first use."""
+        runs = self._run_cache.get((p, d))
+        if runs is None:
+            runs = self._run_cache[(p, d)] = _runs(self.comps[p][:d + 1])
+        return runs
 
     def norm_inf(self) -> float:
         """Sup-norm of the values, order 0 of each component's chain."""
@@ -161,34 +174,48 @@ class AlgebraElement:
 
     # -- twisted-periodic evaluation -------------------------------------
 
-    def _wrap_phase(self, k: int, p: int) -> np.ndarray:
-        """Phase relating the fundamental-domain samples to the block at
-        offset k periods: value(x + k*period, y) = phase * samples."""
-        if self.flavor == D_FLAVOR:
-            # Phi(x+k, y, p) = e(c k p (y - p sv/2)) Phi(x, y, p)
-            return self.grid.twist(k, p)
-        # Psi(x + m su, y, p) = e(c p m (y - m sv/2)) Psi(x, y - m sv, p)
-        return self.grid.twist(p, k)
-
     def eval_window(self, p: int, i_lo: int, i_hi: int,
                     dxs: int = 0, dys: int = 0, depth: Optional[int] = None) -> Chain:
         """Chain W with W[n, i, j] = comp_p^(n)(x_{i_lo+i} + dxs*hx, y_j + dys*hy)."""
-        g = self.grid
-        N = self.nxd
         d = self.depth if depth is None else depth
-        out = np.zeros((d + 1, i_hi - i_lo, g.ny), complex)
-        chain = self.comps.get(p)
-        if chain is not None:
-            lo, hi = i_lo + dxs, i_hi + dxs
-            for k in range(lo // N, (hi - 1) // N + 1):
-                r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
-                vals = chain[:d + 1, r0 - k * N:r1 - k * N]
-                if self.flavor == E_FLAVOR and k:
-                    vals = np.roll(vals, k * g.sv_steps, axis=2)
-                out[:, r0 - lo:r1 - lo] = vals * self._wrap_phase(k, p)
-        if dys:
-            out = np.roll(out, -dys, axis=2)
-        return out
+        return window(self.comps.get(p), self.flavor, self.grid, p,
+                      i_lo, i_hi, d, dxs, dys)
+
+
+def window(chain: Optional[Chain], flavor: str, grid: Grid, p: int,
+           i_lo: int, i_hi: int, depth: int, dxs: int = 0, dys: int = 0) -> Chain:
+    """AlgebraElement.eval_window of a component p whose chain is given
+    bare (None for an absent component, whose window is zero).
+
+    Row i_lo + dxs + i lies in the period block k it falls in, which the
+    fundamental-domain samples reach through the wrap phase of the flavor:
+    D: Phi(x+k, y, p) = e(c k p (y - p sv/2)) Phi(x, y, p), twist(k, p);
+    E: Psi(x + m su, y, p) = e(c p m (y - m sv/2)) Psi(x, y - m sv, p),
+    twist(p, m).  The blocks tile the window, so it is filled block by
+    block without zeroing, each with one y-gather that folds in dys.
+    """
+    ny = grid.ny
+    if chain is None:
+        return np.zeros((depth + 1, i_hi - i_lo, ny), complex)
+    if depth >= len(chain):
+        raise ValueError(f"derivative chain exhausted: a window of depth {depth} "
+                         f"needs a chain deeper than the component carries "
+                         f"({len(chain) - 1})")
+    N = chain.shape[1]
+    out = np.empty((depth + 1, i_hi - i_lo, ny), complex)
+    lo, hi = i_lo + dxs, i_hi + dxs
+    for k in range(lo // N, (hi - 1) // N + 1):
+        r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
+        vals = chain[:depth + 1, r0 - k * N:r1 - k * N]
+        ph = grid.twist(k, p) if flavor == D_FLAVOR else grid.twist(p, k)
+        # the y-shift of E's block k, then that of dys on the whole window
+        s = (k * grid.sv_steps if flavor == E_FLAVOR else 0) - dys
+        if s % ny:
+            vals = vals[..., grid.y_roll(s)]
+        if dys % ny:
+            ph = ph[grid.y_roll(-dys)]
+        np.multiply(vals, ph, out=out[:, r0 - lo:r1 - lo])
+    return out
 
 
 # -- operations ----------------------------------------------------------
@@ -251,17 +278,18 @@ def star(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     Each (q, r) pair is one Leibniz product per run of rows where component
     q of a and the translated component r of b are both nonzero; the other
     rows of the pair's term are zero.  The runs of each component are found
-    once, and each pair intersects them as integer intervals.
+    once per element (AlgebraElement.runs), and each pair intersects them
+    as integer intervals.
     """
     a._check(b)
     g = a.grid
     N = a.nxd
     d = min(a.depth, b.depth)
-    b_runs = {r: _runs(chain[:d + 1]) for r, chain in b.comps.items()}
+    b_runs = {r: b.runs(r, d) for r in b.comps}
     comps: Dict[int, Chain] = {}
     for q in a.p_support:
         aq = a.comps[q][:d + 1]
-        a_runs = _runs(aq)
+        a_runs = a.runs(q, d)
         if a.flavor == D_FLAVOR:
             dxs, dys = -q * g.su_steps, -q * g.sv_steps
         else:

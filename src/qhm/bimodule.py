@@ -22,7 +22,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from . import jets
-from .algebra import AlgebraElement, D_FLAVOR, E_FLAVOR, derive_component
+from .algebra import AlgebraElement, D_FLAVOR, E_FLAVOR, derive_component, window
 from .lattice import ScalarField
 
 ModuleVector = ScalarField
@@ -46,7 +46,7 @@ def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
     for p in range(-((g.i1 - f.i0 - 1) // S), (f.i1 - g.i0 - 1) // S + 1):
         lo = max(f.i0, g.i0 + p * S)
         hi = min(f.i1, g.i1 + p * S)
-        b = np.roll(g.chain[:d + 1, lo - p * S - g.i0:hi - p * S - g.i0], p * V, axis=2)
+        b = g.chain[:d + 1, lo - p * S - g.i0:hi - p * S - g.i0][..., grid.y_roll(p * V)]
         term = jets.mul(f.chain[:d + 1, lo - f.i0:hi - f.i0], np.conj(b, out=b))
         acc = np.zeros((d + 1, N, grid.ny), complex)
         for k in range(lo // N, (hi - 1) // N + 1):
@@ -82,7 +82,7 @@ def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
         for k in range(-((hi - 1) // S), -(lo // S) + 1):
             r0, r1 = max(lo, -k * S), min(hi, S - k * S)
             acc[:, r0 + k * S:r1 + k * S] += \
-                np.roll(term[:, r0 - lo:r1 - lo], k * V, axis=2) * grid.twist(p, k)
+                term[:, r0 - lo:r1 - lo][..., grid.y_roll(k * V)] * grid.twist(p, k)
         comps[p] = acc
     return AlgebraElement(E_FLAVOR, grid, comps)
 
@@ -120,7 +120,8 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
     Term q is one Leibniz product on g's own rows, moved by -q su, -q sv
     into a common buffer; phi's window is evaluated only to the depth of
     the product.  With w, each component of delta_w(phi) is formed inside
-    the loop, so the derived element is never held whole.
+    the loop and windowed as a bare chain, so the derived element is never
+    held whole.
     """
     if phi.flavor != D_FLAVOR:
         raise ValueError("right action needs flavor D")
@@ -135,15 +136,18 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
     acc = np.zeros((g.depth + 1, rows, grid.ny), complex)
     depths = []
     for q in qs:
-        src = phi if w is None else AlgebraElement(
-            D_FLAVOR, grid, {q: derive_component(w, phi, q)})
-        if q not in src.comps:  # a component that delta_w annihilates
-            continue
-        depths.append(src.depth)
-        vals = src.eval_window(q, g.i0, g.i1, depth=min(src.depth, g.depth))
+        if w is None:
+            chain, depth = phi.comps[q], phi.depth
+        else:
+            chain = derive_component(w, phi, q)
+            if not chain.any():  # a component that delta_w annihilates
+                continue
+            depth = len(chain) - 1
+        depths.append(depth)
+        vals = window(chain, D_FLAVOR, grid, q, g.i0, g.i1, min(depth, g.depth))
         term = jets.mul(g.chain, np.conj(vals, out=vals))
         r0 = g.i0 - q * S - lo
-        acc[:len(term), r0:r0 + g.nx] += np.roll(term, -q * V, axis=2)
+        acc[:len(term), r0:r0 + g.nx] += term[..., grid.y_roll(-q * V)]
     depth = min(depths + [g.depth]) if depths else 0
     out = ScalarField(grid, lo, acc[:depth + 1]).trimmed()
     return out if out.nx else ScalarField.zeros(grid, depth)

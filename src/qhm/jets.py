@@ -11,6 +11,7 @@ coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -18,13 +19,31 @@ import numpy as np
 Chain = np.ndarray
 
 
+@functools.cache
+def _binomial_columns(depth: int, ndim: int):
+    """For j = 1..depth the column comb(n, j), n = j..depth, shaped to
+    broadcast over the orders of a chain whose orders have ndim axes
+    (complex, so that C_j * a[j] is the same complex product as
+    comb(n, j) * a[j]; read-only)."""
+    cols = []
+    for j in range(1, depth + 1):
+        col = np.array([math.comb(n, j) for n in range(j, depth + 1)], complex)
+        col = col.reshape((-1,) + (1,) * ndim)
+        col.flags.writeable = False
+        cols.append(col)
+    return cols
+
+
 def mul(a: Chain, b: Chain) -> Chain:
-    """Leibniz rule: the chain of a*b, to the shorter depth."""
+    """Leibniz rule: the chain of a*b, to the shorter depth.
+
+    out[n] = sum_j comb(n, j) a[j] b[n - j], formed for all n at once per
+    j: each order's terms are added in ascending j onto +0."""
     depth = min(len(a), len(b)) - 1
     out = np.zeros_like(a[:depth + 1])
-    for n in range(depth + 1):
-        for j in range(n + 1):
-            out[n] += math.comb(n, j) * a[j] * b[n - j]
+    out += a[0] * b[:depth + 1]
+    for j, col in enumerate(_binomial_columns(depth, np.ndim(a[0])), 1):
+        out[j:] += (col * a[j]) * b[:depth + 1 - j]
     return out
 
 

@@ -114,6 +114,8 @@ class Grid:
     hy: Fraction
     _twists: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)   # twist(a, b) by (a, b)
+    _y_rolls: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)  # y_roll(s) by s mod ny
     _spectral: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)  # TorusFunction.spectral_table by name
 
@@ -187,6 +189,19 @@ class Grid:
             ph.flags.writeable = False
             self._twists[(a, b)] = ph
         return ph
+
+    def y_roll(self, s: int) -> np.ndarray:
+        """Index map of a y-shift: a[..., y_roll(s)] == np.roll(a, s, axis=-1)
+        for any array whose last axis has length ny, as one gather.  Every
+        y-shift of the calculus goes through it.  Built once per s mod ny
+        and kept read-only."""
+        s %= self.ny
+        idx = self._y_rolls.get(s)
+        if idx is None:
+            idx = (np.arange(self.ny) - s) % self.ny
+            idx.flags.writeable = False
+            self._y_rolls[s] = idx
+        return idx
 
     def x_of(self, i) -> np.ndarray:
         return np.asarray(i, dtype=float) * self.hx_f
@@ -380,7 +395,7 @@ class ScalarField:
         """result(x, y) = f(x + kx*hx, y + ky*hy); exact index move."""
         chain = self.chain
         if ky % self.grid.ny:
-            chain = np.roll(chain, -ky % self.grid.ny, axis=2)
+            chain = chain[..., self.grid.y_roll(-ky)]
         return ScalarField(self.grid, self.i0 - kx, chain)
 
     def y_phase(self, cycles: float, const: float = 0.0) -> "ScalarField":

@@ -29,9 +29,9 @@ Vectors are stored by fundamental-domain samples, x in [0,1) x [0,1) on the
 source side and [0,su) x [0,1) on the target side, optionally behind a
 leading sample axis: one SpectralVector holds a batch (S, nx, ny) of S
 members.  SpectralVector.eval_row evaluates a whole array of x-indices
-anywhere through the defining twist, with one roll of the sample array per
-crossed cell, so each map, bimodule operation and check below is one array
-expression over all S samples.  Two rationality constraints are enforced
+anywhere through the defining twist, with one y-shift of the sample array
+per crossed cell, so each map, bimodule operation and check below is one
+array expression over all S samples.  Two rationality constraints are enforced
 where the maps are formed, with MoritaGridError: x -> -x/su maps grid points
 to grid points iff 1/su is an integer (rescale_factor), and S(f) is
 y-periodic on the samples, a function on the torus, iff c/sv is an integer
@@ -123,8 +123,9 @@ class SpectralVector:
         F(x + su, y) = e(c(y - sv/2)) F(x, y - sv) (E_first) or
         g(x + 1, y) = conj e(c(y - sv/2)) g(x, y - sv) (X), times
         e(broken_shift), or its inverse when crossing downwards.  Cell k is
-        built once, from cell k -/+ 1 as ph * roll(cell, +/-sv_steps) over
-        the whole sample array, and its rows are gathered by fancy indexing.
+        built once, from cell k -/+ 1 as ph * cell shifted by +/-sv_steps in
+        y (Grid.y_roll) over the whole sample array, and its rows are
+        gathered by fancy indexing.
         """
         if np.ndim(idx) != 1:
             raise ValueError(f"eval_row takes a 1-D index array, not {idx!r}")
@@ -140,15 +141,16 @@ class SpectralVector:
                     ph = np.conj(ph)
             cell = self.samples
             for n in range(1, far + 1):
-                cell = ph * np.roll(cell, step * g.sv_steps, axis=-1)
+                cell = ph * cell[..., g.y_roll(step * g.sv_steps)]
                 hit = k == step * n
                 out[..., hit, :] = cell[..., r[hit], :]
         return out
 
 
-def _reverse_y(rows: np.ndarray) -> np.ndarray:
-    """rows'[..., j] = rows[..., -j mod ny]."""
-    return np.roll(rows[..., ::-1], 1, axis=-1)
+def _reverse_y(rows: np.ndarray, grid: Grid) -> np.ndarray:
+    """rows'[..., j] = rows[..., -j mod ny], one gather: y_roll(-1) maps j
+    to j + 1, so read backwards it maps j to ny - j."""
+    return rows[..., grid.y_roll(-1)[::-1]]
 
 
 def _S_rows(f: SpectralVector, idx: np.ndarray) -> np.ndarray:
@@ -157,7 +159,7 @@ def _S_rows(f: SpectralVector, idx: np.ndarray) -> np.ndarray:
     if s_y_samples(g.params) % g.ny:
         raise MoritaGridError(f"S(f) is not y-periodic on {g.ny} y-samples")
     phase = np.exp(2j * math.pi * g.params.c * g.ys ** 2 / float(g.params.sv))
-    return phase * _reverse_y(f.eval_row(-rescale_factor(g) * idx))
+    return phase * _reverse_y(f.eval_row(-rescale_factor(g) * idx), g)
 
 
 def map_S(f: SpectralVector) -> SpectralVector:
@@ -174,7 +176,7 @@ def map_H(phi: SpectralVector) -> SpectralVector:
         raise ValueError(f"map_H expects tag {BETA_INVARIANT}, got {phi.tag}")
     g = phi.grid
     rows = phi.eval_row(-rescale_factor(g) * np.arange(g.su_steps))
-    return SpectralVector(g, _reverse_y(rows), E_FIXED)
+    return SpectralVector(g, _reverse_y(rows, g), E_FIXED)
 
 
 # source-side bimodule operations ------------------------------------------
@@ -306,7 +308,7 @@ def random_source_vectors(grid: Grid, *tables) -> List[SpectralVector]:
     for seed, broken_shift in zip(np.split(seeds, ends), shifts):
         # g = seed|_[0,1) + U(seed)|_[0,1) with U the twisted unit translate
         ph = g.twist(-1, -1) * np.exp(2j * math.pi * broken_shift)
-        translated = np.roll(seed[:, nxu:], -g.sv_steps, axis=-1) * ph
+        translated = seed[:, nxu:][..., g.y_roll(-g.sv_steps)] * ph
         out.append(SpectralVector(g, seed[:, :nxu] + translated,
                                   X_BETA_USTAR_ALPHA, broken_shift))
     return out
@@ -347,8 +349,7 @@ def membership_transport_defect(f: SpectralVector) -> float:
     formula on both sides (the stored-sample extension would be circular)."""
     g = f.grid
     i = np.arange(g.su_steps)
-    rhs = g.twist(1, 1) * np.roll(_S_rows(f, i - g.su_steps), g.sv_steps,
-                                  axis=-1)
+    rhs = g.twist(1, 1) * _S_rows(f, i - g.su_steps)[..., g.y_roll(g.sv_steps)]
     return float(np.max(np.abs(_S_rows(f, i) - rhs)))
 
 

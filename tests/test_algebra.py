@@ -187,6 +187,16 @@ def test_delta_x_chain_matches_closed_form(grid4):
         assert np.max(np.abs(got[n] - want)) < 1e-12 * np.max(np.abs(want))
 
 
+def test_window_refuses_orders_its_chain_lacks(params):
+    # a depth-0 identity has no derivative to read: a deeper window would
+    # otherwise repeat the values as if they were the derivatives
+    one = AlgebraElement.identity(D_FLAVOR, make_grid(params, 9), depth=0)
+    assert np.array_equal(one.eval_window(0, 0, 5, depth=0), np.ones((1, 5, 4)))
+    with pytest.raises(ValueError, match="derivative chain exhausted"):
+        one.eval_window(0, 0, 5, depth=1)
+    # an absent component is zero at any depth
+    assert not one.eval_window(1, 0, 5, depth=2).any()
+
 def test_chains_are_single_complex_arrays(grid4, rng):
     # a chain is one (depth + 1, nx, ny) complex array, for fields and for
     # every component of an element, whatever operation made it

@@ -122,7 +122,9 @@ def _ref_eval(a, p, i_lo, i_hi, dxs=0, dys=0):
         blocks = np.floor_divide(gi, N)
         for k in np.unique(blocks):
             sel = blocks == k
-            ph = a._wrap_phase(int(k), p)[None, :]
+            # value(x + k period) = phase * samples, D: twist(k, p), E: twist(p, k)
+            ph = (g.twist(int(k), p) if a.flavor == D_FLAVOR
+                  else g.twist(p, int(k)))[None, :]
             for n, arr in enumerate(chain):
                 vals = arr[gi[sel] - k * N, :]
                 if a.flavor == E_FLAVOR and k:

@@ -1,5 +1,6 @@
 """Connection, curvature and multiplication-commutator tests."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,6 +170,38 @@ class TestCurvature:
         curvature_closed(R)
         assert grid.nx_unit == 180
         assert 0 < sum(rows) <= 6 * 9 * grid.nx_unit // 4
+
+    def test_cached_runs_are_the_runs_of_each_component(self, params):
+        grid = make_grid(params, 27)
+        q = inner_D(*(build_R(params, grid),) * 2)
+        for w in "XYZ":
+            dq = derivation(w, q)
+            assert dq.comps
+            for p, chain in dq.comps.items():
+                for d in range(len(chain)):
+                    assert dq.runs(p, d) == algebra._runs(chain[:d + 1])
+
+    def test_closed_form_finds_each_run_list_once(self, params, monkeypatch):
+        # curvature_closed stars each delta_W Q four times; star reads the
+        # row runs of every operand component, found once per element
+        calls, found = [], Counter()
+        runs, plain = algebra.AlgebraElement.runs, algebra._runs
+
+        def counting_runs(elem, p, d):
+            before = len(calls)
+            out = runs(elem, p, d)
+            found[(id(elem), p, d)] += len(calls) - before
+            keep.append(elem)  # no id is reused while counting
+            return out
+
+        keep = []
+        monkeypatch.setattr(algebra, "_runs",
+                            lambda chain: calls.append(1) or plain(chain))
+        monkeypatch.setattr(algebra.AlgebraElement, "runs", counting_runs)
+        grid = make_grid(params, 27)
+        curvature_closed(build_R(params, grid))
+        assert set(found.values()) == {1}
+        assert len(calls) == len(found) < len(keep)
 
     def test_perturbed_operator_matches_assembled(self, grid4, R4, rng):
         pert = random_perturbation(grid4, rng)

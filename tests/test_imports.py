@@ -1,5 +1,6 @@
 """Source hygiene: every name a qhm module imports is used in that module,
-and every function or class a qhm module defines is named somewhere else."""
+every function or class a qhm module defines is named somewhere else, and
+every y-shift goes through Grid.y_roll."""
 
 import ast
 import re
@@ -66,3 +67,45 @@ def test_guard_sees_a_dead_definition():
            "    def gone(self):\n        return Used()\n\n"
            "def _helper():\n    pass\n")
     assert unused_definitions([src], [src]) == ["_helper", "gone"]
+
+
+Y_AXES = {2, -1}  # the y-axis of a chain, and the last axis of any array
+
+
+def y_rolls(source: str):
+    """Lines of np.roll calls whose axis may be the y-axis: a literal 2 or
+    -1, alone or in a tuple, or an axis that is not a literal."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "roll"):
+            continue
+        axis = next((kw.value for kw in node.keywords if kw.arg == "axis"),
+                    node.args[2] if len(node.args) > 2 else None)
+        if axis is None:  # a roll of the flattened array
+            continue
+        try:
+            axes = ast.literal_eval(axis)
+        except ValueError:
+            lines.append(node.lineno)
+            continue
+        if Y_AXES & set(axes if isinstance(axes, tuple) else (axes,)):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_y_shifts_go_through_y_roll(path):
+    # a[..., grid.y_roll(s)] is np.roll(a, s, axis=-1) as one cached gather
+    assert y_rolls(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_y_roll():
+    src = ("import numpy as np\n"
+           "a = np.roll(b, 1, axis=2)\n"
+           "a = np.roll(b, 1, -1)\n"
+           "a = np.roll(b, 1, axis=(0, 1))\n"
+           "a = np.roll(b, s, axis=(1, -1))\n"
+           "a = np.roll(b, 1, axis=ax)\n"
+           "a = np.roll(b, 1)\n")
+    assert y_rolls(src) == [2, 3, 5, 6]

@@ -127,6 +127,21 @@ class TestParams:
                              - grid.twist(b, a1) * swap)) < 1e-12
 
 
+    @pytest.mark.parametrize("sv, ny", [("1/3", 3), ("1/4", 4)])
+    def test_y_roll_is_np_roll(self, sv, ny):
+        # odd and even ny; the map is built once per shift mod ny, read-only
+        grid = make_grid(Params.from_steps(1, Fraction(1, 4), Fraction(sv)), 1)
+        assert grid.ny == ny
+        a = np.random.default_rng(ny).normal(size=(3, 5, ny)) * (1 + 2j)
+        for s in (0, 1, -1, ny, -ny, ny + 1, -ny - 1, -3 * ny + 2):
+            idx = grid.y_roll(s)
+            assert np.array_equal(a[..., idx], np.roll(a, s, axis=-1))
+            assert np.array_equal(a[:, 1:4, idx], np.roll(a[:, 1:4], s, axis=-1))
+            assert grid.y_roll(s + 2 * ny) is idx
+            with pytest.raises(ValueError, match="read-only"):
+                idx[0] = 1
+
+
 class TestScalarField:
     def test_shift_is_exact_index_move(self, grid2, rng):
         f = gaussian_chain(grid2)
