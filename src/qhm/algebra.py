@@ -8,14 +8,16 @@ keeps every translation in the star products an exact index map.
 
 Each component is one (depth + 1, nxd, ny) x-derivative chain, as in
 ScalarField (see jets), so the derivations are exact on elements built from
-closed forms.
+closed forms.  A batch of elements (AlgebraElement.stack) carries one more
+axis before y, (depth + 1, nxd, B, ny); the bimodule kernels take it as it
+is, and AlgebraElement.members splits it again.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,9 +65,10 @@ class AlgebraElement:
         clean: Dict[int, Chain] = {}
         for p, chain in comps.items():
             chain = np.asarray(chain, complex)
-            if chain.ndim != 3 or chain.shape[1:] != (nxd, grid.ny):
+            if (chain.ndim not in (3, 4) or chain.shape[1] != nxd
+                    or chain.shape[-1] != grid.ny):
                 raise ValueError(f"component shape {chain.shape} != "
-                                 f"(depth + 1, {nxd}, {grid.ny})")
+                                 f"(depth + 1, {nxd}[, batch], {grid.ny})")
             if chain.any():
                 clean[int(p)] = chain
         self.comps = clean
@@ -98,6 +101,19 @@ class AlgebraElement:
             return np.zeros((d + 1, self.nxd, self.grid.ny), complex)
         return chain[: d + 1]
 
+    def upto(self, depth: int) -> "AlgebraElement":
+        """This element with its chain orders above `depth` dropped (views;
+        a cut never deepens a chain)."""
+        return AlgebraElement(self.flavor, self.grid,
+                              {p: c[:depth + 1] for p, c in self.comps.items()})
+
+    def members(self, count: int) -> List["AlgebraElement"]:
+        """The `count` elements of a batch (stack's inverse); a batch that
+        has no components is `count` zeros."""
+        return [AlgebraElement(self.flavor, self.grid,
+                               {p: c[:, :, i] for p, c in self.comps.items()})
+                for i in range(count)]
+
     def runs(self, p: int, d: int):
         """_runs of component p cut to depth d, found on first use."""
         runs = self._run_cache.get((p, d))
@@ -121,6 +137,21 @@ class AlgebraElement:
         chain = np.zeros((depth + 1, cls.domain_steps(flavor, grid), grid.ny), complex)
         chain[0] = 1
         return cls(flavor, grid, {0: chain})
+
+    @classmethod
+    def stack(cls, elems: Sequence["AlgebraElement"]) -> "AlgebraElement":
+        """One batch of elements of one flavor and grid: each component
+        stacks the members' chains on axis 2, zero where a member lacks the
+        component, cut to the shortest depth among the members that have
+        components (a zero element truncates nothing, as in _combine)."""
+        first = elems[0]
+        for e in elems[1:]:
+            first._check(e)
+        d = min((e.depth for e in elems if e.comps), default=0)
+        ps = sorted(set().union(*(e.comps for e in elems)))
+        return cls(first.flavor, first.grid,
+                   {p: np.stack([e.component(p, d) for e in elems], axis=2)
+                    for p in ps})
 
     @classmethod
     def from_torus(cls, g: TorusFunction, depth: int = CHAIN_DEPTH) -> "AlgebraElement":
@@ -202,7 +233,7 @@ def window(chain: Optional[Chain], flavor: str, grid: Grid, p: int,
                          f"needs a chain deeper than the component carries "
                          f"({len(chain) - 1})")
     N = chain.shape[1]
-    out = np.empty((depth + 1, i_hi - i_lo, ny), complex)
+    out = np.empty((depth + 1, i_hi - i_lo) + chain.shape[2:], complex)
     lo, hi = i_lo + dxs, i_hi + dxs
     for k in range(lo // N, (hi - 1) // N + 1):
         r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
@@ -350,11 +381,13 @@ def derive_component(w: str, a: AlgebraElement, p: int) -> Chain:
         return -chain_dx(chain)
     if w != "X":
         raise ValueError(f"unknown Lie label {w!r}")
-    xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2)[:, None]
+    # the x-factor and the order factors broadcast over a batch axis too
+    ones = (1,) * (chain.ndim - 2)
+    xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2).reshape((-1,) + ones)
     z = 2j * math.pi * c * p
     out = z * xs * chain
     out -= spectral_dy(chain, g)
-    out[1:] += np.arange(1, len(chain))[:, None, None] * z * chain[:-1]
+    out[1:] += np.arange(1, len(chain)).reshape((-1, 1) + ones) * z * chain[:-1]
     return out
 
 

@@ -13,11 +13,18 @@ Conventions, with e(t) = exp(2 pi i t), su = 2 hbar mu, sv = 2 hbar nu:
                                  g(x - k su + p, y - k sv)
   (Psi . f)(x,y)  = sum_q conj Psi(x,y,q) f(x+q, y)
   (g . Phi)(x,y)  = sum_q g(x + q su, y + q sv) conj Phi(x + q su, y + q sv, q)
+
+Either operand of each map may be a batch (AlgebraElement.stack, or a
+ScalarField with a (depth + 1, nx, B, ny) chain); the other then gains a
+singleton batch axis, and the result is the batch of the members' results,
+bit for bit, on the union of their supports.  The members of a batch are
+zero-padded to that union: every accumulator starts at +0 and only adds,
+so the padding's +-0 terms change no value.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +33,16 @@ from .algebra import AlgebraElement, D_FLAVOR, E_FLAVOR, derive_component, windo
 from .lattice import ScalarField
 
 ModuleVector = ScalarField
+
+
+def _aligned(a: jets.Chain, b: jets.Chain):
+    """The two chains with as many axes each: an unbatched one gains a
+    singleton batch axis."""
+    if a.ndim == b.ndim:
+        return a, b
+    if a.ndim < b.ndim:
+        return a[:, :, None], b
+    return a, b[:, :, None]
 
 
 def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
@@ -47,8 +64,9 @@ def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
         lo = max(f.i0, g.i0 + p * S)
         hi = min(f.i1, g.i1 + p * S)
         b = g.chain[:d + 1, lo - p * S - g.i0:hi - p * S - g.i0][..., grid.y_roll(p * V)]
-        term = jets.mul(f.chain[:d + 1, lo - f.i0:hi - f.i0], np.conj(b, out=b))
-        acc = np.zeros((d + 1, N, grid.ny), complex)
+        term = jets.mul(*_aligned(f.chain[:d + 1, lo - f.i0:hi - f.i0],
+                                  np.conj(b, out=b)))
+        acc = np.zeros((d + 1, N) + term.shape[2:], complex)
         for k in range(lo // N, (hi - 1) // N + 1):
             r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
             ph = np.conj(grid.twist(k, p))
@@ -75,9 +93,10 @@ def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
     for p in range(-((f.i1 - g.i0 - 1) // N), (g.i1 - f.i0 - 1) // N + 1):
         lo = max(f.i0, g.i0 - p * N)
         hi = min(f.i1, g.i1 - p * N)
-        term = jets.mul(np.conj(f.chain[:d + 1, lo - f.i0:hi - f.i0]),
-                        g.chain[:d + 1, lo + p * N - g.i0:hi + p * N - g.i0])
-        acc = np.zeros((d + 1, S, grid.ny), complex)
+        term = jets.mul(*_aligned(
+            np.conj(f.chain[:d + 1, lo - f.i0:hi - f.i0]),
+            g.chain[:d + 1, lo + p * N - g.i0:hi + p * N - g.i0]))
+        acc = np.zeros((d + 1, S) + term.shape[2:], complex)
         # rows [-kS, S - kS) of f land on [0, S)
         for k in range(-((hi - 1) // S), -(lo // S) + 1):
             r0, r1 = max(lo, -k * S), min(hi, S - k * S)
@@ -103,17 +122,34 @@ def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
     if not qs or f.nx == 0:
         return ScalarField.zeros(grid, d)
     lo = f.i0 - qs[-1] * N
-    acc = np.zeros((d + 1, f.nx + (qs[-1] - qs[0]) * N, grid.ny), complex)
+    acc = None
     for q in qs:
         vals = psi.eval_window(q, f.i0 - q * N, f.i1 - q * N, depth=d)
+        term = jets.mul(*_aligned(np.conj(vals, out=vals), f.chain))
+        if acc is None:
+            acc = np.zeros((d + 1, f.nx + (qs[-1] - qs[0]) * N) + term.shape[2:],
+                           complex)
         r0 = f.i0 - q * N - lo
-        acc[:, r0:r0 + f.nx] += jets.mul(np.conj(vals, out=vals), f.chain)
+        acc[:, r0:r0 + f.nx] += term
     out = ScalarField(grid, lo, acc).trimmed()
     return out if out.nx else ScalarField.zeros(grid, d)
 
 
+def _derived(w: Union[str, Sequence[str]], phi: AlgebraElement, q: int) -> jets.Chain:
+    """Chain of component q of delta_w(phi), or for a sequence of
+    directions their chains cut to the shortest and batched direction by
+    direction."""
+    if isinstance(w, str):
+        return derive_component(w, phi, q)
+    chains = [derive_component(v, phi, q) for v in w]
+    n = min(len(c) for c in chains)
+    if chains[0].ndim == 3:
+        return np.stack([c[:n] for c in chains], axis=2)
+    return np.concatenate([c[:n] for c in chains], axis=2)
+
+
 def act_right(g: ModuleVector, phi: AlgebraElement,
-              w: Optional[str] = None) -> ModuleVector:
+              w: Union[None, str, Sequence[str]] = None) -> ModuleVector:
     """Right action of flavor D on a module vector: g . phi, or
     g . delta_w(phi) when a derivation direction w is given.
 
@@ -121,7 +157,9 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
     into a common buffer; phi's window is evaluated only to the depth of
     the product.  With w, each component of delta_w(phi) is formed inside
     the loop and windowed as a bare chain, so the derived element is never
-    held whole.
+    held whole.  A sequence of directions gives one batch, direction by
+    direction: along w[k], member i of a batch phi of n members is member
+    k n + i of the result (k for an unbatched phi).
     """
     if phi.flavor != D_FLAVOR:
         raise ValueError("right action needs flavor D")
@@ -133,21 +171,26 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
         return ScalarField.zeros(grid)
     lo = g.i0 - qs[-1] * S
     rows = g.nx + (qs[-1] - qs[0]) * S if g.nx else 0
-    acc = np.zeros((g.depth + 1, rows, grid.ny), complex)
+    acc = None
     depths = []
     for q in qs:
         if w is None:
             chain, depth = phi.comps[q], phi.depth
         else:
-            chain = derive_component(w, phi, q)
+            chain = _derived(w, phi, q)
             if not chain.any():  # a component that delta_w annihilates
                 continue
             depth = len(chain) - 1
         depths.append(depth)
         vals = window(chain, D_FLAVOR, grid, q, g.i0, g.i1, min(depth, g.depth))
-        term = jets.mul(g.chain, np.conj(vals, out=vals))
+        term = jets.mul(*_aligned(g.chain, np.conj(vals, out=vals)))
+        if acc is None:
+            acc = np.zeros((g.depth + 1, rows) + term.shape[2:], complex)
         r0 = g.i0 - q * S - lo
         acc[:len(term), r0:r0 + g.nx] += term[..., grid.y_roll(-q * V)]
-    depth = min(depths + [g.depth]) if depths else 0
+    if acc is None:  # delta_w annihilates every component
+        return ScalarField.zeros(grid)
+    depth = min(depths + [g.depth])
     out = ScalarField(grid, lo, acc[:depth + 1]).trimmed()
     return out if out.nx else ScalarField.zeros(grid, depth)
+

@@ -267,10 +267,18 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
     checks.append(_check("projection_trace", "trace_D(Q) = 2 hbar mu",
                          abs(trace(Q) - float(cfg.params.su)), 1e-10))
 
-    for name, dev in sorted(verify_R_conditions(R0).items()):
-        checks.append(_check(f"condition_{name}",
-                             f"projection condition ({name})",
-                             dev, tol["conditions"]))
+    try:
+        conditions = verify_R_conditions(R0)
+    except ValueError as exc:  # StructureError is one
+        # a broken structure (extract_h_g's mirror test, say) is a failed
+        # check of a written report, not a traceback
+        checks.append(_check("projection_conditions", str(exc), np.inf,
+                             tol["conditions"]))
+    else:
+        for name, dev in sorted(conditions.items()):
+            checks.append(_check(f"condition_{name}",
+                                 f"projection condition ({name})",
+                                 dev, tol["conditions"]))
 
     try:
         # delta_Y Q reads order 1 of Q = <R, R>_D

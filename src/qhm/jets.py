@@ -2,7 +2,8 @@
 
 A chain is one array whose leading axis is the derivative order: chain[n]
 holds the n-th x-derivative f^(n) at the same sample points, so a chain of
-depth d over an (nx, ny) grid has shape (d + 1, nx, ny).  Each operation
+depth d over an (nx, ny) grid has shape (d + 1, nx, ny), or (d + 1, nx, B,
+ny) for a batch of B chains on the same rows.  Each operation
 returns the chain of its result to the depth of its input, by the standard
 recurrences of Taylor-mode differentiation (Griewank & Walther, Evaluating
 Derivatives, 2nd ed., ch. 13), written for derivatives instead of Taylor
@@ -38,11 +39,17 @@ def mul(a: Chain, b: Chain) -> Chain:
     """Leibniz rule: the chain of a*b, to the shorter depth.
 
     out[n] = sum_j comb(n, j) a[j] b[n - j], formed for all n at once per
-    j: each order's terms are added in ascending j onto +0."""
+    j: each order's terms are added in ascending j onto +0.  The orders of
+    the two factors broadcast against each other (a batch against a
+    singleton batch axis)."""
+    a, b = np.asarray(a), np.asarray(b)
     depth = min(len(a), len(b)) - 1
-    out = np.zeros_like(a[:depth + 1])
+    shape = a.shape[1:]
+    if b.shape[1:] != shape:
+        shape = np.broadcast_shapes(shape, b.shape[1:])
+    out = np.zeros((depth + 1,) + shape, a.dtype)
     out += a[0] * b[:depth + 1]
-    for j, col in enumerate(_binomial_columns(depth, np.ndim(a[0])), 1):
+    for j, col in enumerate(_binomial_columns(depth, len(shape)), 1):
         out[j:] += (col * a[j]) * b[:depth + 1 - j]
     return out
 

@@ -112,8 +112,7 @@ def verify_critical(R: ModuleVector) -> Dict[str, object]:
     nabla = Connection(R, pert)
     nabla0 = Connection(R)
     theta = curvature_of(nabla, theta0)
-    res = critical_residuals(nabla, theta0, theta=theta)
-    res0 = critical_residuals(nabla0, theta0)
+    res, res0 = critical_residuals([nabla, nabla0], theta0, [theta, theta0])
     return {
         "a0": rhs.a0,
         "discarded_mean": rhs.discarded_mean,

@@ -265,7 +265,9 @@ class ScalarField:
     data[i, j] is the value at (x, y) = ((i0 + i)*hx, j*hy); y is periodic.
     `chain` is the (depth + 1, nx, ny) array whose entry n samples the exact
     n-th x-derivative, data = chain[0].  Arithmetic propagates the chain
-    (Leibniz rule), so dx() stays exact through the calculus.
+    (Leibniz rule), so dx() stays exact through the calculus.  A batch of
+    fields on the same rows, as the bimodule kernels make from a batch of
+    elements, is one (depth + 1, nx, B, ny) chain.
     """
 
     __slots__ = ("grid", "i0", "chain")
@@ -274,8 +276,9 @@ class ScalarField:
         self.grid = grid
         self.i0 = int(i0)
         self.chain = np.asarray(chain, complex)
-        if self.chain.ndim != 3 or self.chain.shape[2] != grid.ny:
-            raise ValueError(f"chain shape {self.chain.shape} != (depth + 1, nx, {grid.ny})")
+        if self.chain.ndim not in (3, 4) or self.chain.shape[-1] != grid.ny:
+            raise ValueError(f"chain shape {self.chain.shape} != "
+                             f"(depth + 1, nx[, batch], {grid.ny})")
         nx = self.chain.shape[1]
         if nx and (self.i0 < -grid.i_bound or self.i0 + nx > grid.i_bound):
             raise WindowOverflowError(
@@ -329,7 +332,8 @@ class ScalarField:
         """Drop leading/trailing all-zero x-rows (every chain entry zero)."""
         if self.nx == 0:
             return self
-        idx = np.flatnonzero(np.any(self.chain, axis=(0, 2)))
+        rest = (0, 2) if self.chain.ndim == 3 else (0, 2, 3)
+        idx = np.flatnonzero(np.any(self.chain, axis=rest))
         if idx.size == 0:
             return ScalarField(self.grid, 0, self.chain[:, :0])
         lo, hi = idx[0], idx[-1] + 1

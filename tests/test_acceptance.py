@@ -25,7 +25,8 @@ from qhm.lattice import TorusFunction, make_grid
 from qhm.morita import verify_bimodule_preservation
 from qhm.projection import build_R, verify_R_conditions
 from qhm.random_fields import make_battery, random_perturbation
-from qhm.yangmills import critical_residuals, ym_directional, ym_value
+from qhm.yangmills import critical_residuals, ym_value
+from oracles import ym_directional
 from test_laplace import closed_form_error
 
 

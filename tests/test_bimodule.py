@@ -241,3 +241,114 @@ def test_kernels_match_direct_sums_bitwise(params, refinement):
         for w in "XYZ":
             _assert_same_field(act_right(u, phi, w),
                                _ref_act_right(u, derivation(w, phi)))
+
+
+# -- batches against their members --------------------------------------------
+#
+# A batch passes through each kernel as one call on one more axis.  Its
+# members are zero-padded to the union of their p-supports and row supports,
+# and every accumulator starts at +0 and only adds, so member i of a batched
+# result must equal the unbatched call on member i bit for bit.
+
+BATCH_PARAMS = [Params.from_steps(1, Fraction(1, 4), Fraction(1, 4)),
+                Params.from_steps(2, Fraction(1, 4), Fraction(1, 3)),
+                Params.from_steps(3, Fraction(1, 5), Fraction(1, 3))]
+
+
+def _stack_fields(fields):
+    """One batched field on the union of the members' rows, zero-padded."""
+    live = [v for v in fields if v.nx]
+    lo, hi = min(v.i0 for v in live), max(v.i1 for v in live)
+    d = min(v.depth for v in fields)
+    return ScalarField(fields[0].grid, lo,
+                       np.stack([v.window(lo, hi)[:d + 1] for v in fields], axis=2))
+
+
+def _assert_batch_of_fields(batch, members):
+    assert batch.chain.shape[2] == len(members)
+    for i, m in enumerate(members):
+        if m.nx:
+            assert batch.i0 <= m.i0 and m.i1 <= batch.i1
+        d = min(batch.depth, m.depth)
+        want = m.window(batch.i0, batch.i1)[:d + 1]
+        assert np.array_equal(batch.chain[:d + 1, :, i], want), i
+
+
+def _assert_batch_of_elements(batch, members):
+    d = batch.depth
+    got = batch.members(len(members))
+    for i, m in enumerate(members):
+        assert set(got[i].comps) <= set(m.comps), i
+        for p in set(batch.comps) | set(m.comps):
+            want = m.component(p, d)
+            assert np.array_equal(got[i].component(p, d), want), (i, p)
+
+
+@pytest.mark.parametrize("refinement", [3, 9, 27])
+@pytest.mark.parametrize("params", BATCH_PARAMS, ids=["c1", "c2", "c3"])
+def test_batched_kernels_match_their_members_bitwise(params, refinement):
+    grid = make_grid(params, refinement, pairwise=True)
+    rng = np.random.default_rng(refinement)
+    R = build_R(params, grid)
+    f, g = (random_module_vector(grid, rng, y_modes=1, max_shift_units=1)
+            for _ in range(2))
+    zero_field = ScalarField.zeros(grid, R.depth)
+    # members with unequal p-supports and row supports, one all zero
+    phis = [inner_D(R, f), AlgebraElement.zero(D_FLAVOR, grid), inner_D(f, g),
+            inner_D(R, R)]
+    psi = inner_E(g, f)
+    psis = [inner_E(f, R), star(psi, psi), AlgebraElement.zero(E_FLAVOR, grid),
+            psi]
+    fields = [f, zero_field, R, g]
+    assert len({tuple(e.p_support) for e in phis}) == 4
+    assert len({tuple(e.p_support) for e in psis}) == 4
+    assert len({(v.i0, v.i1) for v in fields}) == 4
+    phi_b, psi_b = AlgebraElement.stack(phis), AlgebraElement.stack(psis)
+    field_b = _stack_fields(fields)
+    _assert_batch_of_elements(phi_b, phis)
+    _assert_batch_of_elements(psi_b, psis)
+
+    for u in (R, f):
+        _assert_batch_of_fields(act_left(psi_b, u),
+                                [act_left(psi, u) for psi in psis])
+        _assert_batch_of_fields(act_left(psis[0], field_b),
+                                [act_left(psis[0], v) for v in fields])
+        _assert_batch_of_elements(inner_D(u, field_b),
+                                  [inner_D(u, v) for v in fields])
+        _assert_batch_of_elements(inner_D(field_b, u),
+                                  [inner_D(v, u) for v in fields])
+        _assert_batch_of_elements(inner_E(u, field_b),
+                                  [inner_E(u, v) for v in fields])
+        _assert_batch_of_elements(inner_E(field_b, u),
+                                  [inner_E(v, u) for v in fields])
+        _assert_batch_of_fields(act_right(u, phi_b),
+                                [act_right(u, phi) for phi in phis])
+        _assert_batch_of_fields(act_right(field_b, phis[0]),
+                                [act_right(v, phis[0]) for v in fields])
+        for w in "XYZ":
+            _assert_batch_of_fields(act_right(u, phi_b, w),
+                                    [act_right(u, phi, w) for phi in phis])
+        # a sequence of directions batches direction by direction
+        _assert_batch_of_fields(act_right(u, phi_b, ("Y", "X")),
+                                [act_right(u, phi, w) for w in "YX"
+                                 for phi in phis])
+        _assert_batch_of_fields(act_right(u, phis[0], ("X", "Z", "Y")),
+                                [act_right(u, phis[0], w) for w in "XZY"])
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_batched_mul_matches_its_members_bitwise(depth):
+    # a batch against a singleton batch axis, as the kernels pair a batch
+    # with an unbatched operand, and against a batch of its own
+    rng = np.random.default_rng(200 + depth)
+    shape = (depth + 1, 6, 3, 5)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b = rng.normal(size=(depth + 2, 6, 5)) - 1j * rng.normal(size=(depth + 2, 6, 5))
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    a[:, :, 1] = 0.0
+    for x, y in ((a, b[:, :, None]), (b[:, :, None], a), (a, c)):
+        got = jets.mul(x, y)
+        for i in range(3):
+            want = jets.mul(x[:, :, min(i, x.shape[2] - 1)],
+                            y[:, :, min(i, y.shape[2] - 1)])
+            assert np.array_equal(got[:, :, i], want)

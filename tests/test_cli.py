@@ -268,6 +268,29 @@ class TestVerify:
                              out=str(tmp_path)))
         assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 188, 1: 55}
 
+    @pytest.mark.parametrize("error", [ValueError, calculus.StructureError])
+    def test_broken_projection_is_a_failed_check(self, tmp_path, monkeypatch,
+                                                 error):
+        # a projection whose structure breaks (here extract_h_g's mirror
+        # test, as a phase mutant of inner_D breaks it) fails one check of
+        # a written report instead of ending in a traceback
+        message = "delta_-1 component is not the conjugate mirror (2.00e+00)"
+
+        def broken(R):
+            raise error(message)
+
+        monkeypatch.setattr(cli, "verify_R_conditions", broken)
+        code, out = run(tmp_path, "verify", "--refinement", "9")
+        assert code == 1
+        rep = json.loads((out / "verify_report.json").read_text())
+        assert rep["all_pass"] is False
+        failing = [c for c in rep["checks"] if not c["pass"]]
+        assert failing == [{"name": "projection_conditions", "anchor": message,
+                            "violation": float("inf"), "tolerance": 1e-12,
+                            "pass": False}]
+        assert not [c for c in rep["checks"]
+                    if c["name"].startswith("condition_")]
+
     def test_tampered_star_fails(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("debug.tamper_star = true\n")
@@ -439,12 +462,48 @@ class TestSolve:
 
     def test_solve_reads_no_test_vectors(self, params, tmp_path, monkeypatch):
         # criticality is measured as elements of E: no battery is drawn and
-        # no equation is applied to a vector
+        # no equation is applied to a vector (the operator oracle of the
+        # tests applies the connection to one with connect)
         calls = count_calls(monkeypatch, (random_fields, "make_battery"),
-                            (yangmills, "euler_lagrange_apply"))
+                            (calculus, "connect"))
         cfg = RunConfig(params=params, refinement=9, seed=0, out=str(tmp_path))
         run_solve(cfg, sweep=True)
         assert calls == []
+
+    def test_solve_batches_both_connections(self, params, tmp_path,
+                                            monkeypatch):
+        # The constructed and the Grassmannian connection share R, so their
+        # curvature components pass through the bimodule kernels as one
+        # batch, and both directions of each component's commutator pair
+        # as one act_right: one call of each kernel per pair, next to
+        # curvature_closed's one inner_D and three act_right and inner_E.
+        # One connection and one direction at a time made 15, 15, 7 and 6.
+        calls = count_calls(monkeypatch, *((bimodule, name) for name in (
+            "act_right", "inner_E", "inner_D", "act_left")))
+        run_solve(RunConfig(params=params, refinement=27, seed=0,
+                            out=str(tmp_path)))
+        assert Counter(calls) == {"act_right": 6, "inner_E": 6,
+                                  "inner_D": 4, "act_left": 3}
+
+    def test_solve_forms_each_product_to_the_order_it_reads(
+            self, params, monkeypatch):
+        # The residuals and YM read order 0 of their elements; only
+        # t = <R, T . R>_D, which delta_Y differentiates, is formed to
+        # order 1.  With every operand at the full depth the residual stage
+        # made the Leibniz products {0: 8, 1: 31, 2: 36} and YM {1: 2, 2: 4}.
+        R = build_R(params, make_grid(params, 27))
+        rep = laplace.verify_critical(R)
+        theta0 = rep["theta0"]
+        nablas = [calculus.Connection(R, rep["perturbation"]),
+                  calculus.Connection(R)]
+        thetas = [calculus.curvature_of(n, theta0) for n in nablas]
+        calls = count_calls(monkeypatch, (jets, "mul"), lens=True)
+        yangmills.critical_residuals(nablas, theta0, thetas)
+        assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 20, 1: 12}
+        calls.clear()
+        for theta in thetas:
+            yangmills.ym_of_curvature(theta)
+        assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 6}
 
     def test_solve_builds_perturbed_curvature_once(self, params, tmp_path,
                                                    monkeypatch):

@@ -111,7 +111,7 @@ def test_construction_is_critical(R9):
     rep = verify_critical(R9)
     from qhm.yangmills import critical_residuals
     nabla = Connection(R9, rep["perturbation"])
-    res = critical_residuals(nabla, rep["theta0"])
+    [res] = critical_residuals([nabla], rep["theta0"])
     assert res.r1 < 1e-10
     assert res.r2 < 1e-10
     assert res.r3 < 1e-10

@@ -1,12 +1,15 @@
 """Yang-Mills functional, pairing and variation tests."""
 
 import sys
+from dataclasses import asdict
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from qhm.bimodule import act_left, inner_D, inner_E
+from qhm.algebra import AlgebraElement, E_FLAVOR, bracket, star
+from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import (Connection, Curvature2Form, Perturbation,
                           curvature_closed, curvature_of, extract_f1_f2,
                           mult_element)
@@ -16,10 +19,10 @@ from qhm.lattice import Grid, Params, ScalarField, TorusFunction, make_grid
 from qhm.projection import build_R
 from qhm.random_fields import (make_battery, random_perturbation,
                                random_torus_function)
-from qhm.yangmills import (BASIS, critical_residuals, euler_lagrange_apply,
-                           euler_lagrange_elements, first_variation,
-                           pair_forms, ym_directional, ym_of_curvature,
-                           ym_value)
+from qhm.yangmills import (BASIS, Residuals, critical_residuals,
+                           euler_lagrange_elements, pair_forms,
+                           ym_of_curvature, ym_value)
+from oracles import euler_lagrange_apply, first_variation, ym_directional
 
 
 @pytest.fixture()
@@ -68,13 +71,13 @@ def test_first_variation_matches_central_difference(perturbed, grid2, rng):
 
 
 def test_residuals_zero_for_flat_connection(R2):
-    res = critical_residuals(Connection(R2))
+    [res] = critical_residuals([Connection(R2)])
     assert res.r1 < 1e-12 and res.r2 < 1e-12 and res.r3 < 1e-12
 
 
 def test_residuals_nonzero_for_generic_perturbation(grid2, R2, rng):
     nabla = Connection(R2, random_perturbation(grid2, rng))
-    res = critical_residuals(nabla)
+    [res] = critical_residuals([nabla])
     assert max(res.r1, res.r2, res.r3) > 1e-3
 
 
@@ -99,7 +102,8 @@ def test_euler_lagrange_builds_each_shared_piece_once(params, grid9, R9,
     for name, fn in (("inner_D", inner_D), ("mult_element", mult_element)):
         wrapper = counting(name, fn)
         for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("qhm") and getattr(mod, name, None) is fn:
+            if (mod_name.startswith("qhm") or mod_name == "oracles") \
+                    and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, wrapper)
     euler_lagrange_apply(nabla, theta, f)
     assert calls == {"inner_D": 4, "mult_element": 3}
@@ -147,7 +151,7 @@ def test_elements_act_as_the_operator_equations(c, refinement, connection):
     theta = curvature_of(nabla, theta0)
     scale = theta0.norm_inf()
     assert scale > 1
-    eqs = euler_lagrange_elements(nabla, theta)
+    [eqs] = euler_lagrange_elements([nabla], [theta])
     for f in make_battery(grid, 4, 5, include=[R]):
         ref = euler_lagrange_apply(nabla, theta, f)
         for i in BASIS:
@@ -172,9 +176,77 @@ def test_elements_keep_the_perturbation_commutators(c, refinement):
     theta = Curvature2Form(inner_E(v[0], v[1]), inner_E(v[2], v[3]),
                            inner_E(v[4], v[5]))
     assert min(len(t.p_support) for t in (theta.xy, theta.xz, theta.yz)) > 1
-    eqs = euler_lagrange_elements(nabla, theta)
+    [eqs] = euler_lagrange_elements([nabla], [theta])
     for f in make_battery(grid, 2, 5, include=[R]):
         ref = euler_lagrange_apply(nabla, theta, f)
         for i in BASIS:
             err = (act_left(eqs[i], f) - ref[i]).norm_inf()
             assert err <= 1e-10 * f.norm_inf() * theta.norm_inf(), (i, err)
+
+
+def _elements_reference(nabla, theta):
+    """The Euler-Lagrange elements one connection and one direction at a
+    time, every product at the full chain depth: the elements as they were
+    formed before connections were batched and cut to the orders read."""
+    R = nabla.R
+    c = nabla.grid.params.c
+    pert = nabla.perturbation
+    mults = {} if pert is None else {
+        j: mult_element(pert.component(j), 1) for j in BASIS}
+
+    def commutator(t, t_hat, j):
+        out = inner_E(act_right(R, t_hat, j), R)
+        if j in mults:
+            out = out + (star(mults[j], t) - star(t, mults[j]))
+        return out
+
+    eqs = {i: AlgebraElement.zero(E_FLAVOR, nabla.grid) for i in BASIS}
+    for a, b in combinations(BASIS, 2):
+        t = theta.component(a, b)
+        t_hat = inner_D(R, act_left(t, R))
+        eqs[a] = eqs[a] + commutator(t, t_hat, b)
+        eqs[b] = eqs[b] - commutator(t, t_hat, a)
+        sign, lbl = bracket(a, b)
+        if sign:
+            eqs[lbl] = eqs[lbl] - t.scaled(sign * c)
+    return eqs
+
+
+@pytest.mark.parametrize("refinement", [1, 2, 3, 9, 27])
+@pytest.mark.parametrize("c, su, sv", [(1, "1/4", "1/4"), (2, "1/4", "1/3"),
+                                       (3, "1/5", "1/3")])
+def test_batched_residuals_equal_the_one_at_a_time_reference(c, su, sv,
+                                                             refinement):
+    # Both connections pass through the kernels as one batch and every
+    # product is formed only to the order read; the values (order 0) of the
+    # elements, and so the residuals, must be those of the reference bit
+    # for bit.  At refinements 1 and 2 the curvature vanishes and the
+    # elements are empty.
+    params = Params.from_steps(c, Fraction(su), Fraction(sv))
+    R = build_R(params, make_grid(params, refinement))
+    rep = verify_critical(R)
+    theta0 = rep["theta0"]
+    nablas = [Connection(R, rep["perturbation"]), Connection(R)]
+    thetas = [curvature_of(nabla, theta0) for nabla in nablas]
+    refs = [_elements_reference(n, t) for n, t in zip(nablas, thetas)]
+    for eqs, ref in zip(euler_lagrange_elements(nablas, thetas), refs):
+        for i in BASIS:
+            assert eqs[i].depth == 0
+            for p in set(eqs[i].comps) | set(ref[i].comps):
+                assert np.array_equal(eqs[i].component(p, 0),
+                                      ref[i].component(p, 0)), (i, p)
+    want = []
+    for theta, ref in zip(thetas, refs):
+        scale = max(theta0.norm_inf(), theta.norm_inf(), 1e-30)
+        r1, r2, r3 = (ref[i].norm_inf() / scale for i in BASIS)
+        want.append(Residuals(r1=r1, r2=r2, r3=r3, r3_osc=r3, scale=scale))
+    assert critical_residuals(nablas, theta0, thetas) == want
+    assert [rep["residuals"], rep["residuals_grassmannian"]] == \
+        [asdict(res) for res in want]
+    assert (want[1].r3 > 1) == (refinement > 2)
+
+
+def test_residuals_need_connections_that_share_r(params, grid9, R9):
+    other = build_R(params, grid9)
+    with pytest.raises(ValueError, match="share R"):
+        critical_residuals([Connection(R9), Connection(other)])
