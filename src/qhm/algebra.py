@@ -351,25 +351,6 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.flavor, g, comps)
 
 
-def invariance_action(a: AlgebraElement, k: int) -> AlgebraElement:
-    """rho_k on flavor D, gamma_k on flavor E (exact phase bookkeeping).
-
-    rho_k Phi (x,y,p) = conj-e(c k p (y - p sv/2)) Phi(x+k, y, p)
-    gamma_k Psi(x,y,p) = e(c p k (y - k sv/2)) Psi(x - k su, y - k sv, p)
-    """
-    g = a.grid
-    comps: Dict[int, Chain] = {}
-    for p in a.p_support:
-        if a.flavor == D_FLAVOR:
-            w = a.eval_window(p, 0, a.nxd, dxs=k * g.nx_unit, dys=0)
-            ph = np.conj(g.twist(k, p))
-        else:
-            w = a.eval_window(p, 0, a.nxd, dxs=-k * g.su_steps, dys=-k * g.sv_steps)
-            ph = g.twist(p, k)
-        comps[p] = w * ph
-    return AlgebraElement(a.flavor, g, comps)
-
-
 def derive_component(w: str, a: AlgebraElement, p: int) -> Chain:
     """Chain of component p of derivation(w, a)."""
     g = a.grid
@@ -415,11 +396,6 @@ def trace(a: AlgebraElement) -> complex:
     [0,1) for flavor D, where tau(Id) = 1, and [0,su) for flavor E."""
     comp0 = a.component(0, 0)[0]
     return complex(np.sum(comp0)) * a.grid.hx_f * a.grid.hy_f
-
-
-def invariance_defect(a: AlgebraElement, k: int = 1) -> float:
-    """Sup-norm of (action_k - id) applied to the element."""
-    return (invariance_action(a, k) - a).norm_inf()
 
 
 def element_allclose(a: AlgebraElement, b: AlgebraElement, tol: float = 1e-12) -> bool:

@@ -131,8 +131,7 @@ def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
                            complex)
         r0 = f.i0 - q * N - lo
         acc[:, r0:r0 + f.nx] += term
-    out = ScalarField(grid, lo, acc).trimmed()
-    return out if out.nx else ScalarField.zeros(grid, d)
+    return ScalarField(grid, lo, acc).trimmed()
 
 
 def _derived(w: Union[str, Sequence[str]], phi: AlgebraElement, q: int) -> jets.Chain:
@@ -146,6 +145,14 @@ def _derived(w: Union[str, Sequence[str]], phi: AlgebraElement, q: int) -> jets.
     if chains[0].ndim == 3:
         return np.stack([c[:n] for c in chains], axis=2)
     return np.concatenate([c[:n] for c in chains], axis=2)
+
+
+def _no_rows(g: ModuleVector, phi: AlgebraElement, w) -> ModuleVector:
+    """act_right's zero: no rows, with the batch axis of a nonzero result."""
+    batch = max([g.chain.shape[2:-1]] + [c.shape[2:-1] for c in phi.comps.values()])
+    if w is not None and not isinstance(w, str):
+        batch = (len(w) * (batch or (1,))[0],)
+    return ScalarField(g.grid, 0, np.zeros((1, 0) + batch + (g.grid.ny,), complex))
 
 
 def act_right(g: ModuleVector, phi: AlgebraElement,
@@ -168,7 +175,7 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
     V = grid.sv_steps
     qs = phi.p_support
     if not qs:
-        return ScalarField.zeros(grid)
+        return _no_rows(g, phi, w)
     lo = g.i0 - qs[-1] * S
     rows = g.nx + (qs[-1] - qs[0]) * S if g.nx else 0
     acc = None
@@ -189,8 +196,7 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
         r0 = g.i0 - q * S - lo
         acc[:len(term), r0:r0 + g.nx] += term[..., grid.y_roll(-q * V)]
     if acc is None:  # delta_w annihilates every component
-        return ScalarField.zeros(grid)
+        return _no_rows(g, phi, w)
     depth = min(depths + [g.depth])
-    out = ScalarField(grid, lo, acc[:depth + 1]).trimmed()
-    return out if out.nx else ScalarField.zeros(grid, depth)
+    return ScalarField(grid, lo, acc[:depth + 1]).trimmed()
 

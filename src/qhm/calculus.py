@@ -2,12 +2,13 @@
 
 The Grassmannian connection is nabla0_W(f) = R . delta_W(<R,f>_D); adding a
 multiplication-type skew perturbation G gives the full family considered
-here.  Curvature is computed both from the operator definition and from the
-closed form
+here.  With Q = <R,R>_D, dQ_i = delta_Wi Q and v_i = nabla0_Wi R = R . dQ_i,
+its curvature Theta0(W1,W2) = <R . (dQ_1 dQ_2 - dQ_2 dQ_1), R>_E is
+<v_1, v_2>_E - <v_2, v_1>_E (Connes-Rieffel), term by term:
 
-  Theta0(W1,W2) = < R . (delta_W1 Q delta_W2 Q - delta_W2 Q delta_W1 Q), R >_E
-
-with Q = <R,R>_D, and the two are compared as operators in the tests.
+  <R . (dQ_1 dQ_2), R>_E = <(R . dQ_1) . dQ_2, R>_E   R . (a b) = (R . a) . b
+                         = <R . dQ_1, R . dQ_2*>_E    <f . a, g>_E = <f, g . a*>_E
+                         = <v_1, v_2>_E               dQ_i* = dQ_i
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .algebra import (AlgebraElement, E_FLAVOR, adjoint, bracket, derivation,
-                      star)
+from .algebra import AlgebraElement, E_FLAVOR, bracket
 from .bimodule import ModuleVector, act_left, act_right, inner_D, inner_E
-from .lattice import CHAIN_DEPTH, TorusFunction
+from .lattice import CHAIN_DEPTH, ScalarField, TorusFunction
 from .projection import grassmann_apply
 
 SKEW_TOL = 1e-12
@@ -130,22 +130,19 @@ class Curvature2Form:
     def norm_inf(self) -> float:
         return float(np.max([t.norm_inf() for t in (self.xy, self.xz, self.yz)]))
 
-    def skew_defect(self) -> float:
-        """Max violation of adjoint(component) = -component."""
-        return float(np.max([(adjoint(t) + t).norm_inf()
-                             for t in (self.xy, self.xz, self.yz)]))
-
 
 def curvature_closed(R: ModuleVector) -> Curvature2Form:
-    """Grassmannian curvature via the closed form."""
-    q = inner_D(R, R)
-    dq = {w: derivation(w, q) for w in "XYZ"}
-
-    def comp(w1, w2):
-        anti = star(dq[w1], dq[w2]) - star(dq[w2], dq[w1])
-        return inner_E(act_right(R, anti), R)
-
-    return Curvature2Form(comp("X", "Y"), comp("X", "Z"), comp("Y", "Z"))
+    """Grassmannian curvature from the three v_W = R . delta_W <R,R>_D, one
+    batch of one act_right, paired in one six-member inner_E of
+    (vX, vX, vY | vY, vZ, vZ) against (vY, vZ, vZ | vX, vX, vY): XY, XZ, YZ
+    are the first three members minus the last three.  The batch is cut to
+    its shortest chain, delta_Y Q's, one order below R's.
+    """
+    v = act_right(R, inner_D(R, R), ("X", "Y", "Z"))
+    pairs = inner_E(ScalarField(R.grid, v.i0, v.chain[:, :, [0, 0, 1, 1, 2, 2]]),
+                    ScalarField(R.grid, v.i0, v.chain[:, :, [1, 2, 2, 0, 0, 1]]))
+    return Curvature2Form(*AlgebraElement(E_FLAVOR, R.grid, {
+        p: c[:, :, :3] - c[:, :, 3:] for p, c in pairs.comps.items()}).members(3))
 
 
 def curvature_perturbed(theta0: Curvature2Form, pert: Perturbation,

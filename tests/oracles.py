@@ -1,17 +1,67 @@
-"""Operator oracles of the tests: the critical-point equations applied to a
-vector, the first variation of YM in closed form, and its central
-difference.  The program computes criticality as elements of E
-(yangmills.euler_lagrange_elements); these independent routes check it.
+"""Oracles of the tests: the critical-point equations applied to a vector,
+the first variation of YM in closed form and its central difference, the
+Grassmannian curvature in its star form with its skew test, and the
+invariance actions of the two flavors.  The program computes criticality
+as elements of E (yangmills.euler_lagrange_elements) and the curvature
+from the three nabla0_W R (calculus.curvature_closed); these independent
+routes check it.
 """
 
 from itertools import combinations
 from typing import Dict, Optional
 
-from qhm.algebra import bracket, star, trace
-from qhm.bimodule import ModuleVector, act_left, inner_D
+import numpy as np
+
+from qhm.algebra import (AlgebraElement, D_FLAVOR, adjoint, bracket, derivation,
+                         star, trace)
+from qhm.bimodule import ModuleVector, act_left, act_right, inner_D, inner_E
 from qhm.calculus import (Connection, Curvature2Form, Perturbation, connect,
                           curvature_closed, curvature_of, mult_element)
 from qhm.yangmills import BASIS, ym_value
+
+
+def curvature_star_form(R: ModuleVector) -> Curvature2Form:
+    """Grassmannian curvature as
+    Theta0(W1,W2) = < R . (delta_W1 Q delta_W2 Q - delta_W2 Q delta_W1 Q), R >_E
+    with Q = <R,R>_D: six stars of the derived projections."""
+    q = inner_D(R, R)
+    dq = {w: derivation(w, q) for w in "XYZ"}
+
+    def comp(w1, w2):
+        anti = star(dq[w1], dq[w2]) - star(dq[w2], dq[w1])
+        return inner_E(act_right(R, anti), R)
+
+    return Curvature2Form(comp("X", "Y"), comp("X", "Z"), comp("Y", "Z"))
+
+
+def invariance_action(a: AlgebraElement, k: int) -> AlgebraElement:
+    """rho_k on flavor D, gamma_k on flavor E (exact phase bookkeeping).
+
+    rho_k Phi (x,y,p) = conj-e(c k p (y - p sv/2)) Phi(x+k, y, p)
+    gamma_k Psi(x,y,p) = e(c p k (y - k sv/2)) Psi(x - k su, y - k sv, p)
+    """
+    g = a.grid
+    comps = {}
+    for p in a.p_support:
+        if a.flavor == D_FLAVOR:
+            w = a.eval_window(p, 0, a.nxd, dxs=k * g.nx_unit, dys=0)
+            ph = np.conj(g.twist(k, p))
+        else:
+            w = a.eval_window(p, 0, a.nxd, dxs=-k * g.su_steps, dys=-k * g.sv_steps)
+            ph = g.twist(p, k)
+        comps[p] = w * ph
+    return AlgebraElement(a.flavor, g, comps)
+
+
+def invariance_defect(a: AlgebraElement, k: int = 1) -> float:
+    """Sup-norm of (action_k - id) applied to the element."""
+    return (invariance_action(a, k) - a).norm_inf()
+
+
+def skew_defect(theta: Curvature2Form) -> float:
+    """Max violation of adjoint(component) = -component."""
+    return float(np.max([(adjoint(t) + t).norm_inf()
+                         for t in (theta.xy, theta.xz, theta.yz)]))
 
 
 def euler_lagrange_apply(nabla: Connection, theta: Curvature2Form,

@@ -15,6 +15,7 @@ from qhm import jets
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, adjoint,
                          derivation, star, trace)
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
+from qhm.calculus import curvature_closed
 from qhm.lattice import Params, ScalarField, make_grid, y_bandwidth
 from qhm.projection import build_R
 from qhm.random_fields import make_battery, random_module_vector
@@ -352,3 +353,23 @@ def test_batched_mul_matches_its_members_bitwise(depth):
             want = jets.mul(x[:, :, min(i, x.shape[2] - 1)],
                             y[:, :, min(i, y.shape[2] - 1)])
             assert np.array_equal(got[:, :, i], want)
+
+
+@pytest.mark.parametrize("refinement", [1, 2, 4])
+def test_zero_right_action_keeps_its_batch_axis(params, refinement):
+    # Below the first interior ramp sample Q = <R,R>_D is constant, so every
+    # delta_W annihilates it; the zero result still carries the batch axis
+    # that a sequence of directions or a batched element asks for, where
+    # the members are indexed before y.
+    grid = make_grid(params, refinement)
+    R = build_R(params, grid)
+    Q = inner_D(R, R)
+    assert Q.comps and all(not derivation(w, Q).comps for w in "XYZ")
+    QQ = AlgebraElement.stack([Q, Q])
+    cases = [(Q, ("X", "Y", "Z"), 3), (QQ, ("X", "Y", "Z"), 6), (QQ, "Y", 2),
+             (AlgebraElement.zero(D_FLAVOR, grid), ("X", "Y"), 2)]
+    for phi, w, batch in cases:
+        v = act_right(R, phi, w)
+        assert (v.nx, v.chain.shape[2:]) == (0, (batch, grid.ny))
+    assert act_right(R, Q, "X").chain.shape[2:] == (grid.ny,)
+    assert curvature_closed(R).norm_inf() == 0.0

@@ -1,6 +1,7 @@
 """Connection, curvature and multiplication-commutator tests."""
 
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,10 +15,12 @@ from qhm.calculus import (Connection, Perturbation, StructureError,
                           curvature_definition, curvature_of, extract_f1_f2,
                           mult_element)
 from qhm.laplace import assemble_rhs, build_perturbation, solve_poisson
-from qhm.lattice import TorusFunction, make_grid
+from qhm.lattice import Params, TorusFunction, make_grid
 from qhm.projection import build_R
 from qhm.random_fields import (random_module_vector, random_perturbation,
                                random_torus_function)
+
+from oracles import curvature_star_form, skew_defect
 
 # y-constant envelopes at the origin: a pair of spread-out, modulated
 # vectors carries more y-modes than grid2 (ny = 8) holds
@@ -125,11 +128,32 @@ class TestCurvature:
         assert theta0.norm_inf() < 1e-12
 
     def test_structure_at_resolving_grid(self, R9):
+        # the closed form's pairing is skew by construction; the star form
+        # is skew only through the self-adjointness of each delta_W Q
         theta0 = curvature_closed(R9)
         assert theta0.xz.norm_inf() < 1e-8
-        assert theta0.skew_defect() < 1e-10 * max(theta0.norm_inf(), 1.0)
+        for theta in (theta0, curvature_star_form(R9)):
+            assert skew_defect(theta) < 1e-10 * max(theta.norm_inf(), 1.0)
         f1, f2 = extract_f1_f2(theta0)   # raises StructureError on failure
         assert f1.norm_inf() > 1.0 and f2.norm_inf() > 1.0
+
+    @pytest.mark.parametrize("c, su, sv, refinement", [
+        (1, "1/4", "1/4", 27), (1, "1/3", "0", 9), (2, "1/5", "1/2", 15),
+        (3, "2/7", "1/3", 9), (3, "1/4", "1/4", 15)])
+    def test_closed_form_matches_star_form(self, c, su, sv, refinement):
+        # each chain order of the closed form agrees with the star form's
+        # to rounding of that order's sup over the three components
+        params = Params.from_steps(c, Fraction(su), Fraction(sv))
+        R = build_R(params, make_grid(params, refinement))
+        new, old = curvature_closed(R), curvature_star_form(R)
+        assert new.xy.depth == new.xz.depth == new.yz.depth == R.depth - 1
+        pairs = [(getattr(new, k), getattr(old, k)) for k in ("xy", "xz", "yz")]
+        for n in range(R.depth):
+            sup = max(np.max(np.abs(b.comps[p][n])) for _, b in pairs
+                      for p in b.comps)
+            diff = max(np.max(np.abs(a.component(p, n)[n] - b.component(p, n)[n]))
+                       for a, b in pairs for p in set(a.comps) | set(b.comps))
+            assert sup > 1.0 and diff <= 1e-13 * sup
 
     def test_operator_matches_closed_form(self, grid9, R9, rng):
         theta0 = curvature_closed(R9)
@@ -143,20 +167,22 @@ class TestCurvature:
 
     def test_perturbed_curvature_keeps_chain_depth(self, params):
         # G3 of the construction is y-independent, so -dG3/dy is the zero
-        # element; adding it to Theta0(X,Z) must not truncate the chain
+        # element; adding it to Theta0(X,Z) must not truncate the chain.
+        # Theta0 carries the order of delta_Y Q, one below R's, which is
+        # the order delta_Y t of solve's residuals reads.
         R = build_R(params, make_grid(params, 27))
         theta0 = curvature_closed(R)
         f1, f2 = extract_f1_f2(theta0)
         g3 = solve_poisson(assemble_rhs(f1, f2, params.c))
         nabla = Connection(R, build_perturbation(f1, g3, params.c))
-        assert theta0.xz.depth == 2
+        assert (R.depth, theta0.xz.depth) == (2, 1)
         assert curvature_of(nabla, theta0).xz.depth == theta0.xz.depth
 
     def test_closed_form_stars_multiply_only_support_rows(self, params,
                                                           monkeypatch):
-        # 6 stars of 9 component pairs each: 6 * 9 * 180 = 9720 rows on
-        # full windows at refinement 45, where each component of
-        # delta_W Q is nonzero on 11 to 22 of the 180 rows
+        # the star form's 6 stars of 9 component pairs each: 6 * 9 * 180 =
+        # 9720 rows on full windows at refinement 45, where each component
+        # of delta_W Q is nonzero on 11 to 22 of the 180 rows
         grid = make_grid(params, 45)
         R = build_R(params, grid)
         rows = []
@@ -167,7 +193,7 @@ class TestCurvature:
 
         monkeypatch.setattr(algebra, "jets",
                             SimpleNamespace(**{**vars(jets), "mul": counting}))
-        curvature_closed(R)
+        curvature_star_form(R)
         assert grid.nx_unit == 180
         assert 0 < sum(rows) <= 6 * 9 * grid.nx_unit // 4
 
@@ -182,7 +208,7 @@ class TestCurvature:
                     assert dq.runs(p, d) == algebra._runs(chain[:d + 1])
 
     def test_closed_form_finds_each_run_list_once(self, params, monkeypatch):
-        # curvature_closed stars each delta_W Q four times; star reads the
+        # the star form stars each delta_W Q four times; star reads the
         # row runs of every operand component, found once per element
         calls, found = [], Counter()
         runs, plain = algebra.AlgebraElement.runs, algebra._runs
@@ -199,7 +225,7 @@ class TestCurvature:
                             lambda chain: calls.append(1) or plain(chain))
         monkeypatch.setattr(algebra.AlgebraElement, "runs", counting_runs)
         grid = make_grid(params, 27)
-        curvature_closed(build_R(params, grid))
+        curvature_star_form(build_R(params, grid))
         assert set(found.values()) == {1}
         assert len(calls) == len(found) < len(keep)
 

@@ -14,13 +14,15 @@ import pytest
 
 from qhm import (algebra, bimodule, calculus, cli, jets, laplace,
                  random_fields, yangmills)
-from qhm.calculus import Perturbation
+from qhm.calculus import Perturbation, curvature_closed
 from qhm.cli import (ConfigError, PipelineError, RunConfig, _parse_kv,
                      load_config, main, run_solve, run_verify)
 from qhm.lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Grid, Params,
                          TorusFunction, make_grid, y_bandwidth)
 from qhm.projection import BumpSpec, build_R
 from qhm.random_fields import random_module_vector, random_torus_function
+
+from oracles import curvature_star_form
 
 
 def run(tmp_path, *argv):
@@ -250,7 +252,8 @@ class TestVerify:
     def test_verify_builds_each_shared_piece_once(self, params, tmp_path,
                                                   monkeypatch):
         # <R, f>_D, each nabla0_W f, <R, t f>_D and <R, g2>_D are built
-        # once and shared by the commutator, Leibniz and metric checks
+        # once and shared by the commutator, Leibniz and metric checks, and
+        # Q = <R, R>_D once to order 1 for the projection checks and delta_Y
         calls = count_calls(monkeypatch, (bimodule, "inner_D"),
                             (calculus, "connect"))
         run_verify(RunConfig(params=params, refinement=27, seed=7,
@@ -262,11 +265,13 @@ class TestVerify:
         # every check reads order 0, so an operand carries as many orders
         # as x-derivatives are still taken of it: depth 1 where a delta_Y
         # follows, depth 0 elsewhere.  With every operand at the full depth
-        # the Leibniz products were {0: 3, 1: 101, 2: 139}.
+        # the Leibniz products were {0: 3, 1: 101, 2: 139}.  The star form
+        # of the curvature made them {0: 188, 1: 55}, 9 of them at depth 1
+        # in Theta0(X,Z), whose order 1 verify does not read.
         calls = count_calls(monkeypatch, (jets, "mul"), lens=True)
         run_verify(RunConfig(params=params, refinement=27, seed=7,
                              out=str(tmp_path)))
-        assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 188, 1: 55}
+        assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 165, 1: 52}
 
     @pytest.mark.parametrize("error", [ValueError, calculus.StructureError])
     def test_broken_projection_is_a_failed_check(self, tmp_path, monkeypatch,
@@ -476,13 +481,14 @@ class TestSolve:
         # curvature components pass through the bimodule kernels as one
         # batch, and both directions of each component's commutator pair
         # as one act_right: one call of each kernel per pair, next to
-        # curvature_closed's one inner_D and three act_right and inner_E.
-        # One connection and one direction at a time made 15, 15, 7 and 6.
+        # curvature_closed's one inner_D, act_right and inner_E.  One
+        # connection and one direction at a time made 15, 15, 7 and 6, and
+        # the star form of the curvature three act_right and inner_E.
         calls = count_calls(monkeypatch, *((bimodule, name) for name in (
             "act_right", "inner_E", "inner_D", "act_left")))
         run_solve(RunConfig(params=params, refinement=27, seed=0,
                             out=str(tmp_path)))
-        assert Counter(calls) == {"act_right": 6, "inner_E": 6,
+        assert Counter(calls) == {"act_right": 4, "inner_E": 4,
                                   "inner_D": 4, "act_left": 3}
 
     def test_solve_forms_each_product_to_the_order_it_reads(
@@ -639,52 +645,54 @@ def test_import_loads_no_sympy():
 
 # Report numbers recorded with repr at seeds 5 (solve) and 7 (verify).  The
 # solve numbers date from solve's grid of the band of R alone (ny = 4 at
-# c = 1); the verify numbers from verify's pairwise-band grid (ny = 16).  Any
-# change of the order in which products are formed shows here.  Solve cases
+# c = 1); the verify numbers from verify's pairwise-band grid (ny = 16).  The
+# curvature entries, the residuals, a0 and G3 date from the curvature paired
+# from the three nabla0_W R, which moved them at rounding.  Any change of
+# the order in which products are formed shows here.  Solve cases
 # are keyed by (c, sv, refinement) at su = 1/4; the c = 3 case also pins
 # the bytes of g3.csv, where G3 = solve + a0/c shows how a0/c is rounded.
 PINNED_SOLVE = {
-    (1, "1/4", 9): {"ym": 193.61006841215558, "ym_grassmannian": 977.5426280115382,
-        "a0": 1.1728366530343198e-16 - 0.9071299842634877j,
-        "residuals": {"r1": 9.894657235819465e-16, "r2": 4.378438364656706e-17,
-                      "r3": 5.017285924508465e-14,
-                      "r3_osc": 5.017285924508465e-14,
-                      "scale": 168.68066332793052},
-        "residuals_grassmannian": {"r1": 1.7866980565843307,
-                                   "r2": 6.015885590456416e-16,
-                                   "r3": 93.74260209351635,
-                                   "r3_osc": 93.74260209351635,
-                                   "scale": 168.68066332793052},
-        "laplace_form": {"theta_xy": 2.672244412859312e-15,
-                         "second_eq_osc": 7.342268823989582e-12}},
-    (1, "1/4", 27): {"ym": 159.10442281051883, "ym_grassmannian": 1032.003671328901,
-         "a0": -5.380458011593054e-17 - 0.7878236853309566j,
-         "residuals": {"r1": 1.0620801490503012e-14, "r2": 7.102613147821544e-17,
-                       "r3": 2.9101113220135033e-13,
-                       "r3_osc": 2.9101113220135033e-13,
+    (1, "1/4", 9): {"ym": 193.61006841215558, "ym_grassmannian": 977.5426280115385,
+        "a0": -0.0 - 0.9071299842634867j,
+        "residuals": {"r1": 2.9141263579581635e-15, "r2": 4.629077311030415e-17,
+                      "r3": 5.63123805157741e-14,
+                      "r3_osc": 5.63123805157741e-14,
+                      "scale": 168.68066332793055},
+        "residuals_grassmannian": {"r1": 1.7866980565843318,
+                                   "r2": 4.1226725000993787e-16,
+                                   "r3": 93.74260209351634,
+                                   "r3_osc": 93.74260209351634,
+                                   "scale": 168.68066332793055},
+        "laplace_form": {"theta_xy": 6.1096239739432365e-15,
+                         "second_eq_osc": 9.218373922047008e-12}},
+    (1, "1/4", 27): {"ym": 159.10442281051886, "ym_grassmannian": 1032.0036713289012,
+         "a0": -0.0 - 0.7878236853309557j,
+         "residuals": {"r1": 7.720205024530294e-15, "r2": 5.312758504879962e-17,
+                       "r3": 2.187710077520214e-13,
+                       "r3_osc": 2.187710077520214e-13,
                        "scale": 200.7844860479144},
-         "residuals_grassmannian": {"r1": 3.4329330349177694,
-                                    "r2": 6.202825946512788e-16,
+         "residuals_grassmannian": {"r1": 3.4329330349177645,
+                                    "r2": 3.806094043902644e-16,
                                     "r3": 78.75391477928797,
                                     "r3_osc": 78.75391477928797,
                                     "scale": 200.7844860479144},
-         "laplace_form": {"theta_xy": 9.108861475033594e-15,
-                          "second_eq_osc": 5.62761152567723e-11}},
+         "laplace_form": {"theta_xy": 6.521320009015137e-15,
+                          "second_eq_osc": 4.558449557209083e-11}},
     (3, "1/3", 9): {
-        "ym": 1742.4906157094001, "ym_grassmannian": 8797.883652103847,
-        "a0": 2.8168434080341358e-15 - 2.7213899527904633j,
-        "residuals": {"r1": 2.797036267302207e-15, "r2": 1.170534865346627e-16,
-                      "r3": 3.778646959986208e-14,
-                      "r3_osc": 3.778646959986208e-14,
+        "ym": 1742.4906157093992, "ym_grassmannian": 8797.883652103847,
+        "a0": -0.0 - 2.721389952790463j,
+        "residuals": {"r1": 2.774092431568852e-15, "r2": 8.640962581442774e-17,
+                      "r3": 3.481942132871527e-14,
+                      "r3_osc": 3.481942132871527e-14,
                       "scale": 506.0419899837916},
-        "residuals_grassmannian": {"r1": 1.7866980565843644,
-                                   "r2": 1.226661469815823e-14,
+        "residuals_grassmannian": {"r1": 1.78669805658434,
+                                   "r2": 6.8529241280416246e-15,
                                    "r3": 93.75606906553273,
                                    "r3_osc": 93.75606906553273,
                                    "scale": 506.0419899837916},
-        "laplace_form": {"theta_xy": 3.214895991981845e-14,
-                         "second_eq_osc": 1.6568632146789203e-11},
-        "g3_sha256": "3f2a330d5c7aa51b203e235448337edaf2877804bfcff21f2f46c8acea56a66f"},
+        "laplace_form": {"theta_xy": 3.5639084082774646e-14,
+                         "second_eq_osc": 1.6956347336710117e-11},
+        "g3_sha256": "bd8c6a6c6e31193915cecc528196a4c495a5fc76ef3a82256a919ba0bb5e08ad"},
 }
 
 PINNED_VERIFY = {
@@ -692,6 +700,7 @@ PINNED_VERIFY = {
     "projection_selfadjoint": 2.2887833992611187e-16,
     "module_frame": 4.440892098500626e-16,
     "projection_trace": 0.0,
+    "derivation_selfadjoint": 1.9131948672901813e-14,
     "condition_B-1": 0.0,
     "condition_B-2": 4.440892098500626e-16,
     "condition_B-3": 4.440892098500626e-16,
@@ -703,8 +712,7 @@ PINNED_VERIFY = {
     "condition_b-3": 2.498001805406602e-16,
     "condition_d-1": 4.440892098500626e-16,
     "condition_d-2": 0.0,
-    "curvature_xz_vanishes": 7.915901684959184e-15,
-    "curvature_skew": 1.0467291742715298e-13,
+    "curvature_xz_vanishes": 5.8724197013075876e-15,
     "curvature_profiles": 0.0,
     "commutator_x": 5.388121751833232e-15,
     "commutator_y": 3.83977687084634e-15,
@@ -717,12 +725,13 @@ PINNED_VERIFY = {
 
 # verify at c = 2 and 3 (su = sv = 1/4, seed 7, refinement 9; ny = 28 and
 # 36), recorded with repr before verify cut its chains to the orders each
-# check reads.
+# check reads; the curvature entries date from the paired nabla0_W R.
 PINNED_VERIFY_C = {
     2: {"projection_idempotent": 3.789212013847933e-16,
         "projection_selfadjoint": 7.947987303456223e-16,
         "module_frame": 4.440892098500626e-16,
         "projection_trace": 0.0,
+        "derivation_selfadjoint": 6.514653997020136e-14,
         "condition_B-1": 0.0,
         "condition_B-2": 4.440892098500626e-16,
         "condition_B-3": 4.440892098500626e-16,
@@ -734,8 +743,7 @@ PINNED_VERIFY_C = {
         "condition_b-3": 2.7755575615628914e-16,
         "condition_d-1": 4.440892098500626e-16,
         "condition_d-2": 0.0,
-        "curvature_xz_vanishes": 6.456608475455787e-14,
-        "curvature_skew": 7.356550682154781e-13,
+        "curvature_xz_vanishes": 8.468987904196149e-14,
         "curvature_profiles": 0.0,
         "commutator_x": 1.0751030091480844e-14,
         "commutator_y": 3.759327134191922e-15,
@@ -747,6 +755,7 @@ PINNED_VERIFY_C = {
         "projection_selfadjoint": 1.5752358999046824e-15,
         "module_frame": 4.440892098500626e-16,
         "projection_trace": 0.0,
+        "derivation_selfadjoint": 1.2667056016373883e-13,
         "condition_B-1": 0.0,
         "condition_B-2": 4.440892098500626e-16,
         "condition_B-3": 4.440892098500626e-16,
@@ -758,8 +767,7 @@ PINNED_VERIFY_C = {
         "condition_b-3": 2.7755575615628914e-16,
         "condition_d-1": 4.440892098500626e-16,
         "condition_d-2": 0.0,
-        "curvature_xz_vanishes": 3.4609826794796496e-13,
-        "curvature_skew": 2.4428382055179994e-12,
+        "curvature_xz_vanishes": 4.181042102445056e-13,
         "curvature_profiles": 0.0,
         "commutator_x": 1.6959410359972115e-14,
         "commutator_y": 3.8486428795075966e-15,
@@ -800,6 +808,63 @@ def test_verify_report_is_pinned_at_higher_c(tmp_path, c):
     rep = run_verify(cfg)
     assert {ch["name"]: ch["violation"] for ch in rep["checks"]} \
         == PINNED_VERIFY_C[c]
+
+
+# The verify checks that read exactly 0.0 at the pinned configurations, and
+# why:
+# - condition_B-1, C-1, C-3, b-1 and d-2: products of ramp profiles whose
+#   supports the bump keeps apart, so every product is an exact zero;
+# - projection_trace: trace_D(Q) - su, where the p = 0 samples of Q sum
+#   |R|^2 over the partition of unity and the sum rounds to su exactly;
+# - curvature_profiles: a literal 0.0 whenever extract_f1_f2 returns.
+# Any other check that reads exactly 0.0 has become vacuous, as the skew
+# test of Theta0 did once Theta0 was paired Hermitian bit for bit, and has
+# to be replaced by one that can fail.
+STRUCTURAL_ZEROS = {"projection_trace", "condition_B-1", "condition_C-1",
+                    "condition_C-3", "condition_b-1", "condition_d-2",
+                    "curvature_profiles"}
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_only_structural_checks_read_zero(tmp_path, c):
+    params = Params.from_steps(c, Fraction(1, 4), Fraction(1, 4))
+    rep = run_verify(RunConfig(params=params, refinement=9, seed=7,
+                               out=str(tmp_path)))
+    assert {ch["name"] for ch in rep["checks"]
+            if ch["violation"] == 0.0} == STRUCTURAL_ZEROS
+
+
+def _delta_x_shift_flipped(orig):
+    # delta_X with 2 pi i c p (x + p su/2) in place of (x - p su/2): the
+    # flipped shift adds 2 pi i c p^2 su to the x-factor of every order
+    def derive_component(w, a, p):
+        out = orig(w, a, p)
+        if w == "X":
+            params = a.grid.params
+            out = out + 2j * np.pi * params.c * p * p * float(params.su) * a.comps[p]
+        return out
+    return derive_component
+
+
+def test_delta_x_shift_mutant_is_caught(params, tmp_path, monkeypatch):
+    # delta_X Q is then no longer self-adjoint, and the closed form and the
+    # star form of the curvature part (they agree only through that
+    # premise).  The curvature passes through the same delta_X as the
+    # residuals, so solve's checks do not see it; verify's do.
+    mutant = _delta_x_shift_flipped(algebra.derive_component)
+    for mod in (algebra, bimodule):
+        monkeypatch.setattr(mod, "derive_component", mutant)
+    rep = run_verify(RunConfig(params=params, refinement=9, seed=7,
+                               out=str(tmp_path)))
+    failed = {ch["name"]: ch["violation"] for ch in rep["checks"]
+              if not ch["pass"]}
+    assert set(failed) == {"derivation_selfadjoint", "metric_compatibility"}
+    assert failed["derivation_selfadjoint"] > 1.0
+    assert failed["metric_compatibility"] > 10.0
+    R = build_R(params, make_grid(params, 9))
+    new, old = curvature_closed(R), curvature_star_form(R)
+    assert max((getattr(new, k) - getattr(old, k)).norm_inf()
+               for k in ("xy", "xz", "yz")) > 1.0
 
 
 def _laplace_check(params, tmp_path, refinement):
