@@ -106,6 +106,17 @@ def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
     return AlgebraElement(E_FLAVOR, grid, comps)
 
 
+def _no_rows(g: ModuleVector, phi: AlgebraElement, w=None,
+             depth: int = 0) -> ModuleVector:
+    """The zero of act_left and act_right: no rows, with the batch axis of
+    a nonzero result."""
+    batch = max([g.chain.shape[2:-1]] + [c.shape[2:-1] for c in phi.comps.values()])
+    if w is not None and not isinstance(w, str):
+        batch = (len(w) * (batch or (1,))[0],)
+    return ScalarField(g.grid, 0,
+                       np.zeros((depth + 1, 0) + batch + (g.grid.ny,), complex))
+
+
 def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
     """Left action of flavor E on a module vector.
 
@@ -120,7 +131,7 @@ def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
     d = min(psi.depth, f.depth)
     qs = psi.p_support
     if not qs or f.nx == 0:
-        return ScalarField.zeros(grid, d)
+        return _no_rows(f, psi, depth=d)
     lo = f.i0 - qs[-1] * N
     acc = None
     for q in qs:
@@ -145,14 +156,6 @@ def _derived(w: Union[str, Sequence[str]], phi: AlgebraElement, q: int) -> jets.
     if chains[0].ndim == 3:
         return np.stack([c[:n] for c in chains], axis=2)
     return np.concatenate([c[:n] for c in chains], axis=2)
-
-
-def _no_rows(g: ModuleVector, phi: AlgebraElement, w) -> ModuleVector:
-    """act_right's zero: no rows, with the batch axis of a nonzero result."""
-    batch = max([g.chain.shape[2:-1]] + [c.shape[2:-1] for c in phi.comps.values()])
-    if w is not None and not isinstance(w, str):
-        batch = (len(w) * (batch or (1,))[0],)
-    return ScalarField(g.grid, 0, np.zeros((1, 0) + batch + (g.grid.ny,), complex))
 
 
 def act_right(g: ModuleVector, phi: AlgebraElement,

@@ -177,17 +177,21 @@ class Grid:
         mult.flags.writeable = False
         return mult
 
-    def twist(self, a: int, b: int) -> np.ndarray:
+    def twist(self, a: int, b) -> np.ndarray:
         """e(c a b (y - b sv/2)), e(t) = exp(2 pi i t): the twisted
         periodicity of the calculus.  A D-component p gains twist(k, p)
         across k unit cells, an E-component p gains twist(p, m) across m
-        cells of width su.  Built once per (a, b) and kept read-only."""
-        ph = self._twists.get((a, b))
+        cells of width su.  Built once per (a, b) and kept read-only; b may
+        also be an integer array of cells, shaped to broadcast against the
+        y-samples, whose phases are built afresh on every call."""
+        cached = not isinstance(b, np.ndarray)
+        ph = self._twists.get((a, b)) if cached else None
         if ph is None:
             c, sv = self.params.c, float(self.params.sv)
             ph = np.exp(2j * math.pi * c * a * b * (self.ys - b * sv / 2))
-            ph.flags.writeable = False
-            self._twists[(a, b)] = ph
+            if cached:
+                ph.flags.writeable = False
+                self._twists[(a, b)] = ph
         return ph
 
     def y_roll(self, s: int) -> np.ndarray:

@@ -29,25 +29,26 @@ Vectors are stored by fundamental-domain samples, x in [0,1) x [0,1) on the
 source side and [0,su) x [0,1) on the target side, optionally behind a
 leading sample axis: one SpectralVector holds a batch (S, nx, ny) of S
 members.  SpectralVector.eval_row evaluates a whole array of x-indices
-anywhere through the defining twist, with one y-shift of the sample array
-per crossed cell, so each map, bimodule operation and check below is one
-array expression over all S samples.  Two rationality constraints are enforced
-where the maps are formed, with MoritaGridError: x -> -x/su maps grid points
-to grid points iff 1/su is an integer (rescale_factor), and S(f) is
-y-periodic on the samples, a function on the torus, iff c/sv is an integer
-and ny divides 2c/sv (s_y_samples).
+anywhere through the defining twist, composed over k crossed cells into the
+one phase Grid.twist(p, k), so each map, bimodule operation and check below
+is one array expression over all S samples.  Two rationality constraints
+are enforced where the maps are formed, with MoritaGridError: x -> -x/su
+maps grid points to grid points iff 1/su is an integer (rescale_factor), and
+S(f) is y-periodic on the samples, a function on the torus, iff c/sv is an
+integer and ny divides 2c/sv (s_y_samples).
 
-The seeded samples are sums of four characters each.  draw_terms takes
-their frequencies and coefficients from the generator one sample at a time;
-the builders then evaluate each distinct character once, as one row of a
-character table, and add the terms of all samples from it.
+The seeded samples are sums of four characters each.  draw_terms takes the
+frequencies and amplitudes of a whole chunk of samples from two streams in
+one call each; random_source_vector and random_invariant_function add the
+terms as products of their x- and y-factors, so no full-grid character is
+formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +63,8 @@ E_FIXED = "E_fixed"
 _TAG_NX = {X_BETA_USTAR_ALPHA: "nx_unit", BETA_INVARIANT: "nx_unit",
            E_FIRST: "su_steps", E_FIXED: "su_steps"}
 # unit cell of the x-translation in grid steps, per tag
-_TAG_PHASED = {X_BETA_USTAR_ALPHA: True, BETA_INVARIANT: False,
-               E_FIRST: True, E_FIXED: False}
+_TAG_P = {X_BETA_USTAR_ALPHA: -1, BETA_INVARIANT: 0, E_FIRST: 1, E_FIXED: 0}
+# p of the phase twist(p, 1) = e(p c (y - sv/2)) per crossed cell, per tag
 
 
 class MoritaGridError(ValueError):
@@ -119,31 +120,23 @@ class SpectralVector:
         outside the domain.
 
         Index i is row r = i mod nx of cell k = i // nx.  Each cell crossed
-        moves y by sv and, on the phased spaces, applies the twist
-        F(x + su, y) = e(c(y - sv/2)) F(x, y - sv) (E_first) or
-        g(x + 1, y) = conj e(c(y - sv/2)) g(x, y - sv) (X), times
-        e(broken_shift), or its inverse when crossing downwards.  Cell k is
-        built once, from cell k -/+ 1 as ph * cell shifted by +/-sv_steps in
-        y (Grid.y_roll) over the whole sample array, and its rows are
-        gathered by fancy indexing.
+        moves y by sv and applies the twist F(x + su, y) = e(c(y - sv/2))
+        F(x, y - sv) (E_first, p = 1) or g(x + 1, y) = conj e(c(y - sv/2))
+        g(x, y - sv) (X, p = -1), times e(p broken_shift); the fixed-point
+        spaces (p = 0) only move y.  Across k cells these compose to
+        twist(p, k) e(p k broken_shift) times the row rolled by k sv_steps,
+        so the block is one gather of rows and rolled columns times one
+        phase array.
         """
         if np.ndim(idx) != 1:
             raise ValueError(f"eval_row takes a 1-D index array, not {idx!r}")
-        k, r = np.divmod(idx, self.nx)
-        out = self.samples[..., r, :]
         g = self.grid
-        for step in (1, -1):
-            far = int(np.max(step * k, initial=0))
-            ph = 1.0
-            if far and _TAG_PHASED[self.tag]:
-                ph = g.twist(step, step) * np.exp(2j * math.pi * self.broken_shift)
-                if (self.tag == X_BETA_USTAR_ALPHA) == (step > 0):
-                    ph = np.conj(ph)
-            cell = self.samples
-            for n in range(1, far + 1):
-                cell = ph * cell[..., g.y_roll(step * g.sv_steps)]
-                hit = k == step * n
-                out[..., hit, :] = cell[..., r[hit], :]
+        k, r = np.divmod(idx, self.nx)
+        k = k[:, None]
+        out = self.samples[..., r[:, None], (np.arange(g.ny) - k * g.sv_steps) % g.ny]
+        p = _TAG_P[self.tag]
+        if p:
+            out *= g.twist(p, k) * np.exp(2j * math.pi * p * self.broken_shift * k)
         return out
 
 
@@ -250,81 +243,75 @@ class Terms(NamedTuple):
     coef: np.ndarray    # complex amplitudes
 
 
-def draw_terms(rng: np.random.Generator, sample_count: int,
+def term_streams(seed: int) -> List[np.random.Generator]:
+    """The frequency and the amplitude generator of one seed."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+
+
+def draw_terms(streams: Sequence[np.random.Generator], sample_count: int,
                kinds: int) -> List[Terms]:
-    """Term tables of `kinds` random vectors per sample, in stream order:
-    sample by sample, vector by vector, term by term, n then m then the
-    real and imaginary parts of the amplitude, one scalar draw each."""
-    n = np.empty((kinds, sample_count, TERMS), int)
-    m = np.empty_like(n)
-    coef = np.empty(n.shape, complex)
-    for s in range(sample_count):
-        for kind in range(kinds):
-            for t in range(TERMS):
-                n[kind, s, t] = rng.integers(-MAX_FREQ, MAX_FREQ + 1)
-                m[kind, s, t] = rng.integers(-MAX_FREQ, MAX_FREQ + 1)
-                coef[kind, s, t] = complex(rng.normal(), rng.normal())
-    return [Terms(*arrays) for arrays in zip(n, m, coef)]
+    """Term tables of `kinds` random vectors per sample: all frequencies
+    (n, m) in one draw from the first stream, all amplitudes (real,
+    imaginary) in one draw from the second, each shaped (sample_count,
+    kinds, TERMS, 2) with the sample axis outermost.  Each stream continues
+    where the last draw left it, so consecutive chunks of samples draw the
+    same terms whatever the chunk sizes."""
+    freq, amp = streams
+    shape = (sample_count, kinds, TERMS, 2)
+    nm = freq.integers(-MAX_FREQ, MAX_FREQ + 1, shape)
+    coef = amp.standard_normal(shape).view(complex)[..., 0]
+    return [Terms(nm[:, k, :, 0], nm[:, k, :, 1], coef[:, k]) for k in range(kinds)]
 
 
-def _superpose(terms: Terms, character, window=None) -> np.ndarray:
-    """(S, ...) sums over t of coef_t [* window] * character(n_t, m_t),
-    added in term order; each distinct character is evaluated once."""
-    pairs, which = np.unique(
-        np.stack([terms.n, terms.m], axis=-1).reshape(-1, 2), axis=0,
-        return_inverse=True)
-    which = which.reshape(terms.n.shape)
-    table = np.stack([character(n, m) for n, m in pairs.tolist()])
-    out = np.zeros((len(terms.coef),) + table.shape[1:], complex)
-    for t in range(TERMS):
-        coef = terms.coef[:, t, None, None]
-        if window is not None:
-            coef = coef * window
-        out += coef * table[which[:, t]]
+def _superpose(grid: Grid, terms: Terms, ex: np.ndarray) -> np.ndarray:
+    """(S, nx, ny) sums over t of coef_t ex_t(x) e(m_t y), added term by
+    term: each character is the product of its x-factor ex_t (ex is (S,
+    TERMS, nx)) and its y-character, so no full-grid character is formed."""
+    ex = terms.coef[..., None] * ex
+    ey = np.exp(2j * math.pi * terms.m[..., None] * grid.ys)
+    out = ex[:, 0, :, None] * ey[:, 0, None, :]
+    for t in range(1, TERMS):
+        out += ex[:, t, :, None] * ey[:, t, None, :]
     return out
 
 
-def random_source_vectors(grid: Grid, *tables) -> List[SpectralVector]:
+def _source_seeds(grid: Grid, terms: Terms) -> np.ndarray:
+    """(S, 2 nx_unit, ny) seeds sum_t coef_t w(x) e(n_t x/2 + m_t y) on
+    x in [0,2), with the window w(x) = sin^2(pi x/2) in the x-factors."""
+    xs = np.arange(2 * grid.nx_unit) / grid.nx_unit
+    window = np.sin(math.pi * xs / 2.0) ** 2        # vanishes at x=0 and x=2
+    return _superpose(grid, terms,
+                      window * np.exp(2j * math.pi * terms.n[..., None] * xs / 2.0))
+
+
+def random_source_vector(grid: Grid, terms: Terms,
+                         broken_shift: float = 0.0) -> SpectralVector:
     """Phase-twisted periodizations of compactly supported random seeds,
-    one per row of each (term table, broken_shift) pair given, as one
-    SpectralVector per table.
+    one per row of the term table.
 
     Each seed lives on x in [0,2); summing its twisted unit translates
     telescopes into an exact member of the twisted subspace (with the
-    broken phase instead when broken_shift is nonzero).  All tables share
-    one _superpose, so each distinct character is evaluated once.
+    broken phase instead when broken_shift is nonzero).
     """
     g = grid
     nxu = g.nx_unit
-    xs = (np.arange(2 * nxu) / nxu)[:, None]
-    ys = (np.arange(g.ny) * g.hy_f)[None, :]
-    window = np.sin(math.pi * xs / 2.0) ** 2        # vanishes at x=0 and x=2
-    terms, shifts = zip(*tables)
-    seeds = _superpose(
-        Terms(*map(np.concatenate, zip(*terms))),
-        lambda n, mm: np.exp(2j * math.pi * (n * xs / 2.0 + mm * ys)), window)
-    ends = np.cumsum([len(t.coef) for t in terms])[:-1]
-    out = []
-    for seed, broken_shift in zip(np.split(seeds, ends), shifts):
-        # g = seed|_[0,1) + U(seed)|_[0,1) with U the twisted unit translate
-        ph = g.twist(-1, -1) * np.exp(2j * math.pi * broken_shift)
-        translated = seed[:, nxu:][..., g.y_roll(-g.sv_steps)] * ph
-        out.append(SpectralVector(g, seed[:, :nxu] + translated,
-                                  X_BETA_USTAR_ALPHA, broken_shift))
-    return out
+    seed = _source_seeds(g, terms)
+    # g = seed|_[0,1) + U(seed)|_[0,1) with U the twisted unit translate
+    ph = g.twist(-1, -1) * np.exp(2j * math.pi * broken_shift)
+    translated = seed[:, nxu:][..., g.y_roll(-g.sv_steps)] * ph
+    return SpectralVector(g, seed[:, :nxu] + translated, X_BETA_USTAR_ALPHA,
+                          broken_shift)
 
 
 def random_invariant_function(grid: Grid, terms: Terms) -> SpectralVector:
     """Random beta-invariant functions from the invariant characters
-    e(n x + m (y - sv x)), one per row of the term table."""
-    g = grid
-    xs = (np.arange(g.nx_unit) / g.nx_unit)[:, None]
-    ys = (np.arange(g.ny) * g.hy_f)[None, :]
-    sv = float(g.params.sv)
-    out = _superpose(
-        terms,
-        lambda n, mm: np.exp(2j * math.pi * (n * xs + mm * (ys - sv * xs))))
-    return SpectralVector(g, out, BETA_INVARIANT)
+    e(n x + m (y - sv x)) = e((n - m sv) x) e(m y), one per row of the term
+    table."""
+    xs = np.arange(grid.nx_unit) / grid.nx_unit
+    kx = terms.n - terms.m * float(grid.params.sv)
+    return SpectralVector(
+        grid, _superpose(grid, terms, np.exp(2j * math.pi * kx[..., None] * xs)),
+        BETA_INVARIANT)
 
 
 # verification -------------------------------------------------------------
@@ -359,20 +346,20 @@ def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
     """Measure the four preservation identities on seeded random members.
 
     The samples are evaluated as batches of at most lattice.GRID_BUDGET
-    seed points (S * 2 nx_unit * ny), drawn in turn from one generator;
+    seed points (S * 2 nx_unit * ny), drawn in turn from term_streams(seed);
     each identity's worst value is the max over all batches.
     """
-    rng = np.random.default_rng(seed)
+    streams = term_streams(seed)
     batches = []
     chunk = max(1, lattice.GRID_BUDGET // (2 * grid.nx_unit * grid.ny))
     for start in range(0, sample_count, chunk):
         f_terms, g_terms, phi_terms = draw_terms(
-            rng, min(chunk, sample_count - start), 3)
+            streams, min(chunk, sample_count - start), 3)
         # a broken unitary phase is applied to the second vector only; a
         # consistent corruption of both would cancel in the conjugate pairs
         # of the inner products and go unnoticed there
-        f, gv = random_source_vectors(grid, (f_terms, 0.0),
-                                      (g_terms, broken_u))
+        f = random_source_vector(grid, f_terms)
+        gv = random_source_vector(grid, g_terms, broken_u)
         phi = random_invariant_function(grid, phi_terms)
         sf, sg, hphi = map_S(f), map_S(gv), map_H(phi)
         batches.append({

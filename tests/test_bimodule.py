@@ -373,3 +373,18 @@ def test_zero_right_action_keeps_its_batch_axis(params, refinement):
         assert (v.nx, v.chain.shape[2:]) == (0, (batch, grid.ny))
     assert act_right(R, Q, "X").chain.shape[2:] == (grid.ny,)
     assert curvature_closed(R).norm_inf() == 0.0
+
+
+@pytest.mark.parametrize("refinement", [9, 27])
+def test_zero_left_action_keeps_its_batch_axis(params, refinement):
+    # a vector of no rows gives no rows, with the batch axis that a batched
+    # psi gives on a vector that has rows
+    grid = make_grid(params, refinement)
+    R = build_R(params, grid)
+    psi = AlgebraElement.stack([inner_E(R, R)] * 3)
+    full = act_left(psi, R)
+    assert full.chain.shape[2:] == (3, grid.ny)
+    zero = act_left(psi, ScalarField.zeros(grid, 2))
+    assert (zero.nx, zero.chain.shape[2:]) == (0, (3, grid.ny))
+    assert act_left(inner_E(R, R), ScalarField.zeros(grid, 2)).chain.shape[2:] \
+        == (grid.ny,)

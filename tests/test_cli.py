@@ -260,6 +260,14 @@ class TestVerify:
                              out=str(tmp_path)))
         assert (calls.count("inner_D"), calls.count("connect")) == (14, 10)
 
+    def test_verify_builds_the_envelope_once(self, params, tmp_path,
+                                             monkeypatch):
+        # both random module vectors are translates of one envelope
+        calls = count_calls(monkeypatch, (random_fields, "smooth_envelope"))
+        run_verify(RunConfig(params=params, refinement=27, seed=7,
+                             out=str(tmp_path)))
+        assert calls == ["smooth_envelope"]
+
     def test_verify_forms_each_product_to_the_order_it_reads(
             self, params, tmp_path, monkeypatch):
         # every check reads order 0, so an operand carries as many orders

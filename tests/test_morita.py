@@ -13,11 +13,12 @@ from qhm.morita import (BETA_INVARIANT, E_FIRST, E_FIXED, X_BETA_USTAR_ALPHA,
                         MoritaGridError, SpectralVector, draw_terms, map_H,
                         map_S,
                         membership_defect_source, membership_transport_defect,
-                        random_invariant_function, random_source_vectors,
+                        random_invariant_function, random_source_vector,
                         rescale_factor, s_y_samples, source_inner_L,
                         source_inner_R, source_left, source_right,
                         target_inner_L, target_inner_R, target_left,
-                        target_right, verify_bimodule_preservation)
+                        target_right, term_streams,
+                        verify_bimodule_preservation)
 
 
 def morita_grid(params, refinement):
@@ -37,22 +38,22 @@ def test_rescale_factor_rejects_non_integer():
         rescale_factor(grid)
 
 
-def test_source_vectors_are_members(grid2, rng):
-    for f_terms in draw_terms(rng, 1, 5):
-        (f,) = random_source_vectors(grid2, (f_terms, 0.0))
+def test_source_vectors_are_members(grid2):
+    for f_terms in draw_terms(term_streams(0), 1, 5):
+        f = random_source_vector(grid2, f_terms)
         scale = max(np.max(np.abs(f.samples)), 1)
         assert membership_defect_source(f) < 1e-12 * scale
 
 
-def test_broken_vector_is_not_a_member(grid2, rng):
-    (f_terms,) = draw_terms(rng, 1, 1)
-    (f,) = random_source_vectors(grid2, (f_terms, 0.05))
+def test_broken_vector_is_not_a_member(grid2):
+    (f_terms,) = draw_terms(term_streams(0), 1, 1)
+    f = random_source_vector(grid2, f_terms, 0.05)
     assert membership_defect_source(f) > 1e-3
 
 
-def test_s_maps_into_first_subspace(grid2, rng):
-    (f_terms,) = draw_terms(rng, 1, 1)
-    (f,) = random_source_vectors(grid2, (f_terms, 0.0))
+def test_s_maps_into_first_subspace(grid2):
+    (f_terms,) = draw_terms(term_streams(0), 1, 1)
+    f = random_source_vector(grid2, f_terms)
     sf = map_S(f)
     assert sf.tag == E_FIRST
     scale = max(np.max(np.abs(f.samples)), 1)
@@ -68,8 +69,8 @@ def test_s_refuses_a_grid_where_it_is_not_y_periodic(c, sv, ny):
     # ny = 32 of refinement 8 (first case) membership_transport read 11.56.
     grid = Grid(Params.from_steps(c, Fraction(1, 4), sv), Fraction(1, 32),
                 Fraction(1, ny))
-    (f_terms,) = draw_terms(np.random.default_rng(0), 1, 1)
-    (f,) = random_source_vectors(grid, (f_terms, 0.0))
+    (f_terms,) = draw_terms(term_streams(0), 1, 1)
+    f = random_source_vector(grid, f_terms)
     with pytest.raises(MoritaGridError):
         map_S(f)
     with pytest.raises(MoritaGridError):
@@ -100,10 +101,10 @@ def test_a_nan_violation_fails(grid2, monkeypatch):
     assert not rep["all_pass"]
 
 
-def test_four_preservation_identities(grid2, rng):
-    f_terms, g_terms, phi_terms = draw_terms(rng, 1, 3)
-    (f,) = random_source_vectors(grid2, (f_terms, 0.0))
-    (g,) = random_source_vectors(grid2, (g_terms, 0.0))
+def test_four_preservation_identities(grid2):
+    f_terms, g_terms, phi_terms = draw_terms(term_streams(0), 1, 3)
+    f = random_source_vector(grid2, f_terms)
+    g = random_source_vector(grid2, g_terms)
     phi = random_invariant_function(grid2, phi_terms)
     sf, sg, hphi = map_S(f), map_S(g), map_H(phi)
 
@@ -116,11 +117,11 @@ def test_four_preservation_identities(grid2, rng):
     assert dev(map_H(source_inner_R(f, g)), target_inner_R(sf, sg)) < 1e-11
 
 
-def test_inner_r_needs_both_arguments_shifted(grid2, rng):
+def test_inner_r_needs_both_arguments_shifted(grid2):
     # the variant shifting only the first argument breaks the identity
-    f_terms, g_terms = draw_terms(rng, 1, 2)
-    (f,) = random_source_vectors(grid2, (f_terms, 0.0))
-    (g,) = random_source_vectors(grid2, (g_terms, 0.0))
+    f_terms, g_terms = draw_terms(term_streams(0), 1, 2)
+    f = random_source_vector(grid2, f_terms)
+    g = random_source_vector(grid2, g_terms)
     m = rescale_factor(grid2)
     step = m * grid2.nx_unit
     out = np.conj(f.eval_row(np.arange(f.nx) + step)) * g.samples
@@ -175,76 +176,93 @@ def test_sample_batches_respect_the_grid_budget(grid2, monkeypatch, budget):
     assert chunked == whole
 
 
+class _Counting:
+    """A Generator whose every method call is appended to `calls`."""
+
+    def __init__(self, gen, calls):
+        self.gen, self.calls = gen, calls
+
+    def __getattr__(self, name):
+        method = getattr(self.gen, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
 @pytest.mark.parametrize("budget", [None, 7 * 512])
-def test_each_character_is_evaluated_once_per_batch(params, monkeypatch,
-                                                    budget):
-    # f and gv share one character table, phi has its own: a batch
-    # evaluates each distinct (n, m) of f and gv together once.  With a
-    # table per vector it evaluated the pairs that f and gv share twice.
-    # One sample of the refinement-8 grid holds 2 * 32 * 8 = 512 seed
-    # points, so the budget 7 * 512 cuts the 20 samples into 3 batches.
+def test_each_chunk_draws_with_a_fixed_number_of_generator_calls(
+        params, monkeypatch, budget):
+    # one call per stream and chunk, whatever the chunk's sample count; a
+    # loop of scalar draws made 4 per term, 48 per sample.  One sample of
+    # the refinement-8 grid holds 2 * 32 * 8 = 512 seed points, so the
+    # budget 7 * 512 cuts the 20 samples into chunks of 7, 7 and 6.
     grid = morita_grid(params, 8)
+    whole = verify_bimodule_preservation(grid, sample_count=20, seed=9201)
     if budget is not None:
         monkeypatch.setattr(lattice, "GRID_BUDGET", budget)
-    drawn, evals = [], []
-    draw, superpose = morita.draw_terms, morita._superpose
+    calls, per_chunk = [], []
+    streams, draw = morita.term_streams, morita.draw_terms
 
-    def drawing(*args):
-        drawn.append(draw(*args))
-        evals.append(0)
-        return drawn[-1]
+    def counting(seed):
+        return [_Counting(gen, calls) for gen in streams(seed)]
 
-    def superposing(terms, character, window=None):
-        def counted(n, m):
-            evals[-1] += 1
-            return character(n, m)
-        return superpose(terms, counted, window)
+    def drawing(gens, count, kinds):
+        before = len(calls)
+        out = draw(gens, count, kinds)
+        per_chunk.append((count, calls[before:]))
+        return out
 
+    monkeypatch.setattr(morita, "term_streams", counting)
     monkeypatch.setattr(morita, "draw_terms", drawing)
-    monkeypatch.setattr(morita, "_superpose", superposing)
-    verify_bimodule_preservation(grid, sample_count=20, seed=9201)
-    assert len(drawn) == (1 if budget is None else 3)
-
-    def distinct(*tables):
-        return len({(n, m) for t in tables
-                    for n, m in zip(t.n.ravel().tolist(), t.m.ravel().tolist())})
-
-    for (f_terms, g_terms, phi_terms), count in zip(drawn, evals):
-        assert count == distinct(f_terms, g_terms) + distinct(phi_terms)
-        assert distinct(f_terms, g_terms) < distinct(f_terms) + distinct(g_terms)
+    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201)
+    assert [count for count, _ in per_chunk] == ([20] if budget is None
+                                                 else [7, 7, 6])
+    for _, made in per_chunk:
+        assert made == ["integers", "standard_normal"]
+    assert rep == whole
 
 
-def _random_source_reference(grid, rng, broken_shift=0.0):
-    """One source vector, term by term from the generator: the per-sample
-    builder that draw_terms and the character table replaced."""
+@pytest.mark.parametrize("sizes", [[20], [1] * 20, [3] * 6 + [2], [7, 7, 6],
+                                   [13, 7]])
+def test_draws_do_not_depend_on_the_chunk_sizes(sizes):
+    streams = term_streams(9201)
+    chunks = [draw_terms(streams, size, 3) for size in sizes]
+    whole = draw_terms(term_streams(9201), 20, 3)
+    for kind, ref in enumerate(whole):
+        for name in ref._fields:
+            got = np.concatenate([getattr(c[kind], name) for c in chunks])
+            assert np.array_equal(got, getattr(ref, name)), (kind, name)
+    assert whole[0].n.shape == (20, morita.TERMS)
+    assert np.iscomplexobj(whole[0].coef)
+
+
+def _random_source_reference(grid, n, m, coef, broken_shift=0.0):
+    """One source vector from its term rows, term by term: coef_t times
+    the x-factor w(x) e(n_t x/2) times the y-character e(m_t y)."""
     g = grid
-    nxu, ny = g.nx_unit, g.ny
-    xs = (np.arange(2 * nxu) / nxu)[:, None]
-    ys = (np.arange(ny) * g.hy_f)[None, :]
-    seed = np.zeros((2 * nxu, ny), complex)
+    nxu = g.nx_unit
+    xs = np.arange(2 * nxu) / nxu
     window = np.sin(math.pi * xs / 2.0) ** 2
-    for _ in range(4):
-        n = int(rng.integers(-2, 3))
-        mm = int(rng.integers(-2, 3))
-        coef = complex(rng.normal(), rng.normal())
-        seed += coef * window * np.exp(2j * math.pi * (n * xs / 2.0 + mm * ys))
+    seed = np.zeros((2 * nxu, g.ny), complex)
+    for nt, mt, ct in zip(n.tolist(), m.tolist(), coef.tolist()):
+        ex = ct * (window * np.exp(2j * math.pi * nt * xs / 2.0))
+        seed += ex[:, None] * np.exp(2j * math.pi * mt * g.ys)[None, :]
     ph = g.twist(-1, -1) * np.exp(2j * math.pi * broken_shift)
     translated = np.roll(seed[nxu:], -g.sv_steps, axis=1) * ph
     return seed[:nxu] + translated
 
 
-def _random_invariant_reference(grid, rng):
-    """One beta-invariant function, term by term from the generator."""
+def _random_invariant_reference(grid, n, m, coef):
+    """One beta-invariant function from its term rows, term by term."""
     g = grid
-    xs = (np.arange(g.nx_unit) / g.nx_unit)[:, None]
-    ys = (np.arange(g.ny) * g.hy_f)[None, :]
+    xs = np.arange(g.nx_unit) / g.nx_unit
     sv = float(g.params.sv)
     out = np.zeros((g.nx_unit, g.ny), complex)
-    for _ in range(4):
-        n = int(rng.integers(-2, 3))
-        mm = int(rng.integers(-2, 3))
-        coef = complex(rng.normal(), rng.normal())
-        out += coef * np.exp(2j * math.pi * (n * xs + mm * (ys - sv * xs)))
+    for nt, mt, ct in zip(n.tolist(), m.tolist(), coef.tolist()):
+        ex = ct * np.exp(2j * math.pi * (nt - mt * sv) * xs)
+        out += ex[:, None] * np.exp(2j * math.pi * mt * g.ys)[None, :]
     return out
 
 
@@ -255,47 +273,80 @@ def test_batched_vectors_match_per_sample_reference_bitwise(broken_shift, c,
                                                             sv):
     grid = morita_grid(Params.from_steps(c, Fraction(1, 4), sv), 2)
     count = 6
-    f_terms, g_terms, phi_terms = draw_terms(np.random.default_rng(c), count,
-                                             3)
-    # built together, as the suite builds them, and one at a time
-    f, gv = random_source_vectors(grid, (f_terms, 0.0),
-                                  (g_terms, broken_shift))
+    f_terms, g_terms, phi_terms = draw_terms(term_streams(c), count, 3)
+    f = random_source_vector(grid, f_terms)
+    gv = random_source_vector(grid, g_terms, broken_shift)
     assert gv.broken_shift == broken_shift
-    for v, table in ((f, (f_terms, 0.0)), (gv, (g_terms, broken_shift))):
-        assert np.array_equal(v.samples,
-                              random_source_vectors(grid, table)[0].samples)
     phi = random_invariant_function(grid, phi_terms)
     assert f.samples.shape == (count, grid.nx_unit, grid.ny)
-    rng = np.random.default_rng(c)
     for s in range(count):
-        # the stream order of the per-sample loop: f, then gv, then phi
-        assert np.array_equal(f.samples[s], _random_source_reference(grid, rng))
+        assert np.array_equal(f.samples[s], _random_source_reference(
+            grid, *(a[s] for a in f_terms)))
         assert np.array_equal(gv.samples[s], _random_source_reference(
-            grid, rng, broken_shift))
-        assert np.array_equal(phi.samples[s],
-                              _random_invariant_reference(grid, rng))
+            grid, *(a[s] for a in g_terms), broken_shift))
+        assert np.array_equal(phi.samples[s], _random_invariant_reference(
+            grid, *(a[s] for a in phi_terms)))
+
+
+@pytest.mark.parametrize("c, sv", [(1, Fraction(1, 4)), (2, Fraction(1, 3)),
+                                   (3, Fraction(1, 3))])
+@pytest.mark.parametrize("refinement", [2, 8])
+def test_seeds_match_their_characters(c, sv, refinement):
+    # the vectors multiply the x- and y-factors of each character; the
+    # oracle evaluates each character as one exp of its whole phase
+    grid = morita_grid(Params.from_steps(c, Fraction(1, 4), sv), refinement)
+    f_terms, phi_terms = draw_terms(term_streams(c), 5, 2)
+    xs = (np.arange(2 * grid.nx_unit) / grid.nx_unit)[:, None]
+    window = np.sin(math.pi * xs / 2.0) ** 2
+    n, m, coef = (a[..., None, None] for a in f_terms)
+    seeds = np.sum(coef * window * np.exp(
+        2j * math.pi * (n * xs / 2.0 + m * grid.ys)), axis=1)
+    xs = xs[:grid.nx_unit]
+    sv = float(grid.params.sv)
+    n, m, coef = (a[..., None, None] for a in phi_terms)
+    phis = np.sum(coef * np.exp(
+        2j * math.pi * (n * xs + m * (grid.ys - sv * xs))), axis=1)
+    for got, want in ((morita._source_seeds(grid, f_terms), seeds),
+                      (random_invariant_function(grid, phi_terms).samples, phis)):
+        assert got.shape == want.shape
+        for s in range(len(want)):
+            assert np.max(np.abs(got[s] - want[s])) <= 1e-13 * np.max(np.abs(want[s]))
+
+
+# p of the twist per crossed cell, per tag (E_first 1, X -1, fixed points 0)
+TAG_P = {X_BETA_USTAR_ALPHA: -1, E_FIRST: 1, BETA_INVARIANT: 0, E_FIXED: 0}
 
 
 def _eval_row_reference(v, i):
-    """Value row at x = i*hx, one row and one crossed cell at a time: the
-    per-row loop that eval_row's index-array form replaced."""
-    r = i % v.nx
-    k = (i - r) // v.nx
-    row = v.samples[r]
-    if k == 0:
-        return row
+    """Value row at x = i*hx, one row at a time, from the closed form: row
+    r = i mod nx of cell k = i // nx, rolled by k sv_steps, times
+    twist(p, k) e(p k broken_shift)."""
     g = v.grid
-    step = 1 if k > 0 else -1
-    ph = 1.0
-    if v.tag in (X_BETA_USTAR_ALPHA, E_FIRST):
-        c, sv = g.params.c, float(g.params.sv)
-        twist = np.exp(2j * math.pi * c * step * step * (g.ys - step * sv / 2))
-        ph = twist * np.exp(2j * math.pi * v.broken_shift)
-        if (v.tag == X_BETA_USTAR_ALPHA) == (k > 0):
-            ph = np.conj(ph)
-    for _ in range(abs(k)):
-        row = ph * np.roll(row, step * g.sv_steps)
-    return row
+    k, r = divmod(i, v.nx)
+    p = TAG_P[v.tag]
+    phase = g.twist(p, k) * np.exp(2j * math.pi * p * v.broken_shift * k)
+    return np.roll(v.samples[r], k * g.sv_steps) * phase
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("sv", [Fraction(1, 4), Fraction(1, 3)])
+def test_iterated_cell_phases_compose_to_one_twist(c, sv):
+    # crossing k cells one at a time multiplies by twist(p, +-1) per cell,
+    # each on the y-shift of the last: the product is twist(p, k)
+    grid = morita_grid(Params.from_steps(c, Fraction(1, 4), sv), 2)
+    for p in (1, -1):
+        for step in (1, -1):
+            ph = np.ones(grid.ny, complex)
+            for k in range(step, 6 * step, step):
+                ph = grid.twist(p, step) * np.roll(ph, step * grid.sv_steps)
+                assert np.max(np.abs(ph - grid.twist(p, k))) <= 1e-13, (p, k)
+    # an array of cells gives the cached rows, bitwise, and is not cached
+    ks = np.arange(-5, 6)[:, None]
+    for p in (1, -1):
+        block = grid.twist(p, ks)
+        assert block.flags.writeable and block is not grid.twist(p, ks)
+        for k in range(-5, 6):
+            assert np.array_equal(block[k + 5], grid.twist(p, k))
 
 
 @pytest.mark.parametrize("tag", [X_BETA_USTAR_ALPHA, E_FIRST,
@@ -331,9 +382,9 @@ def test_eval_row_matches_per_row_reference_bitwise(tag, broken_shift, c, sv):
         assert np.array_equal(blocks[s], ref)
 
 
-def test_eval_row_rejects_a_scalar_index(grid2, rng):
-    (f_terms,) = draw_terms(rng, 1, 1)
-    (f,) = random_source_vectors(grid2, (f_terms, 0.0))
+def test_eval_row_rejects_a_scalar_index(grid2):
+    (f_terms,) = draw_terms(term_streams(0), 1, 1)
+    f = random_source_vector(grid2, f_terms)
     with pytest.raises(ValueError):
         f.eval_row(3)
 
@@ -359,31 +410,30 @@ def test_preservation_sample_evaluates_whole_arrays(params, monkeypatch):
 
 
 # Violations on the morita grid (ny = 2c/sv), recorded with repr from the
-# batched array evaluation before the grid rule existed, on the same grid
-# built with Grid(...); they must come back bit for bit.  Keys are
-# (c, su, sv, refinement, broken_u).
+# whole-array draws, separable sums and closed-form eval_row; they must come
+# back bit for bit.  Keys are (c, su, sv, refinement, broken_u).
 PINNED = {
     (1, Fraction(1, 4), Fraction(1, 4), 8, 0.0): {
         "left_action": 5.0242958677880805e-15,
         "right_action": 5.0242958677880805e-15,
-        "inner_left": 7.229248575812844e-15,
-        "inner_right": 7.32410687763558e-15,
-        "membership_transport": 1.0584449654707028e-14,
+        "inner_left": 3.972054645195637e-15,
+        "inner_right": 7.444291678311382e-15,
+        "membership_transport": 1.3113797212790068e-14,
         "source_membership": 0.0},
     (3, Fraction(1, 4), Fraction(1, 3), 3, 0.0): {
-        "left_action": 5.0242958677880805e-15,
-        "right_action": 5.0242958677880805e-15,
+        "left_action": 5.3475422218306674e-15,
+        "right_action": 4.440892098500626e-15,
         "inner_left": 4.440892098500626e-15,
-        "inner_right": 1.854570987253821e-14,
-        "membership_transport": 6.079320143700642e-14,
+        "inner_right": 5.687116766346677e-15,
+        "membership_transport": 6.105378769900837e-14,
         "source_membership": 0.0},
     (1, Fraction(1, 4), Fraction(1, 4), 8, 0.07): {
         "left_action": 5.0242958677880805e-15,
         "right_action": 5.0242958677880805e-15,
-        "inner_left": 10.404002766039419,
-        "inner_right": 43.04018465872595,
-        "membership_transport": 1.0584449654707028e-14,
-        "source_membership": 2.9313992760190732},
+        "inner_left": 11.601489920928183,
+        "inner_right": 47.38630976451803,
+        "membership_transport": 1.3113797212790068e-14,
+        "source_membership": 2.6662482709645734},
 }
 
 
