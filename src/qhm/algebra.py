@@ -351,11 +351,16 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.flavor, g, comps)
 
 
-def derive_component(w: str, a: AlgebraElement, p: int) -> Chain:
-    """Chain of component p of derivation(w, a)."""
+def derive_component(w: str, a: AlgebraElement, p: int,
+                     depth: Optional[int] = None) -> Chain:
+    """Chain of component p of derivation(w, a), to order `depth` if given
+    (and the chain reaches it).  Order n of a derivation reads no order of
+    the component above n (n + 1 for delta_Y), so the cut is exact."""
     g = a.grid
     c = g.params.c
     chain = a.comps[p]
+    if depth is not None:
+        chain = chain[:depth + 1 + (w == "Y")]
     if w == "Z":
         return 2j * math.pi * p * c * chain
     if w == "Y":
@@ -385,19 +390,9 @@ def derivation(w: str, a: AlgebraElement) -> AlgebraElement:
                           {p: derive_component(w, a, p) for p in a.comps})
 
 
-def laplacian(a: AlgebraElement) -> AlgebraElement:
-    """delta_X^2 + delta_Y^2 on flavor D."""
-    return (derivation("X", derivation("X", a))
-            + derivation("Y", derivation("Y", a)))
-
-
 def trace(a: AlgebraElement) -> complex:
     """Integral of the p=0 component over the fundamental domain x T:
     [0,1) for flavor D, where tau(Id) = 1, and [0,su) for flavor E."""
     comp0 = a.component(0, 0)[0]
     return complex(np.sum(comp0)) * a.grid.hx_f * a.grid.hy_f
 
-
-def element_allclose(a: AlgebraElement, b: AlgebraElement, tol: float = 1e-12) -> bool:
-    scale = max(a.norm_inf(), b.norm_inf(), 1.0)
-    return (a - b).norm_inf() <= tol * scale

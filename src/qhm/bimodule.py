@@ -145,17 +145,19 @@ def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
     return ScalarField(grid, lo, acc).trimmed()
 
 
-def _derived(w: Union[str, Sequence[str]], phi: AlgebraElement, q: int) -> jets.Chain:
-    """Chain of component q of delta_w(phi), or for a sequence of
-    directions their chains cut to the shortest and batched direction by
-    direction."""
+def _derived(w: Union[str, Sequence[str]], phi: AlgebraElement, q: int,
+             depth: int) -> jets.Chain:
+    """Chain of component q of delta_w(phi) to order `depth` at most, or
+    for a sequence of directions their chains batched direction by
+    direction, each derived only to the orders the batch keeps (delta_Y
+    takes one)."""
     if isinstance(w, str):
-        return derive_component(w, phi, q)
-    chains = [derive_component(v, phi, q) for v in w]
-    n = min(len(c) for c in chains)
+        return derive_component(w, phi, q, depth)
+    depth = min([depth] + [len(phi.comps[q]) - 1 - (v == "Y") for v in w])
+    chains = [derive_component(v, phi, q, depth) for v in w]
     if chains[0].ndim == 3:
-        return np.stack([c[:n] for c in chains], axis=2)
-    return np.concatenate([c[:n] for c in chains], axis=2)
+        return np.stack(chains, axis=2)
+    return np.concatenate(chains, axis=2)
 
 
 def act_right(g: ModuleVector, phi: AlgebraElement,
@@ -187,7 +189,7 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
         if w is None:
             chain, depth = phi.comps[q], phi.depth
         else:
-            chain = _derived(w, phi, q)
+            chain = _derived(w, phi, q, g.depth)
             if not chain.any():  # a component that delta_w annihilates
                 continue
             depth = len(chain) - 1

@@ -13,12 +13,12 @@ its curvature Theta0(W1,W2) = <R . (dQ_1 dQ_2 - dQ_2 dQ_1), R>_E is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, E_FLAVOR, bracket
+from .algebra import AlgebraElement, E_FLAVOR
 from .bimodule import ModuleVector, act_left, act_right, inner_D, inner_E
 from .lattice import CHAIN_DEPTH, ScalarField, TorusFunction
 from .projection import grassmann_apply
@@ -99,18 +99,6 @@ def connect(nabla: Connection, w: str, f: ModuleVector,
     return out
 
 
-def curvature_definition(nabla: Connection, w1: str, w2: str,
-                         f: ModuleVector) -> ModuleVector:
-    """Theta(W1,W2) f = nabla_W1 nabla_W2 f - nabla_W2 nabla_W1 f
-    - nabla_[W1,W2] f, with [X,Y] = cZ."""
-    out = connect(nabla, w1, connect(nabla, w2, f)) \
-        - connect(nabla, w2, connect(nabla, w1, f))
-    sign, lbl = bracket(w1, w2)
-    if lbl is not None:
-        out = out - connect(nabla, lbl, f).scaled(sign * nabla.grid.params.c)
-    return out
-
-
 @dataclass(frozen=True)
 class Curvature2Form:
     """The three independent components of an alternating E-valued 2-form."""
@@ -118,6 +106,8 @@ class Curvature2Form:
     xy: AlgebraElement
     xz: AlgebraElement
     yz: AlgebraElement
+    _profiles: list = field(default_factory=list, init=False, repr=False,
+                            compare=False)  # extract_f1_f2's (f1, f2)
 
     def component(self, w1: str, w2: str) -> AlgebraElement:
         table = {("X", "Y"): self.xy, ("X", "Z"): self.xz, ("Y", "Z"): self.yz}
@@ -146,8 +136,10 @@ def curvature_closed(R: ModuleVector) -> Curvature2Form:
 
 
 def curvature_perturbed(theta0: Curvature2Form, pert: Perturbation,
-                        c: int) -> Curvature2Form:
-    """Assemble the curvature of nabla0 + G from the Grassmannian one.
+                        c: int, depth: int = CHAIN_DEPTH) -> Curvature2Form:
+    """Assemble the curvature of nabla0 + G from the Grassmannian one, with
+    the multiplication elements' chains to `depth`, the order its reader
+    takes: 0 for YM, 1 for the criticality residuals.
 
     The multiplication-operator commutators contribute, as E-elements,
     [nabla0_X, G] = (-dG/dy) delta_0,  [nabla0_Y, G] = (-dG/dx) delta_0,
@@ -167,19 +159,19 @@ def curvature_perturbed(theta0: Curvature2Form, pert: Perturbation,
     """
     g1, g2, g3 = pert.g1, pert.g2, pert.g3
     f1, f2 = extract_f1_f2(theta0)
-    xy = mult_element(f1 + g1.d_dx() - g2.d_dy() - float(c) * g3)
-    xz = theta0.xz + mult_element(-g3.d_dy())
-    yz = mult_element(f2 - g3.d_dx())
+    xy = mult_element(f1 + g1.d_dx() - g2.d_dy() - float(c) * g3, depth)
+    xz = theta0.xz + mult_element(-g3.d_dy(), depth)
+    yz = mult_element(f2 - g3.d_dx(), depth)
     return Curvature2Form(xy, xz, yz)
 
 
-def curvature_of(nabla: Connection,
-                 theta0: Optional[Curvature2Form] = None) -> Curvature2Form:
+def curvature_of(nabla: Connection, theta0: Optional[Curvature2Form] = None,
+                 depth: int = CHAIN_DEPTH) -> Curvature2Form:
     if theta0 is None:
         theta0 = curvature_closed(nabla.R)
     if nabla.perturbation is None:
         return theta0
-    return curvature_perturbed(theta0, nabla.perturbation, nabla.grid.params.c)
+    return curvature_perturbed(theta0, nabla.perturbation, nabla.grid.params.c, depth)
 
 
 def extract_f1_f2(theta: Curvature2Form) -> Tuple[TorusFunction, TorusFunction]:
@@ -187,8 +179,11 @@ def extract_f1_f2(theta: Curvature2Form) -> Tuple[TorusFunction, TorusFunction]:
 
     Asserts the structure the closed-form computation must produce:
     p-support {0}, no y-dependence, purely imaginary values; su-periodicity
-    is automatic in the fundamental-domain representation.
+    is automatic in the fundamental-domain representation.  Computed once
+    per form and kept on it, so every caller gets the same f1 and f2.
     """
+    if theta._profiles:
+        return theta._profiles[0], theta._profiles[1]
     out = []
     for name, comp in (("XY", theta.xy), ("YZ", theta.yz)):
         bad = [p for p in comp.p_support if p != 0]
@@ -206,11 +201,6 @@ def extract_f1_f2(theta: Curvature2Form) -> Tuple[TorusFunction, TorusFunction]:
                                  f"({realdev:.2e})")
         grid = comp.grid
         out.append(TorusFunction(grid, np.repeat(prof[:, None], grid.ny, axis=1)))
+    theta._profiles.extend(out)
     return out[0], out[1]
 
-
-def commutator_mult(nabla0: Connection, g: TorusFunction, w: str,
-                    f: ModuleVector) -> ModuleVector:
-    """[nabla0_W, G] f with G acting by its multiplication-type element."""
-    t = mult_element(g, max(f.depth, 1))
-    return connect(nabla0, w, act_left(t, f)) - act_left(t, connect(nabla0, w, f))

@@ -348,6 +348,7 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
     checks.append(_check("laplace_eigenfunction", "chi_{n,m} = e(n x/su + m (y - "
                          "sv x/su)) has d/dx, d/dy, Laplace = 2 pi i kx, 2 pi i "
                          "ky, -4 pi^2 (kx^2 + ky^2)", np.max(lap), tol["poisson"]))
+    del g, chi, dx, dy  # torus functions keep their transforms: free them here
 
     f_phi = act_right(f, phi)
     lhs = connect(nabla0, "Y", f_phi, inner_D(R1, f_phi))

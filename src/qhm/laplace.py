@@ -93,9 +93,8 @@ def build_perturbation(f1: TorusFunction, g3: TorusFunction, c: int) -> Perturba
     divided by c as a Python scalar, and only the other kernel modes, zero on
     odd grids, are projected by FFT, so odd grids get G3 + a0/c bit for bit."""
     a0 = f1.mean()
-    co = f1.fft()
-    co[0, 0] = 0.0
-    rest = np.where(f1.dx_kernel(), co, 0.0)
+    rest = np.where(f1.dx_kernel(), f1.fft(), 0.0)  # the kept fft is read-only
+    rest[0, 0] = 0.0
     k = TorusFunction.from_fft(f1.grid, rest) + a0 if np.any(rest) else a0
     g1 = (float(c) * g3 - (f1 - k)).antiderivative_x()
     return Perturbation(g1, TorusFunction.zeros(f1.grid), g3 + k / c)
@@ -111,7 +110,7 @@ def verify_critical(R: ModuleVector) -> Dict[str, object]:
     pert = build_perturbation(f1, solve_poisson(rhs), c)
     nabla = Connection(R, pert)
     nabla0 = Connection(R)
-    theta = curvature_of(nabla, theta0)
+    theta = curvature_of(nabla, theta0, 1)  # the residuals read order 1
     res, res0 = critical_residuals([nabla, nabla0], theta0, [theta, theta0])
     return {
         "a0": rhs.a0,
@@ -135,6 +134,9 @@ def laplace_form_residuals(f1: TorusFunction, f2: TorusFunction,
                     Theta(X,Y); zero once G3 holds f1's d/dx-kernel part
     second_eq_osc:  oscillatory part of (dyy + dxx) G3 - (dx f2 + c a0); the
                     constant part is the discarded zero mode c a0
+
+    dx f2 and the first derivatives of G are the ones that assemble_rhs and
+    the perturbed curvature took and kept; only G3's second ones are new.
     """
     a0 = f1.mean()
     curl = pert.g1.d_dx() - pert.g2.d_dy()

@@ -177,6 +177,13 @@ class Grid:
         mult.flags.writeable = False
         return mult
 
+    @cached_property
+    def s_phase(self) -> np.ndarray:
+        """e(c y^2 / sv) on the y-samples, the phase of morita.map_S (read-only)."""
+        ph = np.exp(2j * math.pi * self.params.c * self.ys ** 2 / float(self.params.sv))
+        ph.flags.writeable = False
+        return ph
+
     def twist(self, a: int, b) -> np.ndarray:
         """e(c a b (y - b sv/2)), e(t) = exp(2 pi i t): the twisted
         periodicity of the calculus.  A D-component p gains twist(k, p)
@@ -446,17 +453,22 @@ class TorusFunction:
     Sampled on the fundamental domain [0, su) x [0, 1); evaluation at any
     lattice-commensurate point reduces through L exactly, so L-invariance
     holds by construction.
+
+    Immutable (the samples array it is given becomes read-only), so fft and
+    the first derivatives d_dx, d_dy are taken once and kept, fft read-only.
     """
 
-    __slots__ = ("grid", "samples")
+    __slots__ = ("grid", "samples", "_coeffs", "_dx", "_dy")
 
     def __init__(self, grid: Grid, samples: np.ndarray):
         self.grid = grid
         self.samples = np.ascontiguousarray(samples, dtype=complex)
+        self.samples.flags.writeable = False
         if self.samples.shape != (grid.su_steps, grid.ny):
             raise ValueError(
                 f"samples must be ({grid.su_steps}, {grid.ny}), got {self.samples.shape}"
             )
+        self._coeffs = self._dx = self._dy = None
 
     @classmethod
     def zeros(cls, grid: Grid) -> "TorusFunction":
@@ -486,9 +498,6 @@ class TorusFunction:
     def __neg__(self):
         return TorusFunction(self.grid, -self.samples)
 
-    def conj(self) -> "TorusFunction":
-        return TorusFunction(self.grid, np.conj(self.samples))
-
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.samples)))
 
@@ -505,42 +514,47 @@ class TorusFunction:
 
     @classmethod
     def spectral_table(cls, grid: Grid, name: str) -> np.ndarray:
-        """Spectral table of the grid, built on first use from _shear or
-        mode_frequencies and kept read-only on the grid, as Grid.twist:
-        "phase" and "phase_inv", e(+-_shear) of fft and from_fft; "x" and
-        "y", the multipliers of d/dx and d/dy (_multiplier); "laplace", the
-        eigenvalues of d2/dx2 + d2/dy2."""
+        """Spectral table of the grid, built on first use and kept read-only
+        on the grid, as Grid.twist: "phase" and "phase_inv", e(+-_shear) of
+        fft and from_fft, both from one _shear; "x" and "y", the multipliers
+        of d/dx and d/dy (_multiplier), and "laplace", the eigenvalues of
+        d2/dx2 + d2/dy2, all three from one mode_frequencies."""
         table = grid._spectral.get(name)
         if table is None:
-            if name == "phase":
-                table = np.exp(2j * math.pi * cls._shear(grid))
-            elif name == "phase_inv":
-                table = np.exp(-2j * math.pi * cls._shear(grid))
+            if name in ("phase", "phase_inv"):
+                shear = cls._shear(grid)
+                new = {"phase": np.exp(2j * math.pi * shear),
+                       "phase_inv": np.exp(-2j * math.pi * shear)}
             elif name in ("laplace", "x", "y"):
                 kx, ky = cls.zeros(grid).mode_frequencies()
-                if name == "laplace":
-                    table = -4.0 * math.pi ** 2 * (kx ** 2 + ky ** 2)
-                else:
+                new = {"laplace": -4.0 * math.pi ** 2 * (kx ** 2 + ky ** 2)}
+                for axis, k in (("x", kx), ("y", ky)):
                     keep = np.ones((grid.su_steps, grid.ny), bool)
                     if grid.ny % 2 == 0:
                         keep[:, grid.ny // 2] = False
-                    if name == "x" and grid.su_steps % 2 == 0:
+                    if axis == "x" and grid.su_steps % 2 == 0:
                         keep[grid.su_steps // 2, :] = False
-                    table = np.where(keep, 2j * math.pi * (kx if name == "x" else ky), 0.0)
+                    new[axis] = np.where(keep, 2j * math.pi * k, 0.0)
             else:
                 raise KeyError(f"no spectral table {name!r}")
-            table.flags.writeable = False
-            grid._spectral[name] = table
+            for t in new.values():
+                t.flags.writeable = False
+            grid._spectral.update(new)
+            table = new[name]
         return table
 
     def fft(self) -> np.ndarray:
         """Coefficients wrt the dual characters
         chi_{n,m}(x,y) = e(n*x/su + m*(y - (sv/su)*x)); array indexed
         fft-style in (n, m)."""
-        g = self.grid
-        f1 = np.fft.fft(self.samples, axis=1) / g.ny
-        f1 *= self.spectral_table(g, "phase")
-        return np.fft.fft(f1, axis=0) / g.su_steps
+        co = self._coeffs
+        if co is None:
+            g = self.grid
+            f1 = np.fft.fft(self.samples, axis=1) / g.ny
+            f1 *= self.spectral_table(g, "phase")
+            co = self._coeffs = np.fft.fft(f1, axis=0) / g.su_steps
+            co.flags.writeable = False
+        return co
 
     @classmethod
     def from_fft(cls, grid: Grid, coeffs: np.ndarray) -> "TorusFunction":
@@ -568,10 +582,14 @@ class TorusFunction:
         return self.spectral_table(self.grid, axis)
 
     def d_dx(self) -> "TorusFunction":
-        return TorusFunction.from_fft(self.grid, self.fft() * self._multiplier("x"))
+        if self._dx is None:
+            self._dx = TorusFunction.from_fft(self.grid, self.fft() * self._multiplier("x"))
+        return self._dx
 
     def d_dy(self) -> "TorusFunction":
-        return TorusFunction.from_fft(self.grid, self.fft() * self._multiplier("y"))
+        if self._dy is None:
+            self._dy = TorusFunction.from_fft(self.grid, self.fft() * self._multiplier("y"))
+        return self._dy
 
     def dx_kernel(self) -> np.ndarray:
         """Mask of the kernel of the discrete d/dx (fft layout): the kx = 0
@@ -595,12 +613,14 @@ class TorusFunction:
         return TorusFunction.from_fft(self.grid, out)
 
     def derivative_chain(self, depth: int) -> jets.Chain:
-        """Chain (G, G_x, G_xx, ...) to the given depth (spectral)."""
+        """Chain (G, G_x, G_xx, ...) to the given depth (spectral); order 1
+        is the kept d_dx, and depth 0 takes no transform."""
         mult = self._multiplier("x")
         out = np.empty((depth + 1,) + self.samples.shape, complex)
         out[0] = self.samples
-        cur = self.fft()
+        cur = self.fft() if depth else None
         for n in range(1, depth + 1):
             cur = cur * mult
-            out[n] = TorusFunction.from_fft(self.grid, cur).samples
+            out[n] = (self.d_dx() if n == 1
+                      else TorusFunction.from_fft(self.grid, cur)).samples
         return out

@@ -72,21 +72,24 @@ class MoritaGridError(ValueError):
 
 
 def rescale_factor(grid: Grid) -> int:
-    """1/su as an integer; the rescaling x -> -x/su is exact iff this exists."""
-    inv = 1 / grid.params.su
-    if inv.denominator != 1:
-        raise MoritaGridError(
-            f"1/su = {inv} is not an integer; x -> -x/su leaves the grid")
-    return int(inv)
+    """1/su as an integer; the rescaling x -> -x/su is exact iff this exists.
+    1/su = nx_unit / su_steps, from the grid's own step counts."""
+    inv, rem = divmod(grid.nx_unit, grid.su_steps)
+    if rem:
+        raise MoritaGridError(f"1/su = {1 / grid.params.su} is not an integer; "
+                              f"x -> -x/su leaves the grid")
+    return inv
 
 
 def s_y_samples(params: Params) -> int:
     """2c/sv.  S(f)(x, y + 1) = e(c(2y + 1)/sv) S(f)(x, y), so S(f) is
     y-periodic on the samples j/ny iff c/sv is an integer and ny divides
-    2c/sv, which is then a multiple of sv's denominator."""
-    if params.sv == 0 or (params.c / params.sv).denominator != 1:
+    2c/sv, which is then a multiple of sv's denominator.  With sv = a/b,
+    c/sv = c b / a, in integers."""
+    a, b = params.sv.numerator, params.sv.denominator
+    if a == 0 or (params.c * b) % a:
         raise MoritaGridError(f"c/sv = {params.c}/({params.sv}) is not an integer")
-    return int(2 * params.c / params.sv)
+    return 2 * params.c * b // a
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,7 @@ def _S_rows(f: SpectralVector, idx: np.ndarray) -> np.ndarray:
     g = f.grid
     if s_y_samples(g.params) % g.ny:
         raise MoritaGridError(f"S(f) is not y-periodic on {g.ny} y-samples")
-    phase = np.exp(2j * math.pi * g.params.c * g.ys ** 2 / float(g.params.sv))
-    return phase * _reverse_y(f.eval_row(-rescale_factor(g) * idx), g)
+    return g.s_phase * _reverse_y(f.eval_row(-rescale_factor(g) * idx), g)
 
 
 def map_S(f: SpectralVector) -> SpectralVector:

@@ -9,13 +9,12 @@ reproducibility.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .calculus import Perturbation
 from .lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Grid, ScalarField,
-                      TorusFunction, y_bandwidth)
+                      TorusFunction)
 from .projection import BumpSpec, bump_chain
 
 
@@ -44,24 +43,6 @@ def random_module_vector(grid: Grid, rng: np.random.Generator,
     return out
 
 
-def make_battery(grid: Grid, count: int, seed: int,
-                 include: Sequence[ScalarField] = ()) -> List[ScalarField]:
-    """Deterministic battery of smooth test vectors.
-
-    Pairs of battery vectors carry the pairwise y-band (lattice.y_bandwidth),
-    so a grid with fewer than 2B + 1 y-samples is refused: build it with
-    make_grid(..., pairwise=True).
-    """
-    band = y_bandwidth(grid.params, pairwise=True)
-    if grid.ny < 2 * band + 1:
-        raise ValueError(f"ny = {grid.ny} cannot hold the battery's pairwise "
-                         f"y-band {band}; it needs at least {2 * band + 1}")
-    rng = np.random.default_rng(seed)
-    env = smooth_envelope(grid)
-    return list(include) + [random_module_vector(grid, rng, envelope=env)
-                            for _ in range(count)]
-
-
 def random_torus_function(grid: Grid, rng: np.random.Generator) -> TorusFunction:
     """Skew (purely imaginary) random function on the skew torus, band
     limited to the dual characters with |n| <= 2, |m| <= 1.
@@ -78,8 +59,3 @@ def random_torus_function(grid: Grid, rng: np.random.Generator) -> TorusFunction
     co = 1j * (0.5 * (co + np.conj(rev)))
     return TorusFunction.from_fft(grid, co)
 
-
-def random_perturbation(grid: Grid, rng: np.random.Generator) -> Perturbation:
-    return Perturbation(random_torus_function(grid, rng),
-                        random_torus_function(grid, rng),
-                        random_torus_function(grid, rng))

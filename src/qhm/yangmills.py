@@ -47,7 +47,7 @@ def ym_of_curvature(theta: Curvature2Form) -> float:
 
 
 def ym_value(nabla: Connection, theta0: Optional[Curvature2Form] = None) -> float:
-    return ym_of_curvature(curvature_of(nabla, theta0))
+    return ym_of_curvature(curvature_of(nabla, theta0, 0))
 
 
 def euler_lagrange_elements(nablas: Sequence[Connection],
@@ -124,7 +124,8 @@ def critical_residuals(nablas: Sequence[Connection],
     if theta0 is None:
         theta0 = curvature_closed(nablas[0].R)
     if thetas is None:
-        thetas = [curvature_of(nabla, theta0) for nabla in nablas]
+        # euler_lagrange_elements reads order 1 of the curvature at most
+        thetas = [curvature_of(nabla, theta0, 1) for nabla in nablas]
     scale0 = theta0.norm_inf()
     out = []
     for theta, eqs in zip(thetas, euler_lagrange_elements(nablas, thetas)):

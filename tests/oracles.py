@@ -4,11 +4,14 @@ Grassmannian curvature in its star form with its skew test, and the
 invariance actions of the two flavors.  The program computes criticality
 as elements of E (yangmills.euler_lagrange_elements) and the curvature
 from the three nabla0_W R (calculus.curvature_closed); these independent
-routes check it.
+routes check it.  The tests' helpers that no command runs live here too:
+the curvature by its operator definition, the commutator with a
+multiplication operator, the Laplacian of flavor D, an element comparison,
+the battery of random test vectors and a random perturbation.
 """
 
 from itertools import combinations
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -17,7 +20,64 @@ from qhm.algebra import (AlgebraElement, D_FLAVOR, adjoint, bracket, derivation,
 from qhm.bimodule import ModuleVector, act_left, act_right, inner_D, inner_E
 from qhm.calculus import (Connection, Curvature2Form, Perturbation, connect,
                           curvature_closed, curvature_of, mult_element)
+from qhm.lattice import Grid, ScalarField, TorusFunction, y_bandwidth
+from qhm.random_fields import (random_module_vector, random_torus_function,
+                               smooth_envelope)
 from qhm.yangmills import BASIS, ym_value
+
+
+def curvature_definition(nabla: Connection, w1: str, w2: str,
+                         f: ModuleVector) -> ModuleVector:
+    """Theta(W1,W2) f = nabla_W1 nabla_W2 f - nabla_W2 nabla_W1 f
+    - nabla_[W1,W2] f, with [X,Y] = cZ."""
+    out = connect(nabla, w1, connect(nabla, w2, f)) \
+        - connect(nabla, w2, connect(nabla, w1, f))
+    sign, lbl = bracket(w1, w2)
+    if lbl is not None:
+        out = out - connect(nabla, lbl, f).scaled(sign * nabla.grid.params.c)
+    return out
+
+
+def commutator_mult(nabla0: Connection, g: TorusFunction, w: str,
+                    f: ModuleVector) -> ModuleVector:
+    """[nabla0_W, G] f with G acting by its multiplication-type element."""
+    t = mult_element(g, max(f.depth, 1))
+    return connect(nabla0, w, act_left(t, f)) - act_left(t, connect(nabla0, w, f))
+
+
+def laplacian(a: AlgebraElement) -> AlgebraElement:
+    """delta_X^2 + delta_Y^2 on flavor D."""
+    return (derivation("X", derivation("X", a))
+            + derivation("Y", derivation("Y", a)))
+
+
+def element_allclose(a: AlgebraElement, b: AlgebraElement, tol: float = 1e-12) -> bool:
+    scale = max(a.norm_inf(), b.norm_inf(), 1.0)
+    return (a - b).norm_inf() <= tol * scale
+
+
+def make_battery(grid: Grid, count: int, seed: int,
+                 include: Sequence[ScalarField] = ()) -> List[ScalarField]:
+    """Deterministic battery of smooth test vectors.
+
+    Pairs of battery vectors carry the pairwise y-band (lattice.y_bandwidth),
+    so a grid with fewer than 2B + 1 y-samples is refused: build it with
+    make_grid(..., pairwise=True).
+    """
+    band = y_bandwidth(grid.params, pairwise=True)
+    if grid.ny < 2 * band + 1:
+        raise ValueError(f"ny = {grid.ny} cannot hold the battery's pairwise "
+                         f"y-band {band}; it needs at least {2 * band + 1}")
+    rng = np.random.default_rng(seed)
+    env = smooth_envelope(grid)
+    return list(include) + [random_module_vector(grid, rng, envelope=env)
+                            for _ in range(count)]
+
+
+def random_perturbation(grid: Grid, rng: np.random.Generator) -> Perturbation:
+    return Perturbation(random_torus_function(grid, rng),
+                        random_torus_function(grid, rng),
+                        random_torus_function(grid, rng))
 
 
 def curvature_star_form(R: ModuleVector) -> Curvature2Form:

@@ -17,16 +17,15 @@ import pytest
 
 from qhm.algebra import AlgebraElement, adjoint, derivation, star, trace
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
-from qhm.calculus import (Connection, commutator_mult, connect,
-                          curvature_closed, curvature_definition,
+from qhm.calculus import (Connection, connect, curvature_closed,
                           extract_f1_f2, mult_element)
 from qhm.laplace import solve_poisson, verify_critical
 from qhm.lattice import TorusFunction, make_grid
 from qhm.morita import verify_bimodule_preservation
 from qhm.projection import build_R, verify_R_conditions
-from qhm.random_fields import make_battery, random_perturbation
 from qhm.yangmills import critical_residuals, ym_value
-from oracles import ym_directional
+from oracles import (commutator_mult, curvature_definition, make_battery,
+                     random_perturbation, ym_directional)
 from test_laplace import closed_form_error
 
 

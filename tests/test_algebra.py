@@ -14,15 +14,14 @@ import pytest
 from qhm import jets
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, FlavorError,
                          _intersect_runs, _runs, _shifted_runs, adjoint,
-                         derivation, element_allclose,
-                         laplacian, star, trace)
+                         derivation, star, trace)
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import Curvature2Form, mult_element
 from qhm.lattice import Params, ScalarField, make_grid, spectral_dy
 from qhm.projection import build_R
 from qhm.random_fields import random_module_vector, random_torus_function
 
-from oracles import invariance_defect, skew_defect
+from oracles import element_allclose, invariance_defect, laplacian, skew_defect
 
 
 @pytest.fixture()

@@ -18,7 +18,9 @@ from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import curvature_closed
 from qhm.lattice import Params, ScalarField, make_grid, y_bandwidth
 from qhm.projection import build_R
-from qhm.random_fields import make_battery, random_module_vector
+from qhm.random_fields import random_module_vector
+
+from oracles import make_battery
 
 
 @pytest.fixture()

@@ -11,16 +11,15 @@ from qhm import algebra, jets
 from qhm.algebra import adjoint, derivation
 from qhm.bimodule import act_left, act_right, inner_D
 from qhm.calculus import (Connection, Perturbation, StructureError,
-                          commutator_mult, connect, curvature_closed,
-                          curvature_definition, curvature_of, extract_f1_f2,
-                          mult_element)
+                          connect, curvature_closed, curvature_of,
+                          extract_f1_f2, mult_element)
 from qhm.laplace import assemble_rhs, build_perturbation, solve_poisson
 from qhm.lattice import Params, TorusFunction, make_grid
 from qhm.projection import build_R
-from qhm.random_fields import (random_module_vector, random_perturbation,
-                               random_torus_function)
+from qhm.random_fields import random_module_vector, random_torus_function
 
-from oracles import curvature_star_form, skew_defect
+from oracles import (commutator_mult, curvature_definition, curvature_star_form,
+                     random_perturbation, skew_defect)
 
 # y-constant envelopes at the origin: a pair of spread-out, modulated
 # vectors carries more y-modes than grid2 (ny = 8) holds

@@ -49,6 +49,18 @@ def count_calls(monkeypatch, *targets, lens=False):
     return calls
 
 
+def count_ffts(monkeypatch):
+    """Record every numpy fft and ifft call; returns the list of names."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def counting(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
 class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -318,7 +330,7 @@ class TestVerify:
 def _kernel_row(f1):
     """f1's part on the d/dx kernel besides its mean: the x-Nyquist row on
     an even grid, zero on an odd one."""
-    co = f1.fft()
+    co = f1.fft().copy()
     co[0, 0] = 0.0
     return TorusFunction.from_fft(f1.grid, np.where(f1.dx_kernel(), co, 0.0))
 
@@ -474,10 +486,11 @@ class TestSolve:
             assert c["pass"] is True and c["anchor"]
 
     def test_solve_reads_no_test_vectors(self, params, tmp_path, monkeypatch):
-        # criticality is measured as elements of E: no battery is drawn and
-        # no equation is applied to a vector (the operator oracle of the
+        # criticality is measured as elements of E: no test vector is drawn
+        # and no equation is applied to a vector (the operator oracle of the
         # tests applies the connection to one with connect)
-        calls = count_calls(monkeypatch, (random_fields, "make_battery"),
+        calls = count_calls(monkeypatch,
+                            (random_fields, "random_module_vector"),
                             (calculus, "connect"))
         cfg = RunConfig(params=params, refinement=9, seed=0, out=str(tmp_path))
         run_solve(cfg, sweep=True)
@@ -526,6 +539,35 @@ class TestSolve:
         run_solve(RunConfig(params=params, refinement=9, seed=0,
                             out=str(tmp_path)))
         assert calls == ["curvature_perturbed"]
+
+    def test_solve_takes_each_transform_once(self, params, tmp_path,
+                                             monkeypatch):
+        # Torus functions keep their coefficients and first derivatives,
+        # the profiles f1, f2 are kept on theta0, and the perturbed
+        # curvature's chains stop at order 1, the most the residuals read.
+        # Taking every transform afresh, with depth-2 chains, made 116.
+        calls = count_ffts(monkeypatch)
+        run_solve(RunConfig(params=params, refinement=27, seed=0,
+                            out=str(tmp_path)))
+        assert len(calls) <= 80
+
+    def test_ym_ladder_refinement_takes_each_transform_once(
+            self, params, monkeypatch):
+        # One refinement of the construction as the ym-ladder benchmark
+        # runs it: YM reads order 0 of the perturbed curvature, so its
+        # multiplication elements take no transform, and the Laplace-form
+        # residuals reuse the kept first derivatives.  Taking every
+        # transform afresh, with depth-2 chains, made 98.
+        c = params.c
+        R = build_R(params, make_grid(params, 45))
+        calls = count_ffts(monkeypatch)
+        theta0 = calculus.curvature_closed(R)
+        f1, f2 = calculus.extract_f1_f2(theta0)
+        g3 = laplace.solve_poisson(laplace.assemble_rhs(f1, f2, c))
+        pert = laplace.build_perturbation(f1, g3, c)
+        yangmills.ym_value(calculus.Connection(R, pert), theta0)
+        laplace.laplace_form_residuals(f1, f2, pert, c)
+        assert len(calls) <= 56
 
     def test_solve_report_does_not_depend_on_seed(self, params, tmp_path):
         reps = [run_solve(RunConfig(params=params, refinement=9, seed=seed,
@@ -845,11 +887,13 @@ def test_only_structural_checks_read_zero(tmp_path, c):
 def _delta_x_shift_flipped(orig):
     # delta_X with 2 pi i c p (x + p su/2) in place of (x - p su/2): the
     # flipped shift adds 2 pi i c p^2 su to the x-factor of every order
-    def derive_component(w, a, p):
-        out = orig(w, a, p)
+    # (of the orders the caller asks for)
+    def derive_component(w, a, p, depth=None):
+        out = orig(w, a, p, depth)
         if w == "X":
             params = a.grid.params
-            out = out + 2j * np.pi * params.c * p * p * float(params.su) * a.comps[p]
+            out = out + (2j * np.pi * params.c * p * p * float(params.su)
+                         * a.comps[p][:len(out)])
         return out
     return derive_component
 
@@ -923,27 +967,29 @@ def test_laplace_check_catches_spectral_mutants(params, tmp_path, monkeypatch,
 
 
 def test_spectral_tables_are_built_once_per_grid(params, tmp_path, monkeypatch):
-    # every table is one call of _shear or mode_frequencies on its grid
+    # the two phases come from one call of _shear on their grid, and the
+    # d/dx, d/dy and Laplace tables from one call of mode_frequencies
     calls, grids = Counter(), {}
     shear, modes = TorusFunction._shear, TorusFunction.mode_frequencies
 
     def counted_shear(grid):
-        calls[id(grid)] += 1
+        calls[id(grid), "shear"] += 1
         grids[id(grid)] = grid
         return shear(grid)
 
     def counted_modes(self):
-        calls[id(self.grid)] += 1
+        calls[id(self.grid), "modes"] += 1
         grids[id(self.grid)] = self.grid
         return modes(self)
 
     monkeypatch.setattr(TorusFunction, "_shear", staticmethod(counted_shear))
     monkeypatch.setattr(TorusFunction, "mode_frequencies", counted_modes)
     run_solve(RunConfig(params=params, refinement=27, out=str(tmp_path)))
-    tables = {key: grids[key]._spectral for key in calls}
+    tables = {key: grid._spectral for key, grid in grids.items()}
     assert {frozenset(t) for t in tables.values()} == {
         frozenset({"phase", "phase_inv", "x", "y", "laplace"})}
-    assert all(calls[key] == len(t) for key, t in tables.items())
+    assert calls == {(key, kind): 1 for key in grids
+                     for kind in ("shear", "modes")}
     for key, t in tables.items():
         for table in t.values():
             with pytest.raises(ValueError, match="read-only"):

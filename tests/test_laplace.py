@@ -13,8 +13,8 @@ from qhm.laplace import (assemble_rhs, build_perturbation, laplace_form_residual
                          solve_poisson, verify_critical)
 from qhm.lattice import Grid, Params, TorusFunction, make_grid
 from qhm.projection import build_R, grassmann_apply
-from qhm.random_fields import make_battery
 from conftest import square_grid
+from oracles import make_battery
 from test_cli import _mode_off_by_one, _shear_sign, _sv_sign
 
 
@@ -143,6 +143,21 @@ def test_g3_absorbs_the_dx_kernel_of_f1(c, sv):
             assert abs(b) > 0.1   # the row is there to move
             want = want + b * sign
         assert np.max(np.abs(shift.samples - want / c)) < 1e-12
+
+
+def test_construction_leaves_the_kept_transforms(params):
+    # f1 and f2 are kept on theta0 and keep their coefficients; on an even
+    # x-axis build_perturbation zeroes the mean of a copy of f1's, and the
+    # kept array stays as it was, byte for byte
+    grid = make_grid(params, 8)
+    assert grid.su_steps % 2 == 0
+    theta0 = curvature_closed(build_R(params, grid))
+    f1, f2 = extract_f1_f2(theta0)
+    assert all(a is b for a, b in zip(extract_f1_f2(theta0), (f1, f2)))
+    before = f1.fft().tobytes()
+    g3 = solve_poisson(assemble_rhs(f1, f2, params.c))
+    build_perturbation(f1, g3, params.c)
+    assert f1.fft().tobytes() == before and f1.fft()[0, 0] != 0
 
 
 def test_laplace_form_residuals(grid9, R9):

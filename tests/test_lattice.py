@@ -230,6 +230,31 @@ class TestTorusFunction:
         with pytest.raises(ValueError, match="kernel"):
             g.antiderivative_x()
 
+    def test_kept_transforms_are_read_only_and_exact(self, grid4, rng,
+                                                     monkeypatch):
+        # fft, d_dx and d_dy are taken once and kept: the samples and the
+        # kept coefficients refuse writes, and a kept derivative is the one
+        # a fresh function takes, bit for bit
+        samples = rng.normal(size=(grid4.su_steps, grid4.ny)) \
+            + 1j * rng.normal(size=(grid4.su_steps, grid4.ny))
+        g = TorusFunction(grid4, samples)
+        with pytest.raises(ValueError, match="read-only"):
+            g.samples[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            g.fft()[0, 0] = 0
+        assert g.fft() is g.fft() and g.d_dx() is g.d_dx()
+        chain = g.derivative_chain(2)
+        for axis, kept in (("x", g.d_dx()), ("y", g.d_dy())):
+            fresh = TorusFunction(grid4, samples.copy())
+            co = fresh.fft() * TorusFunction.spectral_table(grid4, axis)
+            assert TorusFunction.from_fft(grid4, co).samples.tobytes() \
+                == kept.samples.tobytes()
+        assert chain[1].tobytes() == g.d_dx().samples.tobytes()
+        # order 0 alone is the samples: no transform
+        monkeypatch.setattr(np.fft, "fft", None)
+        assert TorusFunction(grid4, samples).derivative_chain(0)[0].tobytes() \
+            == samples.tobytes()
+
     def test_mixed_partials_commute(self, grid4, rng):
         samples = rng.normal(size=(grid4.su_steps, grid4.ny)) \
             + 1j * rng.normal(size=(grid4.su_steps, grid4.ny))

@@ -17,12 +17,12 @@ from qhm.laplace import (assemble_rhs, build_perturbation, solve_poisson,
                          verify_critical)
 from qhm.lattice import Grid, Params, ScalarField, TorusFunction, make_grid
 from qhm.projection import build_R
-from qhm.random_fields import (make_battery, random_perturbation,
-                               random_torus_function)
+from qhm.random_fields import random_torus_function
 from qhm.yangmills import (BASIS, Residuals, critical_residuals,
                            euler_lagrange_elements, pair_forms,
                            ym_of_curvature, ym_value)
-from oracles import euler_lagrange_apply, first_variation, ym_directional
+from oracles import (euler_lagrange_apply, first_variation, make_battery,
+                     random_perturbation, ym_directional)
 
 
 @pytest.fixture()
