@@ -216,37 +216,24 @@ class AlgebraElement:
 def window(chain: Optional[Chain], flavor: str, grid: Grid, p: int,
            i_lo: int, i_hi: int, depth: int, dxs: int = 0, dys: int = 0) -> Chain:
     """AlgebraElement.eval_window of a component p whose chain is given
-    bare (None for an absent component, whose window is zero).
-
-    Row i_lo + dxs + i lies in the period block k it falls in, which the
-    fundamental-domain samples reach through the wrap phase of the flavor:
+    bare (None for an absent component, whose window is zero): the rows
+    of Grid.twisted_rows in the wrap of the flavor, then moved by dys in y.
     D: Phi(x+k, y, p) = e(c k p (y - p sv/2)) Phi(x, y, p), twist(k, p);
     E: Psi(x + m su, y, p) = e(c p m (y - m sv/2)) Psi(x, y - m sv, p),
-    twist(p, m).  The blocks tile the window, so it is filled block by
-    block without zeroing, each with one y-gather that folds in dys.
+    twist(p, m).
     """
-    ny = grid.ny
     if chain is None:
-        return np.zeros((depth + 1, i_hi - i_lo, ny), complex)
+        return np.zeros((depth + 1, i_hi - i_lo, grid.ny), complex)
     if depth >= len(chain):
         raise ValueError(f"derivative chain exhausted: a window of depth {depth} "
                          f"needs a chain deeper than the component carries "
                          f"({len(chain) - 1})")
-    N = chain.shape[1]
-    out = np.empty((depth + 1, i_hi - i_lo) + chain.shape[2:], complex)
-    lo, hi = i_lo + dxs, i_hi + dxs
-    for k in range(lo // N, (hi - 1) // N + 1):
-        r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
-        vals = chain[:depth + 1, r0 - k * N:r1 - k * N]
-        ph = grid.twist(k, p) if flavor == D_FLAVOR else grid.twist(p, k)
-        # the y-shift of E's block k, then that of dys on the whole window
-        s = (k * grid.sv_steps if flavor == E_FLAVOR else 0) - dys
-        if s % ny:
-            vals = vals[..., grid.y_roll(s)]
-        if dys % ny:
-            ph = ph[grid.y_roll(-dys)]
-        np.multiply(vals, ph, out=out[:, r0 - lo:r1 - lo])
-    return out
+    if flavor == D_FLAVOR:
+        cell, shift, phase = grid.nx_unit, 0, lambda k: grid.twist(k, p)
+    else:
+        cell, shift, phase = grid.su_steps, grid.sv_steps, lambda k: grid.twist(p, k)
+    out = grid.twisted_rows(chain[:depth + 1], i_lo + dxs, i_hi + dxs, cell, shift, phase)
+    return out[..., grid.y_roll(-dys)] if dys % grid.ny else out
 
 
 # -- operations ----------------------------------------------------------

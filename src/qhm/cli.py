@@ -176,6 +176,8 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
             raise ConfigError(f"{name} must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
+    if not abs(cfg.morita_broken_u) <= 1:  # NaN too; e(b) has period 1
+        raise ConfigError("morita.broken_u must be a number with |b| <= 1")
     return cfg
 
 

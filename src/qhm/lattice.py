@@ -184,21 +184,18 @@ class Grid:
         ph.flags.writeable = False
         return ph
 
-    def twist(self, a: int, b) -> np.ndarray:
+    def twist(self, a: int, b: int) -> np.ndarray:
         """e(c a b (y - b sv/2)), e(t) = exp(2 pi i t): the twisted
         periodicity of the calculus.  A D-component p gains twist(k, p)
-        across k unit cells, an E-component p gains twist(p, m) across m
-        cells of width su.  Built once per (a, b) and kept read-only; b may
-        also be an integer array of cells, shaped to broadcast against the
-        y-samples, whose phases are built afresh on every call."""
-        cached = not isinstance(b, np.ndarray)
-        ph = self._twists.get((a, b)) if cached else None
+        across k unit cells, an E-component p or a Morita vector twist(p, k)
+        across k cells (twisted_rows).  Built once per pair of integers and
+        kept read-only."""
+        ph = self._twists.get((a, b))
         if ph is None:
             c, sv = self.params.c, float(self.params.sv)
             ph = np.exp(2j * math.pi * c * a * b * (self.ys - b * sv / 2))
-            if cached:
-                ph.flags.writeable = False
-                self._twists[(a, b)] = ph
+            ph.flags.writeable = False
+            self._twists[(a, b)] = ph
         return ph
 
     def y_roll(self, s: int) -> np.ndarray:
@@ -213,6 +210,23 @@ class Grid:
             idx.flags.writeable = False
             self._y_rolls[s] = idx
         return idx
+
+    def twisted_rows(self, rows: np.ndarray, lo: int, hi: int, cell: int,
+                     shift: int, phase) -> np.ndarray:
+        """Rows [lo, hi) of a twisted-periodic function from its `cell`
+        fundamental-domain rows on axis 1 (y last): row k cell + r is row r
+        moved in y by k shift steps, times the phase row phase(k), filled
+        cell by cell.  algebra.window (flavors D and E) and
+        morita.SpectralVector.eval_row (the four Morita spaces) use it."""
+        ny = self.ny
+        out = np.empty((len(rows), hi - lo) + rows.shape[2:], complex)
+        for k in range(lo // cell, (hi - 1) // cell + 1):
+            r0, r1 = max(lo, k * cell), min(hi, (k + 1) * cell)
+            vals = rows[:, r0 - k * cell:r1 - k * cell]
+            if k * shift % ny:
+                vals = vals[..., self.y_roll(k * shift)]
+            np.multiply(vals, phase(k), out=out[:, r0 - lo:r1 - lo])
+        return out
 
     def x_of(self, i) -> np.ndarray:
         return np.asarray(i, dtype=float) * self.hx_f
@@ -472,7 +486,13 @@ class TorusFunction:
 
     @classmethod
     def zeros(cls, grid: Grid) -> "TorusFunction":
-        return cls(grid, np.zeros((grid.su_steps, grid.ny), complex))
+        """Zero, whose transform and first derivatives take no FFT; these
+        are a second zero, as a self-reference is a cycle that holds the grid."""
+        dz = cls(grid, np.zeros((grid.su_steps, grid.ny), complex))
+        z = cls(grid, dz.samples)
+        z._coeffs = dz._coeffs = dz.samples
+        z._dx = z._dy = dz
+        return z
 
     # arithmetic ----------------------------------------------------------
 

@@ -26,16 +26,16 @@ four identities S(phi.f) = H(phi).S(f), S(f.phi) = S(f).H(phi),
 <S f, S g>_L = H(<f,g>_L), <S f, S g>_R = H(<f,g>_R) on seeded samples.
 
 Vectors are stored by fundamental-domain samples, x in [0,1) x [0,1) on the
-source side and [0,su) x [0,1) on the target side, optionally behind a
-leading sample axis: one SpectralVector holds a batch (S, nx, ny) of S
-members.  SpectralVector.eval_row evaluates a whole array of x-indices
-anywhere through the defining twist, composed over k crossed cells into the
-one phase Grid.twist(p, k), so each map, bimodule operation and check below
-is one array expression over all S samples.  Two rationality constraints
-are enforced where the maps are formed, with MoritaGridError: x -> -x/su
-maps grid points to grid points iff 1/su is an integer (rescale_factor), and
-S(f) is y-periodic on the samples, a function on the torus, iff c/sv is an
-integer and ny divides 2c/sv (s_y_samples).
+source side and [0,su) x [0,1) on the target side, behind a leading sample
+axis: one SpectralVector holds a batch (S, nx, ny) of S members.
+SpectralVector.eval_row evaluates a range of rows anywhere through the
+defining twist, composed over k crossed cells into the one phase
+Grid.twist(p, k) of Grid.twisted_rows, so each map, bimodule operation and
+check below is one array expression over all S samples.  Two rationality
+constraints are enforced where the maps are formed, with MoritaGridError:
+x -> -x/su maps grid points to grid points iff 1/su is an integer
+(rescale_factor), and S(f) is y-periodic on the samples, a function on the
+torus, iff c/sv is an integer and ny divides 2c/sv (s_y_samples).
 
 The seeded samples are sums of four characters each.  draw_terms takes the
 frequencies and amplitudes of a whole chunk of samples from two streams in
@@ -94,8 +94,8 @@ def s_y_samples(params: Params) -> int:
 
 @dataclass(frozen=True)
 class SpectralVector:
-    """Fundamental-domain samples (nx, ny) of a member of one of the four
-    spaces, or (S, nx, ny) of S members.
+    """Fundamental-domain samples (S, nx, ny) of S members of one of the
+    four spaces.
 
     The twist phase used when crossing the unit cell can be overridden
     (broken_shift) to model a deliberately wrong unitary u in tests.
@@ -108,70 +108,60 @@ class SpectralVector:
 
     def __post_init__(self):
         nx = getattr(self.grid, _TAG_NX[self.tag])
-        if self.samples.ndim not in (2, 3) \
-                or self.samples.shape[-2:] != (nx, self.grid.ny):
+        if self.samples.ndim != 3 or self.samples.shape[1:] != (nx, self.grid.ny):
             raise ValueError(f"samples shape {self.samples.shape} does not "
-                             f"match ({nx}, {self.grid.ny}) for tag {self.tag}")
+                             f"match (S, {nx}, {self.grid.ny}) for tag {self.tag}")
 
     @property
     def nx(self) -> int:
-        return self.samples.shape[-2]
+        return self.samples.shape[1]
 
-    def eval_row(self, idx: np.ndarray) -> np.ndarray:
-        """(..., len(idx), ny) block of values at (x_i, y_j) for each i in the
-        1-D integer array idx and all j, per sample; x_i = i*hx may lie
-        outside the domain.
-
-        Index i is row r = i mod nx of cell k = i // nx.  Each cell crossed
-        moves y by sv and applies the twist F(x + su, y) = e(c(y - sv/2))
-        F(x, y - sv) (E_first, p = 1) or g(x + 1, y) = conj e(c(y - sv/2))
-        g(x, y - sv) (X, p = -1), times e(p broken_shift); the fixed-point
-        spaces (p = 0) only move y.  Across k cells these compose to
-        twist(p, k) e(p k broken_shift) times the row rolled by k sv_steps,
-        so the block is one gather of rows and rolled columns times one
-        phase array.
-        """
-        if np.ndim(idx) != 1:
-            raise ValueError(f"eval_row takes a 1-D index array, not {idx!r}")
+    def eval_row(self, lo: int, hi: int, stride: int = 1) -> np.ndarray:
+        """(S, hi - lo, ny) values at x = stride*i*hx, i in [lo, hi), and
+        every y-sample; x may lie outside the domain, and |stride| divides
+        nx (S and H read every m-th row backwards, stride -m).  A crossed
+        cell moves y by sv and multiplies by twist(p, 1) e(p broken_shift),
+        p = _TAG_P[tag]; across k cells these compose to the phase
+        twist(p, k) e(p k broken_shift) of Grid.twisted_rows."""
         g = self.grid
-        k, r = np.divmod(idx, self.nx)
-        k = k[:, None]
-        out = self.samples[..., r[:, None], (np.arange(g.ny) - k * g.sv_steps) % g.ny]
         p = _TAG_P[self.tag]
-        if p:
-            out *= g.twist(p, k) * np.exp(2j * math.pi * p * self.broken_shift * k)
-        return out
+        e = 2j * math.pi * p * self.broken_shift
+        m = abs(stride)
+        if stride < 0:
+            lo, hi = 1 - hi, 1 - lo
+        out = g.twisted_rows(self.samples[:, ::m], lo, hi, self.nx // m, g.sv_steps,
+                             lambda k: g.twist(p, k) * np.exp(e * k))
+        return out if stride > 0 else out[:, ::-1]
 
 
-def _reverse_y(rows: np.ndarray, grid: Grid) -> np.ndarray:
-    """rows'[..., j] = rows[..., -j mod ny], one gather: y_roll(-1) maps j
-    to j + 1, so read backwards it maps j to ny - j."""
-    return rows[..., grid.y_roll(-1)[::-1]]
+def _H_rows(v: SpectralVector, lo: int, hi: int) -> np.ndarray:
+    """v(-x/su, -y) at x = i*hx for each i in [lo, hi), y reversed by one
+    gather: y_roll(-1) maps j to j + 1, so read backwards it maps j to
+    ny - j."""
+    g = v.grid
+    return v.eval_row(lo, hi, -rescale_factor(g))[..., g.y_roll(-1)[::-1]]
 
 
-def _S_rows(f: SpectralVector, idx: np.ndarray) -> np.ndarray:
-    """S(f) at x = i*hx for each i in idx, straight from the formula."""
+def _S_rows(f: SpectralVector, lo: int, hi: int) -> np.ndarray:
+    """S(f) at x = i*hx for each i in [lo, hi), straight from the formula."""
     g = f.grid
     if s_y_samples(g.params) % g.ny:
         raise MoritaGridError(f"S(f) is not y-periodic on {g.ny} y-samples")
-    return g.s_phase * _reverse_y(f.eval_row(-rescale_factor(g) * idx), g)
+    return g.s_phase * _H_rows(f, lo, hi)
 
 
 def map_S(f: SpectralVector) -> SpectralVector:
     """S(f)(x,y) = e(c y^2 / sv) f(-x/su, -y), onto the first E subspace."""
     if f.tag != X_BETA_USTAR_ALPHA:
         raise ValueError(f"map_S expects tag {X_BETA_USTAR_ALPHA}, got {f.tag}")
-    return SpectralVector(f.grid, _S_rows(f, np.arange(f.grid.su_steps)),
-                          E_FIRST)
+    return SpectralVector(f.grid, _S_rows(f, 0, f.grid.su_steps), E_FIRST)
 
 
 def map_H(phi: SpectralVector) -> SpectralVector:
     """H(phi)(x,y) = phi(-x/su, -y), beta-invariant to E-fixed functions."""
     if phi.tag != BETA_INVARIANT:
         raise ValueError(f"map_H expects tag {BETA_INVARIANT}, got {phi.tag}")
-    g = phi.grid
-    rows = phi.eval_row(-rescale_factor(g) * np.arange(g.su_steps))
-    return SpectralVector(g, _reverse_y(rows, g), E_FIXED)
+    return SpectralVector(phi.grid, _H_rows(phi, 0, phi.grid.su_steps), E_FIXED)
 
 
 # source-side bimodule operations ------------------------------------------
@@ -185,7 +175,7 @@ def source_right(f: SpectralVector, phi: SpectralVector) -> SpectralVector:
     """(f . phi)(x,y) = f(x,y) phi(x - 1/su, y)."""
     # 1/su is m whole x-units, i.e. m*nx_unit grid steps
     step = rescale_factor(f.grid) * f.grid.nx_unit
-    out = f.samples * phi.eval_row(np.arange(f.nx) - step)
+    out = f.samples * phi.eval_row(-step, f.nx - step)
     return SpectralVector(f.grid, out, f.tag, f.broken_shift)
 
 
@@ -202,8 +192,8 @@ def source_inner_R(f: SpectralVector, g: SpectralVector) -> SpectralVector:
     that shifts only the first argument breaks the fourth preservation
     identity for every nonzero sample.
     """
-    idx = np.arange(f.nx) + rescale_factor(f.grid) * f.grid.nx_unit
-    out = np.conj(f.eval_row(idx)) * g.eval_row(idx)
+    lo = rescale_factor(f.grid) * f.grid.nx_unit
+    out = np.conj(f.eval_row(lo, lo + f.nx)) * g.eval_row(lo, lo + f.nx)
     return SpectralVector(f.grid, out, BETA_INVARIANT)
 
 
@@ -216,7 +206,7 @@ def target_left(psi: SpectralVector, F: SpectralVector) -> SpectralVector:
 def target_right(F: SpectralVector, psi: SpectralVector) -> SpectralVector:
     """(F . psi)(x,y) = F(x,y) psi(x+1,y)."""
     # one x-unit is nx_unit grid steps
-    out = F.samples * psi.eval_row(np.arange(F.nx) + F.grid.nx_unit)
+    out = F.samples * psi.eval_row(F.grid.nx_unit, F.grid.nx_unit + F.nx)
     return SpectralVector(F.grid, out, F.tag)
 
 
@@ -226,8 +216,8 @@ def target_inner_L(F: SpectralVector, G: SpectralVector) -> SpectralVector:
 
 def target_inner_R(F: SpectralVector, G: SpectralVector) -> SpectralVector:
     """<F,G>_R(x,y) = conj F(x-1,y) G(x-1,y)."""
-    idx = np.arange(F.nx) - F.grid.nx_unit
-    out = np.conj(F.eval_row(idx)) * G.eval_row(idx)
+    unit = F.grid.nx_unit
+    out = np.conj(F.eval_row(-unit, F.nx - unit)) * G.eval_row(-unit, F.nx - unit)
     return SpectralVector(F.grid, out, E_FIXED)
 
 
@@ -329,17 +319,16 @@ def membership_defect_source(f: SpectralVector) -> float:
     so a vector generated with a broken phase shows a nonzero defect.
     """
     clean = SpectralVector(f.grid, f.samples, f.tag)
-    idx = np.arange(f.nx) + f.nx
-    return float(np.max(np.abs(clean.eval_row(idx) - f.eval_row(idx))))
+    return float(np.max(np.abs(clean.eval_row(f.nx, 2 * f.nx)
+                               - f.eval_row(f.nx, 2 * f.nx))))
 
 
 def membership_transport_defect(f: SpectralVector) -> float:
     """Violation of the E-subspace twist by S(f), with S evaluated from its
     formula on both sides (the stored-sample extension would be circular)."""
     g = f.grid
-    i = np.arange(g.su_steps)
-    rhs = g.twist(1, 1) * _S_rows(f, i - g.su_steps)[..., g.y_roll(g.sv_steps)]
-    return float(np.max(np.abs(_S_rows(f, i) - rhs)))
+    rhs = g.twist(1, 1) * _S_rows(f, -g.su_steps, 0)[..., g.y_roll(g.sv_steps)]
+    return float(np.max(np.abs(_S_rows(f, 0, g.su_steps) - rhs)))
 
 
 def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,

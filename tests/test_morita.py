@@ -8,6 +8,7 @@ import pytest
 from fractions import Fraction
 
 from qhm import lattice, morita
+from qhm.algebra import D_FLAVOR, E_FLAVOR, AlgebraElement, window
 from qhm.lattice import Grid, Params, make_grid
 from qhm.morita import (BETA_INVARIANT, E_FIRST, E_FIXED, X_BETA_USTAR_ALPHA,
                         MoritaGridError, SpectralVector, draw_terms, map_H,
@@ -124,7 +125,7 @@ def test_inner_r_needs_both_arguments_shifted(grid2):
     g = random_source_vector(grid2, g_terms)
     m = rescale_factor(grid2)
     step = m * grid2.nx_unit
-    out = np.conj(f.eval_row(np.arange(f.nx) + step)) * g.samples
+    out = np.conj(f.eval_row(step, f.nx + step)) * g.samples
     wrong = SpectralVector(grid2, out, BETA_INVARIANT)
     dev = float(np.max(np.abs(
         map_H(wrong).samples - target_inner_R(map_S(f), map_S(g)).samples)))
@@ -162,9 +163,9 @@ def test_sample_batches_respect_the_grid_budget(grid2, monkeypatch, budget):
     calls = []
     eval_row = SpectralVector.eval_row
 
-    def counted(self, idx):
+    def counted(self, *rows):
         calls.append(self.samples.shape[0])
-        return eval_row(self, idx)
+        return eval_row(self, *rows)
 
     monkeypatch.setattr(SpectralVector, "eval_row", counted)
     monkeypatch.setattr(lattice, "GRID_BUDGET", budget)
@@ -317,15 +318,26 @@ def test_seeds_match_their_characters(c, sv, refinement):
 TAG_P = {X_BETA_USTAR_ALPHA: -1, E_FIRST: 1, BETA_INVARIANT: 0, E_FIXED: 0}
 
 
-def _eval_row_reference(v, i):
-    """Value row at x = i*hx, one row at a time, from the closed form: row
-    r = i mod nx of cell k = i // nx, rolled by k sv_steps, times
-    twist(p, k) e(p k broken_shift)."""
-    g = v.grid
-    k, r = divmod(i, v.nx)
-    p = TAG_P[v.tag]
-    phase = g.twist(p, k) * np.exp(2j * math.pi * p * v.broken_shift * k)
-    return np.roll(v.samples[r], k * g.sv_steps) * phase
+def _twisted_rule(grid, tag, p, broken_shift=0.0):
+    """(cell rows, y-steps per cell, phase of cell k) of a Morita tag, or
+    of component p of an algebra flavor, from the closed forms."""
+    if tag == D_FLAVOR:
+        return grid.nx_unit, 0, lambda k: grid.twist(k, p)
+    if tag == E_FLAVOR:
+        return grid.su_steps, grid.sv_steps, lambda k: grid.twist(p, k)
+    q = TAG_P[tag]
+    nx = grid.su_steps if tag in (E_FIRST, E_FIXED) else grid.nx_unit
+    return nx, grid.sv_steps, \
+        lambda k: grid.twist(q, k) * np.exp(2j * math.pi * q * broken_shift * k)
+
+
+def _row_reference(rows, i, rule):
+    """Row x = i*hx of a twisted-periodic function with fundamental-domain
+    rows on axis 1, one row at a time: row r = i mod cell of cell
+    k = i // cell, rolled by k shift, times the phase of cell k."""
+    cell, shift, phase = rule
+    k, r = divmod(i, cell)
+    return np.roll(rows[:, r], k * shift, axis=-1) * phase(k)
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
@@ -340,53 +352,51 @@ def test_iterated_cell_phases_compose_to_one_twist(c, sv):
             for k in range(step, 6 * step, step):
                 ph = grid.twist(p, step) * np.roll(ph, step * grid.sv_steps)
                 assert np.max(np.abs(ph - grid.twist(p, k))) <= 1e-13, (p, k)
-    # an array of cells gives the cached rows, bitwise, and is not cached
-    ks = np.arange(-5, 6)[:, None]
-    for p in (1, -1):
-        block = grid.twist(p, ks)
-        assert block.flags.writeable and block is not grid.twist(p, ks)
-        for k in range(-5, 6):
-            assert np.array_equal(block[k + 5], grid.twist(p, k))
+    with pytest.raises(TypeError):  # cells are integers, one at a time
+        grid.twist(1, np.arange(-5, 6)[:, None])
 
 
-@pytest.mark.parametrize("tag", [X_BETA_USTAR_ALPHA, E_FIRST,
-                                 BETA_INVARIANT, E_FIXED])
-@pytest.mark.parametrize("broken_shift", [0.0, 0.07])
+@pytest.mark.parametrize("broken_shift, tag", [
+    (b, t) for b in (0.0, 0.07) for t in TAG_P] + [(0.0, D_FLAVOR), (0.0, E_FLAVOR)])
 @pytest.mark.parametrize("c", [1, 2, 3])
 @pytest.mark.parametrize("sv", [Fraction(1, 4), Fraction(1, 3)])
 def test_eval_row_matches_per_row_reference_bitwise(tag, broken_shift, c, sv):
-    grid = morita_grid(Params.from_steps(c, Fraction(1, 4), sv), 2)
+    # Grid.twisted_rows serves the four Morita tags (eval_row) and the two
+    # algebra flavors (algebra.window): every row range over the cells
+    # -(m+1) .. m+1, m = 1/su, of one vector and of a batch, and S and H's
+    # stride -m reads, against the row-by-row closed form
+    grid = morita_grid(Params.from_steps(c, Fraction(1, 3), sv), 2)
     rng = np.random.default_rng(c)
-    nx = grid.nx_unit if tag in (X_BETA_USTAR_ALPHA, BETA_INVARIANT) \
-        else grid.su_steps
-    samples = rng.normal(size=(nx, grid.ny)) \
-        + 1j * rng.normal(size=(nx, grid.ny))
-    v = SpectralVector(grid, samples, tag, broken_shift)
     m = rescale_factor(grid)
-    # every row of the cells k = -(m+1) .. m+1, shuffled so that cells mix
-    idx = rng.permutation(np.arange(-(m + 1) * nx, (m + 2) * nx))
-    block = v.eval_row(idx)
-    ref = np.stack([_eval_row_reference(v, int(i)) for i in idx])
-    assert block.shape == (len(idx), grid.ny)
-    assert np.array_equal(block, ref)
-    assert np.array_equal(v.samples, samples)      # samples left unwritten
-    # a leading sample axis: every slice is its own vector's block
-    batch = np.stack([samples, rng.normal(size=samples.shape)
-                      + 1j * rng.normal(size=samples.shape), samples[::-1]])
-    vb = SpectralVector(grid, batch, tag, broken_shift)
-    blocks = vb.eval_row(idx)
-    assert blocks.shape == (3, len(idx), grid.ny)
-    for s in range(3):
-        vs = SpectralVector(grid, batch[s], tag, broken_shift)
-        ref = np.stack([_eval_row_reference(vs, int(i)) for i in idx])
-        assert np.array_equal(blocks[s], ref)
 
+    def every_range(cell, evaluate, reference):
+        span = range(-(m + 1) * cell, (m + 2) * cell)
+        ref = np.stack([reference(i) for i in span], axis=1)
+        for lo in span:
+            for hi in range(lo, span.stop + 1):
+                assert np.array_equal(evaluate(lo, hi),
+                                      ref[:, lo - span.start:hi - span.start]), (lo, hi)
 
-def test_eval_row_rejects_a_scalar_index(grid2):
-    (f_terms,) = draw_terms(term_streams(0), 1, 1)
-    f = random_source_vector(grid2, f_terms)
-    with pytest.raises(ValueError):
-        f.eval_row(3)
+    if tag in (D_FLAVOR, E_FLAVOR):
+        nxd = AlgebraElement.domain_steps(tag, grid)
+        # component -1 of one element, and component 2 of a batch of two
+        for p, shape in ((-1, (3, nxd, grid.ny)), (2, (3, nxd, 2, grid.ny))):
+            rule = _twisted_rule(grid, tag, p)
+            chain = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            every_range(nxd, lambda lo, hi: window(chain, tag, grid, p, lo, hi, 2),
+                        lambda i: _row_reference(chain, i, rule))
+        return
+    rule = _twisted_rule(grid, tag, None, broken_shift)
+    nx = rule[0]
+    shape = (3, nx, grid.ny)
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for samples in (batch[:1], batch):      # one vector, and a batch
+        v = SpectralVector(grid, samples, tag, broken_shift)
+        every_range(nx, v.eval_row, lambda i: _row_reference(samples, i, rule))
+        if nx % m == 0:  # S and H read x = -m i hx
+            every_range(nx // m, lambda lo, hi: v.eval_row(lo, hi, -m),
+                        lambda i: _row_reference(samples, -m * i, rule))
+        assert np.array_equal(v.samples, samples)   # samples left unwritten
 
 
 def test_preservation_sample_evaluates_whole_arrays(params, monkeypatch):
@@ -396,9 +406,9 @@ def test_preservation_sample_evaluates_whole_arrays(params, monkeypatch):
     calls = []
     eval_row = SpectralVector.eval_row
 
-    def counted(self, idx):
-        calls.append(len(idx))
-        return eval_row(self, idx)
+    def counted(self, *rows):
+        calls.append(rows)
+        return eval_row(self, *rows)
 
     grid = morita_grid(params, 8)
     monkeypatch.setattr(SpectralVector, "eval_row", counted)
