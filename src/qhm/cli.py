@@ -40,8 +40,7 @@ class ConfigError(ValueError):
 
 _KNOWN_KEYS = {
     "c", "hbar", "mu", "nu", "su", "sv", "refinement", "seed", "out",
-    "morita.sample_count", "morita.broken_u", "morita.refinement",
-    "debug.tamper_star",
+    "morita.sample_count", "morita.refinement",
     "tol.exact", "tol.conditions", "tol.curvature", "tol.commutator",
     "tol.poisson", "tol.connection", "tol.morita",
 }
@@ -61,9 +60,8 @@ class RunConfig:
     out: str = "out"
     tolerances: Dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_TOLS))
     morita_sample_count: int = 20
-    morita_broken_u: float = 0.0
     morita_refinement: int = 2
-    tamper_star: bool = False
+    tamper_star: bool = False  # kept for bench/workloads.py's self-test
 
 
 def _parse_kv(text: str) -> Dict[str, str]:
@@ -114,15 +112,6 @@ def _floatval(kv, key, default):
         raise ConfigError(f"{key}={raw!r} is not a number") from exc
 
 
-def _boolval(kv, key):
-    raw = kv.get(key, "false").lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}={raw!r} is not a boolean")
-
-
 def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig:
     kv: Dict[str, str] = {}
     if path is not None:
@@ -159,9 +148,7 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
         out=kv.get("out", "out"),
         tolerances=tols,
         morita_sample_count=_intval(kv, "morita.sample_count", 20),
-        morita_broken_u=_floatval(kv, "morita.broken_u", 0.0),
         morita_refinement=_intval(kv, "morita.refinement", 2),
-        tamper_star=_boolval(kv, "debug.tamper_star"),
     )
     if overrides.refinement is not None:
         cfg = replace(cfg, refinement=overrides.refinement)
@@ -176,8 +163,6 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
             raise ConfigError(f"{name} must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
-    if not abs(cfg.morita_broken_u) <= 1:  # NaN too; e(b) has period 1
-        raise ConfigError("morita.broken_u must be a number with |b| <= 1")
     return cfg
 
 
@@ -283,7 +268,7 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
     try:
         conditions = verify_R_conditions(R0)
     except ValueError as exc:  # StructureError is one
-        # a broken structure (extract_h_g's mirror test, say) is a failed
+        # a faulty structure (extract_h_g's mirror test, say) is a failed
         # check of a written report, not a traceback
         checks.append(_check("projection_conditions", str(exc), np.inf,
                              tol["conditions"]))
@@ -462,6 +447,15 @@ class PipelineError(RuntimeError):
 
 # morita -------------------------------------------------------------------
 
+MORITA_ANCHORS = {
+    "left_action": "S(phi . f) = H(phi) . S(f)",
+    "right_action": "S(f . phi) = S(f) . H(phi)",
+    "inner_left": "<S f, S g>_L = H(<f,g>_L)",
+    "inner_right": "<S f, S g>_R = H(<f,g>_R)",
+    "membership_transport": "S(f) lies in the first spectral subspace",
+}
+
+
 def run_morita(cfg: RunConfig) -> Dict[str, object]:
     # make_grid's x-step and ny = 2c/sv, on which S(f) is y-periodic; the
     # checks' y-operations are pointwise or rolls by sv_steps, so no y-band
@@ -472,22 +466,14 @@ def run_morita(cfg: RunConfig) -> Dict[str, object]:
                        hy=Fraction(1, s_y_samples(cfg.params)))
         rep = verify_bimodule_preservation(
             grid, cfg.morita_sample_count, seed=cfg.seed,
-            broken_u=cfg.morita_broken_u, tol=cfg.tolerances["morita"])
+            tol=cfg.tolerances["morita"])
     except MoritaGridError as exc:
         raise PipelineError("morita grid", str(exc)) from exc
     rep["command"] = "morita"
     rep["config"] = _config_summary(cfg)
     rep["grid"] = {"nx_unit": grid.nx_unit, "ny": grid.ny}
-    anchors = {
-        "left_action": "S(phi . f) = H(phi) . S(f)",
-        "right_action": "S(f . phi) = S(f) . H(phi)",
-        "inner_left": "<S f, S g>_L = H(<f,g>_L)",
-        "inner_right": "<S f, S g>_R = H(<f,g>_R)",
-        "membership_transport": "S(f) lies in the first spectral subspace",
-        "source_membership": "g(x-1, y-sv) = e(c(y - sv/2)) g(x,y)",
-    }
     for name, chk in rep["checks"].items():
-        chk["anchor"] = anchors[name]
+        chk["anchor"] = MORITA_ANCHORS[name]
     return rep
 
 

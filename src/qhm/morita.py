@@ -23,7 +23,9 @@ pointwise left action and left inner product.  The maps
 
 intertwine the two structures; verify_bimodule_preservation measures the
 four identities S(phi.f) = H(phi).S(f), S(f.phi) = S(f).H(phi),
-<S f, S g>_L = H(<f,g>_L), <S f, S g>_R = H(<f,g>_R) on seeded samples.
+<S f, S g>_L = H(<f,g>_L), <S f, S g>_R = H(<f,g>_R) on seeded samples, and
+that S(f) lies in E_1.  That f lies in X holds by construction: eval_row
+extends any fundamental-domain samples through the twist.
 
 Vectors are stored by fundamental-domain samples, x in [0,1) x [0,1) on the
 source side and [0,su) x [0,1) on the target side, behind a leading sample
@@ -95,16 +97,11 @@ def s_y_samples(params: Params) -> int:
 @dataclass(frozen=True)
 class SpectralVector:
     """Fundamental-domain samples (S, nx, ny) of S members of one of the
-    four spaces.
-
-    The twist phase used when crossing the unit cell can be overridden
-    (broken_shift) to model a deliberately wrong unitary u in tests.
-    """
+    four spaces."""
 
     grid: Grid
     samples: np.ndarray
     tag: str
-    broken_shift: float = 0.0
 
     def __post_init__(self):
         nx = getattr(self.grid, _TAG_NX[self.tag])
@@ -120,17 +117,16 @@ class SpectralVector:
         """(S, hi - lo, ny) values at x = stride*i*hx, i in [lo, hi), and
         every y-sample; x may lie outside the domain, and |stride| divides
         nx (S and H read every m-th row backwards, stride -m).  A crossed
-        cell moves y by sv and multiplies by twist(p, 1) e(p broken_shift),
-        p = _TAG_P[tag]; across k cells these compose to the phase
-        twist(p, k) e(p k broken_shift) of Grid.twisted_rows."""
+        cell moves y by sv and multiplies by twist(p, 1), p = _TAG_P[tag];
+        across k cells these compose to the phase twist(p, k) of
+        Grid.twisted_rows."""
         g = self.grid
         p = _TAG_P[self.tag]
-        e = 2j * math.pi * p * self.broken_shift
         m = abs(stride)
         if stride < 0:
             lo, hi = 1 - hi, 1 - lo
         out = g.twisted_rows(self.samples[:, ::m], lo, hi, self.nx // m, g.sv_steps,
-                             lambda k: g.twist(p, k) * np.exp(e * k))
+                             lambda k: g.twist(p, k))
         return out if stride > 0 else out[:, ::-1]
 
 
@@ -167,8 +163,7 @@ def map_H(phi: SpectralVector) -> SpectralVector:
 # source-side bimodule operations ------------------------------------------
 
 def source_left(phi: SpectralVector, f: SpectralVector) -> SpectralVector:
-    return SpectralVector(f.grid, phi.samples * f.samples, f.tag,
-                          f.broken_shift)
+    return SpectralVector(f.grid, phi.samples * f.samples, f.tag)
 
 
 def source_right(f: SpectralVector, phi: SpectralVector) -> SpectralVector:
@@ -176,7 +171,7 @@ def source_right(f: SpectralVector, phi: SpectralVector) -> SpectralVector:
     # 1/su is m whole x-units, i.e. m*nx_unit grid steps
     step = rescale_factor(f.grid) * f.grid.nx_unit
     out = f.samples * phi.eval_row(-step, f.nx - step)
-    return SpectralVector(f.grid, out, f.tag, f.broken_shift)
+    return SpectralVector(f.grid, out, f.tag)
 
 
 def source_inner_L(f: SpectralVector, g: SpectralVector) -> SpectralVector:
@@ -276,23 +271,19 @@ def _source_seeds(grid: Grid, terms: Terms) -> np.ndarray:
                       window * np.exp(2j * math.pi * terms.n[..., None] * xs / 2.0))
 
 
-def random_source_vector(grid: Grid, terms: Terms,
-                         broken_shift: float = 0.0) -> SpectralVector:
+def random_source_vector(grid: Grid, terms: Terms) -> SpectralVector:
     """Phase-twisted periodizations of compactly supported random seeds,
     one per row of the term table.
 
     Each seed lives on x in [0,2); summing its twisted unit translates
-    telescopes into an exact member of the twisted subspace (with the
-    broken phase instead when broken_shift is nonzero).
+    telescopes into an exact member of the twisted subspace.
     """
     g = grid
     nxu = g.nx_unit
     seed = _source_seeds(g, terms)
     # g = seed|_[0,1) + U(seed)|_[0,1) with U the twisted unit translate
-    ph = g.twist(-1, -1) * np.exp(2j * math.pi * broken_shift)
-    translated = seed[:, nxu:][..., g.y_roll(-g.sv_steps)] * ph
-    return SpectralVector(g, seed[:, :nxu] + translated, X_BETA_USTAR_ALPHA,
-                          broken_shift)
+    translated = seed[:, nxu:][..., g.y_roll(-g.sv_steps)] * g.twist(-1, -1)
+    return SpectralVector(g, seed[:, :nxu] + translated, X_BETA_USTAR_ALPHA)
 
 
 def random_invariant_function(grid: Grid, terms: Terms) -> SpectralVector:
@@ -312,17 +303,6 @@ def _maxdiff(a: SpectralVector, b: SpectralVector) -> float:
     return float(np.max(np.abs(a.samples - b.samples)))
 
 
-def membership_defect_source(f: SpectralVector) -> float:
-    """Violation of g(x-1,y-sv) = e(c(y-sv/2)) g(x,y) using literal phases.
-
-    Both sides are evaluated through the clean twist on the stored samples,
-    so a vector generated with a broken phase shows a nonzero defect.
-    """
-    clean = SpectralVector(f.grid, f.samples, f.tag)
-    return float(np.max(np.abs(clean.eval_row(f.nx, 2 * f.nx)
-                               - f.eval_row(f.nx, 2 * f.nx))))
-
-
 def membership_transport_defect(f: SpectralVector) -> float:
     """Violation of the E-subspace twist by S(f), with S evaluated from its
     formula on both sides (the stored-sample extension would be circular)."""
@@ -332,8 +312,7 @@ def membership_transport_defect(f: SpectralVector) -> float:
 
 
 def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
-                                 seed: int = 0, broken_u: float = 0.0,
-                                 tol: float = 1e-10) -> Dict[str, object]:
+                                 seed: int = 0, tol: float = 1e-10) -> Dict[str, object]:
     """Measure the four preservation identities on seeded random members.
 
     The samples are evaluated as batches of at most lattice.GRID_BUDGET
@@ -346,11 +325,8 @@ def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
     for start in range(0, sample_count, chunk):
         f_terms, g_terms, phi_terms = draw_terms(
             streams, min(chunk, sample_count - start), 3)
-        # a broken unitary phase is applied to the second vector only; a
-        # consistent corruption of both would cancel in the conjugate pairs
-        # of the inner products and go unnoticed there
         f = random_source_vector(grid, f_terms)
-        gv = random_source_vector(grid, g_terms, broken_u)
+        gv = random_source_vector(grid, g_terms)
         phi = random_invariant_function(grid, phi_terms)
         sf, sg, hphi = map_S(f), map_S(gv), map_H(phi)
         batches.append({
@@ -362,17 +338,14 @@ def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
                                    target_inner_L(sf, sg)),
             "inner_right": _maxdiff(map_H(source_inner_R(f, gv)),
                                     target_inner_R(sf, sg)),
-            "membership_transport": membership_transport_defect(f),
-            "source_membership": np.maximum(membership_defect_source(f),
-                                            membership_defect_source(gv))})
-    # np.max and np.maximum keep a NaN, which max() drops behind a number
+            "membership_transport": membership_transport_defect(f)})
+    # np.max keeps a NaN, which max() drops behind a number
     worst = {k: float(np.max([b[k] for b in batches])) for k in batches[0]}
     checks = {k: {"violation": v, "tol": tol, "pass": bool(v <= tol)}
               for k, v in worst.items()}
     return {
         "sample_count": sample_count,
         "seed": seed,
-        "broken_u": broken_u,
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks.values()),
     }

@@ -7,14 +7,19 @@ from the three nabla0_W R (calculus.curvature_closed); these independent
 routes check it.  The tests' helpers that no command runs live here too:
 the curvature by its operator definition, the commutator with a
 multiplication operator, the Laplacian of flavor D, an element comparison,
-the battery of random test vectors and a random perturbation.
+the battery of random test vectors and a random perturbation.  The faults
+that the Morita tests inject live here as well: a source vector built and
+extended with a wrong unitary u.
 """
 
+import math
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from qhm import morita
 from qhm.algebra import (AlgebraElement, D_FLAVOR, adjoint, bracket, derivation,
                          star, trace)
 from qhm.bimodule import ModuleVector, act_left, act_right, inner_D, inner_E
@@ -201,3 +206,51 @@ def first_variation(nabla: Connection, direction: Perturbation,
     val = -(trace(star(theta.xy, dxy)) + trace(star(theta.xz, dxz))
             + trace(star(theta.yz, dyz))) * 2.0
     return float(val.real)
+
+
+@dataclass(frozen=True)
+class BrokenUnitaryVector(morita.SpectralVector):
+    """A Morita vector whose unit cell crosses with the wrong unitary u:
+    each crossed cell multiplies by twist(p, 1) e(p shift), so k cells by
+    twist(p, k) e(p k shift)."""
+
+    shift: float
+
+    def eval_row(self, lo: int, hi: int, stride: int = 1) -> np.ndarray:
+        g = self.grid
+        p = morita._TAG_P[self.tag]
+        e = 2j * math.pi * p * self.shift
+        m = abs(stride)
+        if stride < 0:
+            lo, hi = 1 - hi, 1 - lo
+        out = g.twisted_rows(self.samples[:, ::m], lo, hi, self.nx // m, g.sv_steps,
+                             lambda k: g.twist(p, k) * np.exp(e * k))
+        return out if stride > 0 else out[:, ::-1]
+
+
+def broken_source_vector(grid: Grid, terms: morita.Terms,
+                         shift: float) -> BrokenUnitaryVector:
+    """morita.random_source_vector with the unit translate's phase off by
+    e(shift), extended with the same wrong unitary."""
+    nxu = grid.nx_unit
+    seed = morita._source_seeds(grid, terms)
+    ph = grid.twist(-1, -1) * np.exp(2j * math.pi * shift)
+    translated = seed[:, nxu:][..., grid.y_roll(-grid.sv_steps)] * ph
+    return BrokenUnitaryVector(grid, seed[:, :nxu] + translated,
+                               morita.X_BETA_USTAR_ALPHA, shift)
+
+
+def inject_broken_unitary(monkeypatch, shift: float) -> None:
+    """Make verify_bimodule_preservation build the second source vector g of
+    each batch with the wrong unitary.  f stays clean: one corruption of both
+    would cancel in the conjugate pairs of the inner products."""
+    clean = morita.random_source_vector
+    built = []
+
+    def build(grid, terms):
+        built.append(terms)
+        if len(built) % 2:
+            return clean(grid, terms)
+        return broken_source_vector(grid, terms, shift)
+
+    monkeypatch.setattr(morita, "random_source_vector", build)

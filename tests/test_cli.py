@@ -20,10 +20,11 @@ from qhm.cli import (ConfigError, PipelineError, RunConfig, _parse_kv,
                      load_config, main, run_solve, run_verify)
 from qhm.lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Grid, Params,
                          TorusFunction, make_grid, y_bandwidth)
+from qhm.morita import verify_bimodule_preservation
 from qhm.projection import BumpSpec, build_R
 from qhm.random_fields import random_module_vector, random_torus_function
 
-from oracles import curvature_star_form
+from oracles import curvature_star_form, inject_broken_unitary
 
 
 def run(tmp_path, *argv):
@@ -88,8 +89,18 @@ class TestConfigParsing:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("line", ["morita.broken_u = 0.05",
+                                      "debug.tamper_star = true"])
+    def test_fault_injection_keys_are_unknown(self, tmp_path, capsys, line):
+        # the tests inject these faults; no config file sets them
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        code, _ = run(tmp_path, "morita", "--config", str(cfg))
+        assert code == 2
+        assert "unknown key" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["tol.exact = 1/0",
-                                      "morita.broken_u = abc"])
+                                      "tol.morita = abc"])
     def test_unparsable_number_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(line + "\n")
@@ -106,19 +117,14 @@ class TestConfigParsing:
         ("morita", "seed = -1", []),
         ("verify", "", ["--seed", "-1"]),
         ("verify", "tol.exact = inf", []),
-        ("verify", "tol.exact = nan", []),
-        ("morita", "morita.broken_u = nan", []),
-        ("morita", "morita.broken_u = inf", []),
-        ("morita", "morita.broken_u = 1e308", [])],
+        ("verify", "tol.exact = nan", [])],
         ids=["sample_count", "morita_refinement", "seed", "seed_flag",
-             "tol_inf", "tol_nan", "broken_u_nan", "broken_u_inf",
-             "broken_u_huge"])
+             "tol_inf", "tol_nan"])
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, command, line,
                                         argv):
         # an empty Morita battery or an infinite tolerance would pass
         # vacuously; a zero refinement or a negative seed has no grid or
-        # generator to run on; a broken_u that is NaN, infinite or beyond
-        # |b| = 1 (e(b) has period 1) wrote NaN violations, invalid JSON
+        # generator to run on
         cfg = tmp_path / "c.cfg"
         cfg.write_text(line + "\n")
         code, _ = run(tmp_path, command, "--config", str(cfg), *argv)
@@ -157,7 +163,8 @@ class TestConfigParsing:
 
     def test_tolerance_override(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("tol.exact = 1e-10\nseed = 5\n")
+        # a decimal and an exact rational a/b are both read as numbers
+        cfg.write_text("tol.exact = 1e-10\ntol.morita = 1/10\nseed = 5\n")
 
         class NS:
             refinement = None
@@ -166,6 +173,7 @@ class TestConfigParsing:
 
         rc = load_config(str(cfg), NS())
         assert rc.tolerances["exact"] == 1e-10
+        assert rc.tolerances["morita"] == 0.1
         assert rc.seed == 5
 
 
@@ -322,12 +330,10 @@ class TestVerify:
         assert not [c for c in rep["checks"]
                     if c["name"].startswith("condition_")]
 
-    def test_tampered_star_fails(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("debug.tamper_star = true\n")
-        code, out = run(tmp_path, "verify", "--config", str(cfg))
-        assert code == 1
-        rep = json.loads((out / "verify_report.json").read_text())
+    def test_tampered_star_fails(self, params, tmp_path):
+        # as the benchmark's self-test sets it; no config key does
+        rep = run_verify(RunConfig(params=params, out=str(tmp_path),
+                                   tamper_star=True))
         assert not rep["all_pass"]
         failing = [c["name"] for c in rep["checks"] if not c["pass"]]
         assert "projection_idempotent" in failing
@@ -638,13 +644,19 @@ class TestMorita:
         # ny = 2c/sv at every refinement; nx_unit = 4 * refinement
         assert rep["grid"] == {"nx_unit": 8, "ny": 8}
 
-    def test_broken_unitary_fails(self, tmp_path):
-        # a decimal and an exact rational a/b are both read as numbers
-        for value in ("0.05", "1/10"):
-            cfg = tmp_path / "c.cfg"
-            cfg.write_text(f"morita.broken_u = {value}\n")
-            code, _ = run(tmp_path, "morita", "--config", str(cfg))
-            assert code == 1
+    def test_broken_unitary_fails(self, tmp_path, monkeypatch):
+        inject_broken_unitary(monkeypatch, 0.05)
+        code, out = run(tmp_path, "morita")
+        assert code == 1
+        rep = json.loads((out / "morita_report.json").read_text())
+        assert {n for n, c in rep["checks"].items() if not c["pass"]} == {
+            "inner_left", "inner_right"}
+
+    def test_every_check_has_its_anchor(self, grid2):
+        # run_morita looks each check's anchor up by name: a missing one
+        # raises, and this catches a stale extra one
+        rep = verify_bimodule_preservation(grid2, sample_count=1)
+        assert set(rep["checks"]) == set(cli.MORITA_ANCHORS)
 
     def test_bad_rescale_exits_1_with_stage(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

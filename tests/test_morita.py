@@ -12,14 +12,16 @@ from qhm.algebra import D_FLAVOR, E_FLAVOR, AlgebraElement, window
 from qhm.lattice import Grid, Params, make_grid
 from qhm.morita import (BETA_INVARIANT, E_FIRST, E_FIXED, X_BETA_USTAR_ALPHA,
                         MoritaGridError, SpectralVector, draw_terms, map_H,
-                        map_S,
-                        membership_defect_source, membership_transport_defect,
+                        map_S, membership_transport_defect,
                         random_invariant_function, random_source_vector,
                         rescale_factor, s_y_samples, source_inner_L,
                         source_inner_R, source_left, source_right,
                         target_inner_L, target_inner_R, target_left,
                         target_right, term_streams,
                         verify_bimodule_preservation)
+
+from oracles import (BrokenUnitaryVector, broken_source_vector,
+                     inject_broken_unitary)
 
 
 def morita_grid(params, refinement):
@@ -39,17 +41,30 @@ def test_rescale_factor_rejects_non_integer():
         rescale_factor(grid)
 
 
+def _translate_defect(f, terms):
+    """max |f - want| on x in [1, 2), relative to the seeds, where want is
+    the sum of the seed s's two translates there, from the closed form of
+    the twisted subspace: s(x, y) + e(-c(y - sv/2)) s(x - 1, y - sv)."""
+    g = f.grid
+    seed = morita._source_seeds(g, terms)
+    phase = np.exp(-2j * math.pi * g.params.c * (g.ys - float(g.params.sv) / 2))
+    want = seed[:, g.nx_unit:] + phase * np.roll(seed[:, :g.nx_unit],
+                                                 g.sv_steps, axis=-1)
+    return np.max(np.abs(f.eval_row(f.nx, 2 * f.nx) - want)) / np.max(np.abs(seed))
+
+
 def test_source_vectors_are_members(grid2):
-    for f_terms in draw_terms(term_streams(0), 1, 5):
-        f = random_source_vector(grid2, f_terms)
-        scale = max(np.max(np.abs(f.samples)), 1)
-        assert membership_defect_source(f) < 1e-12 * scale
+    (f_terms,) = draw_terms(term_streams(0), 5, 1)
+    assert _translate_defect(random_source_vector(grid2, f_terms), f_terms) < 1e-12
 
 
 def test_broken_vector_is_not_a_member(grid2):
-    (f_terms,) = draw_terms(term_streams(0), 1, 1)
-    f = random_source_vector(grid2, f_terms, 0.05)
-    assert membership_defect_source(f) > 1e-3
+    # the oracle above sees a unit translate whose phase is off by e(0.05),
+    # both on the samples alone and with the same wrong unitary extending them
+    (f_terms,) = draw_terms(term_streams(0), 5, 1)
+    broken = broken_source_vector(grid2, f_terms, 0.05)
+    for f in (broken, SpectralVector(grid2, broken.samples, broken.tag)):
+        assert _translate_defect(f, f_terms) > 1e-3
 
 
 def test_s_maps_into_first_subspace(grid2):
@@ -92,12 +107,15 @@ def test_preservation_holds_on_the_morita_grid(c, su, sv, refinement):
 
 
 def test_a_nan_violation_fails(grid2, monkeypatch):
-    # max(0.0, nan) is 0.0: a NaN behind a number must not read as a pass
+    # max(0.0, nan) is 0.0: a NaN behind a number must not read as a pass.
+    # One sample of grid2 holds 2 * 8 * 8 = 128 seed points, so this budget
+    # makes two batches of one.
     values = iter([0.0, float("nan")])
-    monkeypatch.setattr(morita, "membership_defect_source",
+    monkeypatch.setattr(morita, "membership_transport_defect",
                         lambda f: next(values))
-    rep = verify_bimodule_preservation(grid2, sample_count=1, seed=0)
-    chk = rep["checks"]["source_membership"]
+    monkeypatch.setattr(lattice, "GRID_BUDGET", 128)
+    rep = verify_bimodule_preservation(grid2, sample_count=2, seed=0)
+    chk = rep["checks"]["membership_transport"]
     assert math.isnan(chk["violation"]) and not chk["pass"]
     assert not rep["all_pass"]
 
@@ -139,13 +157,12 @@ def test_verification_clean(grid2):
         assert chk["violation"] < 1e-11, name
 
 
-def test_verification_flags_broken_unitary(grid2):
-    rep = verify_bimodule_preservation(grid2, sample_count=5, seed=3,
-                                       broken_u=0.07)
+def test_verification_flags_broken_unitary(grid2, monkeypatch):
+    inject_broken_unitary(monkeypatch, 0.07)
+    rep = verify_bimodule_preservation(grid2, sample_count=5, seed=3)
     assert not rep["all_pass"]
-    assert not rep["checks"]["inner_left"]["pass"]
-    assert not rep["checks"]["inner_right"]["pass"]
-    assert not rep["checks"]["source_membership"]["pass"]
+    failing = {name for name, chk in rep["checks"].items() if not chk["pass"]}
+    assert failing == {"inner_left", "inner_right"}
 
 
 def test_verification_deterministic(grid2):
@@ -158,22 +175,23 @@ def test_verification_deterministic(grid2):
 def test_sample_batches_respect_the_grid_budget(grid2, monkeypatch, budget):
     # one sample of grid2 holds 2 * 8 * 8 = 128 seed points, so these
     # budgets cut the 20 samples into batches of 1, 3 and 7
-    whole = verify_bimodule_preservation(grid2, sample_count=20, seed=9201,
-                                         broken_u=0.07)
+    inject_broken_unitary(monkeypatch, 0.07)
+    whole = verify_bimodule_preservation(grid2, sample_count=20, seed=9201)
     calls = []
-    eval_row = SpectralVector.eval_row
 
-    def counted(self, *rows):
-        calls.append(self.samples.shape[0])
-        return eval_row(self, *rows)
+    def counting(eval_row):
+        def counted(self, *rows):
+            calls.append(self.samples.shape[0])
+            return eval_row(self, *rows)
+        return counted
 
-    monkeypatch.setattr(SpectralVector, "eval_row", counted)
+    for cls in (SpectralVector, BrokenUnitaryVector):
+        monkeypatch.setattr(cls, "eval_row", counting(cls.eval_row))
     monkeypatch.setattr(lattice, "GRID_BUDGET", budget)
-    chunked = verify_bimodule_preservation(grid2, sample_count=20,
-                                           seed=9201, broken_u=0.07)
+    chunked = verify_bimodule_preservation(grid2, sample_count=20, seed=9201)
     batch = max(1, budget // 128)
     assert max(calls) == batch
-    assert len(calls) == 19 * -(-20 // batch)
+    assert len(calls) == 15 * -(-20 // batch)
     assert chunked == whole
 
 
@@ -272,12 +290,14 @@ def _random_invariant_reference(grid, n, m, coef):
 @pytest.mark.parametrize("sv", [Fraction(1, 4), Fraction(1, 3)])
 def test_batched_vectors_match_per_sample_reference_bitwise(broken_shift, c,
                                                             sv):
+    # at broken shift 0.07, g is the wrong unitary's vector that the tests
+    # inject (oracles.broken_source_vector), which the pinned reports read
     grid = morita_grid(Params.from_steps(c, Fraction(1, 4), sv), 2)
     count = 6
     f_terms, g_terms, phi_terms = draw_terms(term_streams(c), count, 3)
     f = random_source_vector(grid, f_terms)
-    gv = random_source_vector(grid, g_terms, broken_shift)
-    assert gv.broken_shift == broken_shift
+    gv = (broken_source_vector(grid, g_terms, broken_shift) if broken_shift
+          else random_source_vector(grid, g_terms))
     phi = random_invariant_function(grid, phi_terms)
     assert f.samples.shape == (count, grid.nx_unit, grid.ny)
     for s in range(count):
@@ -364,7 +384,9 @@ def test_eval_row_matches_per_row_reference_bitwise(tag, broken_shift, c, sv):
     # Grid.twisted_rows serves the four Morita tags (eval_row) and the two
     # algebra flavors (algebra.window): every row range over the cells
     # -(m+1) .. m+1, m = 1/su, of one vector and of a batch, and S and H's
-    # stride -m reads, against the row-by-row closed form
+    # stride -m reads, against the row-by-row closed form.  At broken shift
+    # 0.07 the vector is the wrong unitary's that the tests inject
+    # (oracles.BrokenUnitaryVector), which the pinned reports read.
     grid = morita_grid(Params.from_steps(c, Fraction(1, 3), sv), 2)
     rng = np.random.default_rng(c)
     m = rescale_factor(grid)
@@ -391,7 +413,8 @@ def test_eval_row_matches_per_row_reference_bitwise(tag, broken_shift, c, sv):
     shape = (3, nx, grid.ny)
     batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     for samples in (batch[:1], batch):      # one vector, and a batch
-        v = SpectralVector(grid, samples, tag, broken_shift)
+        v = (BrokenUnitaryVector(grid, samples, tag, broken_shift) if broken_shift
+             else SpectralVector(grid, samples, tag))
         every_range(nx, v.eval_row, lambda i: _row_reference(samples, i, rule))
         if nx % m == 0:  # S and H read x = -m i hx
             every_range(nx // m, lambda lo, hi: v.eval_row(lo, hi, -m),
@@ -400,7 +423,7 @@ def test_eval_row_matches_per_row_reference_bitwise(tag, broken_shift, c, sv):
 
 
 def test_preservation_sample_evaluates_whole_arrays(params, monkeypatch):
-    # at the benchmark's refinement: 19 array evaluations for one sample
+    # at the benchmark's refinement: 15 array evaluations for one sample
     # and no more for twenty; a per-row loop in any map or check would make
     # hundreds, and a per-sample loop twenty times as many
     calls = []
@@ -414,46 +437,45 @@ def test_preservation_sample_evaluates_whole_arrays(params, monkeypatch):
     monkeypatch.setattr(SpectralVector, "eval_row", counted)
     verify_bimodule_preservation(grid, sample_count=1, seed=9201)
     single = len(calls)
-    assert single <= 19
+    assert single <= 15
     verify_bimodule_preservation(grid, sample_count=20, seed=9201)
     assert len(calls) - single <= single
 
 
 # Violations on the morita grid (ny = 2c/sv), recorded with repr from the
 # whole-array draws, separable sums and closed-form eval_row; they must come
-# back bit for bit.  Keys are (c, su, sv, refinement, broken_u).
+# back bit for bit.  Keys are (c, su, sv, refinement, broken_u), where a
+# nonzero broken_u injects the wrong unitary of oracles.inject_broken_unitary.
 PINNED = {
     (1, Fraction(1, 4), Fraction(1, 4), 8, 0.0): {
         "left_action": 5.0242958677880805e-15,
         "right_action": 5.0242958677880805e-15,
         "inner_left": 3.972054645195637e-15,
         "inner_right": 7.444291678311382e-15,
-        "membership_transport": 1.3113797212790068e-14,
-        "source_membership": 0.0},
+        "membership_transport": 1.3113797212790068e-14},
     (3, Fraction(1, 4), Fraction(1, 3), 3, 0.0): {
         "left_action": 5.3475422218306674e-15,
         "right_action": 4.440892098500626e-15,
         "inner_left": 4.440892098500626e-15,
         "inner_right": 5.687116766346677e-15,
-        "membership_transport": 6.105378769900837e-14,
-        "source_membership": 0.0},
+        "membership_transport": 6.105378769900837e-14},
     (1, Fraction(1, 4), Fraction(1, 4), 8, 0.07): {
         "left_action": 5.0242958677880805e-15,
         "right_action": 5.0242958677880805e-15,
         "inner_left": 11.601489920928183,
         "inner_right": 47.38630976451803,
-        "membership_transport": 1.3113797212790068e-14,
-        "source_membership": 2.6662482709645734},
+        "membership_transport": 1.3113797212790068e-14},
 }
 
 
 @pytest.mark.parametrize(
     "key", sorted(PINNED),
     ids=lambda k: f"c{k[0]}-r{k[3]}" + (f"-u{k[4]}" if k[4] else ""))
-def test_preservation_report_is_pinned(key):
+def test_preservation_report_is_pinned(key, monkeypatch):
     c, su, sv, refinement, broken_u = key
     grid = morita_grid(Params.from_steps(c, su, sv), refinement)
-    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201,
-                                       broken_u=broken_u)
+    if broken_u:
+        inject_broken_unitary(monkeypatch, broken_u)
+    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201)
     got = {name: chk["violation"] for name, chk in rep["checks"].items()}
     assert got == PINNED[key]
