@@ -9,8 +9,8 @@ keeps every translation in the star products an exact index map.
 Each component is one (depth + 1, nxd, ny) x-derivative chain, as in
 ScalarField (see jets), so the derivations are exact on elements built from
 closed forms.  A batch of elements (AlgebraElement.stack) carries one more
-axis before y, (depth + 1, nxd, B, ny); the bimodule kernels take it as it
-is, and AlgebraElement.members splits it again.
+axis before y, (depth + 1, nxd, B, ny); star and the bimodule kernels take
+it as it is, and AlgebraElement.members splits it again.
 """
 
 from __future__ import annotations
@@ -241,9 +241,9 @@ def window(chain: Optional[Chain], flavor: str, grid: Grid, p: int,
 
 def _runs(chain: Chain):
     """[lo, hi) bounds of the maximal runs of rows of a component where
-    some chain entry is nonzero, ascending."""
+    some chain entry is nonzero (of any member of a batch), ascending."""
     rows = np.zeros(chain.shape[1] + 2, np.int8)
-    rows[1:-1] = np.any(chain, axis=(0, 2))
+    rows[1:-1] = np.any(chain, axis=(0,) + tuple(range(2, chain.ndim)))
     edges = np.flatnonzero(rows[1:] != rows[:-1]).tolist()
     return list(zip(edges[0::2], edges[1::2]))
 
@@ -298,6 +298,10 @@ def star(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     rows of the pair's term are zero.  The runs of each component are found
     once per element (AlgebraElement.runs), and each pair intersects them
     as integer intervals.
+
+    Either operand may be a batch (AlgebraElement.stack), the other then
+    gaining a singleton batch axis: member i is the product of members i bit
+    for bit, as the runs' padding adds +-0 onto accumulators that start at +0.
     """
     a._check(b)
     g = a.grid
@@ -316,10 +320,11 @@ def star(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             # window row i reads row (i + dxs) mod N of component r
             for lo, hi in _intersect_runs(a_runs, _shifted_runs(b_runs[r], dxs, N)):
                 bw = b.eval_window(r, lo, hi, dxs, dys, d)
+                term = jets.mul(aq[:, lo:hi], bw)
                 acc = comps.get(q + r)
                 if acc is None:
-                    acc = comps[q + r] = np.zeros((d + 1, N, g.ny), complex)
-                acc[:, lo:hi] += jets.mul(aq[:, lo:hi], bw)
+                    acc = comps[q + r] = np.zeros((d + 1, N) + term.shape[2:], complex)
+                acc[:, lo:hi] += term
     return AlgebraElement(a.flavor, g, comps)
 
 
@@ -339,15 +344,17 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
 
 
 def derive_component(w: str, a: AlgebraElement, p: int,
-                     depth: Optional[int] = None) -> Chain:
+                     depth: Optional[int] = None, rows=slice(None)) -> Chain:
     """Chain of component p of derivation(w, a), to order `depth` if given
-    (and the chain reaches it).  Order n of a derivation reads no order of
-    the component above n (n + 1 for delta_Y), so the cut is exact."""
+    (and the chain reaches it), on the domain rows `rows` (slice or indices).
+    Order n of a derivation reads no order of the component above n (n + 1
+    for delta_Y), and each row only itself, so both cuts are exact."""
     g = a.grid
     c = g.params.c
     chain = a.comps[p]
     if depth is not None:
         chain = chain[:depth + 1 + (w == "Y")]
+    chain = chain[:, rows]
     if w == "Z":
         return 2j * math.pi * p * c * chain
     if w == "Y":
@@ -356,7 +363,7 @@ def derive_component(w: str, a: AlgebraElement, p: int,
         raise ValueError(f"unknown Lie label {w!r}")
     # the x-factor and the order factors broadcast over a batch axis too
     ones = (1,) * (chain.ndim - 2)
-    xs = (np.arange(g.nx_unit) * g.hx_f - p * float(g.params.su) / 2).reshape((-1,) + ones)
+    xs = (np.arange(g.nx_unit)[rows] * g.hx_f - p * float(g.params.su) / 2).reshape((-1,) + ones)
     z = 2j * math.pi * c * p
     out = z * xs * chain
     out -= spectral_dy(chain, g)

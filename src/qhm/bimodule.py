@@ -35,16 +35,6 @@ from .lattice import ScalarField
 ModuleVector = ScalarField
 
 
-def _aligned(a: jets.Chain, b: jets.Chain):
-    """The two chains with as many axes each: an unbatched one gains a
-    singleton batch axis."""
-    if a.ndim == b.ndim:
-        return a, b
-    if a.ndim < b.ndim:
-        return a[:, :, None], b
-    return a, b[:, :, None]
-
-
 def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
     """D-valued inner product of two module vectors.
 
@@ -64,8 +54,7 @@ def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
         lo = max(f.i0, g.i0 + p * S)
         hi = min(f.i1, g.i1 + p * S)
         b = g.chain[:d + 1, lo - p * S - g.i0:hi - p * S - g.i0][..., grid.y_roll(p * V)]
-        term = jets.mul(*_aligned(f.chain[:d + 1, lo - f.i0:hi - f.i0],
-                                  np.conj(b, out=b)))
+        term = jets.mul(f.chain[:d + 1, lo - f.i0:hi - f.i0], np.conj(b, out=b))
         acc = np.zeros((d + 1, N) + term.shape[2:], complex)
         for k in range(lo // N, (hi - 1) // N + 1):
             r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
@@ -93,9 +82,8 @@ def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
     for p in range(-((f.i1 - g.i0 - 1) // N), (g.i1 - f.i0 - 1) // N + 1):
         lo = max(f.i0, g.i0 - p * N)
         hi = min(f.i1, g.i1 - p * N)
-        term = jets.mul(*_aligned(
-            np.conj(f.chain[:d + 1, lo - f.i0:hi - f.i0]),
-            g.chain[:d + 1, lo + p * N - g.i0:hi + p * N - g.i0]))
+        term = jets.mul(np.conj(f.chain[:d + 1, lo - f.i0:hi - f.i0]),
+                        g.chain[:d + 1, lo + p * N - g.i0:hi + p * N - g.i0])
         acc = np.zeros((d + 1, S) + term.shape[2:], complex)
         # rows [-kS, S - kS) of f land on [0, S)
         for k in range(-((hi - 1) // S), -(lo // S) + 1):
@@ -136,7 +124,7 @@ def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
     acc = None
     for q in qs:
         vals = psi.eval_window(q, f.i0 - q * N, f.i1 - q * N, depth=d)
-        term = jets.mul(*_aligned(np.conj(vals, out=vals), f.chain))
+        term = jets.mul(np.conj(vals, out=vals), f.chain)
         if acc is None:
             acc = np.zeros((d + 1, f.nx + (qs[-1] - qs[0]) * N) + term.shape[2:],
                            complex)
@@ -146,18 +134,24 @@ def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
 
 
 def _derived(w: Union[str, Sequence[str]], phi: AlgebraElement, q: int,
-             depth: int) -> jets.Chain:
+             depth: int, rows) -> jets.Chain:
     """Chain of component q of delta_w(phi) to order `depth` at most, or
     for a sequence of directions their chains batched direction by
     direction, each derived only to the orders the batch keeps (delta_Y
-    takes one)."""
-    if isinstance(w, str):
+    takes one).  delta_X, the one with a transform per row, is formed only
+    on the fundamental-domain rows `rows` (an index array, or a slice for
+    all) and is zero elsewhere; delta_Y and delta_Z, a shift and a scaling,
+    cost less on every row than a gather and a scatter."""
+    ws = [w] if isinstance(w, str) else w
+    depth = min([depth] + [len(phi.comps[q]) - 1 - (v == "Y") for v in ws])
+    if isinstance(w, str) and (w != "X" or isinstance(rows, slice)):
         return derive_component(w, phi, q, depth)
-    depth = min([depth] + [len(phi.comps[q]) - 1 - (v == "Y") for v in w])
-    chains = [derive_component(v, phi, q, depth) for v in w]
-    if chains[0].ndim == 3:
-        return np.stack(chains, axis=2)
-    return np.concatenate(chains, axis=2)
+    out = np.zeros((depth + 1, phi.nxd, len(ws)) + phi.comps[q].shape[2:], complex)
+    for k, v in enumerate(ws):
+        at = rows if v == "X" else slice(None)
+        out[:, at, k] = derive_component(v, phi, q, depth, at)
+    return out[:, :, 0] if isinstance(w, str) else out.reshape(
+        out.shape[:2] + (-1, out.shape[-1]))
 
 
 def act_right(g: ModuleVector, phi: AlgebraElement,
@@ -169,7 +163,9 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
     into a common buffer; phi's window is evaluated only to the depth of
     the product.  With w, each component of delta_w(phi) is formed inside
     the loop and windowed as a bare chain, so the derived element is never
-    held whole.  A sequence of directions gives one batch, direction by
+    held whole; delta_X, row-local like every derivation, is formed only
+    on the fundamental-domain rows the window reads (all of them once g
+    spans a unit).  A sequence of directions gives one batch, direction by
     direction: along w[k], member i of a batch phi of n members is member
     k n + i of the result (k for an unbatched phi).
     """
@@ -181,6 +177,9 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
     qs = phi.p_support
     if not qs:
         return _no_rows(g, phi, w)
+    N = grid.nx_unit
+    # the fundamental-domain rows that the windows of g's rows read
+    read = slice(None) if w is None or g.nx >= N else np.arange(g.i0, g.i1) % N
     lo = g.i0 - qs[-1] * S
     rows = g.nx + (qs[-1] - qs[0]) * S if g.nx else 0
     acc = None
@@ -189,13 +188,14 @@ def act_right(g: ModuleVector, phi: AlgebraElement,
         if w is None:
             chain, depth = phi.comps[q], phi.depth
         else:
-            chain = _derived(w, phi, q, g.depth)
+            chain = _derived(w, phi, q, g.depth, read)
             if not chain.any():  # a component that delta_w annihilates
                 continue
             depth = len(chain) - 1
         depths.append(depth)
         vals = window(chain, D_FLAVOR, grid, q, g.i0, g.i1, min(depth, g.depth))
-        term = jets.mul(*_aligned(g.chain, np.conj(vals, out=vals)))
+        del chain  # a derived batch, freed before the next one is formed
+        term = jets.mul(g.chain, np.conj(vals, out=vals))
         if acc is None:
             acc = np.zeros((g.depth + 1, rows) + term.shape[2:], complex)
         r0 = g.i0 - q * S - lo

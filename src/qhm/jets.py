@@ -41,8 +41,10 @@ def mul(a: Chain, b: Chain) -> Chain:
     out[n] = sum_j comb(n, j) a[j] b[n - j], formed for all n at once per
     j: each order's terms are added in ascending j onto +0.  The orders of
     the two factors broadcast against each other (a batch against a
-    singleton batch axis)."""
+    singleton batch axis, which an unbatched factor gains)."""
     a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != b.ndim:
+        a, b = (a[:, :, None], b) if a.ndim < b.ndim else (a, b[:, :, None])
     depth = min(len(a), len(b)) - 1
     shape = a.shape[1:]
     if b.shape[1:] != shape:

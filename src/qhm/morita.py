@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -303,17 +303,21 @@ def _maxdiff(a: SpectralVector, b: SpectralVector) -> float:
     return float(np.max(np.abs(a.samples - b.samples)))
 
 
-def membership_transport_defect(f: SpectralVector) -> float:
+def membership_transport_defect(f: SpectralVector,
+                                sf: Optional[SpectralVector] = None) -> float:
     """Violation of the E-subspace twist by S(f), with S evaluated from its
-    formula on both sides (the stored-sample extension would be circular)."""
+    formula on both sides (the stored-sample extension would be circular);
+    a caller that holds sf = map_S(f), the formula on [0, su), passes it."""
     g = f.grid
+    lhs = _S_rows(f, 0, g.su_steps) if sf is None else sf.samples
     rhs = g.twist(1, 1) * _S_rows(f, -g.su_steps, 0)[..., g.y_roll(g.sv_steps)]
-    return float(np.max(np.abs(_S_rows(f, 0, g.su_steps) - rhs)))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
                                  seed: int = 0, tol: float = 1e-10) -> Dict[str, object]:
-    """Measure the four preservation identities on seeded random members.
+    """Measure the four preservation identities on seeded random members,
+    and that S maps both source vectors f and g into the first subspace.
 
     The samples are evaluated as batches of at most lattice.GRID_BUDGET
     seed points (S * 2 nx_unit * ny), drawn in turn from term_streams(seed);
@@ -338,7 +342,8 @@ def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
                                    target_inner_L(sf, sg)),
             "inner_right": _maxdiff(map_H(source_inner_R(f, gv)),
                                     target_inner_R(sf, sg)),
-            "membership_transport": membership_transport_defect(f)})
+            "membership_transport": np.max([membership_transport_defect(f, sf),
+                                            membership_transport_defect(gv, sg)])})
     # np.max keeps a NaN, which max() drops behind a number
     worst = {k: float(np.max([b[k] for b in batches])) for k in batches[0]}
     checks = {k: {"violation": v, "tol": tol, "pass": bool(v <= tol)}

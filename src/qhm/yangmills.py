@@ -11,7 +11,10 @@ of E vanish.  As <R,R>_E = Id, f = R . <R,f>_D, so for T in E and
 t = <R, T . R>_D the commutator [nabla0_W, T] is the element
 <R . delta_W(t), R>_E (Connes-Rieffel); a multiplication-type perturbation
 G adds G * T - T * G.  The residuals are the elements' sup-norms over the
-curvature scale.
+curvature scale.  The three components T of n connections pass through
+the kernels as one batch of 3 n members, laid out direction-major by
+act_right, and G * T and T * G are one batched star each; each equation
+adds its terms pair by pair in the bracket table's order.
 """
 
 from __future__ import annotations
@@ -28,17 +31,13 @@ from .calculus import (Connection, Curvature2Form, curvature_closed,
 BASIS = ("X", "Y", "Z")
 
 
-def pair_forms(a: Curvature2Form, b: Curvature2Form) -> AlgebraElement:
-    """{A,B}_E = sum over basis 2-vectors of A(Zi^Zj) * B(Zi^Zj)."""
-    if a.xy.grid != b.xy.grid:
-        raise ValueError("grid mismatch")
-    return star(a.xy, b.xy) + star(a.xz, b.xz) + star(a.yz, b.yz)
-
-
 def ym_of_curvature(theta: Curvature2Form) -> float:
+    """-tau_E({Theta, Theta}_E): the three products Theta(Zi^Zj) * Theta(Zi^Zj)
+    are one 3-member star, added xy + xz + yz."""
     # trace reads order 0, and order 0 of a product is a[0] * b[0]
-    theta = Curvature2Form(theta.xy.upto(0), theta.xz.upto(0), theta.yz.upto(0))
-    val = -trace(pair_forms(theta, theta))
+    comps = AlgebraElement.stack([t.upto(0) for t in (theta.xy, theta.xz, theta.yz)])
+    xy, xz, yz = star(comps, comps).members(3)
+    val = -trace(xy + xz + yz)
     scale = max(abs(val), 1.0)
     if abs(val.imag) > 1e-10 * scale:
         raise ValueError(f"YM value is not real ({val.imag:.2e}); "
@@ -62,10 +61,10 @@ def euler_lagrange_elements(nablas: Sequence[Connection],
     For j < k, T = Theta(Z_j ^ Z_k) enters equation j through [nabla_{Z_k}, T]
     and equation k through -[nabla_{Z_j}, T]; one t = <R, T . R>_D serves
     both, and the perturbation's elements are built once.  The connections
-    share R, so the T of all of them pass through the bimodule kernels as
-    one batch (AlgebraElement.stack), and both directions of each pair as
-    one act_right.  Each product is formed to the chain order it reads: the
-    elements are read at order 0, and delta_Y t reads order 1 of t.
+    share R, so T of pair k and connection i is member k n + i of one batch
+    (AlgebraElement.stack), and [nabla0_W, T] member 3 n W + k n + i of one
+    act_right along (X, Y, Z).  Each product is formed to the chain order
+    it reads: the elements are read at order 0, and delta_Y t reads order 1.
     """
     R = nablas[0].R
     if any(nabla.R is not R for nabla in nablas):
@@ -73,32 +72,41 @@ def euler_lagrange_elements(nablas: Sequence[Connection],
     grid = R.grid
     c = grid.params.c
     n = len(nablas)
+    pairs = list(combinations(BASIS, 2))
+    ts = [theta.component(a, b) for a, b in pairs for theta in thetas]
+    m = len(ts)
     R0, R1 = R.upto(0), R.upto(1)
+    # [nabla0_W, T] = <R . delta_W(t_hat), R>_E, t_hat = <R, T . R>_D
+    t_hat = inner_D(R1, act_left(AlgebraElement.stack([t.upto(1) for t in ts]), R1))
+    inner = inner_E(act_right(R0, t_hat, BASIS), R0).members(3 * m)
+    del t_hat
     mults = [{} if nabla.perturbation is None else {
         j: mult_element(nabla.perturbation.component(j), 0) for j in BASIS}
         for nabla in nablas]
+    # G_w * T - T * G_w of each perturbed connection's T along both
+    # directions w of its pair, one batch
+    keys = [(k, w) for k in range(m) if mults[k % n] for w in pairs[k // n]]
+    mult_terms = {}
+    if keys:
+        G = AlgebraElement.stack([mults[k % n][w] for k, w in keys])
+        T = AlgebraElement.stack([ts[k] for k, _ in keys])
+        mult_terms = dict(zip(keys, (star(G, T) - star(T, G)).members(len(keys))))
+        del G, T
 
-    def commutator(inner: AlgebraElement, t: AlgebraElement,
-                   mult: Optional[AlgebraElement]):
-        if mult is None:
-            return inner
-        return inner + (star(mult, t) - star(t, mult))
+    def commutator(k: int, w: str) -> AlgebraElement:
+        out = inner[BASIS.index(w) * m + k]
+        return out + mult_terms[(k, w)] if (k, w) in mult_terms else out
 
     eqs = [{i: AlgebraElement.zero(E_FLAVOR, grid) for i in BASIS}
            for _ in nablas]
-    for a, b in combinations(BASIS, 2):
-        ts = [theta.component(a, b) for theta in thetas]
-        t_hat = inner_D(R1, act_left(AlgebraElement.stack(
-            [t.upto(1) for t in ts]), R1))
-        # [nabla0_W, T] = <R . delta_W(t_hat), R>_E along b, then along a
-        inner = inner_E(act_right(R0, t_hat, (b, a)), R0).members(2 * n)
+    for pair, (a, b) in enumerate(pairs):
         sign, lbl = bracket(a, b)
-        for i, t in enumerate(ts):
-            eq = eqs[i]
-            eq[a] = eq[a] + commutator(inner[i], t, mults[i].get(b))
-            eq[b] = eq[b] - commutator(inner[n + i], t, mults[i].get(a))
+        for i, eq in enumerate(eqs):
+            k = pair * n + i
+            eq[a] = eq[a] + commutator(k, b)
+            eq[b] = eq[b] - commutator(k, a)
             if sign:
-                eq[lbl] = eq[lbl] - t.scaled(sign * c)
+                eq[lbl] = eq[lbl] - ts[k].scaled(sign * c)
     return eqs
 
 

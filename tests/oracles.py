@@ -7,7 +7,10 @@ from the three nabla0_W R (calculus.curvature_closed); these independent
 routes check it.  The tests' helpers that no command runs live here too:
 the curvature by its operator definition, the commutator with a
 multiplication operator, the Laplacian of flavor D, an element comparison,
-the battery of random test vectors and a random perturbation.  The faults
+the battery of random test vectors and a random perturbation.  The
+2-form pairing as three separate star products is the reference that the
+batched products of yangmills.ym_of_curvature must equal bit for bit, and
+bits_equal compares two arrays to the sign of each zero.  The faults
 that the Morita tests inject live here as well: a source vector built and
 extended with a wrong unitary u.
 """
@@ -48,6 +51,21 @@ def commutator_mult(nabla0: Connection, g: TorusFunction, w: str,
     """[nabla0_W, G] f with G acting by its multiplication-type element."""
     t = mult_element(g, max(f.depth, 1))
     return connect(nabla0, w, act_left(t, f)) - act_left(t, connect(nabla0, w, f))
+
+
+def pair_forms(a: Curvature2Form, b: Curvature2Form) -> AlgebraElement:
+    """{A,B}_E = sum over basis 2-vectors of A(Zi^Zj) * B(Zi^Zj)."""
+    if a.xy.grid != b.xy.grid:
+        raise ValueError("grid mismatch")
+    return star(a.xy, b.xy) + star(a.xz, b.xz) + star(a.yz, b.yz)
+
+
+def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and the same bits in every entry: values, and the sign
+    of a zero in either part of a complex number."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 def laplacian(a: AlgebraElement) -> AlgebraElement:

@@ -21,7 +21,8 @@ from qhm.lattice import Params, ScalarField, make_grid, spectral_dy
 from qhm.projection import build_R
 from qhm.random_fields import random_module_vector, random_torus_function
 
-from oracles import element_allclose, invariance_defect, laplacian, skew_defect
+from oracles import (bits_equal, element_allclose, invariance_defect, laplacian,
+                     skew_defect)
 
 
 @pytest.fixture()
@@ -373,3 +374,50 @@ def test_star_and_derivations_match_full_window_bitwise(params, refinement):
     with pytest.raises(ValueError, match="chain exhausted"):
         derivation("Y", d0)
 
+
+
+def _assert_members_bitwise(batch, members):
+    """Member i of a batched result is members[i] to the batch's depth, to
+    the sign of each zero; a component a member lacks is absent or zero."""
+    d = batch.depth
+    for i, (got, want) in enumerate(zip(batch.members(len(members)), members)):
+        want = want.upto(d)
+        assert set(got.comps) == {p for p, c in want.comps.items() if c.any()}, i
+        for p in got.comps:
+            assert bits_equal(got.comps[p], want.comps[p]), (i, p)
+
+
+@pytest.mark.parametrize("refinement", [3, 9, 27])
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["c1", "c2"])
+def test_batched_star_matches_its_members_bitwise(params, refinement):
+    # Members of several components each, with unequal p-supports, row
+    # runs that wrap or split, and depths 2, 1 and 0, and one zero member:
+    # a batch against a batch, and each against an unbatched element.
+    grid = make_grid(params, refinement, pairwise=True)
+    rng = np.random.default_rng(100 + refinement)
+    R = build_R(params, grid)
+    f = random_module_vector(grid, rng, y_modes=1, max_shift_units=1)
+    members = {}
+    for flavor in (D_FLAVOR, E_FLAVOR):
+        nxd = AlgebraElement.domain_steps(flavor, grid)
+        members[flavor] = [
+            _sparse_element(flavor, grid, rng, {-1: [-1, 0], 0: [nxd // 2],
+                                                2: [0, nxd // 2, -2]}, 2),
+            _sparse_element(flavor, grid, rng, {0: [-2, -1, 0],
+                                                1: list(range(nxd))}, 1),
+            AlgebraElement.zero(flavor, grid),
+            _sparse_element(flavor, grid, rng, {-2: [-1, 0, 1], 1: [3]}, 0),
+        ]
+    members[D_FLAVOR].append(inner_D(R, f))
+    members[E_FLAVOR].append(inner_E(f, R))
+    for elems in members.values():
+        assert len({tuple(e.p_support) for e in elems}) == len(elems)
+        others = elems[1:] + elems[:1]
+        batch, other = AlgebraElement.stack(elems), AlgebraElement.stack(others)
+        _assert_members_bitwise(star(batch, other),
+                                [star(a, b) for a, b in zip(elems, others)])
+        for single in (elems[0], elems[-1]):
+            _assert_members_bitwise(star(batch, single),
+                                    [star(a, single) for a in elems])
+            _assert_members_bitwise(star(single, batch),
+                                    [star(single, b) for b in elems])

@@ -20,7 +20,7 @@ from qhm.lattice import Params, ScalarField, make_grid, y_bandwidth
 from qhm.projection import build_R
 from qhm.random_fields import random_module_vector
 
-from oracles import make_battery
+from oracles import bits_equal, make_battery
 
 
 @pytest.fixture()
@@ -390,3 +390,39 @@ def test_zero_left_action_keeps_its_batch_axis(params, refinement):
     assert (zero.nx, zero.chain.shape[2:]) == (0, (3, grid.ny))
     assert act_left(inner_E(R, R), ScalarField.zeros(grid, 2)).chain.shape[2:] \
         == (grid.ny,)
+
+
+@pytest.mark.parametrize("refinement", [3, 9, 27])
+@pytest.mark.parametrize("params", BATCH_PARAMS, ids=["c1", "c2", "c3"])
+def test_derived_right_action_reads_only_its_rows_bitwise(params, refinement):
+    # act_right along w derives phi only on the fundamental-domain rows
+    # that the windows of g's rows read; it must give, to the sign of each
+    # zero, act_right on the element derived on every row.  The vectors
+    # wrap across x = 0 (R), sit inside one unit, and span more than a
+    # unit, where every row is derived.
+    grid = make_grid(params, refinement, pairwise=True)
+    N = grid.nx_unit
+    rng = np.random.default_rng(300 + refinement)
+    R = build_R(params, grid)
+
+    def field(i0, nx):
+        shape = (3, nx, grid.ny)
+        return ScalarField(grid, i0, rng.normal(size=shape)
+                           + 1j * rng.normal(size=shape))
+
+    inside, wide = field(1, max(1, N // 3)), field(-2, N + 3)
+    assert R.i0 < 0 < R.i1 and R.nx < N
+    phi = inner_D(R, wide)
+    phi_b = AlgebraElement.stack([phi, inner_D(R, R)])
+    for v in (R, inside, wide):
+        for a in (phi, phi_b):
+            derived = {w: act_right(v, derivation(w, a)) for w in "XYZ"}
+            for w in "XYZ":
+                got = act_right(v, a, w)
+                assert (got.i0, got.nx) == (derived[w].i0, derived[w].nx)
+                assert bits_equal(got.chain, derived[w].chain)
+        seq = act_right(v, phi, ("X", "Y", "Z"))
+        d = seq.depth
+        for k, w in enumerate("XYZ"):
+            want = act_right(v, derivation(w, phi)).window(seq.i0, seq.i1)
+            assert bits_equal(seq.chain[:, :, k], want[:d + 1]), w

@@ -109,10 +109,11 @@ def test_preservation_holds_on_the_morita_grid(c, su, sv, refinement):
 def test_a_nan_violation_fails(grid2, monkeypatch):
     # max(0.0, nan) is 0.0: a NaN behind a number must not read as a pass.
     # One sample of grid2 holds 2 * 8 * 8 = 128 seed points, so this budget
-    # makes two batches of one.
-    values = iter([0.0, float("nan")])
+    # makes two batches of one, each measuring f and then g; the NaN is
+    # the second batch's g.
+    values = iter([0.0, 0.0, 0.0, float("nan")])
     monkeypatch.setattr(morita, "membership_transport_defect",
-                        lambda f: next(values))
+                        lambda f, sf=None: next(values))
     monkeypatch.setattr(lattice, "GRID_BUDGET", 128)
     rep = verify_bimodule_preservation(grid2, sample_count=2, seed=0)
     chk = rep["checks"]["membership_transport"]
@@ -162,7 +163,7 @@ def test_verification_flags_broken_unitary(grid2, monkeypatch):
     rep = verify_bimodule_preservation(grid2, sample_count=5, seed=3)
     assert not rep["all_pass"]
     failing = {name for name, chk in rep["checks"].items() if not chk["pass"]}
-    assert failing == {"inner_left", "inner_right"}
+    assert failing == {"inner_left", "inner_right", "membership_transport"}
 
 
 def test_verification_deterministic(grid2):
@@ -464,7 +465,7 @@ PINNED = {
         "right_action": 5.0242958677880805e-15,
         "inner_left": 11.601489920928183,
         "inner_right": 47.38630976451803,
-        "membership_transport": 1.3113797212790068e-14},
+        "membership_transport": 2.666248270964571},
 }
 
 

@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qhm.algebra import AlgebraElement, E_FLAVOR, bracket, star
+from qhm.algebra import AlgebraElement, E_FLAVOR, bracket, star, trace
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import (Connection, Curvature2Form, Perturbation,
                           curvature_closed, curvature_of, extract_f1_f2,
@@ -18,11 +18,13 @@ from qhm.laplace import (assemble_rhs, build_perturbation, solve_poisson,
 from qhm.lattice import Grid, Params, ScalarField, TorusFunction, make_grid
 from qhm.projection import build_R
 from qhm.random_fields import random_torus_function
+from qhm import yangmills
 from qhm.yangmills import (BASIS, Residuals, critical_residuals,
-                           euler_lagrange_elements, pair_forms,
-                           ym_of_curvature, ym_value)
-from oracles import (euler_lagrange_apply, first_variation, make_battery,
-                     random_perturbation, ym_directional)
+                           euler_lagrange_elements, ym_of_curvature,
+                           ym_value)
+from oracles import (bits_equal, euler_lagrange_apply, first_variation,
+                     make_battery, pair_forms, random_perturbation,
+                     ym_directional)
 
 
 @pytest.fixture()
@@ -54,7 +56,6 @@ def test_ym_scales_quartically_in_flat_background(grid2, R2, rng):
 
 
 def test_pairing_symmetric_under_trace(perturbed, grid2, R2, rng):
-    from qhm.algebra import trace
     ta = curvature_of(perturbed)
     tb = curvature_of(Connection(R2, random_perturbation(grid2, rng)))
     ab = trace(pair_forms(ta, tb))
@@ -217,11 +218,12 @@ def _elements_reference(nabla, theta):
                                        (3, "1/5", "1/3")])
 def test_batched_residuals_equal_the_one_at_a_time_reference(c, su, sv,
                                                              refinement):
-    # Both connections pass through the kernels as one batch and every
-    # product is formed only to the order read; the values (order 0) of the
-    # elements, and so the residuals, must be those of the reference bit
-    # for bit.  At refinements 1 and 2 the curvature vanishes and the
-    # elements are empty.
+    # The three components of both connections pass through the kernels as
+    # one batch and every product is formed only to the order read; the
+    # values (order 0) of the elements, to the sign of each zero, and so the
+    # residuals, must be those of the reference bit for bit.  At
+    # refinements 1 and 2 the curvature vanishes and the elements are
+    # empty.
     params = Params.from_steps(c, Fraction(su), Fraction(sv))
     R = build_R(params, make_grid(params, refinement))
     rep = verify_critical(R)
@@ -233,8 +235,8 @@ def test_batched_residuals_equal_the_one_at_a_time_reference(c, su, sv,
         for i in BASIS:
             assert eqs[i].depth == 0
             for p in set(eqs[i].comps) | set(ref[i].comps):
-                assert np.array_equal(eqs[i].component(p, 0),
-                                      ref[i].component(p, 0)), (i, p)
+                assert bits_equal(eqs[i].component(p, 0),
+                                  ref[i].component(p, 0)), (i, p)
     want = []
     for theta, ref in zip(thetas, refs):
         scale = max(theta0.norm_inf(), theta.norm_inf(), 1e-30)
@@ -244,6 +246,37 @@ def test_batched_residuals_equal_the_one_at_a_time_reference(c, su, sv,
     assert [rep["residuals"], rep["residuals_grassmannian"]] == \
         [asdict(res) for res in want]
     assert (want[1].r3 > 1) == (refinement > 2)
+
+
+@pytest.mark.parametrize("c, su, sv", [(1, "1/4", "1/4"), (3, "1/5", "1/3")])
+def test_ym_pairs_the_components_as_one_batch_bitwise(c, su, sv, monkeypatch):
+    # ym_of_curvature forms the three products in one batched star; the
+    # element it traces must be the pairing as three separate products,
+    # added xy + xz + yz, to the sign of each zero, and so must its value.
+    # Theta(X,Z) is zero to rounding for the constructed and the
+    # Grassmannian connection, so only the random perturbation, whose
+    # Theta(X,Z) is O(1), sees the order of the sum.
+    traced = []
+    monkeypatch.setattr(yangmills, "trace",
+                        lambda a: traced.append(a) or trace(a))
+    params = Params.from_steps(c, Fraction(su), Fraction(sv))
+    grid = make_grid(params, 27)
+    R = build_R(params, grid)
+    rep = verify_critical(R)
+    rng = np.random.default_rng(c)
+    for nabla in (Connection(R, rep["perturbation"]), Connection(R),
+                  Connection(R, random_perturbation(grid, rng))):
+        theta = curvature_of(nabla, rep["theta0"], 0)
+        # trace reads order 0 of the pairing, which YM forms alone
+        cut = Curvature2Form(*(t.upto(0) for t in (theta.xy, theta.xz, theta.yz)))
+        want = pair_forms(cut, cut)
+        assert -trace(want).real > 1
+        assert ym_of_curvature(theta) == -trace(want).real
+        got = traced[-1]
+        assert set(got.comps) == set(want.comps)
+        for p in want.comps:
+            assert bits_equal(got.comps[p], want.comps[p]), p
+    assert theta.xz.norm_inf() > 0.1
 
 
 def test_residuals_need_connections_that_share_r(params, grid9, R9):
