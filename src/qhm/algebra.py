@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .jets import Chain
-from .lattice import CHAIN_DEPTH, Grid, TorusFunction, chain_dx, spectral_dy
+from .lattice import CHAIN_DEPTH, Grid, chain_dx, spectral_dy
 
 D_FLAVOR = "D"
 E_FLAVOR = "E"
@@ -153,17 +153,6 @@ class AlgebraElement:
                    {p: np.stack([e.component(p, d) for e in elems], axis=2)
                     for p in ps})
 
-    @classmethod
-    def from_torus(cls, g: TorusFunction, depth: int = CHAIN_DEPTH) -> "AlgebraElement":
-        """Multiplication-type E-element G*delta_0 from a skew-torus function."""
-        return cls(E_FLAVOR, g.grid, {0: g.derivative_chain(depth)})
-
-    def as_torus(self) -> TorusFunction:
-        """p=0 component of an E-element as a skew-torus function."""
-        if self.flavor != E_FLAVOR:
-            raise FlavorError("as_torus needs flavor E")
-        return TorusFunction(self.grid, self.component(0, 0)[0])
-
     # -- linear structure ------------------------------------------------
 
     def _check(self, other: "AlgebraElement"):
@@ -188,20 +177,9 @@ class AlgebraElement:
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self._combine(other, operator.sub)
 
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.flavor, self.grid,
-                              {p: -c for p, c in self.comps.items()})
-
     def scaled(self, z: complex) -> "AlgebraElement":
         return AlgebraElement(self.flavor, self.grid,
                               {p: z * c for p, c in self.comps.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return star(self, other)
-        return self.scaled(other)
-
-    __rmul__ = scaled
 
     # -- twisted-periodic evaluation -------------------------------------
 

@@ -32,10 +32,8 @@ from . import jets
 from .algebra import AlgebraElement, D_FLAVOR, E_FLAVOR, derive_component, window
 from .lattice import ScalarField
 
-ModuleVector = ScalarField
 
-
-def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
+def inner_D(f: ScalarField, g: ScalarField) -> AlgebraElement:
     """D-valued inner product of two module vectors.
 
     Component p is one Leibniz product on the rows where f and the
@@ -64,7 +62,7 @@ def inner_D(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
     return AlgebraElement(D_FLAVOR, grid, comps)
 
 
-def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
+def inner_E(f: ScalarField, g: ScalarField) -> AlgebraElement:
     """E-valued inner product of two module vectors.
 
     Component p is one Leibniz product on the rows where f and the
@@ -94,8 +92,8 @@ def inner_E(f: ModuleVector, g: ModuleVector) -> AlgebraElement:
     return AlgebraElement(E_FLAVOR, grid, comps)
 
 
-def _no_rows(g: ModuleVector, phi: AlgebraElement, w=None,
-             depth: int = 0) -> ModuleVector:
+def _no_rows(g: ScalarField, phi: AlgebraElement, w=None,
+             depth: int = 0) -> ScalarField:
     """The zero of act_left and act_right: no rows, with the batch axis of
     a nonzero result."""
     batch = max([g.chain.shape[2:-1]] + [c.shape[2:-1] for c in phi.comps.values()])
@@ -105,7 +103,7 @@ def _no_rows(g: ModuleVector, phi: AlgebraElement, w=None,
                        np.zeros((depth + 1, 0) + batch + (g.grid.ny,), complex))
 
 
-def act_left(psi: AlgebraElement, f: ModuleVector) -> ModuleVector:
+def act_left(psi: AlgebraElement, f: ScalarField) -> ScalarField:
     """Left action of flavor E on a module vector.
 
     Term q is one Leibniz product on the rows of f moved by -q units, added
@@ -154,8 +152,8 @@ def _derived(w: Union[str, Sequence[str]], phi: AlgebraElement, q: int,
         out.shape[:2] + (-1, out.shape[-1]))
 
 
-def act_right(g: ModuleVector, phi: AlgebraElement,
-              w: Union[None, str, Sequence[str]] = None) -> ModuleVector:
+def act_right(g: ScalarField, phi: AlgebraElement,
+              w: Union[None, str, Sequence[str]] = None) -> ScalarField:
     """Right action of flavor D on a module vector: g . phi, or
     g . delta_w(phi) when a derivation direction w is given.
 

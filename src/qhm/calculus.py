@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import AlgebraElement, E_FLAVOR
-from .bimodule import ModuleVector, act_left, act_right, inner_D, inner_E
+from .bimodule import act_left, act_right, inner_D, inner_E
 from .lattice import CHAIN_DEPTH, ScalarField, TorusFunction
 from .projection import grassmann_apply
 
@@ -55,22 +55,10 @@ class Perturbation:
     def component(self, w: str) -> TorusFunction:
         return {"X": self.g1, "Y": self.g2, "Z": self.g3}[w]
 
-    def scaled(self, t: float) -> "Perturbation":
-        return Perturbation(t * self.g1, t * self.g2, t * self.g3)
-
-    def __add__(self, other: "Perturbation") -> "Perturbation":
-        return Perturbation(self.g1 + other.g1, self.g2 + other.g2,
-                            self.g3 + other.g3)
-
-    @classmethod
-    def zero(cls, grid) -> "Perturbation":
-        z = TorusFunction.zeros(grid)
-        return cls(z, z, z)
-
 
 @dataclass(frozen=True)
 class Connection:
-    R: ModuleVector
+    R: ScalarField
     perturbation: Optional[Perturbation] = None
 
     @property
@@ -78,13 +66,15 @@ class Connection:
         return self.R.grid
 
 
-def mult_element(g: TorusFunction, depth: int = CHAIN_DEPTH) -> AlgebraElement:
-    return AlgebraElement.from_torus(g, depth)
+def mult_element(g: TorusFunction, depth: int) -> AlgebraElement:
+    """Multiplication-type E-element G delta_0 of a skew-torus function,
+    with G's spectral x-derivative chain to `depth`."""
+    return AlgebraElement(E_FLAVOR, g.grid, {0: g.derivative_chain(depth)})
 
 
-def connect(nabla: Connection, w: str, f: ModuleVector,
+def connect(nabla: Connection, w: str, f: ScalarField,
             phi: Optional[AlgebraElement] = None,
-            mult: Optional[AlgebraElement] = None) -> ModuleVector:
+            mult: Optional[AlgebraElement] = None) -> ScalarField:
     """Apply the connection along basis direction w.
 
     A caller applying it along several directions can build phi = <R, f>_D
@@ -114,14 +104,14 @@ class Curvature2Form:
         if (w1, w2) in table:
             return table[(w1, w2)]
         if (w2, w1) in table:
-            return -table[(w2, w1)]
+            return table[(w2, w1)].scaled(-1)
         return AlgebraElement.zero(E_FLAVOR, self.xy.grid)
 
     def norm_inf(self) -> float:
         return float(np.max([t.norm_inf() for t in (self.xy, self.xz, self.yz)]))
 
 
-def curvature_closed(R: ModuleVector) -> Curvature2Form:
+def curvature_closed(R: ScalarField) -> Curvature2Form:
     """Grassmannian curvature from the three v_W = R . delta_W <R,R>_D, one
     batch of one act_right, paired in one six-member inner_E of
     (vX, vX, vY | vY, vZ, vZ) against (vY, vZ, vZ | vX, vX, vY): XY, XZ, YZ
@@ -136,7 +126,7 @@ def curvature_closed(R: ModuleVector) -> Curvature2Form:
 
 
 def curvature_perturbed(theta0: Curvature2Form, pert: Perturbation,
-                        c: int, depth: int = CHAIN_DEPTH) -> Curvature2Form:
+                        c: int, depth: int) -> Curvature2Form:
     """Assemble the curvature of nabla0 + G from the Grassmannian one, with
     the multiplication elements' chains to `depth`, the order its reader
     takes: 0 for YM, 1 for the criticality residuals.

@@ -118,7 +118,7 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 kv = _parse_kv(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     c = _intval(kv, "c", 1)
     hbar = _frac(kv, "hbar", "1")
@@ -192,11 +192,21 @@ def _jsonable(obj):
     return obj
 
 
+class OutputError(RuntimeError):
+    """A report or CSV cannot be written under the output directory."""
+
+
+def _write_text(path: str, text: str):
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
+
+
 def _write_report(path: str, report: Dict[str, object]):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n")
 
 
 def _write_torus_csv(path: str, g: TorusFunction):
@@ -208,9 +218,7 @@ def _write_torus_csv(path: str, g: TorusFunction):
                                              g.samples.imag.tolist())):
         x = repr(i * grid.hx_f)
         lines += [f"{x},{y},{re!r},{im!r}" for y, re, im in zip(ys, re_row, im_row)]
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _tamper(elem: AlgebraElement) -> AlgebraElement:
@@ -386,7 +394,7 @@ def _solve_at(cfg: RunConfig, refinement: int):
     try:
         rep = verify_critical(build_R(cfg.params, grid))
     except (StructureError, ValueError) as exc:
-        raise PipelineError("critical-point construction", str(exc)) from exc
+        raise PipelineError(f"stage 'critical-point construction' failed: {exc}") from exc
     res = rep["residuals"]
     cor = rep["laplace_form"] = laplace_form_residuals(
         rep["f1"], rep["f2"], rep["perturbation"], cfg.params.c)
@@ -441,8 +449,7 @@ def run_solve(cfg: RunConfig, sweep: bool = False) -> Dict[str, object]:
 
 
 class PipelineError(RuntimeError):
-    def __init__(self, stage: str, detail: str):
-        super().__init__(f"stage '{stage}' failed: {detail}")
+    """A stage of a command failed; the message names the stage."""
 
 
 # morita -------------------------------------------------------------------
@@ -468,7 +475,7 @@ def run_morita(cfg: RunConfig) -> Dict[str, object]:
             grid, cfg.morita_sample_count, seed=cfg.seed,
             tol=cfg.tolerances["morita"])
     except MoritaGridError as exc:
-        raise PipelineError("morita grid", str(exc)) from exc
+        raise PipelineError(f"stage 'morita grid' failed: {exc}") from exc
     rep["command"] = "morita"
     rep["config"] = _config_summary(cfg)
     rep["grid"] = {"nx_unit": grid.nx_unit, "ny": grid.ny}
@@ -510,14 +517,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             report = run_morita(cfg)
             out_name = "morita_report.json"
+        _write_report(os.path.join(cfg.out, out_name), report)
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except WindowOverflowError as exc:
         print(f"grid error: {exc}", file=sys.stderr)
         return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
-    _write_report(os.path.join(cfg.out, out_name), report)
     ok = bool(report.get("all_pass", False))
     print(f"{args.command}: {'ok' if ok else 'FAIL'} "
           f"(report: {os.path.join(cfg.out, out_name)})")

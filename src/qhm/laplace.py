@@ -35,10 +35,9 @@ from typing import Dict
 
 import numpy as np
 
-from .bimodule import ModuleVector
 from .calculus import (Connection, Perturbation, curvature_closed, curvature_of,
                        extract_f1_f2)
-from .lattice import Grid, TorusFunction
+from .lattice import ScalarField, TorusFunction
 from .yangmills import critical_residuals, ym_of_curvature
 
 
@@ -57,11 +56,6 @@ def assemble_rhs(f1: TorusFunction, f2: TorusFunction, c: int) -> PoissonRHS:
     return PoissonRHS(w=w_full - m, a0=a0, discarded_mean=m)
 
 
-def laplace_eigenvalues(grid: Grid) -> np.ndarray:
-    """Eigenvalue of d2/dx2 + d2/dy2 on each dual character (fft layout)."""
-    return TorusFunction.spectral_table(grid, "laplace")
-
-
 # Largest Poisson residual, relative to the right side, that G3 may leave.
 POISSON_TOL = 1e-9
 
@@ -74,7 +68,7 @@ def solve_poisson(rhs: PoissonRHS) -> TorusFunction:
     scale = max(float(np.max(np.abs(co))), 1e-300)
     if abs(co[0, 0]) > 1e-12 * scale:
         raise ValueError(f"Poisson right side has nonzero mean ({co[0, 0]:.2e})")
-    lam = laplace_eigenvalues(grid)
+    lam = grid.laplace_multiplier
     out = np.zeros_like(co)
     mask = np.abs(lam) > 1e-12
     np.divide(co, lam, out=out, where=mask)
@@ -100,7 +94,7 @@ def build_perturbation(f1: TorusFunction, g3: TorusFunction, c: int) -> Perturba
     return Perturbation(g1, TorusFunction.zeros(f1.grid), g3 + k / c)
 
 
-def verify_critical(R: ModuleVector) -> Dict[str, object]:
+def verify_critical(R: ScalarField) -> Dict[str, object]:
     """Run the full construction and measure criticality of it and of the
     Grassmannian connection, both against one theta0."""
     c = R.grid.params.c

@@ -4,8 +4,15 @@ All translations that occur anywhere in the calculus (integer shifts, shifts
 by multiples of the deformation steps su, sv) are exact index maps on the
 grid, so the algebraic identities downstream hold at machine precision.
 Sampled fields carry a chain of exact x-derivatives, one (depth + 1, nx, ny)
-array (see jets); arithmetic propagates the chain by the Leibniz rule, which
+array (see jets); the kernels propagate the chain by the Leibniz rule, which
 keeps derivative-based identities exact as well.
+
+The Grid owns every table its grid determines, each built once and kept
+read-only: the y-samples, the twist phases and y-shift index maps, and the
+skew-torus tables of TorusFunction (the two shear phases of fft and
+from_fft, the d/dx multiplier and the Laplace eigenvalues).  There is one
+d/dy multiplier, Grid.dy_multiplier, for spectral_dy, for delta_X and for
+the torus.
 """
 
 from __future__ import annotations
@@ -39,6 +46,11 @@ BATTERY_SHIFT_UNITS = 1
 # grid may hold at most GRID_BUDGET points of that window (Grid).
 X_HALFWIDTH = 6
 GRID_BUDGET = 10_000_000
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class CommensurabilityError(ValueError):
@@ -116,8 +128,6 @@ class Grid:
                           compare=False)   # twist(a, b) by (a, b)
     _y_rolls: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)  # y_roll(s) by s mod ny
-    _spectral: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)  # TorusFunction.spectral_table by name
 
     def __post_init__(self):
         for step, unit in ((self.hx, Fraction(1)), (self.hx, self.params.su),
@@ -162,27 +172,72 @@ class Grid:
     @cached_property
     def ys(self) -> np.ndarray:
         """The y-samples j*hy of one period (read-only)."""
-        ys = np.arange(self.ny) * self.hy_f
-        ys.flags.writeable = False
-        return ys
+        return _read_only(np.arange(self.ny) * self.hy_f)
 
     @cached_property
     def dy_multiplier(self) -> np.ndarray:
         """2 pi i m on the y-modes m of one period (fft layout), zero on the
-        unmatched Nyquist mode: the multiplier of spectral_dy (read-only)."""
-        m = np.fft.fftfreq(self.ny, d=1.0 / self.ny)
+        unmatched Nyquist mode: the one d/dy multiplier, of spectral_dy and
+        of TorusFunction.d_dy (read-only)."""
+        m = self._y_modes()
         if self.ny % 2 == 0:
             m[self.ny // 2] = 0.0
-        mult = 2j * math.pi * m
-        mult.flags.writeable = False
-        return mult
+        return _read_only(2j * math.pi * m)
+
+    # The skew-torus tables: TorusFunction keeps its coefficients against
+    # the dual characters chi_{n,m}(x, y) = e(n x/su + m (y - (sv/su) x)),
+    # fft layout in (n, m), on the su_steps x ny fundamental-domain samples.
+    # chi_{n,m} has d/dx = 2 pi i kx and d/dy = 2 pi i m, kx = (n - sv m)/su.
+
+    def _y_modes(self) -> np.ndarray:
+        return np.fft.fftfreq(self.ny, d=1.0 / self.ny)
+
+    def _kx(self) -> np.ndarray:
+        n = np.fft.fftfreq(self.su_steps, d=1.0 / self.su_steps)
+        su, sv = float(self.params.su), float(self.params.sv)
+        return (n[:, None] - sv * self._y_modes()[None, :]) / su
+
+    def _skew_cycles(self) -> np.ndarray:
+        """(sv/su) x_i m on the fundamental domain: the shear of the skew
+        torus, in cycles."""
+        shear = float(self.params.sv / self.params.su) * self.x_of(np.arange(self.su_steps))
+        return np.outer(shear, self._y_modes())
+
+    @cached_property
+    def shear_phase(self) -> np.ndarray:
+        """e((sv/su) x m), the phase of TorusFunction.fft (read-only)."""
+        return _read_only(np.exp(2j * math.pi * self._skew_cycles()))
+
+    @cached_property
+    def shear_phase_inv(self) -> np.ndarray:
+        """e(-(sv/su) x m), the phase of TorusFunction.from_fft (read-only)."""
+        return _read_only(np.exp(-2j * math.pi * self._skew_cycles()))
+
+    @cached_property
+    def dx_multiplier(self) -> np.ndarray:
+        """2 pi i kx, the d/dx multiplier, zero on the unmatched Nyquist
+        slots of even-length axes: those are self-paired but carry a nonzero
+        label, so an odd operator must vanish there to keep Hermitian
+        symmetry (read-only)."""
+        mult = 2j * math.pi * self._kx()
+        if self.ny % 2 == 0:
+            mult[:, self.ny // 2] = 0.0
+        if self.su_steps % 2 == 0:
+            mult[self.su_steps // 2, :] = 0.0
+        return _read_only(mult)
+
+    @cached_property
+    def laplace_multiplier(self) -> np.ndarray:
+        """-4 pi^2 (kx^2 + m^2), the eigenvalues of d2/dx2 + d2/dy2 on the
+        dual characters (read-only)."""
+        ky = self._y_modes()[None, :]
+        return _read_only(-4.0 * math.pi ** 2 * (self._kx() ** 2 + ky ** 2))
 
     @cached_property
     def s_phase(self) -> np.ndarray:
         """e(c y^2 / sv) on the y-samples, the phase of morita.map_S (read-only)."""
-        ph = np.exp(2j * math.pi * self.params.c * self.ys ** 2 / float(self.params.sv))
-        ph.flags.writeable = False
-        return ph
+        return _read_only(np.exp(2j * math.pi * self.params.c * self.ys ** 2
+                                 / float(self.params.sv)))
 
     def twist(self, a: int, b: int) -> np.ndarray:
         """e(c a b (y - b sv/2)), e(t) = exp(2 pi i t): the twisted
@@ -193,9 +248,8 @@ class Grid:
         ph = self._twists.get((a, b))
         if ph is None:
             c, sv = self.params.c, float(self.params.sv)
-            ph = np.exp(2j * math.pi * c * a * b * (self.ys - b * sv / 2))
-            ph.flags.writeable = False
-            self._twists[(a, b)] = ph
+            ph = self._twists[(a, b)] = _read_only(
+                np.exp(2j * math.pi * c * a * b * (self.ys - b * sv / 2)))
         return ph
 
     def y_roll(self, s: int) -> np.ndarray:
@@ -206,9 +260,7 @@ class Grid:
         s %= self.ny
         idx = self._y_rolls.get(s)
         if idx is None:
-            idx = (np.arange(self.ny) - s) % self.ny
-            idx.flags.writeable = False
-            self._y_rolls[s] = idx
+            idx = self._y_rolls[s] = _read_only((np.arange(self.ny) - s) % self.ny)
         return idx
 
     def twisted_rows(self, rows: np.ndarray, lo: int, hi: int, cell: int,
@@ -289,8 +341,8 @@ class ScalarField:
 
     data[i, j] is the value at (x, y) = ((i0 + i)*hx, j*hy); y is periodic.
     `chain` is the (depth + 1, nx, ny) array whose entry n samples the exact
-    n-th x-derivative, data = chain[0].  Arithmetic propagates the chain
-    (Leibniz rule), so dx() stays exact through the calculus.  A batch of
+    n-th x-derivative, data = chain[0]; the kernels propagate the chain
+    (Leibniz rule), so it stays exact through the calculus.  A batch of
     fields on the same rows, as the bimodule kernels make from a batch of
     elements, is one (depth + 1, nx, B, ny) chain.
     """
@@ -397,28 +449,8 @@ class ScalarField:
     def __neg__(self) -> "ScalarField":
         return ScalarField(self.grid, self.i0, -self.chain)
 
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            return self._pointwise_mul(other)
-        return self.scaled(other)
-
-    __rmul__ = __mul__
-
     def scaled(self, z: complex) -> "ScalarField":
         return ScalarField(self.grid, self.i0, z * self.chain)
-
-    def _pointwise_mul(self, other: "ScalarField") -> "ScalarField":
-        self._check(other)
-        depth = min(self.depth, other.depth)
-        lo = max(self.i0, other.i0)
-        hi = min(self.i1, other.i1)
-        if hi <= lo:
-            return ScalarField.zeros(self.grid, depth)
-        return ScalarField(self.grid, lo, jets.mul(self.window(lo, hi),
-                                                   other.window(lo, hi))).trimmed()
-
-    def conj(self) -> "ScalarField":
-        return ScalarField(self.grid, self.i0, np.conj(self.chain))
 
     def shift_steps(self, kx: int, ky: int) -> "ScalarField":
         """result(x, y) = f(x + kx*hx, y + ky*hy); exact index move."""
@@ -431,16 +463,6 @@ class ScalarField:
         """Multiply by e(cycles*y + const) with e(t) = exp(2*pi*i*t)."""
         ph = np.exp(2j * math.pi * (cycles * self.grid.ys + const))
         return ScalarField(self.grid, self.i0, self.chain * ph)
-
-    # -- calculus --------------------------------------------------------
-
-    def dy(self) -> "ScalarField":
-        """Spectral derivative along the periodic y-direction."""
-        return ScalarField(self.grid, self.i0, spectral_dy(self.chain, self.grid))
-
-    def dx(self) -> "ScalarField":
-        """x-derivative, read off the attached exact chain."""
-        return ScalarField(self.grid, self.i0, chain_dx(self.chain))
 
 
 def chain_dx(chain: jets.Chain) -> jets.Chain:
@@ -524,44 +546,7 @@ class TorusFunction:
     def mean(self) -> complex:
         return complex(np.mean(self.samples))
 
-    # spectral machinery ---------------------------------------------------
-
-    @staticmethod
-    def _shear(grid: Grid) -> np.ndarray:
-        """(sv/su) * x_i on the fundamental domain, against the y-modes m."""
-        shear = float(grid.params.sv / grid.params.su) * grid.x_of(np.arange(grid.su_steps))
-        return np.outer(shear, np.fft.fftfreq(grid.ny, d=1.0 / grid.ny))
-
-    @classmethod
-    def spectral_table(cls, grid: Grid, name: str) -> np.ndarray:
-        """Spectral table of the grid, built on first use and kept read-only
-        on the grid, as Grid.twist: "phase" and "phase_inv", e(+-_shear) of
-        fft and from_fft, both from one _shear; "x" and "y", the multipliers
-        of d/dx and d/dy (_multiplier), and "laplace", the eigenvalues of
-        d2/dx2 + d2/dy2, all three from one mode_frequencies."""
-        table = grid._spectral.get(name)
-        if table is None:
-            if name in ("phase", "phase_inv"):
-                shear = cls._shear(grid)
-                new = {"phase": np.exp(2j * math.pi * shear),
-                       "phase_inv": np.exp(-2j * math.pi * shear)}
-            elif name in ("laplace", "x", "y"):
-                kx, ky = cls.zeros(grid).mode_frequencies()
-                new = {"laplace": -4.0 * math.pi ** 2 * (kx ** 2 + ky ** 2)}
-                for axis, k in (("x", kx), ("y", ky)):
-                    keep = np.ones((grid.su_steps, grid.ny), bool)
-                    if grid.ny % 2 == 0:
-                        keep[:, grid.ny // 2] = False
-                    if axis == "x" and grid.su_steps % 2 == 0:
-                        keep[grid.su_steps // 2, :] = False
-                    new[axis] = np.where(keep, 2j * math.pi * k, 0.0)
-            else:
-                raise KeyError(f"no spectral table {name!r}")
-            for t in new.values():
-                t.flags.writeable = False
-            grid._spectral.update(new)
-            table = new[name]
-        return table
+    # spectral machinery (the tables are the Grid's) ----------------------
 
     def fft(self) -> np.ndarray:
         """Coefficients wrt the dual characters
@@ -571,51 +556,33 @@ class TorusFunction:
         if co is None:
             g = self.grid
             f1 = np.fft.fft(self.samples, axis=1) / g.ny
-            f1 *= self.spectral_table(g, "phase")
-            co = self._coeffs = np.fft.fft(f1, axis=0) / g.su_steps
-            co.flags.writeable = False
+            f1 *= g.shear_phase
+            co = self._coeffs = _read_only(np.fft.fft(f1, axis=0) / g.su_steps)
         return co
 
     @classmethod
     def from_fft(cls, grid: Grid, coeffs: np.ndarray) -> "TorusFunction":
         f1 = np.fft.ifft(coeffs, axis=0) * grid.su_steps
-        f1 *= cls.spectral_table(grid, "phase_inv")
+        f1 *= grid.shear_phase_inv
         return cls(grid, np.fft.ifft(f1, axis=1) * grid.ny)
-
-    def mode_frequencies(self):
-        """(kx, ky) with d/dx chi = 2*pi*i*kx chi, d/dy chi = 2*pi*i*ky chi."""
-        g = self.grid
-        n = np.fft.fftfreq(g.su_steps, d=1.0 / g.su_steps)
-        m = np.fft.fftfreq(g.ny, d=1.0 / g.ny)
-        su = float(g.params.su)
-        sv = float(g.params.sv)
-        kx = (n[:, None] - sv * m[None, :]) / su
-        ky = np.broadcast_to(m[None, :], kx.shape)
-        return kx, ky
-
-    def _multiplier(self, axis: str) -> np.ndarray:
-        """2 pi i kx (axis "x") or 2 pi i ky (axis "y"), the multiplier of
-        d/dx or d/dy, zero on the unmatched Nyquist slots of even-length
-        axes: those are self-paired but carry a nonzero label, so an odd
-        operator must vanish there to keep Hermitian symmetry.  ky = m does
-        not involve n, so d/dy keeps the x-Nyquist row."""
-        return self.spectral_table(self.grid, axis)
 
     def d_dx(self) -> "TorusFunction":
         if self._dx is None:
-            self._dx = TorusFunction.from_fft(self.grid, self.fft() * self._multiplier("x"))
+            self._dx = TorusFunction.from_fft(self.grid, self.fft() * self.grid.dx_multiplier)
         return self._dx
 
     def d_dy(self) -> "TorusFunction":
+        """d/dy by Grid.dy_multiplier, which keeps the x-Nyquist row:
+        ky = m does not involve n."""
         if self._dy is None:
-            self._dy = TorusFunction.from_fft(self.grid, self.fft() * self._multiplier("y"))
+            self._dy = TorusFunction.from_fft(self.grid, self.fft() * self.grid.dy_multiplier)
         return self._dy
 
     def dx_kernel(self) -> np.ndarray:
         """Mask of the kernel of the discrete d/dx (fft layout): the kx = 0
-        line and the Nyquist slots that _multiplier zeroes, among them the
-        whole x-Nyquist row of an even-length x-axis."""
-        return np.abs(self._multiplier("x")) < 1e-12
+        line and the Nyquist slots that Grid.dx_multiplier zeroes, among
+        them the whole x-Nyquist row of an even-length x-axis."""
+        return np.abs(self.grid.dx_multiplier) < 1e-12
 
     def antiderivative_x(self) -> "TorusFunction":
         """Spectral x-antiderivative, zero on dx_kernel, where the input
@@ -629,13 +596,13 @@ class TorusFunction:
                 f"x-antiderivative needs input without d/dx-kernel content (residual {bad:.2e})"
             )
         out = np.zeros_like(co)
-        np.divide(co, self._multiplier("x"), out=out, where=~kernel)
+        np.divide(co, self.grid.dx_multiplier, out=out, where=~kernel)
         return TorusFunction.from_fft(self.grid, out)
 
     def derivative_chain(self, depth: int) -> jets.Chain:
         """Chain (G, G_x, G_xx, ...) to the given depth (spectral); order 1
         is the kept d_dx, and depth 0 takes no transform."""
-        mult = self._multiplier("x")
+        mult = self.grid.dx_multiplier
         out = np.empty((depth + 1,) + self.samples.shape, complex)
         out[0] = self.samples
         cur = self.fft() if depth else None

@@ -5,7 +5,9 @@ ramp on (-su/2, -su/4), one on [-su/4, su/2], and sqrt-complementary descent
 on (su/2, 3su/4) so that R^2(x) + R^2(x - su) = 1 holds identically on
 [0, su].  The ramp is h(t) = phi(t) / (phi(t) + phi(1-t)) with
 phi(t) = exp(-1/t); all derivatives vanish at the gluing points, so sqrt
-keeps smoothness and the derivative chain is exact everywhere.
+keeps smoothness and the derivative chain is exact everywhere.  The bump
+has no settings: its chain runs to lattice.CHAIN_DEPTH, and the ramp's
+tails are clipped at the constant T_MIN.
 
 Q = <R,R>_D is then an exact projection on the grid, and verify_R_conditions
 evaluates every idempotence/unit condition list pointwise.
@@ -14,52 +16,38 @@ evaluates every idempotence/unit condition list pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from . import jets
 from .algebra import AlgebraElement, D_FLAVOR
-from .bimodule import ModuleVector, act_right, inner_D
+from .bimodule import act_right, inner_D
 from .lattice import CHAIN_DEPTH, Grid, Params, ScalarField
 
-
-@dataclass(frozen=True)
-class BumpSpec:
-    """Transition-profile parameters.
-
-    t_min clips the doubly-exponential tails of the ramp: below t_min the
-    profile (and its whole derivative chain) is below 1e-20, so clamping to
-    the flat value keeps every pointwise identity at machine precision, and
-    on the unclipped part |s| < 500, so e^(+-s) stays finite.
-    """
-
-    depth: int = CHAIN_DEPTH
-    t_min: float = 0.005
-
-    def __post_init__(self):
-        if not (0.002 <= self.t_min <= 0.05):
-            raise ValueError("t_min outside the safe clipping range")
-        if self.depth < 1:
-            raise ValueError("need at least the first derivative")
+# Clip of the ramp's doubly-exponential tails: where t or 1 - t is at most
+# T_MIN the profile (and its whole derivative chain) is below 1e-20, so
+# clamping to the flat value keeps every pointwise identity at machine
+# precision, and on the unclipped part |s| < 500, so e^(+-s) stays finite.
+T_MIN = 0.005
 
 
-def ramp_chain(t: np.ndarray, spec: BumpSpec, rising: bool) -> jets.Chain:
-    """Chain in t of the rising ramp sqrt(h) or the falling sqrt(1 - h).
+def ramp_chain(t: np.ndarray, rising: bool) -> jets.Chain:
+    """Chain in t, to CHAIN_DEPTH, of the rising ramp sqrt(h) or the
+    falling sqrt(1 - h).
 
     With s = 1/t - 1/(1-t), h = 1/(1 + e^s); the ramps are evaluated as
     (1 + e^s)^(-1/2) and (1 + e^-s)^(-1/2), so 1 - h never cancels.  Where
-    t or 1 - t is at most t_min the chain takes the flat values.
+    t or 1 - t is at most T_MIN the chain takes the flat values.
     """
-    out = np.zeros((spec.depth + 1,) + np.shape(t))
-    out[0, (t >= 1 - spec.t_min) if rising else (t <= spec.t_min)] = 1.0
-    mid = (t > spec.t_min) & (t < 1 - spec.t_min)
+    out = np.zeros((CHAIN_DEPTH + 1,) + np.shape(t))
+    out[0, (t >= 1 - T_MIN) if rising else (t <= T_MIN)] = 1.0
+    mid = (t > T_MIN) & (t < 1 - T_MIN)
     tm = t[mid]
     sign = 1.0 if rising else -1.0
     # d^n/dt^n (1/t - 1/(1-t)), in closed form
-    s = np.empty((spec.depth + 1,) + tm.shape)
-    for n in range(spec.depth + 1):
+    s = np.empty((CHAIN_DEPTH + 1,) + tm.shape)
+    for n in range(CHAIN_DEPTH + 1):
         s[n] = (sign * math.factorial(n)
                 * ((-1) ** n / tm ** (n + 1) - 1 / (1 - tm) ** (n + 1)))
     e = jets.exp(s)
@@ -68,31 +56,26 @@ def ramp_chain(t: np.ndarray, spec: BumpSpec, rising: bool) -> jets.Chain:
     return out
 
 
-def bump_chain(x: np.ndarray, start: float, width: float, top: float,
-               spec: BumpSpec) -> jets.Chain:
+def bump_chain(x: np.ndarray, start: float, width: float, top: float) -> jets.Chain:
     """Chain in x of the C-infinity bump that rises on (start, start + width),
     is one on [start + width, top] and falls on (top, top + width)."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros((spec.depth + 1,) + x.shape)
+    out = np.zeros((CHAIN_DEPTH + 1,) + x.shape)
     out[0, (x >= start + width) & (x <= top)] = 1.0
-    scale = width ** np.arange(spec.depth + 1)[:, None]
+    scale = width ** np.arange(CHAIN_DEPTH + 1)[:, None]
     for lo, rising in ((start, True), (top, False)):
         sel = (x > lo) & (x < lo + width)
-        out[:, sel] = ramp_chain((x[sel] - lo) / width, spec, rising) / scale
+        out[:, sel] = ramp_chain((x[sel] - lo) / width, rising) / scale
     return out
 
 
-def build_R(params: Params, grid: Grid, spec: BumpSpec = BumpSpec()) -> ModuleVector:
-    """The bump vector with its analytic derivative chain attached."""
+def build_R(params: Params, grid: Grid) -> ScalarField:
+    """The bump vector with its analytic derivative chain to CHAIN_DEPTH."""
     su = float(params.su)
     i_lo = -grid.su_steps  # support is inside (-su, su)
     i_hi = grid.su_steps + 1
     return ScalarField.from_function(
-        grid, i_lo, i_hi, lambda x: bump_chain(x, -su / 2, su / 4, su / 2, spec))
-
-
-def build_Q(R: ModuleVector) -> AlgebraElement:
-    return inner_D(R, R)
+        grid, i_lo, i_hi, lambda x: bump_chain(x, -su / 2, su / 4, su / 2))
 
 
 def extract_h_g(Q: AlgebraElement) -> Tuple[ScalarField, ScalarField]:
@@ -114,12 +97,12 @@ def extract_h_g(Q: AlgebraElement) -> Tuple[ScalarField, ScalarField]:
     return h_f, g_f
 
 
-def _profile(R: ModuleVector, i_lo: int, i_hi: int, shift: int = 0) -> np.ndarray:
+def _profile(R: ScalarField, i_lo: int, i_hi: int, shift: int = 0) -> np.ndarray:
     """One-variable x-profile samples of R on [i_lo, i_hi) shifted by steps."""
     return R.window(i_lo + shift, i_hi + shift)[0, :, 0]
 
 
-def verify_R_conditions(R: ModuleVector) -> Dict[str, float]:
+def verify_R_conditions(R: ScalarField) -> Dict[str, float]:
     """Max pointwise violation of each defining condition list.
 
     Keys (b-*) use the assembled h, g of the projection with twisted-periodic
@@ -133,7 +116,7 @@ def verify_R_conditions(R: ModuleVector) -> Dict[str, float]:
     # the conditions read values, and order 0 of a product needs only order 0
     R = R.upto(0)
 
-    Q = build_Q(R)
+    Q = inner_D(R, R)
     h_f, g_f = extract_h_g(Q)
     h0 = h_f.window(0, N)[0]
     g0 = g_f.window(0, N)[0]
@@ -183,8 +166,8 @@ def verify_R_conditions(R: ModuleVector) -> Dict[str, float]:
     return out
 
 
-def grassmann_apply(R: ModuleVector, w: str, f: ModuleVector,
-                    phi: Optional[AlgebraElement] = None) -> ModuleVector:
+def grassmann_apply(R: ScalarField, w: str, f: ScalarField,
+                    phi: Optional[AlgebraElement] = None) -> ScalarField:
     """Grassmannian connection: nabla0_W(f) = R . delta_W(<R, f>_D).
 
     A caller that already holds phi = <R, f>_D passes it in.

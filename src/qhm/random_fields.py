@@ -15,29 +15,28 @@ import numpy as np
 
 from .lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Grid, ScalarField,
                       TorusFunction)
-from .projection import BumpSpec, bump_chain
+from .projection import bump_chain
 
 
-def smooth_envelope(grid: Grid, spec: BumpSpec = BumpSpec()) -> ScalarField:
+def smooth_envelope(grid: Grid) -> ScalarField:
     """A C-infinity bump on (-1/2, 1/2): up-ramp, plateau, down-ramp."""
     n2 = grid.nx_unit // 2
     return ScalarField.from_function(
-        grid, -n2, n2 + 1, lambda x: bump_chain(x, -0.5, 0.25, 0.25, spec))
+        grid, -n2, n2 + 1, lambda x: bump_chain(x, -0.5, 0.25, 0.25))
 
 
 def random_module_vector(grid: Grid, rng: np.random.Generator,
-                         y_modes: int = BATTERY_Y_MODES,
-                         max_shift_units: int = BATTERY_SHIFT_UNITS,
                          envelope: Optional[ScalarField] = None) -> ScalarField:
-    """Random smooth vector: sum of three shifted, y-modulated envelope
-    copies."""
+    """Random smooth vector: sum of three copies of the envelope, each moved
+    by up to BATTERY_SHIFT_UNITS su in x and modulated by e(m y) with
+    |m| <= BATTERY_Y_MODES."""
     if envelope is None:
         envelope = smooth_envelope(grid)
     out = ScalarField.zeros(grid, envelope.depth)
     for _ in range(3):
-        kx = int(rng.integers(-max_shift_units * grid.su_steps,
-                              max_shift_units * grid.su_steps + 1))
-        m = int(rng.integers(-y_modes, y_modes + 1))
+        kx = int(rng.integers(-BATTERY_SHIFT_UNITS * grid.su_steps,
+                              BATTERY_SHIFT_UNITS * grid.su_steps + 1))
+        m = int(rng.integers(-BATTERY_Y_MODES, BATTERY_Y_MODES + 1))
         coef = complex(rng.normal(), rng.normal())
         out = out + envelope.shift_steps(kx, 0).y_phase(m, rng.uniform()).scaled(coef)
     return out

@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .algebra import AlgebraElement, E_FLAVOR, bracket, star, trace
 from .bimodule import act_left, act_right, inner_D, inner_E
-from .calculus import (Connection, Curvature2Form, curvature_closed,
-                       curvature_of, mult_element)
+from .calculus import Connection, Curvature2Form, curvature_of, mult_element
 
 BASIS = ("X", "Y", "Z")
 
@@ -119,21 +118,15 @@ class Residuals:
     scale: float       # curvature scale used for normalization
 
 
-def critical_residuals(nablas: Sequence[Connection],
-                       theta0: Optional[Curvature2Form] = None,
-                       thetas: Optional[Sequence[Curvature2Form]] = None
-                       ) -> List[Residuals]:
+def critical_residuals(nablas: Sequence[Connection], theta0: Curvature2Form,
+                       thetas: Sequence[Curvature2Form]) -> List[Residuals]:
     """Sup-norms of the three Euler-Lagrange elements of each connection
     over its curvature scale, the sup of the unperturbed and perturbed
     curvature components: a critical connection scores ~0, the
-    Grassmannian one O(1) on the third equation.  The connections share
-    R; a caller that already holds their curvatures passes them in.
+    Grassmannian one O(1) on the third equation.  The connections share R,
+    theta0 is their Grassmannian curvature and thetas their own, built to
+    order 1 at least (euler_lagrange_elements reads no higher order).
     """
-    if theta0 is None:
-        theta0 = curvature_closed(nablas[0].R)
-    if thetas is None:
-        # euler_lagrange_elements reads order 1 of the curvature at most
-        thetas = [curvature_of(nabla, theta0, 1) for nabla in nablas]
     scale0 = theta0.norm_inf()
     out = []
     for theta, eqs in zip(thetas, euler_lagrange_elements(nablas, thetas)):

@@ -7,25 +7,29 @@ from the three nabla0_W R (calculus.curvature_closed); these independent
 routes check it.  The tests' helpers that no command runs live here too:
 the curvature by its operator definition, the commutator with a
 multiplication operator, the Laplacian of flavor D, an element comparison,
-the battery of random test vectors and a random perturbation.  The
+the pointwise product and conjugate of sampled fields, the closed-form
+frequencies of the dual characters, the battery of random test vectors
+and a random perturbation.  The
 2-form pairing as three separate star products is the reference that the
 batched products of yangmills.ym_of_curvature must equal bit for bit, and
 bits_equal compares two arrays to the sign of each zero.  The faults
-that the Morita tests inject live here as well: a source vector built and
-extended with a wrong unitary u.
+that the tests inject live here as well: a Morita source vector built and
+extended with a wrong unitary u, and mutants of the Grid's skew-torus
+tables.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from qhm import morita
+from qhm import jets, morita
 from qhm.algebra import (AlgebraElement, D_FLAVOR, adjoint, bracket, derivation,
                          star, trace)
-from qhm.bimodule import ModuleVector, act_left, act_right, inner_D, inner_E
+from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import (Connection, Curvature2Form, Perturbation, connect,
                           curvature_closed, curvature_of, mult_element)
 from qhm.lattice import Grid, ScalarField, TorusFunction, y_bandwidth
@@ -35,7 +39,7 @@ from qhm.yangmills import BASIS, ym_value
 
 
 def curvature_definition(nabla: Connection, w1: str, w2: str,
-                         f: ModuleVector) -> ModuleVector:
+                         f: ScalarField) -> ScalarField:
     """Theta(W1,W2) f = nabla_W1 nabla_W2 f - nabla_W2 nabla_W1 f
     - nabla_[W1,W2] f, with [X,Y] = cZ."""
     out = connect(nabla, w1, connect(nabla, w2, f)) \
@@ -47,7 +51,7 @@ def curvature_definition(nabla: Connection, w1: str, w2: str,
 
 
 def commutator_mult(nabla0: Connection, g: TorusFunction, w: str,
-                    f: ModuleVector) -> ModuleVector:
+                    f: ScalarField) -> ScalarField:
     """[nabla0_W, G] f with G acting by its multiplication-type element."""
     t = mult_element(g, max(f.depth, 1))
     return connect(nabla0, w, act_left(t, f)) - act_left(t, connect(nabla0, w, f))
@@ -58,6 +62,31 @@ def pair_forms(a: Curvature2Form, b: Curvature2Form) -> AlgebraElement:
     if a.xy.grid != b.xy.grid:
         raise ValueError("grid mismatch")
     return star(a.xy, b.xy) + star(a.xz, b.xz) + star(a.yz, b.yz)
+
+
+def character_frequencies(grid: Grid):
+    """(kx, ky) of the dual characters chi_{n,m} = e(kx x + ky y) in the
+    fft layout of TorusFunction.fft, in closed form: kx = (n - sv m)/su,
+    ky = m."""
+    n = np.fft.fftfreq(grid.su_steps, d=1.0 / grid.su_steps)[:, None]
+    m = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)[None, :]
+    p = grid.params
+    kx = (n - float(p.sv) * m) / float(p.su)
+    return kx, np.broadcast_to(m, kx.shape)
+
+
+def pointwise_mul(f: ScalarField, g: ScalarField) -> ScalarField:
+    """f g on the rows both are supported on, by the Leibniz rule."""
+    depth = min(f.depth, g.depth)
+    lo, hi = max(f.i0, g.i0), min(f.i1, g.i1)
+    if hi <= lo:
+        return ScalarField.zeros(f.grid, depth)
+    return ScalarField(f.grid, lo, jets.mul(f.window(lo, hi),
+                                            g.window(lo, hi))).trimmed()
+
+
+def conj_field(f: ScalarField) -> ScalarField:
+    return ScalarField(f.grid, f.i0, np.conj(f.chain))
 
 
 def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -103,7 +132,7 @@ def random_perturbation(grid: Grid, rng: np.random.Generator) -> Perturbation:
                         random_torus_function(grid, rng))
 
 
-def curvature_star_form(R: ModuleVector) -> Curvature2Form:
+def curvature_star_form(R: ScalarField) -> Curvature2Form:
     """Grassmannian curvature as
     Theta0(W1,W2) = < R . (delta_W1 Q delta_W2 Q - delta_W2 Q delta_W1 Q), R >_E
     with Q = <R,R>_D: six stars of the derived projections."""
@@ -148,7 +177,7 @@ def skew_defect(theta: Curvature2Form) -> float:
 
 
 def euler_lagrange_apply(nabla: Connection, theta: Curvature2Form,
-                         f: ModuleVector) -> Dict[str, ModuleVector]:
+                         f: ScalarField) -> Dict[str, ScalarField]:
     """Left sides of the critical-point equations applied to f as
     operators, keyed by basis element i and assembled generically from the
     bracket table (the operator oracle for the elements of
@@ -167,15 +196,15 @@ def euler_lagrange_apply(nabla: Connection, theta: Curvature2Form,
     mults = {} if pert is None else {
         j: mult_element(pert.component(j), max(f.depth, 1)) for j in BASIS}
 
-    def along(v: ModuleVector, dirs):
+    def along(v: ScalarField, dirs):
         phi = inner_D(nabla.R, v)
         return [connect(nabla, j, v, phi, mults.get(j)) for j in dirs]
 
     nabla_f = dict(zip(BASIS, along(f, BASIS)))
-    eqs: Dict[str, ModuleVector] = {}
+    eqs: Dict[str, ScalarField] = {}
     brackets = []
 
-    def add(i: str, term: ModuleVector):
+    def add(i: str, term: ScalarField):
         eqs[i] = term if i not in eqs else eqs[i] + term
 
     for a, b in combinations(BASIS, 2):
@@ -183,7 +212,7 @@ def euler_lagrange_apply(nabla: Connection, theta: Curvature2Form,
         u = act_left(t, f)
         along_b, along_a = along(u, (b, a))
         add(a, along_b - act_left(t, nabla_f[b]))
-        add(b, -along_a - act_left(-t, nabla_f[a]))
+        add(b, -along_a - act_left(t.scaled(-1), nabla_f[a]))
         sign, lbl = bracket(a, b)
         if sign:
             brackets.append((lbl, u.scaled(sign * c)))
@@ -199,10 +228,12 @@ def ym_directional(nabla: Connection, direction: Perturbation, t: float = 1e-4,
         theta0 = curvature_closed(nabla.R)
     base = nabla.perturbation
     if base is None:
-        base = Perturbation.zero(nabla.grid)
+        zero = TorusFunction.zeros(nabla.grid)
+        base = Perturbation(zero, zero, zero)
 
     def at(tt: float) -> float:
-        p = base + direction.scaled(tt)
+        p = Perturbation(*(g + tt * h for (_, g), (_, h)
+                           in zip(base.items(), direction.items())))
         return ym_value(Connection(nabla.R, p), theta0)
 
     return (at(t) - at(-t)) / (2 * t)
@@ -272,3 +303,48 @@ def inject_broken_unitary(monkeypatch, shift: float) -> None:
         return broken_source_vector(grid, terms, shift)
 
     monkeypatch.setattr(morita, "random_source_vector", build)
+
+
+def _sv_sign(grid):
+    # kx = (n + sv m)/su instead of (n - sv m)/su
+    kx, ky = character_frequencies(grid)
+    return kx + 2 * float(grid.params.sv / grid.params.su) * ky, ky[0]
+
+
+def _mode_off_by_one(grid):
+    # every character labelled (n, m + 1)
+    kx, ky = character_frequencies(grid)
+    return kx - float(grid.params.sv / grid.params.su), ky[0] + 1
+
+
+def set_grid_table(monkeypatch, name, build):
+    """Make `build(grid)` the Grid's cached table `name` for one test."""
+    table = cached_property(build)
+    table.__set_name__(Grid, name)
+    monkeypatch.setattr(Grid, name, table)
+
+
+def patch_spectral_mutant(monkeypatch, mutant):
+    """Give every Grid built from here on the skew-torus tables of a
+    mutant: "shear" swaps the two shear phases, which flips the shear's
+    sign; "sv" and "mode" build the d/dx, d/dy and Laplace tables from
+    wrong frequencies (kx, ky), with the program's Nyquist zeros."""
+    if mutant == "shear":
+        fwd, inv = (vars(Grid)[name].func for name in ("shear_phase", "shear_phase_inv"))
+        set_grid_table(monkeypatch, "shear_phase", inv)
+        set_grid_table(monkeypatch, "shear_phase_inv", fwd)
+        return
+    frequencies = {"sv": _sv_sign, "mode": _mode_off_by_one}[mutant]
+
+    def tables(grid):
+        kx, ky = frequencies(grid)
+        dx, dy = 2j * math.pi * kx, 2j * math.pi * ky
+        if grid.ny % 2 == 0:
+            dx[:, grid.ny // 2] = dy[grid.ny // 2] = 0.0
+        if grid.su_steps % 2 == 0:
+            dx[grid.su_steps // 2] = 0.0
+        return {"dx_multiplier": dx, "dy_multiplier": dy,
+                "laplace_multiplier": -4 * math.pi ** 2 * (kx ** 2 + ky ** 2)}
+
+    for name in ("dx_multiplier", "dy_multiplier", "laplace_multiplier"):
+        set_grid_table(monkeypatch, name, lambda grid, _name=name: tables(grid)[_name])

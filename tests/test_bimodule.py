@@ -20,7 +20,7 @@ from qhm.lattice import Params, ScalarField, make_grid, y_bandwidth
 from qhm.projection import build_R
 from qhm.random_fields import random_module_vector
 
-from oracles import bits_equal, make_battery
+from oracles import bits_equal, conj_field, make_battery, pointwise_mul
 
 
 @pytest.fixture()
@@ -185,7 +185,7 @@ def _ref_act_left(psi, f):
         fs = f.shift_steps(q * grid.nx_unit, 0)
         if fs.nx:
             w = ScalarField(grid, fs.i0, _ref_eval(psi, q, fs.i0, fs.i1))
-            acc = acc + w.conj() * fs
+            acc = acc + pointwise_mul(conj_field(w), fs)
     return acc.trimmed()
 
 
@@ -196,7 +196,7 @@ def _ref_act_right(g, phi):
         gs = g.shift_steps(q * grid.su_steps, q * grid.sv_steps)
         if gs.nx:
             w = _ref_eval(phi, q, gs.i0, gs.i1, q * grid.su_steps, q * grid.sv_steps)
-            acc = acc + gs * ScalarField(grid, gs.i0, w).conj()
+            acc = acc + pointwise_mul(gs, conj_field(ScalarField(grid, gs.i0, w)))
     return acc.trimmed()
 
 
@@ -226,7 +226,7 @@ def test_kernels_match_direct_sums_bitwise(params, refinement):
     grid = make_grid(params, refinement, pairwise=True)
     rng = np.random.default_rng(refinement)
     R = build_R(params, grid)
-    f, g = (random_module_vector(grid, rng, y_modes=1, max_shift_units=1)
+    f, g = (random_module_vector(grid, rng)
             for _ in range(2))
     for u, v in ((R, f), (f, R), (f, g)):
         phi = inner_D(u, v)
@@ -293,7 +293,7 @@ def test_batched_kernels_match_their_members_bitwise(params, refinement):
     grid = make_grid(params, refinement, pairwise=True)
     rng = np.random.default_rng(refinement)
     R = build_R(params, grid)
-    f, g = (random_module_vector(grid, rng, y_modes=1, max_shift_units=1)
+    f, g = (random_module_vector(grid, rng)
             for _ in range(2))
     zero_field = ScalarField.zeros(grid, R.depth)
     # members with unequal p-supports and row supports, one all zero

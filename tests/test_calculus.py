@@ -16,19 +16,22 @@ from qhm.calculus import (Connection, Perturbation, StructureError,
 from qhm.laplace import assemble_rhs, build_perturbation, solve_poisson
 from qhm.lattice import Params, TorusFunction, make_grid
 from qhm.projection import build_R
-from qhm.random_fields import random_module_vector, random_torus_function
+from qhm.random_fields import (random_module_vector, random_torus_function,
+                               smooth_envelope)
 
-from oracles import (commutator_mult, curvature_definition, curvature_star_form,
-                     random_perturbation, skew_defect)
+from oracles import (character_frequencies, commutator_mult, curvature_definition,
+                     curvature_star_form, random_perturbation, skew_defect)
 
-# y-constant envelopes at the origin: a pair of spread-out, modulated
-# vectors carries more y-modes than grid2 (ny = 8) holds
-NARROW = {"y_modes": 0, "max_shift_units": 0}
+def narrow_vector(grid, rng):
+    """A y-constant vector at the origin, a random multiple of the
+    envelope: a pair of spread-out, modulated vectors carries more y-modes
+    than grid2 (ny = 8) holds."""
+    return smooth_envelope(grid).scaled(complex(rng.normal(), rng.normal()))
 
 
-def vector_pair(grid, rng, **band):
-    return (random_module_vector(grid, rng, **band),
-            random_module_vector(grid, rng, **band))
+def vector_pair(grid, rng, narrow=False):
+    draw = narrow_vector if narrow else random_module_vector
+    return draw(grid, rng), draw(grid, rng)
 
 
 @pytest.mark.parametrize("grid_fixture", ["grid2", "grid9"])
@@ -53,7 +56,7 @@ def test_skew_symmetrization_matches_loop(grid_fixture, request):
 
 class TestConnectionAxioms:
     def test_leibniz(self, grid2, R2, rng):
-        f, _ = vector_pair(grid2, rng, **NARROW)
+        f, _ = vector_pair(grid2, rng, narrow=True)
         nabla0 = Connection(R2)
         phi = inner_D(R2, f)
         for w in "XYZ":
@@ -63,14 +66,14 @@ class TestConnectionAxioms:
             scale = max(lhs.norm_inf(), rhs.norm_inf(), 1e-30)
             assert (lhs - rhs).norm_inf() < 1e-11 * scale
 
-    @pytest.mark.parametrize("refinement_fixture, band",
-                             [("grid2", NARROW), ("grid4", {})],
+    @pytest.mark.parametrize("refinement_fixture, narrow",
+                             [("grid2", True), ("grid4", False)],
                              ids=["grid2", "grid4"])
-    def test_metric_compatibility(self, refinement_fixture, band, request,
+    def test_metric_compatibility(self, refinement_fixture, narrow, request,
                                   rng):
         grid = request.getfixturevalue(refinement_fixture)
         R = request.getfixturevalue("R" + refinement_fixture[-1])
-        f, g = vector_pair(grid, rng, **band)
+        f, g = vector_pair(grid, rng, narrow)
         nabla0 = Connection(R)
         scale = max(inner_D(f, g).norm_inf(), 1e-30)
         for w in "XYZ":
@@ -111,7 +114,7 @@ class TestCommutators:
         co = np.zeros((grid4.su_steps, grid4.ny), complex)
         co[1, 1] = 1j
         g = TorusFunction.from_fft(grid4, co)
-        kx, ky = g.mode_frequencies()
+        kx, ky = character_frequencies(grid4)
         f = random_module_vector(grid4, np.random.default_rng(5))
         nabla0 = Connection(R4)
         com = commutator_mult(nabla0, g, "Y", f)

@@ -21,10 +21,11 @@ from qhm.cli import (ConfigError, PipelineError, RunConfig, _parse_kv,
 from qhm.lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Grid, Params,
                          TorusFunction, make_grid, y_bandwidth)
 from qhm.morita import verify_bimodule_preservation
-from qhm.projection import BumpSpec, build_R
+from qhm.projection import build_R
 from qhm.random_fields import random_module_vector, random_torus_function
 
-from oracles import curvature_star_form, inject_broken_unitary
+from oracles import (curvature_star_form, inject_broken_unitary,
+                     patch_spectral_mutant, set_grid_table)
 
 
 def run(tmp_path, *argv):
@@ -88,6 +89,26 @@ class TestConfigParsing:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # it raised UnicodeDecodeError out of load_config, a traceback
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"seed = 1  # \xff\n")
+        code, _ = run(tmp_path, "verify", "--config", str(cfg))
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, out", [
+        ("verify", "file/sub"), ("solve", "file"), ("morita", "file/sub")])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, out):
+        # an --out below a file (NotADirectoryError) or on a file
+        # (FileExistsError, from solve's CSVs, which come before the
+        # report) raised out of main, a traceback
+        (tmp_path / "file").write_text("kept\n")
+        code = main([command, "--refinement", "9", "--out", str(tmp_path / out)])
+        assert code == 2
+        assert "output error" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     @pytest.mark.parametrize("line", ["morita.broken_u = 0.05",
                                       "debug.tamper_star = true"])
@@ -203,7 +224,8 @@ class TestVerify:
         # <f, g>_D of two modulated, translated vectors needs
         # 2 * (5c + 2) + 1 y-samples at su = 1/4.  The refinement-tied grid
         # holds them only from refinement 4 (c = 1) or 7 (c = 2) on; below,
-        # pairs resolve only with `modes` = (y_modes, shift_units) = (0, 0).
+        # pairs resolve only for vectors without y-modes or shifts, `modes`
+        # = (0, 0) against (BATTERY_Y_MODES, BATTERY_SHIFT_UNITS).
         # Verify's own grid holds the full band at every refinement.
         params = Params.from_steps(c, Fraction(1, 4), Fraction(1, 4))
         band = y_bandwidth(params, pairwise=True)
@@ -705,14 +727,13 @@ class TestChainDepth:
         cfg = RunConfig(params=params, refinement=9, seed=7, out=str(tmp_path))
         full = run_verify(cfg)
         monkeypatch.setattr(cli, "build_R",
-                            lambda p, g: build_R(p, g, BumpSpec(depth=1)))
+                            lambda p, g: build_R(p, g).upto(1))
         assert run_verify(cfg) == full
 
     def test_verify_refuses_r_without_order_one(self, params, tmp_path,
                                                 monkeypatch):
         # a cut to depth 1 never deepens a shallower chain: at depth 0 the
-        # first delta_Y raises, and no report is written.  BumpSpec refuses
-        # depth 0, so R is cut instead.
+        # first delta_Y raises, and no report is written
         monkeypatch.setattr(cli, "build_R",
                             lambda p, g: build_R(p, g).upto(0))
         out = tmp_path / "out"
@@ -724,7 +745,7 @@ class TestChainDepth:
         # at depth 1 the deepest consumer runs out of its chain: the solve
         # stops with the stage that failed instead of approximating
         monkeypatch.setattr(cli, "build_R",
-                            lambda p, g: build_R(p, g, BumpSpec(depth=1)))
+                            lambda p, g: build_R(p, g).upto(1))
         cfg = RunConfig(params=params, refinement=9, seed=0, out=str(tmp_path))
         with pytest.raises(PipelineError, match="chain exhausted"):
             run_solve(cfg)
@@ -980,70 +1001,37 @@ def test_laplace_check_passes_at_refinement_27(params, tmp_path):
     assert (lap["violation"], lap["pass"]) == (9.43689570931383e-16, True)
 
 
-def _shear_sign(orig):
-    return staticmethod(lambda grid: -orig(grid))
-
-
-def _sv_sign(orig):
-    # kx = (n + sv m)/su instead of (n - sv m)/su
-    def mode_frequencies(self):
-        kx, ky = orig(self)
-        return kx + 2 * float(self.grid.params.sv / self.grid.params.su) * ky, ky
-    return mode_frequencies
-
-
-def _mode_off_by_one(orig):
-    # every character labelled (n, m + 1)
-    def mode_frequencies(self):
-        kx, ky = orig(self)
-        return kx - float(self.grid.params.sv / self.grid.params.su), ky + 1
-    return mode_frequencies
-
-
-@pytest.mark.parametrize("name, mutant", [
-    ("_shear", _shear_sign), ("mode_frequencies", _sv_sign),
-    ("mode_frequencies", _mode_off_by_one)], ids=["shear", "sv", "mode"])
+@pytest.mark.parametrize("mutant", ["shear", "sv", "mode"])
 def test_laplace_check_catches_spectral_mutants(params, tmp_path, monkeypatch,
-                                                name, mutant):
-    # The spectral Laplacian of from_fft(delta) against laplace_eigenvalues
-    # passed all three, at about 1e-13: both sides share _shear and
-    # mode_frequencies.  The closed forms do not.
-    monkeypatch.setattr(TorusFunction, name,
-                        mutant(getattr(TorusFunction, name)))
+                                                mutant):
+    # The spectral Laplacian of from_fft(delta) against the Laplace table
+    # passed all three, at about 1e-13: both sides share the Grid's
+    # tables.  The closed forms do not.
+    patch_spectral_mutant(monkeypatch, mutant)
     lap = _laplace_check(params, tmp_path, 9)
     assert lap["violation"] > 0.5 and not lap["pass"]
 
 
 def test_spectral_tables_are_built_once_per_grid(params, tmp_path, monkeypatch):
-    # the two phases come from one call of _shear on their grid, and the
-    # d/dx, d/dy and Laplace tables from one call of mode_frequencies
+    # each skew-torus table and the one d/dy multiplier are built once per
+    # grid, on first use, and kept read-only
+    tables = ("shear_phase", "shear_phase_inv", "dx_multiplier",
+              "dy_multiplier", "laplace_multiplier")
     calls, grids = Counter(), {}
-    shear, modes = TorusFunction._shear, TorusFunction.mode_frequencies
-
-    def counted_shear(grid):
-        calls[id(grid), "shear"] += 1
-        grids[id(grid)] = grid
-        return shear(grid)
-
-    def counted_modes(self):
-        calls[id(self.grid), "modes"] += 1
-        grids[id(self.grid)] = self.grid
-        return modes(self)
-
-    monkeypatch.setattr(TorusFunction, "_shear", staticmethod(counted_shear))
-    monkeypatch.setattr(TorusFunction, "mode_frequencies", counted_modes)
+    for name in tables:
+        def counted(grid, _name=name, _build=vars(Grid)[name].func):
+            calls[id(grid), _name] += 1
+            grids[id(grid)] = grid
+            return _build(grid)
+        set_grid_table(monkeypatch, name, counted)
     run_solve(RunConfig(params=params, refinement=27, out=str(tmp_path)))
-    tables = {key: grid._spectral for key, grid in grids.items()}
-    assert {frozenset(t) for t in tables.values()} == {
-        frozenset({"phase", "phase_inv", "x", "y", "laplace"})}
-    assert calls == {(key, kind): 1 for key in grids
-                     for kind in ("shear", "modes")}
-    for key, t in tables.items():
-        for table in t.values():
+    assert len(grids) == 1
+    assert calls == {(key, name): 1 for key in grids for name in tables}
+    for grid in grids.values():
+        for name in tables:
+            assert getattr(grid, name) is getattr(grid, name)
             with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            grids[key].dy_multiplier[0] = 0
+                getattr(grid, name)[0] = 0
 
 
 def test_byte_identity_dump_at_one_grid_point(tmp_path):

@@ -1,14 +1,17 @@
 """Source hygiene: every name a qhm module imports is used in that module,
-every function or class a qhm module defines is named somewhere else, and
-every y-shift goes through Grid.y_roll."""
+every function or class a qhm module defines is named somewhere else, the
+commands enter every function of qhm, and every y-shift goes through
+Grid.y_roll."""
 
 import ast
+import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from qhm import algebra
+from qhm import algebra, cli
 
 MODULES = sorted(Path(algebra.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,6 +70,81 @@ def test_guard_sees_a_dead_definition():
            "    def gone(self):\n        return Used()\n\n"
            "def _helper():\n    pass\n")
     assert unused_definitions([src], [src]) == ["_helper", "gone"]
+
+
+# Functions that no command enters, each with the reason it stays.
+BENCH_ONLY = {
+    "yangmills.ym_value": "bench/workloads.py's ym-ladder takes YM with it",
+    "cli._tamper": "bench/workloads.py's gate self-test sets "
+                   "RunConfig.tamper_star",
+}
+
+
+def definitions(path: Path):
+    """{(file, first line of its code object): "module.qualname"} of every
+    def in a module; a decorated function's code starts at its first
+    decorator."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[os.path.realpath(path), first] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+    return out
+
+
+def test_commands_enter_every_definition(tmp_path):
+    # verify at refinement 9, solve --sweep at 9 and morita at its
+    # refinement 8 for (c, su, sv) = (1, 1/4, 1/4), and the bare default
+    # verify, the one run that reaches bimodule._no_rows: a function that
+    # none of them enters serves only the tests, and lives with them
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("c = 1\nsu = 1/4\nsv = 1/4\nmorita.refinement = 8\n")
+    runs = [["verify", "--config", str(cfg), "--refinement", "9"],
+            ["solve", "--config", str(cfg), "--refinement", "9", "--sweep"],
+            ["morita", "--config", str(cfg)],
+            ["verify"]]
+    # a memoized function is entered only on a key it has not seen
+    for module in sys.modules.values():
+        if module and module.__name__.startswith("qhm."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv + ["--out", str(tmp_path / str(i))])
+                 for i, argv in enumerate(runs)]
+    finally:
+        sys.setprofile(old)
+    assert codes == [0, 0, 0, 0]
+    entered = {(os.path.realpath(f), line) for f, line in entered}
+    defs = {k: v for path in MODULES for k, v in definitions(path).items()}
+    assert sorted(name for key, name in defs.items()
+                  if key not in entered) == sorted(BENCH_ONLY)
+
+
+def test_definitions_name_each_def_by_its_code_start(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class A:\n    @property\n    def b(self):\n"
+                    "        def c():\n            pass\n\n"
+                    "def d():\n    pass\n")
+    where = os.path.realpath(path)
+    assert definitions(path) == {(where, 2): "mod.A.b", (where, 4): "mod.A.b.c",
+                                 (where, 7): "mod.d"}
 
 
 Y_AXES = {2, -1}  # the y-axis of a chain, and the last axis of any array

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhm.calculus import Connection, check_skew, curvature_closed, extract_f1_f2
+from qhm.calculus import (Connection, check_skew, curvature_closed, curvature_of,
+                          extract_f1_f2)
 from qhm.laplace import (assemble_rhs, build_perturbation, laplace_form_residuals,
                          solve_poisson, verify_critical)
 from qhm.lattice import Grid, Params, TorusFunction, make_grid
 from qhm.projection import build_R, grassmann_apply
 from conftest import square_grid
-from oracles import make_battery
-from test_cli import _mode_off_by_one, _shear_sign, _sv_sign
+from oracles import make_battery, patch_spectral_mutant
 
 
 def character(grid, n, m):
@@ -48,16 +48,12 @@ def test_eigenfunction_exactness(grid4):
         assert closed_form_error(grid4, n, m) < 1e-12, (n, m)
 
 
-@pytest.mark.parametrize("name, mutant", [
-    ("_shear", _shear_sign), ("mode_frequencies", _sv_sign),
-    ("mode_frequencies", _mode_off_by_one)], ids=["shear", "sv", "mode"])
-def test_closed_forms_catch_spectral_mutants(params, monkeypatch, name,
-                                             mutant):
-    # the comparison with laplace_eigenvalues passed the shear and sv
-    # mutants: both sides read _shear and mode_frequencies.  A grid keeps
-    # the spectral tables it has built, so the mutant gets a fresh one.
-    monkeypatch.setattr(TorusFunction, name,
-                        mutant(getattr(TorusFunction, name)))
+@pytest.mark.parametrize("mutant", ["shear", "sv", "mode"])
+def test_closed_forms_catch_spectral_mutants(params, monkeypatch, mutant):
+    # the comparison with the Laplace table passed the shear and sv
+    # mutants: both sides read the Grid's tables.  A grid keeps the tables
+    # it has built, so the mutant gets a fresh one.
+    patch_spectral_mutant(monkeypatch, mutant)
     grid = square_grid(params, 4)
     assert max(closed_form_error(grid, n, m)
                for n, m in ((0, 1), (1, 0), (1, 1), (1, 2))) > 0.5
@@ -111,7 +107,8 @@ def test_construction_is_critical(R9):
     rep = verify_critical(R9)
     from qhm.yangmills import critical_residuals
     nabla = Connection(R9, rep["perturbation"])
-    [res] = critical_residuals([nabla], rep["theta0"])
+    [res] = critical_residuals([nabla], rep["theta0"],
+                               [curvature_of(nabla, rep["theta0"], 1)])
     assert res.r1 < 1e-10
     assert res.r2 < 1e-10
     assert res.r3 < 1e-10

@@ -6,13 +6,14 @@ import pytest
 from qhm import projection
 from qhm.algebra import AlgebraElement, adjoint, star, trace
 from qhm.bimodule import inner_D, inner_E
-from qhm.projection import (BumpSpec, build_Q, build_R, extract_h_g,
-                            ramp_chain, verify_R_conditions)
+from qhm.lattice import CHAIN_DEPTH
+from qhm.projection import (T_MIN, build_R, extract_h_g, ramp_chain,
+                            verify_R_conditions)
 
 
 @pytest.fixture(scope="module")
 def Q2(R2):
-    return build_Q(R2)
+    return inner_D(R2, R2)
 
 
 def test_q_is_idempotent(Q2):
@@ -89,25 +90,21 @@ def test_r_is_real_and_partition(R2, grid2):
     assert np.max(np.abs(r0 ** 2 + rm ** 2 - 1)) < 1e-12
 
 
-def test_bump_spec_validation():
-    with pytest.raises(ValueError):
-        BumpSpec(t_min=0.5)
-    with pytest.raises(ValueError):
-        BumpSpec(depth=0)
-
-
 def test_r_chain_integrates_by_parts(params, grid9, R9):
     # independent oracle for the attached derivative chain: against a smooth
     # compactly supported test function, integral(R' phi) = -integral(R phi')
     # quadrature converges as the ramp transitions gain sample points
-    from qhm.lattice import make_grid
+    from qhm.lattice import ScalarField, make_grid
     from test_lattice import gaussian_chain, integrate
     errs = []
     for refinement in (32, 96):
         grid = make_grid(params, refinement)
         R = build_R(params, grid)
-        phi = gaussian_chain(grid, sigma=0.4)
-        errs.append(abs(integrate(R.dx() * phi) + integrate(R * phi.dx())))
+        # R' phi + R phi' on R's rows, where both products live
+        r = R.chain
+        ph = gaussian_chain(grid, sigma=0.4).window(R.i0, R.i1)
+        errs.append(abs(integrate(ScalarField(grid, R.i0, r[1:2] * ph[:1]
+                                              + r[:1] * ph[1:2]))))
     assert errs[1] < 1e-5
     assert errs[1] < errs[0] / 10
 
@@ -117,27 +114,25 @@ def test_ramp_chain_matches_high_precision_oracle():
     # form sqrt(phi(t) / (phi(t) + phi(1-t))), phi(t) = exp(-1/t), and its
     # mirror for the falling ramp
     mp = pytest.importorskip("mpmath").mp
-    spec = BumpSpec()
-    ts = np.linspace(spec.t_min, 1 - spec.t_min, 1002)[1:-1]
+    ts = np.linspace(T_MIN, 1 - T_MIN, 1002)[1:-1]
 
     def ramp(t, rising):
         phi_t, phi_1t = mp.exp(-1 / t), mp.exp(-1 / (1 - t))
         return mp.sqrt((phi_t if rising else phi_1t) / (phi_t + phi_1t))
 
     for rising in (True, False):
-        chain = ramp_chain(ts, spec, rising)
+        chain = ramp_chain(ts, rising)
         for i, t in enumerate(ts):
             with mp.workdps(50):
                 ref = [float(r) for r in mp.diffs(
-                    lambda u: ramp(u, rising), mp.mpf(float(t)), spec.depth)]
+                    lambda u: ramp(u, rising), mp.mpf(float(t)), CHAIN_DEPTH)]
             for n, r in enumerate(ref):
                 err = abs(chain[n][i] - r)
                 assert err <= 1e-12 * max(abs(r), 1e-12), (rising, t, n, err)
 
 
 def test_ramp_chain_finite_at_the_widest_clip():
-    spec = BumpSpec(depth=4, t_min=0.002)
     ts = np.linspace(0.0, 1.0, 10001)
     for rising in (True, False):
-        for c in ramp_chain(ts, spec, rising):
+        for c in ramp_chain(ts, rising):
             assert np.all(np.isfinite(c))
