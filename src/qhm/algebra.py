@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .jets import Chain
-from .lattice import CHAIN_DEPTH, Grid, chain_dx, spectral_dy
+from .lattice import Grid, chain_dx, spectral_dy
 
 D_FLAVOR = "D"
 E_FLAVOR = "E"
@@ -50,11 +50,10 @@ class AlgebraElement:
     """Finitely p-supported element of the D- or E-flavored algebra.
 
     Components are never written after construction: every operation
-    builds its result's chains anew.  So the row runs that star reads are
-    found once per component and depth (runs) and kept on the element.
+    builds its result's chains anew.
     """
 
-    __slots__ = ("flavor", "grid", "comps", "_run_cache")
+    __slots__ = ("flavor", "grid", "comps")
 
     def __init__(self, flavor: str, grid: Grid, comps: Dict[int, Chain]):
         if flavor not in (D_FLAVOR, E_FLAVOR):
@@ -72,7 +71,6 @@ class AlgebraElement:
             if chain.any():
                 clean[int(p)] = chain
         self.comps = clean
-        self._run_cache = {}  # runs(p, d) by (p, d)
 
     # -- structure -------------------------------------------------------
 
@@ -114,13 +112,6 @@ class AlgebraElement:
                                {p: c[:, :, i] for p, c in self.comps.items()})
                 for i in range(count)]
 
-    def runs(self, p: int, d: int):
-        """_runs of component p cut to depth d, found on first use."""
-        runs = self._run_cache.get((p, d))
-        if runs is None:
-            runs = self._run_cache[(p, d)] = _runs(self.comps[p][:d + 1])
-        return runs
-
     def norm_inf(self) -> float:
         """Sup-norm of the values, order 0 of each component's chain."""
         # np.max keeps a NaN, which max() drops behind a number
@@ -133,7 +124,7 @@ class AlgebraElement:
         return cls(flavor, grid, {})
 
     @classmethod
-    def identity(cls, flavor: str, grid: Grid, depth: int = CHAIN_DEPTH) -> "AlgebraElement":
+    def identity(cls, flavor: str, grid: Grid, depth: int) -> "AlgebraElement":
         chain = np.zeros((depth + 1, cls.domain_steps(flavor, grid), grid.ny), complex)
         chain[0] = 1
         return cls(flavor, grid, {0: chain})
@@ -217,92 +208,37 @@ def window(chain: Optional[Chain], flavor: str, grid: Grid, p: int,
 # -- operations ----------------------------------------------------------
 
 
-def _runs(chain: Chain):
-    """[lo, hi) bounds of the maximal runs of rows of a component where
-    some chain entry is nonzero (of any member of a batch), ascending."""
-    rows = np.zeros(chain.shape[1] + 2, np.int8)
-    rows[1:-1] = np.any(chain, axis=(0,) + tuple(range(2, chain.ndim)))
-    edges = np.flatnonzero(rows[1:] != rows[:-1]).tolist()
-    return list(zip(edges[0::2], edges[1::2]))
-
-
-def _shifted_runs(runs, s: int, n: int):
-    """Maximal runs of the rows i in [0, n) with (i + s) mod n in `runs`:
-    each run moves down by s mod n and splits where it crosses 0, and the
-    pieces that meet again are joined."""
-    s %= n
-    pieces = []
-    for lo, hi in runs:
-        lo, hi = lo - s, hi - s
-        if hi <= 0:
-            pieces.append((lo + n, hi + n))
-        elif lo < 0:
-            pieces += [(0, hi), (lo + n, n)]
-        else:
-            pieces.append((lo, hi))
-    pieces.sort()
-    out = pieces[:1]
-    for lo, hi in pieces[1:]:
-        if lo == out[-1][1]:
-            out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _intersect_runs(a, b):
-    """Runs of the rows in both of two ascending lists of maximal runs."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 def star(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Twisted convolution over the p-index.
 
     D: (A*B)(x,y,p) = sum_q A(x,y,q) B(x - q su, y - q sv, p - q)
     E: (A*B)(x,y,p) = sum_q A(x,y,q) B(x + q, y, p - q)
 
-    Each (q, r) pair is one Leibniz product per run of rows where component
-    q of a and the translated component r of b are both nonzero; the other
-    rows of the pair's term are zero.  The runs of each component are found
-    once per element (AlgebraElement.runs), and each pair intersects them
-    as integer intervals.
+    Each (q, r) pair is one Leibniz product of component q of a with the
+    translated component r of b over the whole fundamental domain.
 
     Either operand may be a batch (AlgebraElement.stack), the other then
     gaining a singleton batch axis: member i is the product of members i bit
-    for bit, as the runs' padding adds +-0 onto accumulators that start at +0.
+    for bit, as a component that a member lacks is zero in the batch and
+    its terms add +-0 onto accumulators that start at +0.
     """
     a._check(b)
     g = a.grid
     N = a.nxd
     d = min(a.depth, b.depth)
-    b_runs = {r: b.runs(r, d) for r in b.comps}
     comps: Dict[int, Chain] = {}
     for q in a.p_support:
         aq = a.comps[q][:d + 1]
-        a_runs = a.runs(q, d)
         if a.flavor == D_FLAVOR:
             dxs, dys = -q * g.su_steps, -q * g.sv_steps
         else:
             dxs, dys = q * g.nx_unit, 0
         for r in b.p_support:
-            # window row i reads row (i + dxs) mod N of component r
-            for lo, hi in _intersect_runs(a_runs, _shifted_runs(b_runs[r], dxs, N)):
-                bw = b.eval_window(r, lo, hi, dxs, dys, d)
-                term = jets.mul(aq[:, lo:hi], bw)
-                acc = comps.get(q + r)
-                if acc is None:
-                    acc = comps[q + r] = np.zeros((d + 1, N) + term.shape[2:], complex)
-                acc[:, lo:hi] += term
+            term = jets.mul(aq, b.eval_window(r, 0, N, dxs, dys, d))
+            acc = comps.get(q + r)
+            if acc is None:
+                acc = comps[q + r] = np.zeros(term.shape, complex)
+            acc += term
     return AlgebraElement(a.flavor, g, comps)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, E_FLAVOR
 from .bimodule import act_left, act_right, inner_D, inner_E
-from .lattice import CHAIN_DEPTH, ScalarField, TorusFunction
+from .lattice import ScalarField, TorusFunction
 from .projection import grassmann_apply
 
 SKEW_TOL = 1e-12
@@ -100,12 +100,8 @@ class Curvature2Form:
                             compare=False)  # extract_f1_f2's (f1, f2)
 
     def component(self, w1: str, w2: str) -> AlgebraElement:
-        table = {("X", "Y"): self.xy, ("X", "Z"): self.xz, ("Y", "Z"): self.yz}
-        if (w1, w2) in table:
-            return table[(w1, w2)]
-        if (w2, w1) in table:
-            return table[(w2, w1)].scaled(-1)
-        return AlgebraElement.zero(E_FLAVOR, self.xy.grid)
+        """Theta(W1, W2) for W1 before W2 in (X, Y, Z)."""
+        return {("X", "Y"): self.xy, ("X", "Z"): self.xz, ("Y", "Z"): self.yz}[(w1, w2)]
 
     def norm_inf(self) -> float:
         return float(np.max([t.norm_inf() for t in (self.xy, self.xz, self.yz)]))
@@ -155,12 +151,9 @@ def curvature_perturbed(theta0: Curvature2Form, pert: Perturbation,
     return Curvature2Form(xy, xz, yz)
 
 
-def curvature_of(nabla: Connection, theta0: Optional[Curvature2Form] = None,
-                 depth: int = CHAIN_DEPTH) -> Curvature2Form:
-    if theta0 is None:
-        theta0 = curvature_closed(nabla.R)
-    if nabla.perturbation is None:
-        return theta0
+def curvature_of(nabla: Connection, theta0: Curvature2Form,
+                 depth: int) -> Curvature2Form:
+    """Curvature of a perturbed connection from its Grassmannian theta0."""
     return curvature_perturbed(theta0, nabla.perturbation, nabla.grid.params.c, depth)
 
 

@@ -187,8 +187,6 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, Fraction):
-        return str(obj)
     return obj
 
 
@@ -468,14 +466,12 @@ def run_morita(cfg: RunConfig) -> Dict[str, object]:
     # checks' y-operations are pointwise or rolls by sv_steps, so no y-band
     # binds.  All samples are one batch, cut into chunks of at most
     # lattice.GRID_BUDGET points so that any sample count fits in memory.
-    try:
-        grid = replace(make_grid(cfg.params, cfg.morita_refinement),
-                       hy=Fraction(1, s_y_samples(cfg.params)))
-        rep = verify_bimodule_preservation(
-            grid, cfg.morita_sample_count, seed=cfg.seed,
-            tol=cfg.tolerances["morita"])
-    except MoritaGridError as exc:
-        raise PipelineError(f"stage 'morita grid' failed: {exc}") from exc
+    # Parameters on which S or H is no map raise MoritaGridError (exit 2).
+    grid = replace(make_grid(cfg.params, cfg.morita_refinement),
+                   hy=Fraction(1, s_y_samples(cfg.params)))
+    rep = verify_bimodule_preservation(
+        grid, cfg.morita_sample_count, seed=cfg.seed,
+        tol=cfg.tolerances["morita"])
     rep["command"] = "morita"
     rep["config"] = _config_summary(cfg)
     rep["grid"] = {"nx_unit": grid.nx_unit, "ny": grid.ny}
@@ -523,6 +519,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except WindowOverflowError as exc:
         print(f"grid error: {exc}", file=sys.stderr)
+        return 2
+    except MoritaGridError as exc:
+        print(f"morita grid error: {exc}", file=sys.stderr)
         return 2
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)

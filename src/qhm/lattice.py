@@ -459,7 +459,7 @@ class ScalarField:
             chain = chain[..., self.grid.y_roll(-ky)]
         return ScalarField(self.grid, self.i0 - kx, chain)
 
-    def y_phase(self, cycles: float, const: float = 0.0) -> "ScalarField":
+    def y_phase(self, cycles: float, const: float) -> "ScalarField":
         """Multiply by e(cycles*y + const) with e(t) = exp(2*pi*i*t)."""
         ph = np.exp(2j * math.pi * (cycles * self.grid.ys + const))
         return ScalarField(self.grid, self.i0, self.chain * ph)

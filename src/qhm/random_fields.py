@@ -9,8 +9,6 @@ reproducibility.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Grid, ScalarField,
@@ -26,12 +24,10 @@ def smooth_envelope(grid: Grid) -> ScalarField:
 
 
 def random_module_vector(grid: Grid, rng: np.random.Generator,
-                         envelope: Optional[ScalarField] = None) -> ScalarField:
+                         envelope: ScalarField) -> ScalarField:
     """Random smooth vector: sum of three copies of the envelope, each moved
     by up to BATTERY_SHIFT_UNITS su in x and modulated by e(m y) with
     |m| <= BATTERY_Y_MODES."""
-    if envelope is None:
-        envelope = smooth_envelope(grid)
     out = ScalarField.zeros(grid, envelope.depth)
     for _ in range(3):
         kx = int(rng.integers(-BATTERY_SHIFT_UNITS * grid.su_steps,

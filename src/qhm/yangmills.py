@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .algebra import AlgebraElement, E_FLAVOR, bracket, star, trace
 from .bimodule import act_left, act_right, inner_D, inner_E
@@ -44,7 +44,7 @@ def ym_of_curvature(theta: Curvature2Form) -> float:
     return float(val.real)
 
 
-def ym_value(nabla: Connection, theta0: Optional[Curvature2Form] = None) -> float:
+def ym_value(nabla: Connection, theta0: Curvature2Form) -> float:
     return ym_of_curvature(curvature_of(nabla, theta0, 0))
 
 

@@ -32,7 +32,7 @@ from qhm.algebra import (AlgebraElement, D_FLAVOR, adjoint, bracket, derivation,
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import (Connection, Curvature2Form, Perturbation, connect,
                           curvature_closed, curvature_of, mult_element)
-from qhm.lattice import Grid, ScalarField, TorusFunction, y_bandwidth
+from qhm.lattice import CHAIN_DEPTH, Grid, ScalarField, TorusFunction, y_bandwidth
 from qhm.random_fields import (random_module_vector, random_torus_function,
                                smooth_envelope)
 from qhm.yangmills import BASIS, ym_value
@@ -239,14 +239,13 @@ def ym_directional(nabla: Connection, direction: Perturbation, t: float = 1e-4,
     return (at(t) - at(-t)) / (2 * t)
 
 
-def first_variation(nabla: Connection, direction: Perturbation,
-                    theta0: Optional[Curvature2Form] = None) -> float:
+def first_variation(nabla: Connection, direction: Perturbation) -> float:
     """Exact first variation of YM along a multiplication-type direction.
 
     d/dt YM = -2 tau_E( Theta_XY (dxH1 - dyH2 - cH3)
                       + Theta_XZ (-dyH3) + Theta_YZ (-dxH3) ).
     """
-    theta = curvature_of(nabla, theta0)
+    theta = curvature_of(nabla, curvature_closed(nabla.R), CHAIN_DEPTH)
     c = nabla.grid.params.c
     h1, h2, h3 = direction.g1, direction.g2, direction.g3
     dxy = mult_element(h1.d_dx() - h2.d_dy() - float(c) * h3, 1)

@@ -5,6 +5,7 @@ products (flavor D) and multiplication elements (flavor E), so every
 algebraic identity below is exercised on structurally correct data.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -13,13 +14,13 @@ import pytest
 
 from qhm import jets
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, FlavorError,
-                         _intersect_runs, _runs, _shifted_runs, adjoint,
-                         derivation, star, trace)
+                         adjoint, derivation, star, trace)
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import Curvature2Form, mult_element
 from qhm.lattice import Params, ScalarField, TorusFunction, make_grid, spectral_dy
 from qhm.projection import build_R
-from qhm.random_fields import random_module_vector, random_torus_function
+from qhm.random_fields import (random_module_vector, random_torus_function,
+                               smooth_envelope)
 
 from oracles import (bits_equal, element_allclose, invariance_defect, laplacian,
                      skew_defect)
@@ -27,16 +28,15 @@ from oracles import (bits_equal, element_allclose, invariance_defect, laplacian,
 
 @pytest.fixture()
 def d_elems(grid4, rng):
-    f = random_module_vector(grid4, rng)
-    g = random_module_vector(grid4, rng)
-    h = random_module_vector(grid4, rng)
+    env = smooth_envelope(grid4)
+    f, g, h = (random_module_vector(grid4, rng, env) for _ in range(3))
     return inner_D(f, g), inner_D(g, h), inner_D(h, f)
 
 
 @pytest.fixture()
 def e_elems(grid4, rng):
-    f = random_module_vector(grid4, rng)
-    g = random_module_vector(grid4, rng)
+    env = smooth_envelope(grid4)
+    f, g = (random_module_vector(grid4, rng, env) for _ in range(2))
     return (inner_E(f, g), inner_E(g, f),
             mult_element(random_torus_function(grid4, rng), 2))
 
@@ -97,9 +97,8 @@ def test_derivations_are_leibniz(grid8, rng):
     # products of two inner products double the p-support, and with it the
     # wrap-phase y-frequencies; refinement 8 keeps them inside the band so
     # the identity is exact rather than polluted by unrepresentable modes
-    f = random_module_vector(grid8, rng)
-    g = random_module_vector(grid8, rng)
-    h = random_module_vector(grid8, rng)
+    env = smooth_envelope(grid8)
+    f, g, h = (random_module_vector(grid8, rng, env) for _ in range(3))
     a, b = inner_D(f, g), inner_D(g, h)
     ab = star(a, b)
     for w in "XYZ":
@@ -142,8 +141,8 @@ def test_trace_is_tracial(d_elems):
 
 
 def test_trace_of_identity(grid4):
-    assert abs(trace(AlgebraElement.identity(D_FLAVOR, grid4)) - 1) < 1e-12
-    ident_e = AlgebraElement.identity(E_FLAVOR, grid4)
+    assert abs(trace(AlgebraElement.identity(D_FLAVOR, grid4, 0)) - 1) < 1e-12
+    ident_e = AlgebraElement.identity(E_FLAVOR, grid4, 0)
     assert abs(trace(ident_e) - float(grid4.params.su)) < 1e-12
 
 
@@ -203,7 +202,8 @@ def test_window_refuses_orders_its_chain_lacks(params):
 def test_chains_are_single_complex_arrays(grid4, rng):
     # a chain is one (depth + 1, nx, ny) complex array, for fields and for
     # every component of an element, whatever operation made it
-    f, g = (random_module_vector(grid4, rng) for _ in range(2))
+    env = smooth_envelope(grid4)
+    f, g = (random_module_vector(grid4, rng, env) for _ in range(2))
     phi, psi = inner_D(f, g), inner_E(f, g)
     elems = [phi, psi, star(phi, phi), adjoint(phi), derivation("X", phi)]
     fields = [f, act_right(f, phi), act_left(psi, g),
@@ -227,12 +227,13 @@ def test_chains_are_single_complex_arrays(grid4, rng):
             AlgebraElement(D_FLAVOR, grid4, {0: chain})
 
 
-# -- the support-row kernels against full-window references -----------------
+# -- star and the derivations against references ----------------------------
 #
-# The references multiply every (q, r) pair of star on the full fundamental
-# domain and apply the derivations to whole arrays.  The kernels touch only
-# the rows where the factors are nonzero; the skipped rows contribute exact
-# zeros, so the results may differ in the sign of a zero and nowhere else.
+# _ref_star multiplies every (q, r) pair of star on the full fundamental
+# domain through the program's windows, each term a list of orders, and
+# _ref_derivation applies the derivations to whole arrays order by order.
+# _closed_form_star is independent of the windows: it evaluates order 0 of
+# the convolution formulas point by point, with the wrap phases written out.
 
 
 def _ref_star(a, b):
@@ -297,34 +298,6 @@ def _sparse_element(flavor, grid, rng, rows_by_p, depth):
     return AlgebraElement(flavor, grid, comps)
 
 
-def _mask_runs(mask):
-    """Maximal runs of True rows, found as star found them before it
-    intersected intervals: the oracle of the test below."""
-    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
-    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
-
-
-def test_run_intersection_matches_rolled_masks():
-    # star reads row (i + s) mod n of b at window row i; its interval
-    # arithmetic must give exactly the runs of a_mask & roll(b_mask, -s)
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 5, 12):
-        ends = np.zeros(n, bool)
-        ends[[0, -1]] = True  # runs touching rows 0 and n - 1
-        masks = [np.zeros(n, bool), np.ones(n, bool), ends]
-        masks += [rng.random(n) < p for p in (0.3, 0.5, 0.8) for _ in range(4)]
-        shifts = {0, n, -n, 3 * n, -2 * n, 1, -1, n - 1, 1 - n, n + 2,
-                  -2 * n - 3, 5 * n + 4}
-        for a_mask in masks:
-            a_runs = _runs(a_mask[None, :, None].astype(complex))
-            assert a_runs == _mask_runs(a_mask)
-            for b_mask in masks:
-                b_runs = _runs(b_mask[None, :, None] * (1 - 2j))
-                for s in shifts:
-                    got = _intersect_runs(a_runs, _shifted_runs(b_runs, s, n))
-                    assert got == _mask_runs(a_mask & np.roll(b_mask, -s)), (a_mask, b_mask, s)
-
-
 def _assert_same_element(a, b):
     assert a.flavor == b.flavor and a.p_support == b.p_support
     for p in a.p_support:
@@ -342,7 +315,7 @@ def test_star_and_derivations_match_full_window_bitwise(params, refinement):
     grid = make_grid(params, refinement, pairwise=True)
     rng = np.random.default_rng(refinement)
     R = build_R(params, grid)
-    f = random_module_vector(grid, rng)
+    f = random_module_vector(grid, rng, smooth_envelope(grid))
     q = inner_D(R, R)
     dq = [derivation(w, q) for w in "XYZ"]
     elems = {}
@@ -378,6 +351,60 @@ def test_star_and_derivations_match_full_window_bitwise(params, refinement):
 
 
 
+def _closed_form_star(a, b):
+    """Order 0 of star(a, b) from the formulas of its docstring, one grid
+    point at a time: a value of b off its fundamental domain comes from the
+    invariance rule of the flavor, with e(t) = exp(2 pi i t) by cmath,
+    D: Phi(x + k, y, p) = e(c k p (y - p sv/2)) Phi(x, y, p),
+    E: Psi(x + m su, y, p) = e(c p m (y - m sv/2)) Psi(x, y - m sv, p)."""
+    g = a.grid
+    c, sv = g.params.c, float(g.params.sv)
+    n, ny = a.nxd, g.ny
+
+    def e(t):
+        return cmath.exp(2j * math.pi * t)
+
+    out = {}
+    for q, aq in a.comps.items():
+        for r, br in b.comps.items():
+            acc = out.setdefault(q + r, np.zeros((n, ny), complex))
+            for i in range(n):
+                for j in range(ny):
+                    y = j * g.hy_f
+                    if a.flavor == D_FLAVOR:
+                        # B(x - q su, y - q sv, r), x - q su = x' + k
+                        k, i_dom = divmod(i - q * g.su_steps, n)
+                        y_b = y - q * sv
+                        val = (e(c * k * r * (y_b - r * sv / 2))
+                               * br[0, i_dom, (j - q * g.sv_steps) % ny])
+                    else:
+                        # B(x + q, y, r), x + q = x' + m su
+                        m, i_dom = divmod(i + q * g.nx_unit, n)
+                        val = (e(c * r * m * (y - m * sv / 2))
+                               * br[0, i_dom, (j - m * g.sv_steps) % ny])
+                    acc[i, j] += aq[0, i, j] * val
+    return out
+
+
+@pytest.mark.parametrize("refinement", [3, 9])
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["c1", "c2"])
+def test_star_matches_the_closed_form_convolution(params, refinement):
+    # dense depth-0 elements with negative p, so that b is read across
+    # several cells on both sides of the fundamental domain
+    grid = make_grid(params, refinement)
+    rng = np.random.default_rng(refinement)
+    for flavor in (D_FLAVOR, E_FLAVOR):
+        shape = (1, AlgebraElement.domain_steps(flavor, grid), grid.ny)
+        a, b = (AlgebraElement(flavor, grid, {
+            p: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for p in ps}) for ps in ((-2, 0, 1), (-1, 3)))
+        got, want = star(a, b), _closed_form_star(a, b)
+        assert got.p_support == sorted(want)
+        scale = max(np.max(np.abs(w)) for w in want.values())
+        for p, w in want.items():
+            assert np.max(np.abs(got.comps[p][0] - w)) <= 1e-12 * scale, (flavor, p)
+
+
 def _assert_members_bitwise(batch, members):
     """Member i of a batched result is members[i] to the batch's depth, to
     the sign of each zero; a component a member lacks is absent or zero."""
@@ -398,7 +425,7 @@ def test_batched_star_matches_its_members_bitwise(params, refinement):
     grid = make_grid(params, refinement, pairwise=True)
     rng = np.random.default_rng(100 + refinement)
     R = build_R(params, grid)
-    f = random_module_vector(grid, rng)
+    f = random_module_vector(grid, rng, smooth_envelope(grid))
     members = {}
     for flavor in (D_FLAVOR, E_FLAVOR):
         nxd = AlgebraElement.domain_steps(flavor, grid)

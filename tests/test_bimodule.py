@@ -18,14 +18,15 @@ from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import curvature_closed
 from qhm.lattice import Params, ScalarField, make_grid, y_bandwidth
 from qhm.projection import build_R
-from qhm.random_fields import random_module_vector
+from qhm.random_fields import random_module_vector, smooth_envelope
 
 from oracles import bits_equal, conj_field, make_battery, pointwise_mul
 
 
 @pytest.fixture()
 def vectors(grid4, rng):
-    return [random_module_vector(grid4, rng) for _ in range(3)]
+    env = smooth_envelope(grid4)
+    return [random_module_vector(grid4, rng, env) for _ in range(3)]
 
 
 def test_inner_products_are_conjugate_symmetric(vectors):
@@ -226,8 +227,8 @@ def test_kernels_match_direct_sums_bitwise(params, refinement):
     grid = make_grid(params, refinement, pairwise=True)
     rng = np.random.default_rng(refinement)
     R = build_R(params, grid)
-    f, g = (random_module_vector(grid, rng)
-            for _ in range(2))
+    env = smooth_envelope(grid)
+    f, g = (random_module_vector(grid, rng, env) for _ in range(2))
     for u, v in ((R, f), (f, R), (f, g)):
         phi = inner_D(u, v)
         _assert_same_element(phi, _ref_inner(u, v, D_FLAVOR))
@@ -293,8 +294,8 @@ def test_batched_kernels_match_their_members_bitwise(params, refinement):
     grid = make_grid(params, refinement, pairwise=True)
     rng = np.random.default_rng(refinement)
     R = build_R(params, grid)
-    f, g = (random_module_vector(grid, rng)
-            for _ in range(2))
+    env = smooth_envelope(grid)
+    f, g = (random_module_vector(grid, rng, env) for _ in range(2))
     zero_field = ScalarField.zeros(grid, R.depth)
     # members with unequal p-supports and row supports, one all zero
     phis = [inner_D(R, f), AlgebraElement.zero(D_FLAVOR, grid), inner_D(f, g),

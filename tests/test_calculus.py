@@ -1,20 +1,17 @@
 """Connection, curvature and multiplication-commutator tests."""
 
-from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qhm import algebra, jets
 from qhm.algebra import adjoint, derivation
 from qhm.bimodule import act_left, act_right, inner_D
 from qhm.calculus import (Connection, Perturbation, StructureError,
                           connect, curvature_closed, curvature_of,
                           extract_f1_f2, mult_element)
 from qhm.laplace import assemble_rhs, build_perturbation, solve_poisson
-from qhm.lattice import Params, TorusFunction, make_grid
+from qhm.lattice import CHAIN_DEPTH, Params, TorusFunction, make_grid
 from qhm.projection import build_R
 from qhm.random_fields import (random_module_vector, random_torus_function,
                                smooth_envelope)
@@ -30,8 +27,10 @@ def narrow_vector(grid, rng):
 
 
 def vector_pair(grid, rng, narrow=False):
-    draw = narrow_vector if narrow else random_module_vector
-    return draw(grid, rng), draw(grid, rng)
+    if narrow:
+        return narrow_vector(grid, rng), narrow_vector(grid, rng)
+    env = smooth_envelope(grid)
+    return random_module_vector(grid, rng, env), random_module_vector(grid, rng, env)
 
 
 @pytest.mark.parametrize("grid_fixture", ["grid2", "grid9"])
@@ -92,7 +91,7 @@ class TestCommutators:
                              [("X", "y", -1), ("Y", "x", -1)])
     def test_mult_commutator_is_derivative(self, grid4, R4, rng, w,
                                            deriv_axis, sign):
-        f = random_module_vector(grid4, rng)
+        f = random_module_vector(grid4, rng, smooth_envelope(grid4))
         g = random_torus_function(grid4, rng)
         nabla0 = Connection(R4)
         d = g.d_dy() if deriv_axis == "y" else g.d_dx()
@@ -102,7 +101,7 @@ class TestCommutators:
         assert (com - ref).norm_inf() < 1e-10 * scale
 
     def test_z_commutator_vanishes(self, grid4, R4, rng):
-        f = random_module_vector(grid4, rng)
+        f = random_module_vector(grid4, rng, smooth_envelope(grid4))
         g = random_torus_function(grid4, rng)
         nabla0 = Connection(R4)
         scale = max(f.norm_inf() * g.norm_inf(), 1e-30)
@@ -115,7 +114,7 @@ class TestCommutators:
         co[1, 1] = 1j
         g = TorusFunction.from_fft(grid4, co)
         kx, ky = character_frequencies(grid4)
-        f = random_module_vector(grid4, np.random.default_rng(5))
+        f = random_module_vector(grid4, np.random.default_rng(5), smooth_envelope(grid4))
         nabla0 = Connection(R4)
         com = commutator_mult(nabla0, g, "Y", f)
         dg = g * (2j * math.pi * kx[1, 1])
@@ -160,7 +159,7 @@ class TestCurvature:
     def test_operator_matches_closed_form(self, grid9, R9, rng):
         theta0 = curvature_closed(R9)
         nabla0 = Connection(R9)
-        f = random_module_vector(grid9, rng)
+        f = random_module_vector(grid9, rng, smooth_envelope(grid9))
         for w1, w2 in (("X", "Y"), ("X", "Z"), ("Y", "Z")):
             op = curvature_definition(nabla0, w1, w2, f)
             cl = act_left(theta0.component(w1, w2), f)
@@ -178,74 +177,18 @@ class TestCurvature:
         g3 = solve_poisson(assemble_rhs(f1, f2, params.c))
         nabla = Connection(R, build_perturbation(f1, g3, params.c))
         assert (R.depth, theta0.xz.depth) == (2, 1)
-        assert curvature_of(nabla, theta0).xz.depth == theta0.xz.depth
-
-    def test_closed_form_stars_multiply_only_support_rows(self, params,
-                                                          monkeypatch):
-        # the star form's 6 stars of 9 component pairs each: 6 * 9 * 180 =
-        # 9720 rows on full windows at refinement 45, where each component
-        # of delta_W Q is nonzero on 11 to 22 of the 180 rows
-        grid = make_grid(params, 45)
-        R = build_R(params, grid)
-        rows = []
-
-        def counting(a, b):
-            rows.append(a[0].shape[0])
-            return jets.mul(a, b)
-
-        monkeypatch.setattr(algebra, "jets",
-                            SimpleNamespace(**{**vars(jets), "mul": counting}))
-        curvature_star_form(R)
-        assert grid.nx_unit == 180
-        assert 0 < sum(rows) <= 6 * 9 * grid.nx_unit // 4
-
-    def test_cached_runs_are_the_runs_of_each_component(self, params):
-        grid = make_grid(params, 27)
-        q = inner_D(*(build_R(params, grid),) * 2)
-        for w in "XYZ":
-            dq = derivation(w, q)
-            assert dq.comps
-            for p, chain in dq.comps.items():
-                for d in range(len(chain)):
-                    assert dq.runs(p, d) == algebra._runs(chain[:d + 1])
-
-    def test_closed_form_finds_each_run_list_once(self, params, monkeypatch):
-        # the star form stars each delta_W Q four times; star reads the
-        # row runs of every operand component, found once per element
-        calls, found = [], Counter()
-        runs, plain = algebra.AlgebraElement.runs, algebra._runs
-
-        def counting_runs(elem, p, d):
-            before = len(calls)
-            out = runs(elem, p, d)
-            found[(id(elem), p, d)] += len(calls) - before
-            keep.append(elem)  # no id is reused while counting
-            return out
-
-        keep = []
-        monkeypatch.setattr(algebra, "_runs",
-                            lambda chain: calls.append(1) or plain(chain))
-        monkeypatch.setattr(algebra.AlgebraElement, "runs", counting_runs)
-        grid = make_grid(params, 27)
-        curvature_star_form(build_R(params, grid))
-        assert set(found.values()) == {1}
-        assert len(calls) == len(found) < len(keep)
+        assert curvature_of(nabla, theta0, CHAIN_DEPTH).xz.depth == theta0.xz.depth
 
     def test_perturbed_operator_matches_assembled(self, grid4, R4, rng):
         pert = random_perturbation(grid4, rng)
         nabla = Connection(R4, pert)
-        theta = curvature_of(nabla)
-        f = random_module_vector(grid4, rng)
+        theta = curvature_of(nabla, curvature_closed(R4), CHAIN_DEPTH)
+        f = random_module_vector(grid4, rng, smooth_envelope(grid4))
         scale = max(theta.norm_inf() * f.norm_inf(), 1e-30)
         for w1, w2 in (("X", "Y"), ("X", "Z"), ("Y", "Z")):
             op = curvature_definition(nabla, w1, w2, f)
             cl = act_left(theta.component(w1, w2), f)
             assert (op - cl).norm_inf() < 1e-10 * scale
-
-    def test_component_antisymmetry(self, grid4, R4, rng):
-        theta = curvature_of(Connection(R4, random_perturbation(grid4, rng)))
-        assert (theta.component("Y", "X") + theta.xy).norm_inf() < 1e-12
-        assert theta.component("X", "X").norm_inf() == 0.0
 
     def test_perturbation_must_be_skew(self, grid2):
         bad = TorusFunction(grid2, np.ones((grid2.su_steps, grid2.ny)))
@@ -256,8 +199,7 @@ class TestCurvature:
     def test_extract_rejects_bad_support(self, grid4, rng):
         from qhm.calculus import Curvature2Form
         from qhm.bimodule import inner_E
-        f = random_module_vector(grid4, rng)
-        g = random_module_vector(grid4, rng)
+        f, g = vector_pair(grid4, rng)
         junk = inner_E(f, g)             # generic p-support, y-dependence
         theta = Curvature2Form(junk, junk, junk)
         with pytest.raises(StructureError):

@@ -18,11 +18,12 @@ from qhm import (algebra, bimodule, calculus, cli, jets, laplace,
 from qhm.calculus import Perturbation, curvature_closed
 from qhm.cli import (ConfigError, PipelineError, RunConfig, _parse_kv,
                      load_config, main, run_solve, run_verify)
-from qhm.lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, Grid, Params,
+from qhm.lattice import (BATTERY_SHIFT_UNITS, BATTERY_Y_MODES, CHAIN_DEPTH, Grid, Params,
                          TorusFunction, make_grid, y_bandwidth)
 from qhm.morita import verify_bimodule_preservation
 from qhm.projection import build_R
-from qhm.random_fields import random_module_vector, random_torus_function
+from qhm.random_fields import (random_module_vector, random_torus_function,
+                               smooth_envelope)
 
 from oracles import (curvature_star_form, inject_broken_unitary,
                      patch_spectral_mutant, set_grid_table)
@@ -286,9 +287,10 @@ class TestVerify:
         tied = Grid(params, Fraction(1, 4 * refinement),
                     Fraction(1, 4 * refinement))
         rng = np.random.default_rng(7)
-        f = random_module_vector(tied, rng)
+        env = smooth_envelope(tied)
+        f = random_module_vector(tied, rng, env)
         random_torus_function(tied, rng)
-        g2 = random_module_vector(tied, rng)
+        g2 = random_module_vector(tied, rng, env)
         assert len(drawn) == 2
         ys = [Fraction(k, 4) for k in range(4)]
         for got, want in zip(drawn, (f, g2)):
@@ -323,11 +325,13 @@ class TestVerify:
         # follows, depth 0 elsewhere.  With every operand at the full depth
         # the Leibniz products were {0: 3, 1: 101, 2: 139}.  The star form
         # of the curvature made them {0: 188, 1: 55}, 9 of them at depth 1
-        # in Theta0(X,Z), whose order 1 verify does not read.
+        # in Theta0(X,Z), whose order 1 verify does not read.  star
+        # multiplies every (q, r) pair of components, also the one of
+        # Q * Q whose row supports never meet.
         calls = count_calls(monkeypatch, (jets, "mul"), lens=True)
         run_verify(RunConfig(params=params, refinement=27, seed=7,
                              out=str(tmp_path)))
-        assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 165, 1: 52}
+        assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 166, 1: 52}
 
     @pytest.mark.parametrize("error", [ValueError, calculus.StructureError])
     def test_broken_projection_is_a_failed_check(self, tmp_path, monkeypatch,
@@ -565,7 +569,7 @@ class TestSolve:
         theta0 = rep["theta0"]
         nablas = [calculus.Connection(R, rep["perturbation"]),
                   calculus.Connection(R)]
-        thetas = [calculus.curvature_of(n, theta0) for n in nablas]
+        thetas = [calculus.curvature_of(nablas[0], theta0, CHAIN_DEPTH), theta0]
         calls = count_calls(monkeypatch, (jets, "mul"), lens=True)
         yangmills.critical_residuals(nablas, theta0, thetas)
         assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 6, 1: 4}
@@ -689,16 +693,18 @@ class TestMorita:
         rep = verify_bimodule_preservation(grid2, sample_count=1)
         assert set(rep["checks"]) == set(cli.MORITA_ANCHORS)
 
-    def test_bad_rescale_exits_1_with_stage(self, tmp_path, capsys):
+    def test_bad_rescale_exits_2_with_stage(self, tmp_path, capsys):
+        # parameters on which S is no map cannot be honoured: input error.
+        # c/sv = 4 is an integer, so the rescaling x -> -x/su is what fails
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("su = 2/5\nsv = 2/5\n")
+        cfg.write_text("c = 2\nsu = 2/7\nsv = 1/2\n")
         code = main(["morita", "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "morita grid" in capsys.readouterr().err
+        assert code == 2
+        assert "morita grid error: 1/su" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sv", ["2/5", "0"])
-    def test_s_without_a_periodic_grid_exits_1(self, tmp_path, capsys, sv):
+    def test_s_without_a_periodic_grid_exits_2(self, tmp_path, capsys, sv):
         # S(f) is y-periodic on some grid iff c/sv is an integer.  With c = 1
         # the grid of the refinement gave membership_transport 11.46 at
         # sv = 2/5; at sv = 0 every violation was NaN, and the run passed.
@@ -706,8 +712,8 @@ class TestMorita:
         cfg.write_text(f"su = 1/4\nsv = {sv}\n")
         code = main(["morita", "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "morita grid" in capsys.readouterr().err
+        assert code == 2
+        assert "morita grid error: c/sv" in capsys.readouterr().err
 
 
 class TestChainDepth:

@@ -100,11 +100,14 @@ def definitions(path: Path):
     return out
 
 
-def test_commands_enter_every_definition(tmp_path):
-    # verify at refinement 9, solve --sweep at 9 and morita at its
-    # refinement 8 for (c, su, sv) = (1, 1/4, 1/4), and the bare default
-    # verify, the one run that reaches bimodule._no_rows: a function that
-    # none of them enters serves only the tests, and lives with them
+@pytest.fixture(scope="module")
+def command_traffic(tmp_path_factory):
+    """verify at refinement 9, solve --sweep at 9 and morita at its
+    refinement 8 for (c, su, sv) = (1, 1/4, 1/4), and the bare default
+    verify, the one run that reaches bimodule._no_rows, under sys.settrace:
+    the (file, first line) of every function entered, and the (file, line)
+    of every line of src/qhm run."""
+    tmp_path = tmp_path_factory.mktemp("traffic")
     cfg = tmp_path / "c.cfg"
     cfg.write_text("c = 1\nsu = 1/4\nsv = 1/4\nmorita.refinement = 8\n")
     runs = [["verify", "--config", str(cfg), "--refinement", "9"],
@@ -117,24 +120,156 @@ def test_commands_enter_every_definition(tmp_path):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
-    entered = set()
+    ours = {os.path.realpath(path) for path in MODULES}
+    traced = {}  # co_filename: whether it is a module of src/qhm
+    entered, executed = set(), set()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+    def lines(frame, event, arg):
+        if event == "line":
+            executed.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
 
-    old = sys.getprofile()
-    sys.setprofile(profile)
+    def calls(frame, event, arg):
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno))
+        name = code.co_filename
+        if name not in traced:
+            traced[name] = os.path.realpath(name) in ours
+        return lines if traced[name] else None
+
+    old = sys.gettrace()
+    sys.settrace(calls)
     try:
         codes = [cli.main(argv + ["--out", str(tmp_path / str(i))])
                  for i, argv in enumerate(runs)]
     finally:
-        sys.setprofile(old)
+        sys.settrace(old)
     assert codes == [0, 0, 0, 0]
-    entered = {(os.path.realpath(f), line) for f, line in entered}
+    return ({(os.path.realpath(f), line) for f, line in entered},
+            {(os.path.realpath(f), line) for f, line in executed})
+
+
+def test_commands_enter_every_definition(command_traffic):
+    # a function that none of the runs enters serves only the tests, and
+    # lives with them
+    entered, _ = command_traffic
     defs = {k: v for path in MODULES for k, v in definitions(path).items()}
     assert sorted(name for key, name in defs.items()
                   if key not in entered) == sorted(BENCH_ONLY)
+
+
+def unexecuted_statements(path: Path, executed):
+    """("module.qualname", text of its first line) of the first statement of
+    each run of statements of a function body in which no line of
+    `executed` ((file, line) pairs) falls, found in the blocks of the
+    statements that ran; a run of raise statements alone is an error exit
+    and not listed.  A function's docstring is no statement, and a nested
+    def is a function of its own."""
+    where = os.path.realpath(path)
+    text = path.read_text(encoding="utf-8").splitlines()
+    out = []
+
+    def scan(name, body):
+        ran = [any((where, line) in executed
+                   for line in range(stmt.lineno, stmt.end_lineno + 1))
+               for stmt in body]
+        for i, stmt in enumerate(body):
+            if ran[i]:
+                if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    for block in ([getattr(stmt, f, []) for f in ("body", "orelse", "finalbody")]
+                                  + [h.body for h in getattr(stmt, "handlers", [])]):
+                        scan(name, block)
+            elif i == 0 or ran[i - 1]:
+                end = next((k for k in range(i, len(body)) if ran[k]), len(body))
+                if not all(isinstance(s, ast.Raise) for s in body[i:end]):
+                    out.append((name, text[stmt.lineno - 1].strip()))
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                docstring = ast.get_docstring(child) is not None
+                if child.body[docstring:]:
+                    scan(prefix + child.name, child.body[docstring:])
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+    return out
+
+
+# Statements that no command runs, other than error exits, each with the
+# reason it stays; the functions of BENCH_ONLY are not scanned.
+UNEXECUTED = {
+    ("algebra.bracket", 'return -1, "Z"'):
+        "the bracket table's reversed pair; the commands pair W1 before W2",
+    ("algebra.AlgebraElement.depth", "return 0"):
+        "the zero element's depth: batches in the tests hold zero members",
+    ("algebra.adjoint", "w = a.eval_window(q, 0, a.nxd, dxs=p * g.nx_unit, dys=0)"):
+        "the E-flavor adjoint, one of the algebra identities the tests check",
+    ("bimodule.inner_D", "return AlgebraElement.zero(D_FLAVOR, grid)"):
+        "an empty vector; no command pairs one",
+    ("bimodule.act_left", "return _no_rows(f, psi, depth=d)"):
+        "a zero element or an empty vector; no command acts with one",
+    ("bimodule.act_right", "return _no_rows(g, phi, w)"):
+        "a zero element; no command acts with one (the second such return, "
+        "for an annihilated batch, runs)",
+    ("calculus.connect", "if mult is None:"):
+        "the perturbation branch: the test oracles apply perturbed connections",
+    ("cli._parse_kv", "continue"):
+        "config syntax: blank and comment lines",
+    ("cli._floatval", "try:"):
+        "config syntax: a tol.* key",
+    ("cli.load_config", "cfg = replace(cfg, seed=overrides.seed)"):
+        "the --seed option",
+    ("cli.run_verify", "qq = _tamper(qq)"):
+        "bench/workloads.py's gate self-test sets RunConfig.tamper_star",
+    ("cli.run_verify", 'checks.append(_check("projection_conditions", str(exc), np.inf,'):
+        "a broken projection is a failed check; the tests inject one",
+    ("cli.run_verify", 'checks.append(_check("curvature_profiles", str(exc), np.inf,'):
+        "a broken curvature is a failed check; the tests inject one",
+    ("cli.main", 'print(f"config error: {exc}", file=sys.stderr)'): "exit 2",
+    ("cli.main", "print(str(exc), file=sys.stderr)"): "exit 1, a failed stage",
+    ("cli.main", 'print(f"grid error: {exc}", file=sys.stderr)'): "exit 2",
+    ("cli.main", 'print(f"morita grid error: {exc}", file=sys.stderr)'): "exit 2",
+    ("cli.main", 'print(f"output error: {exc}", file=sys.stderr)'): "exit 2",
+    ("lattice._as_fraction", "if isinstance(x, int):"):
+        "Params from ints and 'a/b' strings; the commands pass Fractions",
+    ("lattice.ScalarField.trimmed", "return self"):
+        "an empty field",
+    ("lattice.ScalarField.trimmed", "return ScalarField(self.grid, 0, self.chain[:, :0])"):
+        "a field whose rows are all zero",
+    ("lattice.ScalarField.__add__", "return ScalarField(self.grid, self.i0, self.chain[:depth + 1])"):
+        "an empty right operand",
+    ("lattice.ScalarField.shift_steps", "chain = chain[..., self.grid.y_roll(-ky)]"):
+        "a y-shift; the commands shift vectors in x only",
+    ("lattice.spectral_dy", "return a.copy()"):
+        "an empty array",
+    ("projection.grassmann_apply", "phi = inner_D(R, f)"):
+        "the commands build <R, f>_D once and pass it; tests call it bare",
+}
+
+
+def test_commands_run_every_statement(command_traffic):
+    # a statement that no command runs is an error exit or is listed
+    _, executed = command_traffic
+    found = [(name, text) for path in MODULES
+             for name, text in unexecuted_statements(path, executed)
+             if name not in BENCH_ONLY]
+    assert sorted(found) == sorted(UNEXECUTED)
+
+
+def test_guard_sees_an_unexecuted_statement(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text('def f(x):\n    """Doc."""\n    if x:\n        y = 1\n'
+                    "        return y\n    if x is None:\n"
+                    "        raise ValueError(x)\n    return 0\n\n\n"
+                    "def g():\n    return 1\n")
+    where = os.path.realpath(path)
+    executed = {(where, line) for line in (3, 6, 8)}
+    assert unexecuted_statements(path, executed) == [("mod.f", "y = 1"),
+                                                     ("mod.g", "return 1")]
 
 
 def test_definitions_name_each_def_by_its_code_start(tmp_path):

@@ -173,7 +173,7 @@ class TestScalarField:
         assert abs(vals[0] - vals[1]) < 1e-9
 
     def test_dy_on_character(self, grid2):
-        f = gaussian_chain(grid2).y_phase(2)
+        f = gaussian_chain(grid2).y_phase(2, 0.0)
         d = ScalarField(grid2, f.i0, spectral_dy(f.chain, grid2))
         assert (d - f.scaled(4j * math.pi)).norm_inf() < 1e-10 * f.norm_inf()
 

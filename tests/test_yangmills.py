@@ -15,7 +15,7 @@ from qhm.calculus import (Connection, Curvature2Form, Perturbation,
                           mult_element)
 from qhm.laplace import (assemble_rhs, build_perturbation, solve_poisson,
                          verify_critical)
-from qhm.lattice import Grid, Params, ScalarField, TorusFunction, make_grid
+from qhm.lattice import CHAIN_DEPTH, Grid, Params, ScalarField, TorusFunction, make_grid
 from qhm.projection import build_R
 from qhm.random_fields import random_torus_function
 from qhm import yangmills
@@ -33,7 +33,7 @@ def perturbed(grid2, R2, rng):
 
 
 def test_ym_real_and_nonnegative(perturbed):
-    val = ym_value(perturbed)
+    val = ym_value(perturbed, curvature_closed(perturbed.R))
     assert val >= 0.0
     # curvature of a skew perturbation on the flat coarse grid is nonzero
     assert val > 1e-6
@@ -41,7 +41,7 @@ def test_ym_real_and_nonnegative(perturbed):
 
 def test_ym_zero_for_flat_connection(R2):
     # refinement-2 Grassmannian curvature vanishes identically
-    assert ym_value(Connection(R2)) < 1e-20
+    assert ym_of_curvature(curvature_closed(R2)) < 1e-20
 
 
 def test_ym_scales_quartically_in_flat_background(grid2, R2, rng):
@@ -50,14 +50,17 @@ def test_ym_scales_quartically_in_flat_background(grid2, R2, rng):
     g3 = random_torus_function(grid2, rng)
     z = TorusFunction.zeros(grid2)
     pert = Perturbation(z, z, g3)
-    a = ym_value(Connection(R2, pert))
-    b = ym_value(Connection(R2, Perturbation(z, z, 2.0 * g3)))
+    theta0 = curvature_closed(R2)
+    a = ym_value(Connection(R2, pert), theta0)
+    b = ym_value(Connection(R2, Perturbation(z, z, 2.0 * g3)), theta0)
     assert abs(b - 4 * a) < 1e-8 * max(b, 1.0)
 
 
 def test_pairing_symmetric_under_trace(perturbed, grid2, R2, rng):
-    ta = curvature_of(perturbed)
-    tb = curvature_of(Connection(R2, random_perturbation(grid2, rng)))
+    theta0 = curvature_closed(R2)
+    ta = curvature_of(perturbed, theta0, CHAIN_DEPTH)
+    tb = curvature_of(Connection(R2, random_perturbation(grid2, rng)), theta0,
+                      CHAIN_DEPTH)
     ab = trace(pair_forms(ta, tb))
     ba = trace(pair_forms(tb, ta))
     assert abs(ab - ba) < 1e-10 * max(abs(ab), 1.0)
@@ -73,10 +76,11 @@ def test_first_variation_matches_central_difference(perturbed, grid2, rng):
 
 def residuals(nablas):
     """critical_residuals of connections that share R, with the curvatures
-    built to the order it reads."""
+    built to the order it reads: theta0 itself for an unperturbed one."""
     theta0 = curvature_closed(nablas[0].R)
-    return critical_residuals(nablas, theta0,
-                              [curvature_of(n, theta0, 1) for n in nablas])
+    return critical_residuals(nablas, theta0, [
+        theta0 if n.perturbation is None else curvature_of(n, theta0, 1)
+        for n in nablas])
 
 
 def test_residuals_zero_for_flat_connection(R2):
@@ -98,7 +102,7 @@ def test_euler_lagrange_builds_each_shared_piece_once(params, grid9, R9,
     f1, f2 = extract_f1_f2(theta0)
     g3 = solve_poisson(assemble_rhs(f1, f2, params.c))
     nabla = Connection(R9, build_perturbation(f1, g3, params.c))
-    theta = curvature_of(nabla, theta0)
+    theta = curvature_of(nabla, theta0, CHAIN_DEPTH)
     f = make_battery(grid9, 1, seed=0)[0]
     calls = {"inner_D": 0, "mult_element": 0}
 
@@ -128,9 +132,9 @@ def test_equations_read_no_chain_order_beyond_one(params, grid9, R9):
     f = make_battery(grid9, 1, seed=0)[0]
     assert f.depth == 2
     cut = ScalarField(grid9, f.i0, f.chain[:2])
-    for nabla in (Connection(R9, build_perturbation(f1, g3, params.c)),
-                  Connection(R9)):
-        theta = curvature_of(nabla, theta0)
+    nabla = Connection(R9, build_perturbation(f1, g3, params.c))
+    for nabla, theta in ((nabla, curvature_of(nabla, theta0, CHAIN_DEPTH)),
+                         (Connection(R9), theta0)):
         full = euler_lagrange_apply(nabla, theta, f)
         short = euler_lagrange_apply(nabla, theta, cut)
         for i in "XYZ":
@@ -155,9 +159,11 @@ def test_elements_act_as_the_operator_equations(c, refinement, connection):
     R = build_R(params, grid)
     rep = verify_critical(R)
     theta0 = rep["theta0"]
-    nabla = Connection(R, rep["perturbation"] if connection == "constructed"
-                       else None)
-    theta = curvature_of(nabla, theta0)
+    if connection == "constructed":
+        nabla = Connection(R, rep["perturbation"])
+        theta = curvature_of(nabla, theta0, CHAIN_DEPTH)
+    else:
+        nabla, theta = Connection(R), theta0
     scale = theta0.norm_inf()
     assert scale > 1
     [eqs] = euler_lagrange_elements([nabla], [theta])
@@ -237,7 +243,7 @@ def test_batched_residuals_equal_the_one_at_a_time_reference(c, su, sv,
     rep = verify_critical(R)
     theta0 = rep["theta0"]
     nablas = [Connection(R, rep["perturbation"]), Connection(R)]
-    thetas = [curvature_of(nabla, theta0) for nabla in nablas]
+    thetas = [curvature_of(nablas[0], theta0, CHAIN_DEPTH), theta0]
     refs = [_elements_reference(n, t) for n, t in zip(nablas, thetas)]
     for eqs, ref in zip(euler_lagrange_elements(nablas, thetas), refs):
         for i in BASIS:
@@ -272,9 +278,11 @@ def test_ym_pairs_the_components_as_one_batch_bitwise(c, su, sv, monkeypatch):
     R = build_R(params, grid)
     rep = verify_critical(R)
     rng = np.random.default_rng(c)
-    for nabla in (Connection(R, rep["perturbation"]), Connection(R),
-                  Connection(R, random_perturbation(grid, rng))):
-        theta = curvature_of(nabla, rep["theta0"], 0)
+    theta0 = rep["theta0"]
+    for theta in (curvature_of(Connection(R, rep["perturbation"]), theta0, 0),
+                  theta0,
+                  curvature_of(Connection(R, random_perturbation(grid, rng)),
+                               theta0, 0)):
         # trace reads order 0 of the pairing, which YM forms alone
         cut = Curvature2Form(*(t.upto(0) for t in (theta.xy, theta.xz, theta.yz)))
         want = pair_forms(cut, cut)
