@@ -68,7 +68,8 @@ class AlgebraElement:
                     or chain.shape[-1] != grid.ny):
                 raise ValueError(f"component shape {chain.shape} != "
                                  f"(depth + 1, {nxd}[, batch], {grid.ny})")
-            if chain.any():
+            # one order-0 entry settles most nonzero chains, the scan the rest
+            if (chain.size and chain[0, nxd // 2].flat[0]) or chain.any():
                 clean[int(p)] = chain
         self.comps = clean
 
@@ -189,7 +190,7 @@ def window(chain: Optional[Chain], flavor: str, grid: Grid, p: int,
     of Grid.twisted_rows in the wrap of the flavor, then moved by dys in y.
     D: Phi(x+k, y, p) = e(c k p (y - p sv/2)) Phi(x, y, p), twist(k, p);
     E: Psi(x + m su, y, p) = e(c p m (y - m sv/2)) Psi(x, y - m sv, p),
-    twist(p, m).
+    twist(p, m); a unit phase is not multiplied (twist_or_none, see bimodule).
     """
     if chain is None:
         return np.zeros((depth + 1, i_hi - i_lo, grid.ny), complex)
@@ -198,11 +199,12 @@ def window(chain: Optional[Chain], flavor: str, grid: Grid, p: int,
                          f"needs a chain deeper than the component carries "
                          f"({len(chain) - 1})")
     if flavor == D_FLAVOR:
-        cell, shift, phase = grid.nx_unit, 0, lambda k: grid.twist(k, p)
+        cell, shift, phase = grid.nx_unit, 0, lambda k: grid.twist_or_none(k, p)
     else:
-        cell, shift, phase = grid.su_steps, grid.sv_steps, lambda k: grid.twist(p, k)
+        cell, shift, phase = (grid.su_steps, grid.sv_steps,
+                              lambda k: grid.twist_or_none(p, k))
     out = grid.twisted_rows(chain[:depth + 1], i_lo + dxs, i_hi + dxs, cell, shift, phase)
-    return out[..., grid.y_roll(-dys)] if dys % grid.ny else out
+    return grid.y_shifted(out, -dys)
 
 
 # -- operations ----------------------------------------------------------
@@ -277,7 +279,7 @@ def derive_component(w: str, a: AlgebraElement, p: int,
         raise ValueError(f"unknown Lie label {w!r}")
     # the x-factor and the order factors broadcast over a batch axis too
     ones = (1,) * (chain.ndim - 2)
-    xs = (np.arange(g.nx_unit)[rows] * g.hx_f - p * float(g.params.su) / 2).reshape((-1,) + ones)
+    xs = (g.xs[rows] - p * float(g.params.su) / 2).reshape((-1,) + ones)
     z = 2j * math.pi * c * p
     out = z * xs * chain
     out -= spectral_dy(chain, g)
@@ -304,3 +306,19 @@ def trace(a: AlgebraElement) -> complex:
     comp0 = a.component(0, 0)[0]
     return complex(np.sum(comp0)) * a.grid.hx_f * a.grid.hy_f
 
+
+def residual_norm(a: AlgebraElement, *subs: AlgebraElement) -> float:
+    """(a - subs[0] - subs[1] - ...).norm_inf() without the difference
+    elements: order 0 of each component, differenced in the same order
+    (an absent component reads zero), so the norm is the same bit for bit."""
+    for s in subs:
+        a._check(s)
+    worst = []
+    for p in set(a.comps).union(*(s.comps for s in subs)):
+        r = a.comps[p][0] if p in a.comps else 0
+        for s in subs:
+            if p in s.comps:
+                r = r - s.comps[p][0]
+        worst.append(np.max(np.abs(r)))
+    # np.max keeps a NaN, which max() drops behind a number
+    return float(np.max(worst, initial=0))

@@ -20,6 +20,14 @@ singleton batch axis, and the result is the batch of the members' results,
 bit for bit, on the union of their supports.  The members of a batch are
 zero-padded to that union: every accumulator starts at +0 and only adds,
 so the padding's +-0 terms change no value.
+
+The kernels skip a y-gather by a roll of 0 mod ny (Grid.y_shifted) and,
+here and in algebra.window, the multiply by twist(a, b) with a b = 0,
+which is exactly 1 +- 0j (Grid.twist_or_none).  No bit changes: for finite
+x, x (1 +- 0j) differs from x at most in the sign of a zero part; an
+accumulator that starts at +0 and only adds never holds -0, so the add
+absorbs it.  A window value only enters Leibniz products (jets.mul), whose
+parts then differ again at most in the sign of a zero, added onto +0.
 """
 
 from __future__ import annotations
@@ -51,13 +59,16 @@ def inner_D(f: ScalarField, g: ScalarField) -> AlgebraElement:
     for p in range(-((g.i1 - f.i0 - 1) // S), (f.i1 - g.i0 - 1) // S + 1):
         lo = max(f.i0, g.i0 + p * S)
         hi = min(f.i1, g.i1 + p * S)
-        b = g.chain[:d + 1, lo - p * S - g.i0:hi - p * S - g.i0][..., grid.y_roll(p * V)]
-        term = jets.mul(f.chain[:d + 1, lo - f.i0:hi - f.i0], np.conj(b, out=b))
+        b = grid.y_shifted(g.chain[:d + 1, lo - p * S - g.i0:hi - p * S - g.i0], p * V)
+        term = jets.mul(f.chain[:d + 1, lo - f.i0:hi - f.i0], np.conj(b))
         acc = np.zeros((d + 1, N) + term.shape[2:], complex)
         for k in range(lo // N, (hi - 1) // N + 1):
             r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
-            ph = np.conj(grid.twist(k, p))
-            acc[:, r0 - k * N:r1 - k * N] += term[:, r0 - lo:r1 - lo] * ph
+            blk = term[:, r0 - lo:r1 - lo]
+            ph = grid.twist_or_none(k, p)
+            if ph is not None:
+                blk = blk * np.conj(ph)
+            acc[:, r0 - k * N:r1 - k * N] += blk
         comps[p] = acc
     return AlgebraElement(D_FLAVOR, grid, comps)
 
@@ -86,8 +97,11 @@ def inner_E(f: ScalarField, g: ScalarField) -> AlgebraElement:
         # rows [-kS, S - kS) of f land on [0, S)
         for k in range(-((hi - 1) // S), -(lo // S) + 1):
             r0, r1 = max(lo, -k * S), min(hi, S - k * S)
-            acc[:, r0 + k * S:r1 + k * S] += \
-                term[:, r0 - lo:r1 - lo][..., grid.y_roll(k * V)] * grid.twist(p, k)
+            blk = grid.y_shifted(term[:, r0 - lo:r1 - lo], k * V)
+            ph = grid.twist_or_none(p, k)
+            if ph is not None:
+                blk = blk * ph
+            acc[:, r0 + k * S:r1 + k * S] += blk
         comps[p] = acc
     return AlgebraElement(E_FLAVOR, grid, comps)
 
@@ -197,7 +211,7 @@ def act_right(g: ScalarField, phi: AlgebraElement,
         if acc is None:
             acc = np.zeros((g.depth + 1, rows) + term.shape[2:], complex)
         r0 = g.i0 - q * S - lo
-        acc[:len(term), r0:r0 + g.nx] += term[..., grid.y_roll(-q * V)]
+        acc[:len(term), r0:r0 + g.nx] += grid.y_shifted(term, -q * V)
     if acc is None:  # delta_w annihilates every component
         return _no_rows(g, phi, w)
     depth = min(depths + [g.depth])

@@ -61,10 +61,6 @@ class Connection:
     R: ScalarField
     perturbation: Optional[Perturbation] = None
 
-    @property
-    def grid(self):
-        return self.R.grid
-
 
 def mult_element(g: TorusFunction, depth: int) -> AlgebraElement:
     """Multiplication-type E-element G delta_0 of a skew-torus function,
@@ -72,16 +68,16 @@ def mult_element(g: TorusFunction, depth: int) -> AlgebraElement:
     return AlgebraElement(E_FLAVOR, g.grid, {0: g.derivative_chain(depth)})
 
 
-def connect(nabla: Connection, w: str, f: ScalarField,
-            phi: Optional[AlgebraElement] = None,
+def connect(nabla: Connection, w: str, f: ScalarField, phi: AlgebraElement,
             mult: Optional[AlgebraElement] = None) -> ScalarField:
-    """Apply the connection along basis direction w.
+    """Apply the connection along basis direction w to f, given
+    phi = <R, f>_D, which serves every direction.
 
-    A caller applying it along several directions can build phi = <R, f>_D
-    and the perturbation's element `mult` along w once and pass them in;
-    `mult` may carry a longer chain than f, since act_left truncates.
+    A caller applying it along several directions can build the
+    perturbation's element `mult` along w once and pass it in; `mult` may
+    carry a longer chain than f, since act_left truncates.
     """
-    out = grassmann_apply(nabla.R, w, f, phi)
+    out = grassmann_apply(nabla.R, w, phi)
     if nabla.perturbation is not None:
         if mult is None:
             mult = mult_element(nabla.perturbation.component(w), max(f.depth, 1))
@@ -149,12 +145,6 @@ def curvature_perturbed(theta0: Curvature2Form, pert: Perturbation,
     xz = theta0.xz + mult_element(-g3.d_dy(), depth)
     yz = mult_element(f2 - g3.d_dx(), depth)
     return Curvature2Form(xy, xz, yz)
-
-
-def curvature_of(nabla: Connection, theta0: Curvature2Form,
-                 depth: int) -> Curvature2Form:
-    """Curvature of a perturbed connection from its Grassmannian theta0."""
-    return curvature_perturbed(theta0, nabla.perturbation, nabla.grid.params.c, depth)
 
 
 def extract_f1_f2(theta: Curvature2Form) -> Tuple[TorusFunction, TorusFunction]:

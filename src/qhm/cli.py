@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, adjoint, derivation, star, trace
+from .algebra import AlgebraElement, adjoint, derivation, residual_norm, star, trace
 from .bimodule import act_left, act_right, inner_D, inner_E
 from .calculus import (Connection, StructureError, connect, curvature_closed,
                        extract_f1_f2, mult_element)
@@ -254,25 +254,25 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
     if cfg.tamper_star:
         qq = _tamper(qq)
     checks.append(_check("projection_idempotent", "Q * Q = Q",
-                         (qq - Q).norm_inf(), tol["exact"]))
+                         residual_norm(qq, Q), tol["exact"]))
     checks.append(_check("projection_selfadjoint", "adjoint(Q) = Q",
-                         (adjoint(Q) - Q).norm_inf(), tol["exact"]))
+                         residual_norm(adjoint(Q), Q), tol["exact"]))
     ee = inner_E(R0, R0)
     ident = AlgebraElement.identity(ee.flavor, grid, depth=0)
     checks.append(_check("module_frame", "<R,R>_E = Id",
-                         (ee - ident).norm_inf(), tol["exact"]))
+                         residual_norm(ee, ident), tol["exact"]))
     checks.append(_check("projection_trace", "trace_D(Q) = 2 hbar mu",
                          abs(trace(Q) - float(cfg.params.su)), 1e-10))
     # curvature_closed pairs the nabla0_W R on the premise that each delta_W Q
     # is self-adjoint
     dq = (derivation(w, q) for w, q in (("X", Q), ("Y", Q1), ("Z", Q)))
     checks.append(_check("derivation_selfadjoint", "adjoint(delta_W Q) = delta_W Q",
-                         np.max([(adjoint(d) - d).norm_inf() for d in dq]),
+                         np.max([residual_norm(adjoint(d), d) for d in dq]),
                          tol["curvature"]))
     del Q1
 
     try:
-        conditions = verify_R_conditions(R0)
+        conditions = verify_R_conditions(R0, Q)
     except ValueError as exc:  # StructureError is one
         # a faulty structure (extract_h_g's mirror test, say) is a failed
         # check of a written report, not a traceback
@@ -354,11 +354,11 @@ def run_verify(cfg: RunConfig) -> Dict[str, object]:
     g2 = random_module_vector(grid, rng, envelope=env).upto(1)
     fg2 = inner_D(f, g2)
     phi2 = inner_D(R1, g2)
-    # only delta_Y reads order 1 of <f, g2>_D; each difference is cut to
-    # order 0 anyway.  np.max keeps a NaN, which max() drops behind a number
-    met = np.max([(derivation(w, fg2 if w == "Y" else fg2.upto(0))
-                   - inner_D(nabla_f[w], g2)
-                   - inner_D(f, connect(nabla0, w, g2, phi2))).norm_inf()
+    # only delta_Y reads order 1 of <f, g2>_D; each residual reads order 0.
+    # np.max keeps a NaN, which max() drops behind a number
+    met = np.max([residual_norm(derivation(w, fg2 if w == "Y" else fg2.upto(0)),
+                                inner_D(nabla_f[w], g2),
+                                inner_D(f, connect(nabla0, w, g2, phi2)))
                   for w in "XYZ"])
     mscale = max(fg2.norm_inf(), 1e-30)
     checks.append(_check("metric_compatibility",

@@ -35,8 +35,8 @@ from typing import Dict
 
 import numpy as np
 
-from .calculus import (Connection, Perturbation, curvature_closed, curvature_of,
-                       extract_f1_f2)
+from .calculus import (Connection, Perturbation, curvature_closed,
+                       curvature_perturbed, extract_f1_f2)
 from .lattice import ScalarField, TorusFunction
 from .yangmills import critical_residuals, ym_of_curvature
 
@@ -104,7 +104,7 @@ def verify_critical(R: ScalarField) -> Dict[str, object]:
     pert = build_perturbation(f1, solve_poisson(rhs), c)
     nabla = Connection(R, pert)
     nabla0 = Connection(R)
-    theta = curvature_of(nabla, theta0, 1)  # the residuals read order 1
+    theta = curvature_perturbed(theta0, pert, c, 1)  # the residuals read order 1
     res, res0 = critical_residuals([nabla, nabla0], theta0, [theta, theta0])
     return {
         "a0": rhs.a0,

@@ -64,13 +64,7 @@ class WindowOverflowError(RuntimeError):
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise CommensurabilityError(
-        f"parameter {x!r} must be an exact rational (int, Fraction or 'a/b' string)"
-    )
+    raise CommensurabilityError(f"parameter {x!r} must be an exact rational (a Fraction)")
 
 
 @dataclass(frozen=True)
@@ -175,6 +169,11 @@ class Grid:
         return _read_only(np.arange(self.ny) * self.hy_f)
 
     @cached_property
+    def xs(self) -> np.ndarray:
+        """The x-samples i*hx of one unit (read-only)."""
+        return _read_only(self.x_of(np.arange(self.nx_unit)))
+
+    @cached_property
     def dy_multiplier(self) -> np.ndarray:
         """2 pi i m on the y-modes m of one period (fft layout), zero on the
         unmatched Nyquist mode: the one d/dy multiplier, of spectral_dy and
@@ -244,13 +243,19 @@ class Grid:
         periodicity of the calculus.  A D-component p gains twist(k, p)
         across k unit cells, an E-component p or a Morita vector twist(p, k)
         across k cells (twisted_rows).  Built once per pair of integers and
-        kept read-only."""
+        kept read-only.  Where a b = 0 the exponent is +-0 and the phase
+        is exactly 1 +- 0j; the kernels skip that multiply (twist_or_none)."""
         ph = self._twists.get((a, b))
         if ph is None:
             c, sv = self.params.c, float(self.params.sv)
             ph = self._twists[(a, b)] = _read_only(
                 np.exp(2j * math.pi * c * a * b * (self.ys - b * sv / 2)))
         return ph
+
+    def twist_or_none(self, a: int, b: int):
+        """twist(a, b), or None where a b = 0 and the phase is exactly 1:
+        the one rule by which the kernels skip a unit phase (see bimodule)."""
+        return self.twist(a, b) if a * b else None
 
     def y_roll(self, s: int) -> np.ndarray:
         """Index map of a y-shift: a[..., y_roll(s)] == np.roll(a, s, axis=-1)
@@ -263,21 +268,28 @@ class Grid:
             idx = self._y_rolls[s] = _read_only((np.arange(self.ny) - s) % self.ny)
         return idx
 
+    def y_shifted(self, a: np.ndarray, s: int) -> np.ndarray:
+        """np.roll(a, s, axis=-1): the gather a[..., y_roll(s)], or a
+        itself (no copy) where s = 0 mod ny and the gather is the identity."""
+        return a[..., self.y_roll(s)] if s % self.ny else a
+
     def twisted_rows(self, rows: np.ndarray, lo: int, hi: int, cell: int,
                      shift: int, phase) -> np.ndarray:
         """Rows [lo, hi) of a twisted-periodic function from its `cell`
         fundamental-domain rows on axis 1 (y last): row k cell + r is row r
         moved in y by k shift steps, times the phase row phase(k), filled
         cell by cell.  algebra.window (flavors D and E) and
-        morita.SpectralVector.eval_row (the four Morita spaces) use it."""
-        ny = self.ny
+        morita.SpectralVector.eval_row (the four Morita spaces) use it; a
+        phase of None (twist_or_none) leaves the cell as it is."""
         out = np.empty((len(rows), hi - lo) + rows.shape[2:], complex)
         for k in range(lo // cell, (hi - 1) // cell + 1):
             r0, r1 = max(lo, k * cell), min(hi, (k + 1) * cell)
-            vals = rows[:, r0 - k * cell:r1 - k * cell]
-            if k * shift % ny:
-                vals = vals[..., self.y_roll(k * shift)]
-            np.multiply(vals, phase(k), out=out[:, r0 - lo:r1 - lo])
+            vals = self.y_shifted(rows[:, r0 - k * cell:r1 - k * cell], k * shift)
+            ph = phase(k)
+            if ph is None:
+                out[:, r0 - lo:r1 - lo] = vals
+            else:
+                np.multiply(vals, ph, out=out[:, r0 - lo:r1 - lo])
         return out
 
     def x_of(self, i) -> np.ndarray:
@@ -452,12 +464,9 @@ class ScalarField:
     def scaled(self, z: complex) -> "ScalarField":
         return ScalarField(self.grid, self.i0, z * self.chain)
 
-    def shift_steps(self, kx: int, ky: int) -> "ScalarField":
-        """result(x, y) = f(x + kx*hx, y + ky*hy); exact index move."""
-        chain = self.chain
-        if ky % self.grid.ny:
-            chain = chain[..., self.grid.y_roll(-ky)]
-        return ScalarField(self.grid, self.i0 - kx, chain)
+    def shift_steps(self, kx: int) -> "ScalarField":
+        """result(x, y) = f(x + kx*hx, y); exact index move."""
+        return ScalarField(self.grid, self.i0 - kx, self.chain)
 
     def y_phase(self, cycles: float, const: float) -> "ScalarField":
         """Multiply by e(cycles*y + const) with e(t) = exp(2*pi*i*t)."""

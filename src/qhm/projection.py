@@ -16,13 +16,13 @@ evaluates every idempotence/unit condition list pointwise.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import jets
 from .algebra import AlgebraElement, D_FLAVOR
-from .bimodule import act_right, inner_D
+from .bimodule import act_right
 from .lattice import CHAIN_DEPTH, Grid, Params, ScalarField
 
 # Clip of the ramp's doubly-exponential tails: where t or 1 - t is at most
@@ -102,13 +102,13 @@ def _profile(R: ScalarField, i_lo: int, i_hi: int, shift: int = 0) -> np.ndarray
     return R.window(i_lo + shift, i_hi + shift)[0, :, 0]
 
 
-def verify_R_conditions(R: ScalarField) -> Dict[str, float]:
+def verify_R_conditions(R: ScalarField, Q: AlgebraElement) -> Dict[str, float]:
     """Max pointwise violation of each defining condition list.
 
-    Keys (b-*) use the assembled h, g of the projection with twisted-periodic
-    extension; (B-*)/(C-*)/(d-*) are evaluated directly from R.  (B-2) is
-    checked on [0, su] and (B-3) on the support of g, where the identities
-    they restate apply.
+    Keys (b-*) use the assembled h, g of the projection Q = <R, R>_D (to
+    order 0 at least) with twisted-periodic extension; (B-*)/(C-*)/(d-*)
+    are evaluated directly from R.  (B-2) is checked on [0, su] and (B-3)
+    on the support of g, where the identities they restate apply.
     """
     g = R.grid
     N, S, V = g.nx_unit, g.su_steps, g.sv_steps
@@ -116,7 +116,6 @@ def verify_R_conditions(R: ScalarField) -> Dict[str, float]:
     # the conditions read values, and order 0 of a product needs only order 0
     R = R.upto(0)
 
-    Q = inner_D(R, R)
     h_f, g_f = extract_h_g(Q)
     h0 = h_f.window(0, N)[0]
     g0 = g_f.window(0, N)[0]
@@ -166,12 +165,6 @@ def verify_R_conditions(R: ScalarField) -> Dict[str, float]:
     return out
 
 
-def grassmann_apply(R: ScalarField, w: str, f: ScalarField,
-                    phi: Optional[AlgebraElement] = None) -> ScalarField:
-    """Grassmannian connection: nabla0_W(f) = R . delta_W(<R, f>_D).
-
-    A caller that already holds phi = <R, f>_D passes it in.
-    """
-    if phi is None:
-        phi = inner_D(R, f)
+def grassmann_apply(R: ScalarField, w: str, phi: AlgebraElement) -> ScalarField:
+    """Grassmannian connection: nabla0_W(f) = R . delta_W(phi), phi = <R, f>_D."""
     return act_right(R, phi, w)

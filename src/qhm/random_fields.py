@@ -34,7 +34,7 @@ def random_module_vector(grid: Grid, rng: np.random.Generator,
                               BATTERY_SHIFT_UNITS * grid.su_steps + 1))
         m = int(rng.integers(-BATTERY_Y_MODES, BATTERY_Y_MODES + 1))
         coef = complex(rng.normal(), rng.normal())
-        out = out + envelope.shift_steps(kx, 0).y_phase(m, rng.uniform()).scaled(coef)
+        out = out + envelope.shift_steps(kx).y_phase(m, rng.uniform()).scaled(coef)
     return out
 
 

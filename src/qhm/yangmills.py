@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence
 
 from .algebra import AlgebraElement, E_FLAVOR, bracket, star, trace
 from .bimodule import act_left, act_right, inner_D, inner_E
-from .calculus import Connection, Curvature2Form, curvature_of, mult_element
+from .calculus import Connection, Curvature2Form, curvature_perturbed, mult_element
 
 BASIS = ("X", "Y", "Z")
 
@@ -45,7 +45,8 @@ def ym_of_curvature(theta: Curvature2Form) -> float:
 
 
 def ym_value(nabla: Connection, theta0: Curvature2Form) -> float:
-    return ym_of_curvature(curvature_of(nabla, theta0, 0))
+    return ym_of_curvature(curvature_perturbed(theta0, nabla.perturbation,
+                                               nabla.R.grid.params.c, 0))
 
 
 def euler_lagrange_elements(nablas: Sequence[Connection],

@@ -12,7 +12,10 @@ frequencies of the dual characters, the battery of random test vectors
 and a random perturbation.  The
 2-form pairing as three separate star products is the reference that the
 batched products of yangmills.ym_of_curvature must equal bit for bit, and
-bits_equal compares two arrays to the sign of each zero.  The faults
+bits_equal compares two arrays to the sign of each zero.  The
+bimodule kernels and algebra.window with every twist phase multiplied and
+every y-gather made, also by a phase of 1 and a roll of 0, are the
+references of the kernels that skip those.  The faults
 that the tests inject live here as well: a Morita source vector built and
 extended with a wrong unitary u, and mutants of the Grid's skew-torus
 tables.
@@ -27,26 +30,31 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from qhm import jets, morita
-from qhm.algebra import (AlgebraElement, D_FLAVOR, adjoint, bracket, derivation,
-                         star, trace)
+from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, adjoint, bracket,
+                         derivation, star, trace)
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import (Connection, Curvature2Form, Perturbation, connect,
-                          curvature_closed, curvature_of, mult_element)
+                          curvature_closed, curvature_perturbed, mult_element)
 from qhm.lattice import CHAIN_DEPTH, Grid, ScalarField, TorusFunction, y_bandwidth
 from qhm.random_fields import (random_module_vector, random_torus_function,
                                smooth_envelope)
 from qhm.yangmills import BASIS, ym_value
 
 
+def nabla_of(nabla: Connection, w: str, f: ScalarField) -> ScalarField:
+    """nabla_W f, with the <R, f>_D that connect takes formed here."""
+    return connect(nabla, w, f, inner_D(nabla.R, f))
+
+
 def curvature_definition(nabla: Connection, w1: str, w2: str,
                          f: ScalarField) -> ScalarField:
     """Theta(W1,W2) f = nabla_W1 nabla_W2 f - nabla_W2 nabla_W1 f
     - nabla_[W1,W2] f, with [X,Y] = cZ."""
-    out = connect(nabla, w1, connect(nabla, w2, f)) \
-        - connect(nabla, w2, connect(nabla, w1, f))
+    out = nabla_of(nabla, w1, nabla_of(nabla, w2, f)) \
+        - nabla_of(nabla, w2, nabla_of(nabla, w1, f))
     sign, lbl = bracket(w1, w2)
     if lbl is not None:
-        out = out - connect(nabla, lbl, f).scaled(sign * nabla.grid.params.c)
+        out = out - nabla_of(nabla, lbl, f).scaled(sign * nabla.R.grid.params.c)
     return out
 
 
@@ -54,7 +62,7 @@ def commutator_mult(nabla0: Connection, g: TorusFunction, w: str,
                     f: ScalarField) -> ScalarField:
     """[nabla0_W, G] f with G acting by its multiplication-type element."""
     t = mult_element(g, max(f.depth, 1))
-    return connect(nabla0, w, act_left(t, f)) - act_left(t, connect(nabla0, w, f))
+    return nabla_of(nabla0, w, act_left(t, f)) - act_left(t, nabla_of(nabla0, w, f))
 
 
 def pair_forms(a: Curvature2Form, b: Curvature2Form) -> AlgebraElement:
@@ -191,7 +199,7 @@ def euler_lagrange_apply(nabla: Connection, theta: Curvature2Form,
     meets four vectors, f and the three u, and one <R, v>_D per vector v
     serves all its directions; the perturbation's elements are built once.
     """
-    c = nabla.grid.params.c
+    c = nabla.R.grid.params.c
     pert = nabla.perturbation
     mults = {} if pert is None else {
         j: mult_element(pert.component(j), max(f.depth, 1)) for j in BASIS}
@@ -228,7 +236,7 @@ def ym_directional(nabla: Connection, direction: Perturbation, t: float = 1e-4,
         theta0 = curvature_closed(nabla.R)
     base = nabla.perturbation
     if base is None:
-        zero = TorusFunction.zeros(nabla.grid)
+        zero = TorusFunction.zeros(nabla.R.grid)
         base = Perturbation(zero, zero, zero)
 
     def at(tt: float) -> float:
@@ -245,8 +253,9 @@ def first_variation(nabla: Connection, direction: Perturbation) -> float:
     d/dt YM = -2 tau_E( Theta_XY (dxH1 - dyH2 - cH3)
                       + Theta_XZ (-dyH3) + Theta_YZ (-dxH3) ).
     """
-    theta = curvature_of(nabla, curvature_closed(nabla.R), CHAIN_DEPTH)
-    c = nabla.grid.params.c
+    c = nabla.R.grid.params.c
+    theta = curvature_perturbed(curvature_closed(nabla.R), nabla.perturbation, c,
+                                CHAIN_DEPTH)
     h1, h2, h3 = direction.g1, direction.g2, direction.g3
     dxy = mult_element(h1.d_dx() - h2.d_dy() - float(c) * h3, 1)
     dxz = mult_element(-h3.d_dy(), 1)
@@ -254,6 +263,84 @@ def first_variation(nabla: Connection, direction: Perturbation) -> float:
     val = -(trace(star(theta.xy, dxy)) + trace(star(theta.xz, dxz))
             + trace(star(theta.yz, dyz))) * 2.0
     return float(val.real)
+
+
+# -- the kernels with every phase multiplied and every y-gather made ---------
+#
+# inner_D, inner_E, act_right and algebra.window skip the multiply by a twist
+# phase that is exactly 1 (twist(a, b) with a b = 0) and the y-gather by a
+# roll of 0 mod ny.  These are the same kernels with neither skip.
+
+
+def phased_window(chain: np.ndarray, flavor: str, grid: Grid, p: int, i_lo: int,
+                  i_hi: int, depth: int, dxs: int = 0, dys: int = 0) -> np.ndarray:
+    """algebra.window of a present component, cell by cell."""
+    if flavor == D_FLAVOR:
+        cell, shift, phase = grid.nx_unit, 0, lambda k: grid.twist(k, p)
+    else:
+        cell, shift, phase = grid.su_steps, grid.sv_steps, lambda k: grid.twist(p, k)
+    lo, hi = i_lo + dxs, i_hi + dxs
+    out = np.empty((depth + 1, hi - lo) + chain.shape[2:], complex)
+    for k in range(lo // cell, (hi - 1) // cell + 1):
+        r0, r1 = max(lo, k * cell), min(hi, (k + 1) * cell)
+        vals = chain[:depth + 1, r0 - k * cell:r1 - k * cell][..., grid.y_roll(k * shift)]
+        out[:, r0 - lo:r1 - lo] = vals * phase(k)
+    return out[..., grid.y_roll(-dys)]
+
+
+def phased_inner_D(f: ScalarField, g: ScalarField) -> AlgebraElement:
+    """bimodule.inner_D of two nonempty vectors."""
+    grid = f.grid
+    N, S, V = grid.nx_unit, grid.su_steps, grid.sv_steps
+    d = min(f.depth, g.depth)
+    comps = {}
+    for p in range(-((g.i1 - f.i0 - 1) // S), (f.i1 - g.i0 - 1) // S + 1):
+        lo, hi = max(f.i0, g.i0 + p * S), min(f.i1, g.i1 + p * S)
+        b = g.chain[:d + 1, lo - p * S - g.i0:hi - p * S - g.i0][..., grid.y_roll(p * V)]
+        term = jets.mul(f.chain[:d + 1, lo - f.i0:hi - f.i0], np.conj(b))
+        acc = np.zeros((d + 1, N) + term.shape[2:], complex)
+        for k in range(lo // N, (hi - 1) // N + 1):
+            r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
+            ph = np.conj(grid.twist(k, p))
+            acc[:, r0 - k * N:r1 - k * N] += term[:, r0 - lo:r1 - lo] * ph
+        comps[p] = acc
+    return AlgebraElement(D_FLAVOR, grid, comps)
+
+
+def phased_inner_E(f: ScalarField, g: ScalarField) -> AlgebraElement:
+    """bimodule.inner_E of two nonempty vectors."""
+    grid = f.grid
+    N, S, V = grid.nx_unit, grid.su_steps, grid.sv_steps
+    d = min(f.depth, g.depth)
+    comps = {}
+    for p in range(-((f.i1 - g.i0 - 1) // N), (g.i1 - f.i0 - 1) // N + 1):
+        lo, hi = max(f.i0, g.i0 - p * N), min(f.i1, g.i1 - p * N)
+        term = jets.mul(np.conj(f.chain[:d + 1, lo - f.i0:hi - f.i0]),
+                        g.chain[:d + 1, lo + p * N - g.i0:hi + p * N - g.i0])
+        acc = np.zeros((d + 1, S) + term.shape[2:], complex)
+        for k in range(-((hi - 1) // S), -(lo // S) + 1):
+            r0, r1 = max(lo, -k * S), min(hi, S - k * S)
+            acc[:, r0 + k * S:r1 + k * S] += \
+                term[:, r0 - lo:r1 - lo][..., grid.y_roll(k * V)] * grid.twist(p, k)
+        comps[p] = acc
+    return AlgebraElement(E_FLAVOR, grid, comps)
+
+
+def gathered_act_right(g: ScalarField, phi: AlgebraElement) -> ScalarField:
+    """bimodule.act_right of a nonzero element on a nonempty vector, with
+    the windows of phased_window."""
+    grid = g.grid
+    S, V = grid.su_steps, grid.sv_steps
+    qs = phi.p_support
+    d = min(phi.depth, g.depth)
+    lo = g.i0 - qs[-1] * S
+    acc = np.zeros((d + 1, g.nx + (qs[-1] - qs[0]) * S, grid.ny), complex)
+    for q in qs:
+        vals = phased_window(phi.comps[q], D_FLAVOR, grid, q, g.i0, g.i1, d)
+        term = jets.mul(g.chain, np.conj(vals))
+        r0 = g.i0 - q * S - lo
+        acc[:, r0:r0 + g.nx] += term[..., grid.y_roll(-q * V)]
+    return ScalarField(grid, lo, acc).trimmed()
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,15 @@ import pytest
 
 from qhm.algebra import AlgebraElement, adjoint, derivation, star, trace
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
-from qhm.calculus import (Connection, connect, curvature_closed,
-                          extract_f1_f2, mult_element)
+from qhm.calculus import (Connection, curvature_closed, extract_f1_f2,
+                          mult_element)
 from qhm.laplace import solve_poisson, verify_critical
 from qhm.lattice import TorusFunction, make_grid
 from qhm.morita import verify_bimodule_preservation
 from qhm.projection import build_R, verify_R_conditions
 from qhm.yangmills import critical_residuals, ym_value
 from oracles import (commutator_mult, curvature_definition, make_battery,
-                     random_perturbation, ym_directional)
+                     nabla_of, random_perturbation, ym_directional)
 from test_laplace import closed_form_error
 
 
@@ -56,7 +56,7 @@ def test_criterion_01_projection_suite(params, grid2, R2):
 
 
 def test_criterion_02_condition_lists(R2):
-    devs = verify_R_conditions(R2)
+    devs = verify_R_conditions(R2, inner_D(R2, R2))
     worst = max(devs.values())
     report(2, "condition lists", worst <= 1e-12,
            f"worst {worst:.1e} over {len(devs)} lists")
@@ -73,14 +73,14 @@ def connection_axiom_error(params, refinement):
         dfg = inner_D(f, g)
         mscale = max(dfg.norm_inf(), 1e-30)
         for w in "XYZ":
-            lhs = connect(nabla0, w, act_right(f, phi))
-            rhs = act_right(connect(nabla0, w, f), phi) \
+            lhs = nabla_of(nabla0, w, act_right(f, phi))
+            rhs = act_right(nabla_of(nabla0, w, f), phi) \
                 + act_right(f, derivation(w, phi))
             lscale = max(lhs.norm_inf(), rhs.norm_inf(), 1e-30)
             worst = max(worst, (lhs - rhs).norm_inf() / lscale)
             met = (derivation(w, dfg)
-                   - inner_D(connect(nabla0, w, f), g)
-                   - inner_D(f, connect(nabla0, w, g))).norm_inf()
+                   - inner_D(nabla_of(nabla0, w, f), g)
+                   - inner_D(f, nabla_of(nabla0, w, g))).norm_inf()
             worst = max(worst, met / mscale)
     return worst
 

@@ -207,7 +207,7 @@ def test_chains_are_single_complex_arrays(grid4, rng):
     phi, psi = inner_D(f, g), inner_E(f, g)
     elems = [phi, psi, star(phi, phi), adjoint(phi), derivation("X", phi)]
     fields = [f, act_right(f, phi), act_left(psi, g),
-              (f - g).shift_steps(1, 1)]
+              (f - g).shift_steps(1)]
     shapes = [(v.chain, (v.depth + 1, v.nx, grid4.ny)) for v in fields]
     shapes += [(c, (e.depth + 1, e.nxd, grid4.ny))
                for e in elems for c in e.comps.values()]

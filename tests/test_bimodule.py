@@ -13,14 +13,15 @@ import pytest
 
 from qhm import jets
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, adjoint,
-                         derivation, star, trace)
+                         derivation, star, trace, window)
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import curvature_closed
 from qhm.lattice import Params, ScalarField, make_grid, y_bandwidth
 from qhm.projection import build_R
 from qhm.random_fields import random_module_vector, smooth_envelope
 
-from oracles import bits_equal, conj_field, make_battery, pointwise_mul
+from oracles import (bits_equal, conj_field, gathered_act_right, make_battery,
+                     phased_inner_D, phased_inner_E, phased_window, pointwise_mul)
 
 
 @pytest.fixture()
@@ -183,7 +184,7 @@ def _ref_act_left(psi, f):
     grid = f.grid
     acc = ScalarField.zeros(grid, min(psi.depth, f.depth))
     for q in psi.p_support:
-        fs = f.shift_steps(q * grid.nx_unit, 0)
+        fs = f.shift_steps(q * grid.nx_unit)
         if fs.nx:
             w = ScalarField(grid, fs.i0, _ref_eval(psi, q, fs.i0, fs.i1))
             acc = acc + pointwise_mul(conj_field(w), fs)
@@ -194,7 +195,8 @@ def _ref_act_right(g, phi):
     grid = g.grid
     acc = ScalarField.zeros(grid, min(phi.depth, g.depth))
     for q in phi.p_support:
-        gs = g.shift_steps(q * grid.su_steps, q * grid.sv_steps)
+        gs = ScalarField(grid, g.i0 - q * grid.su_steps,
+                         np.roll(g.chain, -q * grid.sv_steps, axis=-1))
         if gs.nx:
             w = _ref_eval(phi, q, gs.i0, gs.i1, q * grid.su_steps, q * grid.sv_steps)
             acc = acc + pointwise_mul(gs, conj_field(ScalarField(grid, gs.i0, w)))
@@ -245,6 +247,46 @@ def test_kernels_match_direct_sums_bitwise(params, refinement):
         for w in "XYZ":
             _assert_same_field(act_right(u, phi, w),
                                _ref_act_right(u, derivation(w, phi)))
+
+
+# -- the skipping kernels against the kernels that skip nothing --------------
+#
+# inner_D, inner_E, act_right and algebra.window skip the multiply by a unit
+# twist phase (a b = 0) and the y-gather by a roll of 0 mod ny; the
+# references of oracles make both.  Every accumulator starts at +0, so the
+# pairings and the action agree bit for bit; a window can differ from the
+# product by a unit phase only in the sign of a zero part.
+
+
+@pytest.mark.parametrize("refinement", [3, 9])
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["c1", "c2"])
+def test_skipping_kernels_match_the_kernels_that_skip_nothing(params, refinement):
+    grid = make_grid(params, refinement, pairwise=True)
+    rng = np.random.default_rng(200 + refinement)
+    N, S, V = grid.nx_unit, grid.su_steps, grid.sv_steps
+    R = build_R(params, grid)
+    env = smooth_envelope(grid)
+    f, g = (random_module_vector(grid, rng, env) for _ in range(2))
+    # the supports cross x = 0, a cell edge of both flavors
+    assert all(w.i0 < 0 < w.i1 for w in (R, f, g))
+    for u, v in ((R, f), (f, R), (f, g)):
+        for got, want in ((inner_D(u, v), phased_inner_D(u, v)),
+                          (inner_E(u, v), phased_inner_E(u, v))):
+            assert got.p_support == want.p_support
+            assert all(bits_equal(got.comps[p], want.comps[p]) for p in got.p_support)
+        phi, psi = inner_D(u, v), inner_E(u, v)
+        got, want = act_right(v, phi), gathered_act_right(v, phi)
+        assert (got.i0, got.nx) == (want.i0, want.nx)
+        assert bits_equal(got.chain, want.chain)
+        for a in (phi, psi):
+            for p in a.p_support:
+                for i_lo, i_hi, dxs, dys in ((-2 * N - 3, N + 5, 0, 0),
+                                             (v.i0, v.i1, S, V),
+                                             (0, a.nxd, -N - 1, 1)):
+                    args = (a.comps[p], a.flavor, grid, p, i_lo, i_hi, a.depth, dxs, dys)
+                    assert np.array_equal(window(*args), phased_window(*args))
+    # f and g are far enough apart for E to pair them at p != 0 too
+    assert any(inner_E(f, g).p_support)
 
 
 # -- batches against their members --------------------------------------------

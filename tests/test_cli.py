@@ -303,12 +303,33 @@ class TestVerify:
                                                   monkeypatch):
         # <R, f>_D, each nabla0_W f, <R, t f>_D and <R, g2>_D are built
         # once and shared by the commutator, Leibniz and metric checks, and
-        # Q = <R, R>_D once to order 1 for the projection checks and delta_Y
+        # Q = <R, R>_D once to order 1 for the projection checks, delta_Y
+        # and the condition lists (which formed it again: 14 calls)
         calls = count_calls(monkeypatch, (bimodule, "inner_D"),
                             (calculus, "connect"))
         run_verify(RunConfig(params=params, refinement=27, seed=7,
                              out=str(tmp_path)))
-        assert (calls.count("inner_D"), calls.count("connect")) == (14, 10)
+        assert (calls.count("inner_D"), calls.count("connect")) == (13, 10)
+
+    def test_verify_multiplies_by_no_unit_twist(self, params, tmp_path,
+                                                 monkeypatch):
+        # twist(a, b) with a b = 0 is exactly 1, and the kernels skip it
+        # (Grid.twist_or_none): only the fold of the condition list d-2,
+        # which is no kernel, takes one, at k = 0.  Multiplying by every
+        # phase, the windows took 161 unit phases of 253, inner_D 100 of
+        # 171 and inner_E 4 of 4.
+        unit = Counter()
+        twist = Grid.twist
+
+        def counting(grid, a, b):
+            if a * b == 0:
+                unit[sys._getframe(1).f_code.co_name] += 1
+            return twist(grid, a, b)
+
+        monkeypatch.setattr(Grid, "twist", counting)
+        run_verify(RunConfig(params=params, refinement=27, seed=7,
+                             out=str(tmp_path)))
+        assert unit == {"verify_R_conditions": 2}
 
     def test_verify_builds_the_envelope_once(self, params, tmp_path,
                                              monkeypatch):
@@ -327,11 +348,12 @@ class TestVerify:
         # of the curvature made them {0: 188, 1: 55}, 9 of them at depth 1
         # in Theta0(X,Z), whose order 1 verify does not read.  star
         # multiplies every (q, r) pair of components, also the one of
-        # Q * Q whose row supports never meet.
+        # Q * Q whose row supports never meet.  The condition lists formed
+        # Q again ({0: 166, 1: 52}); they take verify's Q.
         calls = count_calls(monkeypatch, (jets, "mul"), lens=True)
         run_verify(RunConfig(params=params, refinement=27, seed=7,
                              out=str(tmp_path)))
-        assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 166, 1: 52}
+        assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 163, 1: 52}
 
     @pytest.mark.parametrize("error", [ValueError, calculus.StructureError])
     def test_broken_projection_is_a_failed_check(self, tmp_path, monkeypatch,
@@ -341,7 +363,7 @@ class TestVerify:
         # a written report instead of ending in a traceback
         message = "delta_-1 component is not the conjugate mirror (2.00e+00)"
 
-        def broken(R):
+        def broken(R, Q):
             raise error(message)
 
         monkeypatch.setattr(cli, "verify_R_conditions", broken)
@@ -569,7 +591,8 @@ class TestSolve:
         theta0 = rep["theta0"]
         nablas = [calculus.Connection(R, rep["perturbation"]),
                   calculus.Connection(R)]
-        thetas = [calculus.curvature_of(nablas[0], theta0, CHAIN_DEPTH), theta0]
+        thetas = [calculus.curvature_perturbed(theta0, rep["perturbation"], params.c,
+                                               CHAIN_DEPTH), theta0]
         calls = count_calls(monkeypatch, (jets, "mul"), lens=True)
         yangmills.critical_residuals(nablas, theta0, thetas)
         assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 6, 1: 4}

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhm.calculus import (Connection, check_skew, curvature_closed, curvature_of,
+from qhm.bimodule import inner_D
+from qhm.calculus import (Connection, check_skew, curvature_closed, curvature_perturbed,
                           extract_f1_f2)
 from qhm.laplace import (assemble_rhs, build_perturbation, laplace_form_residuals,
                          solve_poisson, verify_critical)
@@ -107,8 +108,8 @@ def test_construction_is_critical(R9):
     rep = verify_critical(R9)
     from qhm.yangmills import critical_residuals
     nabla = Connection(R9, rep["perturbation"])
-    [res] = critical_residuals([nabla], rep["theta0"],
-                               [curvature_of(nabla, rep["theta0"], 1)])
+    theta = curvature_perturbed(rep["theta0"], rep["perturbation"], R9.grid.params.c, 1)
+    [res] = critical_residuals([nabla], rep["theta0"], [theta])
     assert res.r1 < 1e-10
     assert res.r2 < 1e-10
     assert res.r3 < 1e-10
@@ -229,7 +230,7 @@ def test_solve_band_holds_the_construction(c, b, sv, refinement):
 def _battery_on(grid, seed):
     R = build_R(grid.params, grid)
     battery = make_battery(grid, 4, seed, include=[R])
-    nabla0 = [grassmann_apply(R, w, f) for f in battery for w in "XYZ"]
+    nabla0 = [grassmann_apply(R, w, inner_D(R, f)) for f in battery for w in "XYZ"]
     return battery, nabla0
 
 

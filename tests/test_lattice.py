@@ -147,7 +147,7 @@ class TestParams:
 class TestScalarField:
     def test_shift_is_exact_index_move(self, grid2, rng):
         f = gaussian_chain(grid2)
-        g = f.shift_steps(steps_of(grid2, Fraction(1, 4)), grid2.sv_steps)
+        g = f.shift_steps(steps_of(grid2, Fraction(1, 4)))
         # value at x of the shift equals value at x + su of the original
         i = grid2.su_steps
         assert np.allclose(g.window(0, 4)[0], f.window(i, 4 + i)[0])

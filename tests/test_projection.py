@@ -45,12 +45,12 @@ def test_trace_of_q_other_parameters(params):
 
 
 def test_condition_lists(R2):
-    for name, dev in verify_R_conditions(R2).items():
+    for name, dev in verify_R_conditions(R2, inner_D(R2, R2)).items():
         assert dev <= 1e-12, f"condition {name}: {dev:.2e}"
 
 
 def test_condition_lists_finer_grid(R4):
-    for name, dev in verify_R_conditions(R4).items():
+    for name, dev in verify_R_conditions(R4, inner_D(R4, R4)).items():
         assert dev <= 1e-12, f"condition {name}: {dev:.2e}"
 
 
@@ -69,7 +69,7 @@ def test_conditions_keep_a_nan_behind_a_number(R2, monkeypatch, name, shift):
         return out * np.nan if (i_lo, i_hi, shift) == poisoned else out
 
     monkeypatch.setattr(projection, "_profile", nan_profile)
-    devs = verify_R_conditions(R2)
+    devs = verify_R_conditions(R2, inner_D(R2, R2))
     assert np.isnan(devs[name])
     assert not any(np.isnan(v) for k, v in devs.items() if k != name)
 

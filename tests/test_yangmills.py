@@ -11,7 +11,7 @@ import pytest
 from qhm.algebra import AlgebraElement, E_FLAVOR, bracket, star, trace
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import (Connection, Curvature2Form, Perturbation,
-                          curvature_closed, curvature_of, extract_f1_f2,
+                          curvature_closed, curvature_perturbed, extract_f1_f2,
                           mult_element)
 from qhm.laplace import (assemble_rhs, build_perturbation, solve_poisson,
                          verify_critical)
@@ -58,9 +58,9 @@ def test_ym_scales_quartically_in_flat_background(grid2, R2, rng):
 
 def test_pairing_symmetric_under_trace(perturbed, grid2, R2, rng):
     theta0 = curvature_closed(R2)
-    ta = curvature_of(perturbed, theta0, CHAIN_DEPTH)
-    tb = curvature_of(Connection(R2, random_perturbation(grid2, rng)), theta0,
-                      CHAIN_DEPTH)
+    c = grid2.params.c
+    ta = curvature_perturbed(theta0, perturbed.perturbation, c, CHAIN_DEPTH)
+    tb = curvature_perturbed(theta0, random_perturbation(grid2, rng), c, CHAIN_DEPTH)
     ab = trace(pair_forms(ta, tb))
     ba = trace(pair_forms(tb, ta))
     assert abs(ab - ba) < 1e-10 * max(abs(ab), 1.0)
@@ -79,7 +79,8 @@ def residuals(nablas):
     built to the order it reads: theta0 itself for an unperturbed one."""
     theta0 = curvature_closed(nablas[0].R)
     return critical_residuals(nablas, theta0, [
-        theta0 if n.perturbation is None else curvature_of(n, theta0, 1)
+        theta0 if n.perturbation is None
+        else curvature_perturbed(theta0, n.perturbation, n.R.grid.params.c, 1)
         for n in nablas])
 
 
@@ -102,7 +103,7 @@ def test_euler_lagrange_builds_each_shared_piece_once(params, grid9, R9,
     f1, f2 = extract_f1_f2(theta0)
     g3 = solve_poisson(assemble_rhs(f1, f2, params.c))
     nabla = Connection(R9, build_perturbation(f1, g3, params.c))
-    theta = curvature_of(nabla, theta0, CHAIN_DEPTH)
+    theta = curvature_perturbed(theta0, nabla.perturbation, params.c, CHAIN_DEPTH)
     f = make_battery(grid9, 1, seed=0)[0]
     calls = {"inner_D": 0, "mult_element": 0}
 
@@ -133,7 +134,8 @@ def test_equations_read_no_chain_order_beyond_one(params, grid9, R9):
     assert f.depth == 2
     cut = ScalarField(grid9, f.i0, f.chain[:2])
     nabla = Connection(R9, build_perturbation(f1, g3, params.c))
-    for nabla, theta in ((nabla, curvature_of(nabla, theta0, CHAIN_DEPTH)),
+    theta = curvature_perturbed(theta0, nabla.perturbation, params.c, CHAIN_DEPTH)
+    for nabla, theta in ((nabla, theta),
                          (Connection(R9), theta0)):
         full = euler_lagrange_apply(nabla, theta, f)
         short = euler_lagrange_apply(nabla, theta, cut)
@@ -161,7 +163,7 @@ def test_elements_act_as_the_operator_equations(c, refinement, connection):
     theta0 = rep["theta0"]
     if connection == "constructed":
         nabla = Connection(R, rep["perturbation"])
-        theta = curvature_of(nabla, theta0, CHAIN_DEPTH)
+        theta = curvature_perturbed(theta0, rep["perturbation"], c, CHAIN_DEPTH)
     else:
         nabla, theta = Connection(R), theta0
     scale = theta0.norm_inf()
@@ -204,7 +206,7 @@ def _elements_reference(nabla, theta):
     time, every product at the full chain depth: the elements as they were
     formed before connections were batched and cut to the orders read."""
     R = nabla.R
-    c = nabla.grid.params.c
+    c = nabla.R.grid.params.c
     pert = nabla.perturbation
     mults = {} if pert is None else {
         j: mult_element(pert.component(j), 1) for j in BASIS}
@@ -215,7 +217,7 @@ def _elements_reference(nabla, theta):
             out = out + (star(mults[j], t) - star(t, mults[j]))
         return out
 
-    eqs = {i: AlgebraElement.zero(E_FLAVOR, nabla.grid) for i in BASIS}
+    eqs = {i: AlgebraElement.zero(E_FLAVOR, nabla.R.grid) for i in BASIS}
     for a, b in combinations(BASIS, 2):
         t = theta.component(a, b)
         t_hat = inner_D(R, act_left(t, R))
@@ -243,7 +245,7 @@ def test_batched_residuals_equal_the_one_at_a_time_reference(c, su, sv,
     rep = verify_critical(R)
     theta0 = rep["theta0"]
     nablas = [Connection(R, rep["perturbation"]), Connection(R)]
-    thetas = [curvature_of(nablas[0], theta0, CHAIN_DEPTH), theta0]
+    thetas = [curvature_perturbed(theta0, rep["perturbation"], c, CHAIN_DEPTH), theta0]
     refs = [_elements_reference(n, t) for n, t in zip(nablas, thetas)]
     for eqs, ref in zip(euler_lagrange_elements(nablas, thetas), refs):
         for i in BASIS:
@@ -279,10 +281,9 @@ def test_ym_pairs_the_components_as_one_batch_bitwise(c, su, sv, monkeypatch):
     rep = verify_critical(R)
     rng = np.random.default_rng(c)
     theta0 = rep["theta0"]
-    for theta in (curvature_of(Connection(R, rep["perturbation"]), theta0, 0),
+    for theta in (curvature_perturbed(theta0, rep["perturbation"], c, 0),
                   theta0,
-                  curvature_of(Connection(R, random_perturbation(grid, rng)),
-                               theta0, 0)):
+                  curvature_perturbed(theta0, random_perturbation(grid, rng), c, 0)):
         # trace reads order 0 of the pairing, which YM forms alone
         cut = Curvature2Form(*(t.upto(0) for t in (theta.xy, theta.xz, theta.yz)))
         want = pair_forms(cut, cut)
