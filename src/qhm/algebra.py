@@ -68,8 +68,7 @@ class AlgebraElement:
                     or chain.shape[-1] != grid.ny):
                 raise ValueError(f"component shape {chain.shape} != "
                                  f"(depth + 1, {nxd}[, batch], {grid.ny})")
-            # one order-0 entry settles most nonzero chains, the scan the rest
-            if (chain.size and chain[0, nxd // 2].flat[0]) or chain.any():
+            if chain.any():
                 clean[int(p)] = chain
         self.comps = clean
 
@@ -279,7 +278,7 @@ def derive_component(w: str, a: AlgebraElement, p: int,
         raise ValueError(f"unknown Lie label {w!r}")
     # the x-factor and the order factors broadcast over a batch axis too
     ones = (1,) * (chain.ndim - 2)
-    xs = (g.xs[rows] - p * float(g.params.su) / 2).reshape((-1,) + ones)
+    xs = (np.arange(g.nx_unit)[rows] * g.hx_f - p * float(g.params.su) / 2).reshape((-1,) + ones)
     z = 2j * math.pi * c * p
     out = z * xs * chain
     out -= spectral_dy(chain, g)

@@ -46,16 +46,9 @@ def mul(a: Chain, b: Chain) -> Chain:
     if a.ndim != b.ndim:
         a, b = (a[:, :, None], b) if a.ndim < b.ndim else (a, b[:, :, None])
     depth = min(len(a), len(b)) - 1
-    if depth == 0:  # x + 0.0 has the bits of +0 + x
-        out = a[0] * b[:1]
-        out += 0.0
-        return out
-    shape = a.shape[1:]
-    if b.shape[1:] != shape:
-        shape = np.broadcast_shapes(shape, b.shape[1:])
-    out = np.zeros((depth + 1,) + shape, a.dtype)
-    out += a[0] * b[:depth + 1]
-    for j, col in enumerate(_binomial_columns(depth, len(shape)), 1):
+    out = a[0] * b[:depth + 1]
+    out += 0.0  # x + 0.0 has the bits of +0 + x
+    for j, col in enumerate(_binomial_columns(depth, out.ndim - 1), 1):
         out[j:] += (col * a[j]) * b[:depth + 1 - j]
     return out
 

@@ -169,11 +169,6 @@ class Grid:
         return _read_only(np.arange(self.ny) * self.hy_f)
 
     @cached_property
-    def xs(self) -> np.ndarray:
-        """The x-samples i*hx of one unit (read-only)."""
-        return _read_only(self.x_of(np.arange(self.nx_unit)))
-
-    @cached_property
     def dy_multiplier(self) -> np.ndarray:
         """2 pi i m on the y-modes m of one period (fft layout), zero on the
         unmatched Nyquist mode: the one d/dy multiplier, of spectral_dy and
