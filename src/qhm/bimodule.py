@@ -32,7 +32,7 @@ parts then differ again at most in the sign of a zero, added onto +0.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def _no_rows(g: ScalarField, phi: AlgebraElement, w=None,
     """The zero of act_left and act_right: no rows, with the batch axis of
     a nonzero result."""
     batch = max([g.chain.shape[2:-1]] + [c.shape[2:-1] for c in phi.comps.values()])
-    if w is not None and not isinstance(w, str):
+    if w is not None:
         batch = (len(w) * (batch or (1,))[0],)
     return ScalarField(g.grid, 0,
                        np.zeros((depth + 1, 0) + batch + (g.grid.ny,), complex))
@@ -145,41 +145,38 @@ def act_left(psi: AlgebraElement, f: ScalarField) -> ScalarField:
     return ScalarField(grid, lo, acc).trimmed()
 
 
-def _derived(w: Union[str, Sequence[str]], phi: AlgebraElement, q: int,
-             depth: int, rows) -> jets.Chain:
-    """Chain of component q of delta_w(phi) to order `depth` at most, or
-    for a sequence of directions their chains batched direction by
-    direction, each derived only to the orders the batch keeps (delta_Y
-    takes one).  delta_X, the one with a transform per row, is formed only
-    on the fundamental-domain rows `rows` (an index array, or a slice for
-    all) and is zero elsewhere; delta_Y and delta_Z, a shift and a scaling,
-    cost less on every row than a gather and a scatter."""
-    ws = [w] if isinstance(w, str) else w
-    depth = min([depth] + [len(phi.comps[q]) - 1 - (v == "Y") for v in ws])
-    if isinstance(w, str) and (w != "X" or isinstance(rows, slice)):
-        return derive_component(w, phi, q, depth)
-    out = np.zeros((depth + 1, phi.nxd, len(ws)) + phi.comps[q].shape[2:], complex)
-    for k, v in enumerate(ws):
+def _derived(w: Sequence[str], phi: AlgebraElement, q: int, depth: int,
+             rows) -> jets.Chain:
+    """Chains of component q of delta_v(phi) for each direction v of w,
+    batched direction by direction, each derived only to the orders the
+    batch keeps (`depth` at most; delta_Y takes one).  delta_X, the one
+    with a transform per row, is formed only on the fundamental-domain rows
+    `rows` (an index array, or a slice for all) and is zero elsewhere;
+    delta_Y and delta_Z, a shift and a scaling, cost less on every row than
+    a gather and a scatter."""
+    depth = min([depth] + [len(phi.comps[q]) - 1 - (v == "Y") for v in w])
+    out = np.zeros((depth + 1, phi.nxd, len(w)) + phi.comps[q].shape[2:], complex)
+    for k, v in enumerate(w):
         at = rows if v == "X" else slice(None)
         out[:, at, k] = derive_component(v, phi, q, depth, at)
-    return out[:, :, 0] if isinstance(w, str) else out.reshape(
-        out.shape[:2] + (-1, out.shape[-1]))
+    return out.reshape(out.shape[:2] + (-1, out.shape[-1]))
 
 
 def act_right(g: ScalarField, phi: AlgebraElement,
-              w: Union[None, str, Sequence[str]] = None) -> ScalarField:
-    """Right action of flavor D on a module vector: g . phi, or
-    g . delta_w(phi) when a derivation direction w is given.
+              w: Optional[Sequence[str]] = None) -> ScalarField:
+    """Right action of flavor D on a module vector: g . phi, or, given a
+    sequence w of derivation directions ("XYZ", say), the batch of the
+    g . delta_v(phi) for v in w, direction by direction: along w[k],
+    member i of a batch phi of n members is member k n + i of the result
+    (k for an unbatched phi; ScalarField.members splits it).
 
     Term q is one Leibniz product on g's own rows, moved by -q su, -q sv
     into a common buffer; phi's window is evaluated only to the depth of
-    the product.  With w, each component of delta_w(phi) is formed inside
-    the loop and windowed as a bare chain, so the derived element is never
-    held whole; delta_X, row-local like every derivation, is formed only
+    the product.  With w, the components of the delta_v(phi) are formed
+    inside the loop and windowed as one bare chain, so no derived element
+    is held whole; delta_X, row-local like every derivation, is formed only
     on the fundamental-domain rows the window reads (all of them once g
-    spans a unit).  A sequence of directions gives one batch, direction by
-    direction: along w[k], member i of a batch phi of n members is member
-    k n + i of the result (k for an unbatched phi).
+    spans a unit).
     """
     if phi.flavor != D_FLAVOR:
         raise ValueError("right action needs flavor D")

@@ -1,9 +1,10 @@
 """Connections, curvature, and the multiplication-operator commutators.
 
-The Grassmannian connection is nabla0_W(f) = R . delta_W(<R,f>_D); adding a
-multiplication-type skew perturbation G gives the full family considered
-here.  With Q = <R,R>_D, dQ_i = delta_Wi Q and v_i = nabla0_Wi R = R . dQ_i,
-its curvature Theta0(W1,W2) = <R . (dQ_1 dQ_2 - dQ_2 dQ_1), R>_E is
+The Grassmannian connection is nabla0_W(f) = R . delta_W(<R,f>_D), along
+every W at once act_right(R, <R,f>_D, "XYZ"); adding a multiplication-type
+skew perturbation G gives the full family considered here.  With
+Q = <R,R>_D, dQ_i = delta_Wi Q and v_i = nabla0_Wi R = R . dQ_i, its
+curvature Theta0(W1,W2) = <R . (dQ_1 dQ_2 - dQ_2 dQ_1), R>_E is
 <v_1, v_2>_E - <v_2, v_1>_E (Connes-Rieffel), term by term:
 
   <R . (dQ_1 dQ_2), R>_E = <(R . dQ_1) . dQ_2, R>_E   R . (a b) = (R . a) . b
@@ -19,9 +20,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import AlgebraElement, E_FLAVOR
-from .bimodule import act_left, act_right, inner_D, inner_E
+from .bimodule import act_right, inner_D, inner_E
 from .lattice import ScalarField, TorusFunction
-from .projection import grassmann_apply
 
 SKEW_TOL = 1e-12
 
@@ -66,23 +66,6 @@ def mult_element(g: TorusFunction, depth: int) -> AlgebraElement:
     """Multiplication-type E-element G delta_0 of a skew-torus function,
     with G's spectral x-derivative chain to `depth`."""
     return AlgebraElement(E_FLAVOR, g.grid, {0: g.derivative_chain(depth)})
-
-
-def connect(nabla: Connection, w: str, f: ScalarField, phi: AlgebraElement,
-            mult: Optional[AlgebraElement] = None) -> ScalarField:
-    """Apply the connection along basis direction w to f, given
-    phi = <R, f>_D, which serves every direction.
-
-    A caller applying it along several directions can build the
-    perturbation's element `mult` along w once and pass it in; `mult` may
-    carry a longer chain than f, since act_left truncates.
-    """
-    out = grassmann_apply(nabla.R, w, phi)
-    if nabla.perturbation is not None:
-        if mult is None:
-            mult = mult_element(nabla.perturbation.component(w), max(f.depth, 1))
-        out = out + act_left(mult, f)
-    return out
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import List
 
 import numpy as np
 
@@ -422,6 +423,11 @@ class ScalarField:
             return ScalarField(self.grid, 0, self.chain[:, :0])
         lo, hi = idx[0], idx[-1] + 1
         return ScalarField(self.grid, self.i0 + lo, self.chain[:, lo:hi])
+
+    def members(self) -> List["ScalarField"]:
+        """The fields of a batch, each trimmed to its own rows (views)."""
+        return [ScalarField(self.grid, self.i0, self.chain[:, :, i]).trimmed()
+                for i in range(self.chain.shape[2])]
 
     def window(self, i_lo: int, i_hi: int) -> jets.Chain:
         """The chain on rows [i_lo, i_hi), zero outside support."""

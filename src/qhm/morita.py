@@ -37,7 +37,7 @@ check below is one array expression over all S samples.  Two rationality
 constraints are enforced where the maps are formed, with MoritaGridError:
 x -> -x/su maps grid points to grid points iff 1/su is an integer
 (rescale_factor), and S(f) is y-periodic on the samples, a function on the
-torus, iff c/sv is an integer and ny divides 2c/sv (s_y_samples).
+torus, iff c/sv is an integer and ny divides |2c/sv| (s_y_samples).
 
 The seeded samples are sums of four characters each.  draw_terms takes the
 frequencies and amplitudes of a whole chunk of samples from two streams in
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,14 +84,14 @@ def rescale_factor(grid: Grid) -> int:
 
 
 def s_y_samples(params: Params) -> int:
-    """2c/sv.  S(f)(x, y + 1) = e(c(2y + 1)/sv) S(f)(x, y), so S(f) is
+    """|2c/sv|.  S(f)(x, y + 1) = e(c(2y + 1)/sv) S(f)(x, y), so S(f) is
     y-periodic on the samples j/ny iff c/sv is an integer and ny divides
-    2c/sv, which is then a multiple of sv's denominator.  With sv = a/b,
-    c/sv = c b / a, in integers."""
+    |2c/sv|, which is then a multiple of sv's denominator.  With sv = a/b,
+    c/sv = c b / a, in integers (a < 0 for sv < 0)."""
     a, b = params.sv.numerator, params.sv.denominator
     if a == 0 or (params.c * b) % a:
         raise MoritaGridError(f"c/sv = {params.c}/({params.sv}) is not an integer")
-    return 2 * params.c * b // a
+    return abs(2 * params.c * b // a)
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,14 @@ class SpectralVector:
         nx (S and H read every m-th row backwards, stride -m).  A crossed
         cell moves y by sv and multiplies by twist(p, 1), p = _TAG_P[tag];
         across k cells these compose to the phase twist(p, k) of
-        Grid.twisted_rows."""
+        Grid.twisted_rows, not multiplied where it is 1 (twist_or_none)."""
         g = self.grid
         p = _TAG_P[self.tag]
         m = abs(stride)
         if stride < 0:
             lo, hi = 1 - hi, 1 - lo
         out = g.twisted_rows(self.samples[:, ::m], lo, hi, self.nx // m, g.sv_steps,
-                             lambda k: g.twist(p, k))
+                             lambda k: g.twist_or_none(p, k))
         return out if stride > 0 else out[:, ::-1]
 
 
@@ -303,15 +303,13 @@ def _maxdiff(a: SpectralVector, b: SpectralVector) -> float:
     return float(np.max(np.abs(a.samples - b.samples)))
 
 
-def membership_transport_defect(f: SpectralVector,
-                                sf: Optional[SpectralVector] = None) -> float:
+def membership_transport_defect(f: SpectralVector, sf: SpectralVector) -> float:
     """Violation of the E-subspace twist by S(f), with S evaluated from its
-    formula on both sides (the stored-sample extension would be circular);
-    a caller that holds sf = map_S(f), the formula on [0, su), passes it."""
+    formula on both sides (the stored-sample extension would be circular):
+    sf = map_S(f) is the formula on [0, su)."""
     g = f.grid
-    lhs = _S_rows(f, 0, g.su_steps) if sf is None else sf.samples
     rhs = g.twist(1, 1) * _S_rows(f, -g.su_steps, 0)[..., g.y_roll(g.sv_steps)]
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(sf.samples - rhs)))
 
 
 def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import jets
 from .algebra import AlgebraElement, D_FLAVOR
-from .bimodule import act_right
 from .lattice import CHAIN_DEPTH, Grid, Params, ScalarField
 
 # Clip of the ramp's doubly-exponential tails: where t or 1 - t is at most
@@ -164,7 +163,3 @@ def verify_R_conditions(R: ScalarField, Q: AlgebraElement) -> Dict[str, float]:
     out["d-2"] = float(d2)
     return out
 
-
-def grassmann_apply(R: ScalarField, w: str, phi: AlgebraElement) -> ScalarField:
-    """Grassmannian connection: nabla0_W(f) = R . delta_W(phi), phi = <R, f>_D."""
-    return act_right(R, phi, w)

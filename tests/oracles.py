@@ -5,7 +5,9 @@ invariance actions of the two flavors.  The program computes criticality
 as elements of E (yangmills.euler_lagrange_elements) and the curvature
 from the three nabla0_W R (calculus.curvature_closed); these independent
 routes check it.  The tests' helpers that no command runs live here too:
-the curvature by its operator definition, the commutator with a
+the connection nabla0 + G applied to a vector along one direction (the
+commands apply only nabla0, along every direction in one act_right), the
+curvature by its operator definition, the commutator with a
 multiplication operator, the Laplacian of flavor D, an element comparison,
 the pointwise product and conjugate of sampled fields, the closed-form
 frequencies of the dual characters, the battery of random test vectors
@@ -13,9 +15,10 @@ and a random perturbation.  The
 2-form pairing as three separate star products is the reference that the
 batched products of yangmills.ym_of_curvature must equal bit for bit, and
 bits_equal compares two arrays to the sign of each zero.  The
-bimodule kernels and algebra.window with every twist phase multiplied and
-every y-gather made, also by a phase of 1 and a roll of 0, are the
-references of the kernels that skip those.  The faults
+bimodule kernels, algebra.window and morita's SpectralVector.eval_row
+with every twist phase multiplied and every y-gather made, also by a
+phase of 1 and a roll of 0, are the references of the kernels that skip
+those.  The faults
 that the tests inject live here as well: a Morita source vector built and
 extended with a wrong unitary u, and mutants of the Grid's skew-torus
 tables.
@@ -33,12 +36,29 @@ from qhm import jets, morita
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, adjoint, bracket,
                          derivation, star, trace)
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
-from qhm.calculus import (Connection, Curvature2Form, Perturbation, connect,
+from qhm.calculus import (Connection, Curvature2Form, Perturbation,
                           curvature_closed, curvature_perturbed, mult_element)
 from qhm.lattice import CHAIN_DEPTH, Grid, ScalarField, TorusFunction, y_bandwidth
 from qhm.random_fields import (random_module_vector, random_torus_function,
                                smooth_envelope)
 from qhm.yangmills import BASIS, ym_value
+
+
+def connect(nabla: Connection, w: str, f: ScalarField, phi: AlgebraElement,
+            mult: Optional[AlgebraElement] = None) -> ScalarField:
+    """nabla_W f = R . delta_W(phi) + G_W f along one basis direction w,
+    given phi = <R, f>_D, which serves every direction.
+
+    A caller applying it along several directions can build the
+    perturbation's element `mult` along w once and pass it in; `mult` may
+    carry a longer chain than f, since act_left truncates.
+    """
+    (out,) = act_right(nabla.R, phi, w).members()
+    if nabla.perturbation is not None:
+        if mult is None:
+            mult = mult_element(nabla.perturbation.component(w), max(f.depth, 1))
+        out = out + act_left(mult, f)
+    return out
 
 
 def nabla_of(nabla: Connection, w: str, f: ScalarField) -> ScalarField:
@@ -267,9 +287,10 @@ def first_variation(nabla: Connection, direction: Perturbation) -> float:
 
 # -- the kernels with every phase multiplied and every y-gather made ---------
 #
-# inner_D, inner_E, act_right and algebra.window skip the multiply by a twist
-# phase that is exactly 1 (twist(a, b) with a b = 0) and the y-gather by a
-# roll of 0 mod ny.  These are the same kernels with neither skip.
+# inner_D, inner_E, act_right, algebra.window and morita's
+# SpectralVector.eval_row skip the multiply by a twist phase that is exactly
+# 1 (twist(a, b) with a b = 0) and the y-gather by a roll of 0 mod ny.
+# These are the same kernels with neither skip.
 
 
 def phased_window(chain: np.ndarray, flavor: str, grid: Grid, p: int, i_lo: int,
@@ -341,6 +362,23 @@ def gathered_act_right(g: ScalarField, phi: AlgebraElement) -> ScalarField:
         r0 = g.i0 - q * S - lo
         acc[:, r0:r0 + g.nx] += term[..., grid.y_roll(-q * V)]
     return ScalarField(grid, lo, acc).trimmed()
+
+
+def phased_eval_row(v: morita.SpectralVector, lo: int, hi: int,
+                    stride: int = 1) -> np.ndarray:
+    """morita.SpectralVector.eval_row, cell by cell."""
+    g = v.grid
+    p = morita._TAG_P[v.tag]
+    m = abs(stride)
+    if stride < 0:
+        lo, hi = 1 - hi, 1 - lo
+    rows, cell = v.samples[:, ::m], v.nx // m
+    out = np.empty((len(rows), hi - lo, g.ny), complex)
+    for k in range(lo // cell, (hi - 1) // cell + 1):
+        r0, r1 = max(lo, k * cell), min(hi, (k + 1) * cell)
+        vals = rows[:, r0 - k * cell:r1 - k * cell][..., g.y_roll(k * g.sv_steps)]
+        out[:, r0 - lo:r1 - lo] = vals * g.twist(p, k)
+    return out if stride > 0 else out[:, ::-1]
 
 
 @dataclass(frozen=True)

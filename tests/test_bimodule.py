@@ -11,17 +11,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qhm import jets
+from qhm import jets, morita
 from qhm.algebra import (AlgebraElement, D_FLAVOR, E_FLAVOR, adjoint,
                          derivation, star, trace, window)
 from qhm.bimodule import act_left, act_right, inner_D, inner_E
 from qhm.calculus import curvature_closed
-from qhm.lattice import Params, ScalarField, make_grid, y_bandwidth
+from qhm.lattice import Grid, Params, ScalarField, make_grid, y_bandwidth
 from qhm.projection import build_R
 from qhm.random_fields import random_module_vector, smooth_envelope
 
 from oracles import (bits_equal, conj_field, gathered_act_right, make_battery,
-                     phased_inner_D, phased_inner_E, phased_window, pointwise_mul)
+                     phased_eval_row, phased_inner_D, phased_inner_E,
+                     phased_window, pointwise_mul)
 
 
 @pytest.fixture()
@@ -245,8 +246,8 @@ def test_kernels_match_direct_sums_bitwise(params, refinement):
         _assert_same_field(act_right(v, phi), _ref_act_right(v, phi))
         _assert_same_field(act_left(psi, u), _ref_act_left(psi, u))
         for w in "XYZ":
-            _assert_same_field(act_right(u, phi, w),
-                               _ref_act_right(u, derivation(w, phi)))
+            (got,) = act_right(u, phi, w).members()
+            _assert_same_field(got, _ref_act_right(u, derivation(w, phi)))
 
 
 # -- the skipping kernels against the kernels that skip nothing --------------
@@ -287,6 +288,29 @@ def test_skipping_kernels_match_the_kernels_that_skip_nothing(params, refinement
                     assert np.array_equal(window(*args), phased_window(*args))
     # f and g are far enough apart for E to pair them at p != 0 too
     assert any(inner_E(f, g).p_support)
+
+
+@pytest.mark.parametrize("refinement", [2, 8])
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["c1", "c2"])
+def test_morita_rows_match_the_rows_that_multiply_every_phase(params, refinement):
+    # SpectralVector.eval_row skips a unit phase (p k = 0) by the kernels'
+    # rule; the rows of all four spaces (p = -1, 0, 1, 0) agree with the
+    # rows that multiply every phase, across cells on both sides of the
+    # domain, and the source spaces read every (1/su)-th row backwards as
+    # S and H read them
+    grid = Grid(params, make_grid(params, refinement).hx,
+                Fraction(1, morita.s_y_samples(params)))
+    f_terms, phi_terms = morita.draw_terms(morita.term_streams(0), 2, 2)
+    f = morita.random_source_vector(grid, f_terms)
+    phi = morita.random_invariant_function(grid, phi_terms)
+    inv_su = morita.rescale_factor(grid)
+    for v, m in ((f, inv_su), (phi, inv_su), (morita.map_S(f), 1),
+                 (morita.map_H(phi), 1)):
+        n = v.nx
+        for lo, hi, stride in ((-2 * n - 3, n + 5, 1), (-n, 2 * n, -m),
+                               (n - 1, n + 2, 1)):
+            assert np.array_equal(v.eval_row(lo, hi, stride),
+                                  phased_eval_row(v, lo, hi, stride)), v.tag
 
 
 # -- batches against their members --------------------------------------------
@@ -371,15 +395,14 @@ def test_batched_kernels_match_their_members_bitwise(params, refinement):
                                 [act_right(u, phi) for phi in phis])
         _assert_batch_of_fields(act_right(field_b, phis[0]),
                                 [act_right(v, phis[0]) for v in fields])
-        for w in "XYZ":
-            _assert_batch_of_fields(act_right(u, phi_b, w),
-                                    [act_right(u, phi, w) for phi in phis])
         # a sequence of directions batches direction by direction
-        _assert_batch_of_fields(act_right(u, phi_b, ("Y", "X")),
-                                [act_right(u, phi, w) for w in "YX"
-                                 for phi in phis])
+        for w in ("X", "Y", "Z", ("Y", "X")):
+            _assert_batch_of_fields(act_right(u, phi_b, w),
+                                    [act_right(u, phi, v).members()[0]
+                                     for v in w for phi in phis])
         _assert_batch_of_fields(act_right(u, phis[0], ("X", "Z", "Y")),
-                                [act_right(u, phis[0], w) for w in "XZY"])
+                                [act_right(u, phis[0], w).members()[0]
+                                 for w in "XZY"])
 
 
 @pytest.mark.parametrize("depth", range(4))
@@ -412,11 +435,10 @@ def test_zero_right_action_keeps_its_batch_axis(params, refinement):
     assert Q.comps and all(not derivation(w, Q).comps for w in "XYZ")
     QQ = AlgebraElement.stack([Q, Q])
     cases = [(Q, ("X", "Y", "Z"), 3), (QQ, ("X", "Y", "Z"), 6), (QQ, "Y", 2),
-             (AlgebraElement.zero(D_FLAVOR, grid), ("X", "Y"), 2)]
+             (Q, "X", 1), (AlgebraElement.zero(D_FLAVOR, grid), ("X", "Y"), 2)]
     for phi, w, batch in cases:
         v = act_right(R, phi, w)
         assert (v.nx, v.chain.shape[2:]) == (0, (batch, grid.ny))
-    assert act_right(R, Q, "X").chain.shape[2:] == (grid.ny,)
     assert curvature_closed(R).norm_inf() == 0.0
 
 
@@ -461,9 +483,11 @@ def test_derived_right_action_reads_only_its_rows_bitwise(params, refinement):
         for a in (phi, phi_b):
             derived = {w: act_right(v, derivation(w, a)) for w in "XYZ"}
             for w in "XYZ":
+                # along one direction an unbatched phi gives a batch of one
                 got = act_right(v, a, w)
+                want = derived[w].chain
                 assert (got.i0, got.nx) == (derived[w].i0, derived[w].nx)
-                assert bits_equal(got.chain, derived[w].chain)
+                assert bits_equal(got.chain, want.reshape(got.chain.shape))
         seq = act_right(v, phi, ("X", "Y", "Z"))
         d = seq.depth
         for k, w in enumerate("XYZ"):

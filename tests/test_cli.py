@@ -304,12 +304,14 @@ class TestVerify:
         # <R, f>_D, each nabla0_W f, <R, t f>_D and <R, g2>_D are built
         # once and shared by the commutator, Leibniz and metric checks, and
         # Q = <R, R>_D once to order 1 for the projection checks, delta_Y
-        # and the condition lists (which formed it again: 14 calls)
+        # and the condition lists (which formed it again: 14 calls).  One
+        # act_right applies nabla0 to a vector along X, Y and Z: one
+        # direction per call made 14 calls.
         calls = count_calls(monkeypatch, (bimodule, "inner_D"),
-                            (calculus, "connect"))
-        run_verify(RunConfig(params=params, refinement=27, seed=7,
+                            (bimodule, "act_right"))
+        run_verify(RunConfig(params=params, refinement=9, seed=7,
                              out=str(tmp_path)))
-        assert (calls.count("inner_D"), calls.count("connect")) == (13, 10)
+        assert (calls.count("inner_D"), calls.count("act_right")) == (13, 8)
 
     def test_verify_multiplies_by_no_unit_twist(self, params, tmp_path,
                                                  monkeypatch):
@@ -349,11 +351,13 @@ class TestVerify:
         # in Theta0(X,Z), whose order 1 verify does not read.  star
         # multiplies every (q, r) pair of components, also the one of
         # Q * Q whose row supports never meet.  The condition lists formed
-        # Q again ({0: 166, 1: 52}); they take verify's Q.
+        # Q again ({0: 166, 1: 52}); they take verify's Q.  One act_right
+        # per vector along X, Y and Z, instead of one per direction, forms
+        # each nabla0 batch's products once ({0: 163, 1: 52}).
         calls = count_calls(monkeypatch, (jets, "mul"), lens=True)
         run_verify(RunConfig(params=params, refinement=27, seed=7,
                              out=str(tmp_path)))
-        assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 163, 1: 52}
+        assert Counter(min(a, b) - 1 for _, a, b in calls) == {0: 126, 1: 52}
 
     @pytest.mark.parametrize("error", [ValueError, calculus.StructureError])
     def test_broken_projection_is_a_failed_check(self, tmp_path, monkeypatch,
@@ -547,11 +551,9 @@ class TestSolve:
 
     def test_solve_reads_no_test_vectors(self, params, tmp_path, monkeypatch):
         # criticality is measured as elements of E: no test vector is drawn
-        # and no equation is applied to a vector (the operator oracle of the
-        # tests applies the connection to one with connect)
+        # (the operator oracle of the tests applies the connection to one)
         calls = count_calls(monkeypatch,
-                            (random_fields, "random_module_vector"),
-                            (calculus, "connect"))
+                            (random_fields, "random_module_vector"))
         cfg = RunConfig(params=params, refinement=9, seed=0, out=str(tmp_path))
         run_solve(cfg, sweep=True)
         assert calls == []
@@ -725,6 +727,23 @@ class TestMorita:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "morita grid error: 1/su" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, ny", [
+        ("su = 1/4\nsv = -1/4\nmorita.refinement = 2\n", 8),
+        ("su = 1/4\nsv = -1/4\nmorita.refinement = 8\n", 8),
+        ("c = 3\nsu = 1/5\nsv = -1/3\nmorita.refinement = 5\n", 18)],
+        ids=["c1-r2", "c1-r8", "c3-r5"])
+    def test_negative_nu_passes(self, tmp_path, config, ny):
+        # S(f) is y-periodic on ny samples iff ny divides |2c/sv|; ny = 2c/sv
+        # was -8 at c = 1, sv = -1/4, and the run ended in a ValueError
+        # traceback ("samples shape (1, 8, 0) does not match (S, 8, -8)")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        code, out = run(tmp_path, "morita", "--config", str(cfg))
+        assert code == 0
+        rep = json.loads((out / "morita_report.json").read_text())
+        assert rep["all_pass"] and rep["grid"]["ny"] == ny
+        assert max(c["violation"] for c in rep["checks"].values()) <= 1e-12
 
     @pytest.mark.parametrize("sv", ["2/5", "0"])
     def test_s_without_a_periodic_grid_exits_2(self, tmp_path, capsys, sv):

@@ -218,8 +218,6 @@ UNEXECUTED = {
     ("bimodule.act_right", "return _no_rows(g, phi, w)"):
         "a zero element; no command acts with one (the second such return, "
         "for an annihilated batch, runs)",
-    ("calculus.connect", "if mult is None:"):
-        "the perturbation branch: the test oracles apply perturbed connections",
     ("cli._parse_kv", "continue"):
         "config syntax: blank and comment lines",
     ("cli._floatval", "try:"):

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhm.bimodule import inner_D
+from qhm.bimodule import act_right, inner_D
 from qhm.calculus import (Connection, check_skew, curvature_closed, curvature_perturbed,
                           extract_f1_f2)
 from qhm.laplace import (assemble_rhs, build_perturbation, laplace_form_residuals,
                          solve_poisson, verify_critical)
 from qhm.lattice import Grid, Params, TorusFunction, make_grid
-from qhm.projection import build_R, grassmann_apply
+from qhm.projection import build_R
 from conftest import square_grid
 from oracles import make_battery, patch_spectral_mutant
 
@@ -230,7 +230,7 @@ def test_solve_band_holds_the_construction(c, b, sv, refinement):
 def _battery_on(grid, seed):
     R = build_R(grid.params, grid)
     battery = make_battery(grid, 4, seed, include=[R])
-    nabla0 = [grassmann_apply(R, w, inner_D(R, f)) for f in battery for w in "XYZ"]
+    nabla0 = [v for f in battery for v in act_right(R, inner_D(R, f), "XYZ").members()]
     return battery, nabla0
 
 

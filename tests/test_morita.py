@@ -25,7 +25,7 @@ from oracles import (BrokenUnitaryVector, broken_source_vector,
 
 
 def morita_grid(params, refinement):
-    """The grid of `qhm morita`: make_grid's x-step and ny = 2c/sv."""
+    """The grid of `qhm morita`: make_grid's x-step and ny = |2c/sv|."""
     return Grid(params, make_grid(params, refinement).hx,
                 Fraction(1, s_y_samples(params)))
 
@@ -73,7 +73,7 @@ def test_s_maps_into_first_subspace(grid2):
     sf = map_S(f)
     assert sf.tag == E_FIRST
     scale = max(np.max(np.abs(f.samples)), 1)
-    assert membership_transport_defect(f) < 1e-12 * scale
+    assert membership_transport_defect(f, sf) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("c, sv, ny", [
@@ -89,8 +89,8 @@ def test_s_refuses_a_grid_where_it_is_not_y_periodic(c, sv, ny):
     f = random_source_vector(grid, f_terms)
     with pytest.raises(MoritaGridError):
         map_S(f)
-    with pytest.raises(MoritaGridError):
-        membership_transport_defect(f)
+    with pytest.raises(MoritaGridError):  # before it reads the S(f) given
+        membership_transport_defect(f, f)
 
 
 @pytest.mark.parametrize("refinement", [2, 3, 8])

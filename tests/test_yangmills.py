@@ -212,7 +212,8 @@ def _elements_reference(nabla, theta):
         j: mult_element(pert.component(j), 1) for j in BASIS}
 
     def commutator(t, t_hat, j):
-        out = inner_E(act_right(R, t_hat, j), R)
+        (v,) = act_right(R, t_hat, j).members()
+        out = inner_E(v, R)
         if j in mults:
             out = out + (star(mults[j], t) - star(t, mults[j]))
         return out
