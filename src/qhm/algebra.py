@@ -92,12 +92,11 @@ class AlgebraElement:
             return 0
         return min(len(c) for c in self.comps.values()) - 1
 
-    def component(self, p: int, depth: Optional[int] = None) -> Chain:
-        d = self.depth if depth is None else depth
+    def component(self, p: int, depth: int) -> Chain:
         chain = self.comps.get(p)
         if chain is None:
-            return np.zeros((d + 1, self.nxd, self.grid.ny), complex)
-        return chain[: d + 1]
+            return np.zeros((depth + 1, self.nxd, self.grid.ny), complex)
+        return chain[: depth + 1]
 
     def upto(self, depth: int) -> "AlgebraElement":
         """This element with its chain orders above `depth` dropped (views;

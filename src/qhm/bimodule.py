@@ -45,8 +45,8 @@ def inner_D(f: ScalarField, g: ScalarField) -> AlgebraElement:
     """D-valued inner product of two module vectors.
 
     Component p is one Leibniz product on the rows where f and the
-    translate of g by p su are both supported, folded into [0, 1) block by
-    block with the wrap phase of each block.
+    translate of g by p su are both supported, folded into [0, 1) by
+    Grid.folded_rows under the D rule of algebra.window.
     """
     grid = f.grid
     N = grid.nx_unit
@@ -61,15 +61,7 @@ def inner_D(f: ScalarField, g: ScalarField) -> AlgebraElement:
         hi = min(f.i1, g.i1 + p * S)
         b = grid.y_shifted(g.chain[:d + 1, lo - p * S - g.i0:hi - p * S - g.i0], p * V)
         term = jets.mul(f.chain[:d + 1, lo - f.i0:hi - f.i0], np.conj(b))
-        acc = np.zeros((d + 1, N) + term.shape[2:], complex)
-        for k in range(lo // N, (hi - 1) // N + 1):
-            r0, r1 = max(lo, k * N), min(hi, (k + 1) * N)
-            blk = term[:, r0 - lo:r1 - lo]
-            ph = grid.twist_or_none(k, p)
-            if ph is not None:
-                blk = blk * np.conj(ph)
-            acc[:, r0 - k * N:r1 - k * N] += blk
-        comps[p] = acc
+        comps[p] = grid.folded_rows(term, lo, N, 0, lambda k: grid.twist_or_none(k, p))
     return AlgebraElement(D_FLAVOR, grid, comps)
 
 
@@ -77,8 +69,8 @@ def inner_E(f: ScalarField, g: ScalarField) -> AlgebraElement:
     """E-valued inner product of two module vectors.
 
     Component p is one Leibniz product on the rows where f and the
-    translate of g by p units are both supported, folded into [0, su)
-    translate by translate (k ascending) with the roll and phase of each.
+    translate of g by p units are both supported, folded into [0, su) by
+    Grid.folded_rows under the E rule of algebra.window.
     """
     grid = f.grid
     N = grid.nx_unit
@@ -93,16 +85,7 @@ def inner_E(f: ScalarField, g: ScalarField) -> AlgebraElement:
         hi = min(f.i1, g.i1 - p * N)
         term = jets.mul(np.conj(f.chain[:d + 1, lo - f.i0:hi - f.i0]),
                         g.chain[:d + 1, lo + p * N - g.i0:hi + p * N - g.i0])
-        acc = np.zeros((d + 1, S) + term.shape[2:], complex)
-        # rows [-kS, S - kS) of f land on [0, S)
-        for k in range(-((hi - 1) // S), -(lo // S) + 1):
-            r0, r1 = max(lo, -k * S), min(hi, S - k * S)
-            blk = grid.y_shifted(term[:, r0 - lo:r1 - lo], k * V)
-            ph = grid.twist_or_none(p, k)
-            if ph is not None:
-                blk = blk * ph
-            acc[:, r0 + k * S:r1 + k * S] += blk
-        comps[p] = acc
+        comps[p] = grid.folded_rows(term, lo, S, V, lambda k: grid.twist_or_none(p, k))
     return AlgebraElement(E_FLAVOR, grid, comps)
 
 

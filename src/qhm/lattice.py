@@ -12,7 +12,9 @@ read-only: the y-samples, the twist phases and y-shift index maps, and the
 skew-torus tables of TorusFunction (the two shear phases of fft and
 from_fft, the d/dx multiplier and the Laplace eigenvalues).  There is one
 d/dy multiplier, Grid.dy_multiplier, for spectral_dy, for delta_X and for
-the torus.
+the torus.  One evaluator, Grid.twisted_rows, unfolds twisted-periodic rows
+and its adjoint, Grid.folded_rows, is the one fold: bimodule.inner_D and
+inner_E and morita.random_source_vector pass it their unfold's rule.
 """
 
 from __future__ import annotations
@@ -287,6 +289,22 @@ class Grid:
             else:
                 np.multiply(vals, ph, out=out[:, r0 - lo:r1 - lo])
         return out
+
+    def folded_rows(self, term: np.ndarray, lo: int, cell: int, shift: int,
+                    phase) -> np.ndarray:
+        """The adjoint of twisted_rows: row k cell + r of term (rows [lo, ...)
+        on axis 1) moved in y by -k shift steps, times phase(-k), added onto
+        row r of a +0 accumulator, highest cell first (None: no multiply)."""
+        hi = lo + term.shape[1]
+        acc = np.zeros((len(term), cell) + term.shape[2:], complex)
+        for k in range((hi - 1) // cell, lo // cell - 1, -1):
+            r0, r1 = max(lo, k * cell), min(hi, (k + 1) * cell)
+            blk = self.y_shifted(term[:, r0 - lo:r1 - lo], -k * shift)
+            ph = phase(-k)
+            if ph is not None:
+                blk = blk * ph
+            acc[:, r0 - k * cell:r1 - k * cell] += blk
+        return acc
 
     def x_of(self, i) -> np.ndarray:
         return np.asarray(i, dtype=float) * self.hx_f

@@ -278,12 +278,11 @@ def random_source_vector(grid: Grid, terms: Terms) -> SpectralVector:
     Each seed lives on x in [0,2); summing its twisted unit translates
     telescopes into an exact member of the twisted subspace.
     """
-    g = grid
-    nxu = g.nx_unit
-    seed = _source_seeds(g, terms)
-    # g = seed|_[0,1) + U(seed)|_[0,1) with U the twisted unit translate
-    translated = seed[:, nxu:][..., g.y_roll(-g.sv_steps)] * g.twist(-1, -1)
-    return SpectralVector(g, seed[:, :nxu] + translated, X_BETA_USTAR_ALPHA)
+    g, p = grid, _TAG_P[X_BETA_USTAR_ALPHA]
+    # seed|_[0,1) + U(seed)|_[0,1), U the twisted unit translate of eval_row
+    samples = g.folded_rows(_source_seeds(g, terms), 0, g.nx_unit, g.sv_steps,
+                            lambda k: g.twist_or_none(p, k))
+    return SpectralVector(g, samples, X_BETA_USTAR_ALPHA)
 
 
 def random_invariant_function(grid: Grid, terms: Terms) -> SpectralVector:
@@ -312,8 +311,8 @@ def membership_transport_defect(f: SpectralVector, sf: SpectralVector) -> float:
     return float(np.max(np.abs(sf.samples - rhs)))
 
 
-def verify_bimodule_preservation(grid: Grid, sample_count: int = 20,
-                                 seed: int = 0, tol: float = 1e-10) -> Dict[str, object]:
+def verify_bimodule_preservation(grid: Grid, sample_count: int, seed: int,
+                                 tol: float) -> Dict[str, object]:
     """Measure the four preservation identities on seeded random members,
     and that S maps both source vectors f and g into the first subspace.
 

@@ -13,10 +13,14 @@ check outside the workload's known seed failures that fails, or an
 exception, counts as a failed operation.  Both trees share one interpreter,
 so drift of the machine between runs falls on both sides of a pair alike.
 
-For each workload it prints each side's median and quartiles, the median
-of the per-pair ratios B/A, how many pairs B ran faster in, and the failed
-operations of each side.  BLAS and OpenMP pools are pinned to one thread,
-as in `bench/run.py`.
+First it prints each tree's provenance: its path, its git commit when it
+is the root of a checkout ("+modified" when `src/qhm` or `bench` differ
+from that commit), and a sha256 over its `src/qhm/*.py`.  Then, for each
+workload, each side's median and quartiles, the median of the per-pair
+ratios B/A with a seeded 95% bootstrap interval (pairs resampled with
+replacement), how many pairs B ran faster in, and the failed operations of
+each side.  BLAS and OpenMP pools are pinned to one thread, as in
+`bench/run.py`.
 """
 
 from __future__ import annotations
@@ -28,8 +32,11 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
+import random  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -40,6 +47,8 @@ from typing import Dict, List, Optional, Sequence  # noqa: E402
 # the modules bench/workloads.py imports from qhm
 WORKLOAD_MODULES = ("calculus", "cli", "laplace", "lattice", "projection",
                     "yangmills")
+# bootstrap draws behind each median ratio's interval
+RESAMPLES = 2000
 
 
 def load_tree(tree: str, name: str):
@@ -68,6 +77,38 @@ def load_tree(tree: str, name: str):
         else:
             sys.modules["qhm"] = saved
     return workloads
+
+
+def provenance(tree: str) -> str:
+    """The tree's path, its git commit if it is the root of a checkout, and
+    the sha256 of its src/qhm/*.py, names and contents in name order."""
+    root = Path(tree).resolve()
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "qhm").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+
+    def git(*args) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", "-C", str(root), *args],
+                              capture_output=True, text=True)
+
+    top = git("rev-parse", "--show-toplevel")
+    commit = "not a checkout"
+    if top.returncode == 0 and Path(top.stdout.strip()).resolve() == root:
+        commit = git("rev-parse", "HEAD").stdout.strip() or "no commit"
+        if git("diff", "--quiet", "HEAD", "--", "src/qhm", "bench").returncode:
+            commit += "+modified"
+    return f"{root}  git {commit}  src/qhm sha256 {digest.hexdigest()}"
+
+
+def median_interval(ratios: List[float]) -> tuple:
+    """95% percentile bootstrap interval of the median of `ratios`: the
+    medians of RESAMPLES draws of len(ratios) pairs with replacement, from a
+    generator seeded with 0, the 2.5% and 97.5% points of their order."""
+    rng = random.Random(0)
+    meds = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                  for _ in range(RESAMPLES))
+    cut = RESAMPLES // 40
+    return meds[cut], meds[RESAMPLES - 1 - cut]
 
 
 def _run(workload, seed: int, scratch: str) -> tuple:
@@ -112,14 +153,17 @@ def _quartiles(xs: List[float]) -> tuple:
 
 def report(results: Dict[str, dict]) -> str:
     lines = [f"{'workload':<16} {'A ms q1/med/q3':<22} {'B ms q1/med/q3':<22} "
-             f"{'ratio B/A':>9} {'B faster':>9} {'failed A/B':>10}"]
+             f"{'ratio B/A':>9} {'95% interval':>15} {'B faster':>9} "
+             f"{'failed A/B':>10}"]
     for n, r in results.items():
         ratios = [b / a for a, b in zip(r["a"], r["b"])]
         wins = sum(b < a for a, b in zip(r["a"], r["b"]))
         qa, qb = (" / ".join(f"{1e3 * q:.2f}" for q in _quartiles(r[k]))
                   for k in "ab")
+        lo, hi = median_interval(ratios)
         lines.append(f"{n:<16} {qa:<22} {qb:<22} "
                      f"{statistics.median(ratios):>9.3f} "
+                     f"{f'[{lo:.3f}, {hi:.3f}]':>15} "
                      f"{f'{wins}/{len(ratios)}':>9} "
                      f"{r['failed_a']:>5}/{r['failed_b']}")
     return "\n".join(lines)
@@ -133,7 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    print(f"A = {Path(args.tree_a).resolve()}\nB = {Path(args.tree_b).resolve()}")
+    print(f"A = {provenance(args.tree_a)}\nB = {provenance(args.tree_b)}")
     print(report(compare(args.tree_a, args.tree_b, args.pairs)))
     return 0
 

@@ -240,7 +240,7 @@ def _ref_star(a, b):
     g = a.grid
     comps = {}
     for q in a.p_support:
-        aq = a.component(q)
+        aq = a.component(q, a.depth)
         for r in b.p_support:
             p = q + r
             if a.flavor == D_FLAVOR:

@@ -121,7 +121,7 @@ def test_battery_refuses_a_grid_without_its_pairwise_band(params, grid2):
 def _ref_eval(a, p, i_lo, i_hi, dxs=0, dys=0):
     g = a.grid
     N = a.nxd
-    chain = a.component(p)
+    chain = a.component(p, a.depth)
     out = [np.zeros((i_hi - i_lo, g.ny), complex) for _ in chain]
     if p in a.comps:
         gi = np.arange(i_lo + dxs, i_hi + dxs)

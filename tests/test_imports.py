@@ -210,9 +210,6 @@ UNEXECUTED = {
         "the E-flavor adjoint, one of the algebra identities the tests check",
     ("bimodule.inner_D", "return AlgebraElement.zero(D_FLAVOR, grid)"):
         "an empty vector; no command pairs one",
-    ("bimodule.inner_E", "blk = blk * ph"):
-        "a phase other than 1: the commands pair only vectors within one "
-        "unit of each other in E (p = 0)",
     ("bimodule.act_left", "return _no_rows(f, psi, depth=d)"):
         "a zero element or an empty vector; no command acts with one",
     ("bimodule.act_right", "return _no_rows(g, phi, w)"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhm import jets
+from qhm import jets, morita
 from qhm.calculus import StructureError, check_skew
 from qhm.lattice import (CommensurabilityError, Grid, Params, ScalarField,
                          TorusFunction, WindowOverflowError, make_grid,
@@ -292,3 +292,43 @@ def test_character_derivative_property(n, m):
 
 
 DEFAULT_PARAMS = Params.from_steps(1, Fraction(1, 4), Fraction(1, 4))
+
+
+# The three rules (cell, shift, phase) by which twisted_rows unfolds and
+# folded_rows folds: algebra.window's D and E rules for a component p, and
+# morita.SpectralVector.eval_row's rule for an unstrided source vector, whose
+# p is the X_BETA tag's.
+FOLD_RULES = {
+    "D": lambda g, p: (g.nx_unit, 0, lambda k: g.twist_or_none(k, p)),
+    "E": lambda g, p: (g.su_steps, g.sv_steps, lambda k: g.twist_or_none(p, k)),
+    "X_BETA": lambda g, p: (g.nx_unit, g.sv_steps, lambda k: g.twist_or_none(p, k)),
+}
+FOLD_P = [("D", -1), ("D", 2), ("E", -1), ("E", 2),
+          ("X_BETA", morita._TAG_P[morita.X_BETA_USTAR_ALPHA])]
+# (su, sv) per c; sv = 1/2 would hide the sign of a y-shift (2 sv_steps = ny)
+FOLD_CASES = {1: (Fraction(1, 4), Fraction(1, 4)), 2: (Fraction(2, 7), Fraction(2, 5)),
+              3: (Fraction(1, 5), Fraction(1, 3))}
+
+
+@pytest.mark.parametrize("rule, p", FOLD_P)
+@pytest.mark.parametrize("c", sorted(FOLD_CASES))
+def test_folded_rows_is_the_adjoint_of_twisted_rows(rule, p, c):
+    """<twisted_rows(a), b> = <a, folded_rows(b)> over a row range that
+    starts below 0 and spans several cells, with phases other than 1 and,
+    but for D, a y-shift whose sign matters mod ny: a sign error in either
+    helper's y-shift or phase breaks it."""
+    grid = make_grid(Params.from_steps(c, *FOLD_CASES[c]), 3, pairwise=True)
+    cell, shift, phase = FOLD_RULES[rule](grid, p)
+    assert rule == "D" or 2 * shift % grid.ny
+    lo = -(cell + 2)
+    hi = lo + 3 * cell + 5
+    rng = np.random.default_rng(c)
+
+    def draw(rows):  # a batch of two chains of order 1, y last
+        shape = (2, rows, 2, grid.ny)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a, b = draw(cell), draw(hi - lo)
+    lhs = np.vdot(grid.twisted_rows(a, lo, hi, cell, shift, phase), b)
+    rhs = np.vdot(a, grid.folded_rows(b, lo, cell, shift, phase))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)

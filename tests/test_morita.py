@@ -101,7 +101,7 @@ def test_s_refuses_a_grid_where_it_is_not_y_periodic(c, sv, ny):
 def test_preservation_holds_on_the_morita_grid(c, su, sv, refinement):
     grid = morita_grid(Params.from_steps(c, su, sv), refinement)
     assert grid.ny == 2 * c / sv
-    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201)
+    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201, tol=1e-10)
     for name, chk in rep["checks"].items():
         assert chk["violation"] <= 1e-13, name
 
@@ -115,7 +115,7 @@ def test_a_nan_violation_fails(grid2, monkeypatch):
     monkeypatch.setattr(morita, "membership_transport_defect",
                         lambda f, sf=None: next(values))
     monkeypatch.setattr(lattice, "GRID_BUDGET", 128)
-    rep = verify_bimodule_preservation(grid2, sample_count=2, seed=0)
+    rep = verify_bimodule_preservation(grid2, sample_count=2, seed=0, tol=1e-10)
     chk = rep["checks"]["membership_transport"]
     assert math.isnan(chk["violation"]) and not chk["pass"]
     assert not rep["all_pass"]
@@ -152,7 +152,7 @@ def test_inner_r_needs_both_arguments_shifted(grid2):
 
 
 def test_verification_clean(grid2):
-    rep = verify_bimodule_preservation(grid2, sample_count=5, seed=3)
+    rep = verify_bimodule_preservation(grid2, sample_count=5, seed=3, tol=1e-10)
     assert rep["all_pass"]
     for name, chk in rep["checks"].items():
         assert chk["violation"] < 1e-11, name
@@ -160,15 +160,15 @@ def test_verification_clean(grid2):
 
 def test_verification_flags_broken_unitary(grid2, monkeypatch):
     inject_broken_unitary(monkeypatch, 0.07)
-    rep = verify_bimodule_preservation(grid2, sample_count=5, seed=3)
+    rep = verify_bimodule_preservation(grid2, sample_count=5, seed=3, tol=1e-10)
     assert not rep["all_pass"]
     failing = {name for name, chk in rep["checks"].items() if not chk["pass"]}
     assert failing == {"inner_left", "inner_right", "membership_transport"}
 
 
 def test_verification_deterministic(grid2):
-    a = verify_bimodule_preservation(grid2, sample_count=4, seed=11)
-    b = verify_bimodule_preservation(grid2, sample_count=4, seed=11)
+    a = verify_bimodule_preservation(grid2, sample_count=4, seed=11, tol=1e-10)
+    b = verify_bimodule_preservation(grid2, sample_count=4, seed=11, tol=1e-10)
     assert a == b
 
 
@@ -177,7 +177,7 @@ def test_sample_batches_respect_the_grid_budget(grid2, monkeypatch, budget):
     # one sample of grid2 holds 2 * 8 * 8 = 128 seed points, so these
     # budgets cut the 20 samples into batches of 1, 3 and 7
     inject_broken_unitary(monkeypatch, 0.07)
-    whole = verify_bimodule_preservation(grid2, sample_count=20, seed=9201)
+    whole = verify_bimodule_preservation(grid2, sample_count=20, seed=9201, tol=1e-10)
     calls = []
 
     def counting(eval_row):
@@ -189,7 +189,7 @@ def test_sample_batches_respect_the_grid_budget(grid2, monkeypatch, budget):
     for cls in (SpectralVector, BrokenUnitaryVector):
         monkeypatch.setattr(cls, "eval_row", counting(cls.eval_row))
     monkeypatch.setattr(lattice, "GRID_BUDGET", budget)
-    chunked = verify_bimodule_preservation(grid2, sample_count=20, seed=9201)
+    chunked = verify_bimodule_preservation(grid2, sample_count=20, seed=9201, tol=1e-10)
     batch = max(1, budget // 128)
     assert max(calls) == batch
     assert len(calls) == 15 * -(-20 // batch)
@@ -219,7 +219,7 @@ def test_each_chunk_draws_with_a_fixed_number_of_generator_calls(
     # the refinement-8 grid holds 2 * 32 * 8 = 512 seed points, so the
     # budget 7 * 512 cuts the 20 samples into chunks of 7, 7 and 6.
     grid = morita_grid(params, 8)
-    whole = verify_bimodule_preservation(grid, sample_count=20, seed=9201)
+    whole = verify_bimodule_preservation(grid, sample_count=20, seed=9201, tol=1e-10)
     if budget is not None:
         monkeypatch.setattr(lattice, "GRID_BUDGET", budget)
     calls, per_chunk = [], []
@@ -236,7 +236,7 @@ def test_each_chunk_draws_with_a_fixed_number_of_generator_calls(
 
     monkeypatch.setattr(morita, "term_streams", counting)
     monkeypatch.setattr(morita, "draw_terms", drawing)
-    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201)
+    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201, tol=1e-10)
     assert [count for count, _ in per_chunk] == ([20] if budget is None
                                                  else [7, 7, 6])
     for _, made in per_chunk:
@@ -436,10 +436,10 @@ def test_preservation_sample_evaluates_whole_arrays(params, monkeypatch):
 
     grid = morita_grid(params, 8)
     monkeypatch.setattr(SpectralVector, "eval_row", counted)
-    verify_bimodule_preservation(grid, sample_count=1, seed=9201)
+    verify_bimodule_preservation(grid, sample_count=1, seed=9201, tol=1e-10)
     single = len(calls)
     assert single <= 15
-    verify_bimodule_preservation(grid, sample_count=20, seed=9201)
+    verify_bimodule_preservation(grid, sample_count=20, seed=9201, tol=1e-10)
     assert len(calls) - single <= single
 
 
@@ -477,6 +477,6 @@ def test_preservation_report_is_pinned(key, monkeypatch):
     grid = morita_grid(Params.from_steps(c, su, sv), refinement)
     if broken_u:
         inject_broken_unitary(monkeypatch, broken_u)
-    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201)
+    rep = verify_bimodule_preservation(grid, sample_count=20, seed=9201, tol=1e-10)
     got = {name: chk["violation"] for name, chk in rep["checks"].items()}
     assert got == PINNED[key]
